@@ -190,9 +190,8 @@ def _do_reconstruct(b, args, fit=None, h=None):
     fam = infinity.Pk_family(germs, max(p, 1))
     radii = tuple(float(t) for t in args.radii.split(","))
     xfracs = tuple(complex(t) for t in args.xfrac.split(","))
-    threads = int(os.environ.get("CFR_THREADS", "1"))
     cloud = reconstruct.sweep(b, p, fam, radii=radii, angles=args.angles,
-                              xfracs=xfracs, threads=threads)
+                              xfracs=xfracs)
     return cloud, p
 
 

@@ -18,6 +18,7 @@ from .geometry import BoundaryData, LineParam, rho
 DENOM_EPS = 1e-9
 DELTA_ROUND_TOL = 1e-6
 LAURENT_XCHECK_TOL = 1e-6
+GRID_TILE = 32          # y values per G_grid tile; bounds its work arrays
 
 
 class NearIncidence(ValueError):
@@ -45,26 +46,43 @@ def _contour_sum(b: BoundaryData, values_per_loop):
     return total / (2.0j * np.pi)
 
 
+def G_grid(b: BoundaryData, xs, ys, ks):
+    """Indicators G_k on the tensor grid xs x ys, shape (len(ks), len(xs), len(ys)).
+
+    y runs in tiles of GRID_TILE values; each sum runs over one loop's samples
+    as for a single line, so an entry does not depend on the rest of the grid.
+    """
+    ys = np.asarray(ys, dtype=complex)
+    ks = [int(k) for k in np.atleast_1d(ks)]
+    acc = np.zeros((len(ks), len(xs), len(ys)), dtype=complex)
+    for sign, lp in b.signed_loops():
+        z1, z2 = lp.z1, lp.z2
+        h = lp.t[1] - lp.t[0]
+        z1k = [z1 ** k for k in ks]
+        for j0 in range(0, len(ys), GRID_TILE):
+            yb = ys[j0 : j0 + GRID_TILE, None]
+            yz1 = yb * z1
+            num = yb * lp.dz1 + lp.dz2
+            for ix, x in enumerate(xs):
+                den = x + yz1
+                den += z2       # in place: a broadcast add into a fresh array is slow
+                if np.min(np.abs(den)) <= DENOM_EPS:
+                    raise NearIncidence("line parameter too close to the boundary image")
+                base = num / den
+                for i, zk in enumerate(z1k):
+                    acc[i, ix, j0 : j0 + GRID_TILE] += sign * h * np.sum(zk * base, axis=-1)
+    acc /= 2.0j * np.pi
+    return acc
+
+
 def G_k(b: BoundaryData, z: LineParam, k: int):
     """Indicator G_k(z): contour integral of z1^k d(x + y z1 + z2)/(x + y z1 + z2).
 
     k may be an int or a sequence of ints; a sequence returns an array (the
     denominators are shared, so batching is essentially free).
     """
-    ks = np.atleast_1d(np.asarray(k, dtype=int))
-    acc = np.zeros(len(ks), dtype=complex)
-    for sign, lp in b.signed_loops():
-        z1, z2 = lp.z1, lp.z2
-        den = z.x + z.y * z1 + z2
-        if np.min(np.abs(den)) <= DENOM_EPS:
-            raise NearIncidence("line parameter too close to the boundary image")
-        num = z.y * lp.dz1 + lp.dz2
-        base = num / den
-        h = lp.t[1] - lp.t[0]
-        for i, kk in enumerate(ks):
-            acc[i] += sign * h * np.sum(z1 ** int(kk) * base)
-    acc /= 2.0j * np.pi
-    return acc[0] if np.isscalar(k) or np.asarray(k).ndim == 0 else acc
+    acc = G_grid(b, [z.x], [z.y], k)[:, 0, 0]
+    return acc[0] if np.ndim(k) == 0 else acc
 
 
 def delta(b: BoundaryData) -> int:
@@ -203,13 +221,9 @@ def _circle_cross_check(b: BoundaryData, table: LaurentTable, n_y=256, n_x=32):
     ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
     xs = r_x * np.exp(2j * np.pi * np.arange(n_x) / n_x)
     ks = list(range(table.kmax + 1))
-    vals = np.zeros((table.kmax + 1, n_x, n_y), dtype=complex)
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            vals[:, ix, iy] = G_k(b, LineParam(x, y), ks)
     # Taylor in x lives at positive frequencies, the 1/y Laurent tail at
     # negative ones, hence fft along x and ifft along y.
-    cx = np.fft.fft(vals, axis=1) / n_x                 # coefficient of x^n: / r_x^n
+    cx = np.fft.fft(G_grid(b, xs, ys, ks), axis=1) / n_x    # coefficient of x^n: / r_x^n
     cxy = np.fft.ifft(cx, axis=2)                       # coefficient of y^-m: * R^m
     bad = 0.0
     for k in ks:

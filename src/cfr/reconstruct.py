@@ -9,8 +9,6 @@ Sweeping a grid of lines accumulates the reconstructed point cloud.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +27,7 @@ MERGE_EPS = 1e-6
 def N_Qk(b: BoundaryData, z: LineParam, k, pk_family) -> complex:
     """Holomorphic extension N_{Q,k}(z) = G_k(z) - P_k(x, y)."""
     ks = np.atleast_1d(k)
-    g = indicators.G_k(b, z, ks if len(ks) > 1 else int(ks[0]))
-    g = np.atleast_1d(g)
+    g = indicators.G_k(b, z, ks)
     out = np.array(
         [g[i] - (pk_family[kk](z.x, z.y) if kk < len(pk_family) else 0.0)
          for i, kk in enumerate(ks)],
@@ -56,12 +53,6 @@ class PointCloud:
 
     def __len__(self):
         return len(self.points)
-
-
-def chordal_distance(p: ProjPoint, q: ProjPoint) -> float:
-    """Fubini-Study chordal metric |p ^ q| / (|p| |q|) on CP2."""
-    from .geometry import chordal
-    return chordal(p.w, q.w)
 
 
 def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> FiberResult:
@@ -102,43 +93,39 @@ def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):
 
 def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
           angles=16, xfracs=(0.0, 0.2, -0.35), merge_eps=MERGE_EPS,
-          threads=None, angle_offset=0.31) -> PointCloud:
+          angle_offset=0.31) -> PointCloud:
     """Union of fibers over a z-grid, deduplicated in the chordal metric.
 
     radii are multiples of rho; xfracs are fractions of m(y) (complex values
     allowed).  Degenerate lines are recorded in cloud.skipped, not raised.
+    A point within merge_eps of an accepted point adds to the multiplicity of
+    the first such point in order of acceptance.
     """
     cloud = PointCloud()
     if p < 1:
         return cloud
     zs = _default_grid(b, radii, angles, xfracs, angle_offset)
-
-    def work(z):
+    W = np.empty((p * len(zs), 3), dtype=complex)     # rows :len(cloud) are the points
+    norms = np.empty(p * len(zs))
+    for z in zs:
         try:
-            return fiber(b, z, p, pk_family)
+            res = fiber(b, z, p, pk_family)
         except DegenerateFiber as e:
-            return (z, str(e))
-
-    threads = threads or int(os.environ.get("CFR_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, zs))
-    else:
-        results = [work(z) for z in zs]
-
-    for res in results:
-        if isinstance(res, tuple):
-            cloud.skipped.append(res)
+            cloud.skipped.append((z, str(e)))
             continue
         for pt in res.points:
-            for i, q in enumerate(cloud.points):
-                if chordal_distance(pt, q) < merge_eps:
-                    cloud.multiplicity[i] += 1
-                    break
-            else:
-                cloud.points.append(pt)
-                cloud.multiplicity.append(1)
-                cloud.source.append(res.z)
+            a, n = pt.w, len(cloud)
+            na = np.linalg.norm(a)
+            # chordal distance |a ^ w| / (|a| |w|) to every accepted point w
+            dist = np.linalg.norm(np.cross(a, W[:n]), axis=1) / (na * norms[:n])
+            hits = np.flatnonzero(dist < merge_eps)
+            if hits.size:
+                cloud.multiplicity[hits[0]] += 1
+                continue
+            W[n], norms[n] = a, na
+            cloud.points.append(pt)
+            cloud.multiplicity.append(1)
+            cloud.source.append(res.z)
     return cloud
 
 

@@ -109,16 +109,6 @@ def test_byte_identical_runs(workdir):
     assert open(workdir / "det.cloud.json", "rb").read() == first_cloud
 
 
-def test_threads_env_same_output(workdir, monkeypatch):
-    argv = ["reconstruct", "--boundary", "line.json", "--p", "1",
-            "--angles", "6", "--out", "c1.json"]
-    monkeypatch.setenv("CFR_THREADS", "1")
-    run_cli(argv, workdir)
-    monkeypatch.setenv("CFR_THREADS", "4")
-    run_cli(argv[:-1] + ["c4.json"], workdir)
-    assert open(workdir / "c1.json", "rb").read() == open(workdir / "c4.json", "rb").read()
-
-
 def test_shock_verify_cli(workdir):
     code, out, _ = run_cli(["shock-verify", "--boundary", "conic.json",
                             "--p", "1"], workdir)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cfr import indicators, oracles
-from cfr.geometry import LineParam
-from cfr.indicators import (G_k, NearIncidence, NegativeSheets, delta,
-                            laurent_extract, sheet_count)
+from cfr.geometry import LineParam, m_of_y, rho
+from cfr.indicators import (G_grid, G_k, NearIncidence, NegativeSheets,
+                            TruncationMismatch, delta, laurent_extract, sheet_count)
 
 
 def test_G1_interior_residue_oracle(interior):
@@ -38,6 +38,35 @@ def test_near_incidence_guard(interior):
     x = -(y * z1 + z2)
     with pytest.raises(NearIncidence):
         G_k(interior, LineParam(x, y), 1)
+    # one incident node among four on a grid
+    with pytest.raises(NearIncidence):
+        G_grid(interior, [0.1, x], [5.0, y], [0, 1])
+
+
+def _G_per_line(b, x, y, ks):
+    """Reference: one line at a time, one np.sum per loop and k."""
+    acc = np.zeros(len(ks), dtype=complex)
+    for sign, lp in b.signed_loops():
+        base = (y * lp.dz1 + lp.dz2) / (x + y * lp.z1 + lp.z2)
+        h = lp.t[1] - lp.t[0]
+        for i, k in enumerate(ks):
+            acc[i] += sign * h * np.sum(lp.z1 ** k * base)
+    return acc / (2.0j * np.pi)
+
+
+@pytest.mark.parametrize("name", ["interior", "twoline", "conic"])
+def test_G_grid_matches_per_line_sums(name, request, rng):
+    b = request.getfixturevalue(name)
+    ks = [0, 1, 2, 3]
+    ys = 3.0 * rho(b) * np.exp(2j * np.pi * rng.random(35))   # two tiles, one partial
+    xs = [f * m_of_y(b, ys[0]) for f in (0.3 * rng.random(3) - 0.15)]
+    grid = G_grid(b, xs, ys, ks)
+    assert grid.shape == (4, 3, 35)
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            ref = _G_per_line(b, x, y, ks)
+            assert np.array_equal(G_grid(b, [x], [y], ks)[:, 0, 0], ref)
+            assert np.array_equal(grid[:, ix, iy], ref)
 
 
 def test_quadrature_doubling(interior):
@@ -83,6 +112,16 @@ def test_laurent_examples(interior, exterior, twoline, interior_lt):
 
 def test_laurent_cross_check_runs(interior):
     laurent_extract(interior, kmax=2, mmax=6, cross_check=True)
+
+
+@pytest.mark.parametrize("name", ["interior", "twoline", "conic"])
+def test_laurent_cross_check_fires(name, request):
+    b = request.getfixturevalue(name)
+    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    indicators._circle_cross_check(b, t)
+    t.coeffs[1, 2, 0] += 1e-5
+    with pytest.raises(TruncationMismatch):
+        indicators._circle_cross_check(b, t)
 
 
 def test_laurent_reconstructs_Gk(interior, interior_lt):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cfr import infinity, oracles, reconstruct
-from cfr.geometry import LineParam, line_eval
-from cfr.reconstruct import (DegenerateFiber, N_Qk, chordal_distance,
-                             detect_algebraic, fiber, sweep)
+from cfr.geometry import LineParam, chordal, line_eval
+from cfr.reconstruct import DegenerateFiber, N_Qk, detect_algebraic, fiber, sweep
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +114,33 @@ def test_sweep_dedup(interior, no_germs):
     assert all(m >= 2 for m in cloud.multiplicity)
 
 
-def test_sweep_threads_deterministic(interior, no_germs):
-    c1 = sweep(interior, 1, no_germs, angles=8, threads=1)
-    c2 = sweep(interior, 1, no_germs, angles=8, threads=4)
-    assert len(c1) == len(c2)
-    for p, q in zip(c1.points, c2.points):
-        assert chordal_distance(p, q) == 0.0
+@pytest.mark.parametrize("eps", [1e-2, 3e-2])
+def test_sweep_dedup_first_match(twoline, no_germs, eps):
+    """The array merge equals a pairwise first-match merge in sighting order.
+
+    At 3e-2 some sightings lie within eps of two accepted points, so the
+    order of the match matters.
+    """
+    cloud = sweep(twoline, 2, no_germs, angles=8, merge_eps=eps)
+    points, mult, source = [], [], []
+    for z in reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35), 0.31):
+        try:
+            fr = fiber(twoline, z, 2, no_germs)
+        except DegenerateFiber:
+            continue
+        for pt in fr.points:
+            for i, q in enumerate(points):
+                if chordal(pt.w, q.w) < eps:
+                    mult[i] += 1
+                    break
+            else:
+                points.append(pt)
+                mult.append(1)
+                source.append(z)
+    assert len(points) < sum(mult)                      # merges happened
+    assert cloud.points == points
+    assert cloud.multiplicity == mult
+    assert cloud.source == source
 
 
 def test_detect_algebraic(interior, twoline, conic):
@@ -149,7 +169,7 @@ def test_dedup_radius_respected(interior, no_germs):
     pts = cloud.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert chordal_distance(pts[i], pts[j]) >= reconstruct.MERGE_EPS
+            assert chordal(pts[i].w, pts[j].w) >= reconstruct.MERGE_EPS
 
 
 def test_G0_consistency_on_sweep(twoline, no_germs):
