@@ -284,26 +284,6 @@ def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
     return float((means[1] - means[0]) / (np.log(radii[1]) - np.log(radii[0])))
 
 
-@dataclass
-class GreenEval:
-    """g_{q*} sampled on a mesh, with the kernel data k~ = k(., q*)/2 pi."""
-
-    q_star: complex
-    mesh: np.ndarray
-    values: np.ndarray
-    ktilde: np.ndarray
-
-
-def green_eval(model: CurveModel, q_star, mesh, **quad_kw) -> GreenEval:
-    mesh = np.asarray(mesh, dtype=complex)
-    vals = np.array([green_value(q_star, m, model, **quad_kw) for m in mesh])
-    pqs = model.point(complex(q_star))
-    kt = np.array([
-        kernel_k(model.point(m), pqs, model.psi) / (2.0 * np.pi) for m in mesh
-    ])
-    return GreenEval(complex(q_star), mesh, vals, kt)
-
-
 # -- boundary operators on the unit circle ---------------------------------------
 
 

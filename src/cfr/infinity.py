@@ -125,34 +125,11 @@ class RationalAffinePoly:
 # -- truncated series helpers (plain coefficient vectors) ---------------------
 
 
-def _ser_mul(a, b, order):
-    out = np.zeros(order + 1, dtype=complex)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        hi = min(order - i, len(b) - 1)
-        out[i : i + hi + 1] += ai * b[: hi + 1]
-    return out
-
-
 def _ser_pow(a, p, order):
     out = np.zeros(order + 1, dtype=complex)
     out[0] = 1.0
     for _ in range(p):
-        out = _ser_mul(out, a, order)
-    return out
-
-
-def _ser_inv(a, order):
-    if abs(a[0]) < RESONANT_EPS:
-        raise ResonantY("series inversion with vanishing constant term")
-    out = np.zeros(order + 1, dtype=complex)
-    out[0] = 1.0 / a[0]
-    for n in range(1, order + 1):
-        s = 0.0 + 0.0j
-        for i in range(1, min(n, len(a) - 1) + 1):
-            s += a[i] * out[n - i]
-        out[n] = -s / a[0]
+        out = symmetric.series_mul(out, a, order)
     return out
 
 
@@ -203,12 +180,12 @@ def Pk_residue(germ: GermAtInfinity, k: int, z) -> complex:
     gmu = (1.0 - j) * g[: order + 1]          # g - u g'
     gp = (j + 1.0) * g[1 : order + 2]         # g'
     num = x * gmu - gp
-    num = _ser_mul(num, _ser_pow(g, k - 1, order), order)
+    num = symmetric.series_mul(num, _ser_pow(g, k - 1, order), order)
     den = y * g[: order + 1].copy()           # 1 + x u + y g(u)
     den[0] += 1.0
     if order >= 1:
         den[1] += x
-    q = _ser_mul(num, _ser_inv(den, order), order)
+    q = symmetric.series_mul(num, symmetric.series_inv(den, order), order)
     return complex(q[order])
 
 
@@ -219,8 +196,8 @@ def _bracket(germ, k, n):
     gp = P.polyder(g)[: order + 1] if k >= 1 else np.zeros(1, dtype=complex)
     gm = g.copy()
     gm[0] = 0.0
-    term = _ser_mul(gp, _ser_pow(g, k - 1, order), order)
-    term = _ser_mul(term, _ser_pow(gm, n - 1, order), order)
+    term = symmetric.series_mul(gp, _ser_pow(g, k - 1, order), order)
+    term = symmetric.series_mul(term, _ser_pow(gm, n - 1, order), order)
     return complex(term[order])
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import indicators, infinity, shock
 from .shock import BiSeries, HData
@@ -49,24 +48,6 @@ def coeff_c0(j: int, m: int, n: int, etab) -> np.ndarray:
     if -n > s.mhi and not s.exact:
         raise TruncationExceeded(f"order y^{n} beyond validated range of E_{j-1},{m}")
     return s.x_poly(-n)
-
-
-def coeff_c0_circle(j: int, m: int, n: int, etab, radius: float, nodes: int = 128):
-    """Independent circle-quadrature route for c_{j,m}^{0,n} at a few x points.
-
-    Returns (x_points, values) with values = (1/2 pi i) * contour integral of
-    E_{j-1,m}(x, y) dy / y^(n+1) over |y| = radius.
-    """
-    s = etab[(j - 1, m)]
-    xs = np.array([0.0, 0.37, 0.11 + 0.23j])
-    th = 2.0 * np.pi * np.arange(nodes) / nodes
-    y = radius * np.exp(1j * th)
-    dy = 1j * y * (2.0 * np.pi / nodes)
-    vals = []
-    for x in xs:
-        f = s(np.full_like(y, x), y)
-        vals.append(np.sum(f * dy / y ** (n + 1)) / (2.0j * np.pi))
-    return xs, np.array(vals)
 
 
 def _shifted_coeffs(series: BiSeries, shift: int, window, nx_rows: int):
@@ -110,24 +91,34 @@ def k0_components(h: HData, g1: BiSeries, r: int, window, nx_rows: int) -> K0Com
     """
     d = h.delta
     em = h.Htilde.scale(-1.0).exp()          # e^(-H~)
-    g1em = g1 * em                           # G_1 e^(-H~)
     # X * e^(-H~): multiply by x, i.e. shift coefficients up one x-degree.
     cx = np.zeros_like(em.c)
     cx[1:, :] = em.c[:-1, :]
     xem = BiSeries(cx, em.mlo, em.mhi, em.omega, em.tau, em.exact)
 
     wmd = h.omega ** (-d)
-    const = -wmd * _shifted_coeffs(g1em, d, window, nx_rows)
-    a_parts, b_parts = [], []
-    for i in range(r):
-        a_parts.append(wmd * _shifted_coeffs(em, i + d, window, nx_rows))
+    a_parts = [wmd * _shifted_coeffs(em, i + d, window, nx_rows) for i in range(r)]
+    const, b_parts = _k_parts(h, xem, g1 * em, r, window, nx_rows)
+    return K0Components(const, a_parts, b_parts, np.asarray(window))
+
+
+def _k_parts(h: HData, lin: BiSeries, f: BiSeries, r: int, window, nx_rows: int):
+    """Right-side parts of [B' lin - B f] e^(-H~) w^(-delta) y^delta, linear in B.
+
+    B = 1 + sum beta_i Y^i, so beta_0 = 1 gives const = -f and each beta_i
+    the part i Y^(i-1) lin - Y^i f.  Returns (const, [beta_1 .. beta_r parts]).
+    """
+    d = h.delta
+    wmd = h.omega ** (-d)
+    const = -wmd * _shifted_coeffs(f, d, window, nx_rows)
+    b_parts = []
     for i in range(1, r + 1):
         t = wmd * (
-            i * _shifted_coeffs(xem, i - 1 + d, window, nx_rows)
-            - _shifted_coeffs(g1em, i + d, window, nx_rows)
+            i * _shifted_coeffs(lin, i - 1 + d, window, nx_rows)
+            - _shifted_coeffs(f, i + d, window, nx_rows)
         )
         b_parts.append(t)
-    return K0Components(const, a_parts, b_parts, np.asarray(window))
+    return const, b_parts
 
 
 def valid_window(h: HData, g1: BiSeries, r: int, d: int, extra: int = 4):
@@ -161,53 +152,57 @@ class Layout:
 def _mu_columns(cvec, m, dmu, nx_rows):
     """Rows x columns block of the term c(x) * mu^{(m)} for one (j, m, n)."""
     block = np.zeros((nx_rows + 1, dmu + 1), dtype=complex)
-    for i in range(m, dmu + 1):
-        fac = factorial(i) / factorial(i - m)
+    for i in range(m, min(dmu, nx_rows + m) + 1):
         lo = i - m
-        for t in range(lo, nx_rows + 1):
-            if t - lo < len(cvec):
-                block[t, i] = fac * cvec[t - lo]
+        t = min(nx_rows + 1 - lo, len(cvec))
+        block[lo : lo + t, i] = factorial(i) / factorial(i - m) * cvec[:t]
     return block
+
+
+def _assemble(layout: Layout, window, nx_rows: int, terms, const, a_parts, b_parts):
+    """Rows of sum c^n_{j,m} mu_j^(m) - sum a_i K_i^a - sum beta_i K_i^b = const.
+
+    terms maps (j, m) to the series whose y^n coefficient c^n_{j,m}(x)
+    multiplies mu_j^(m); const and the parts are (window, nx_rows + 1)
+    arrays, NaN where not valid.  An order n is dropped when a part or a
+    term is not exactly valid there.
+    """
+    dmu = layout.dmu
+    rows = len(window) * (nx_rows + 1)
+    M = np.zeros((rows, layout.n_unknowns), dtype=complex)
+    rhs = np.zeros(rows, dtype=complex)
+    keep = np.ones(len(window), dtype=bool)
+    for i, n in enumerate(window):
+        n = int(n)
+        if (any(np.isnan(p[i, 0]) for p in [const, *a_parts, *b_parts])
+                or any(-n > s.mhi and not s.exact for s in terms.values())):
+            keep[i] = False
+            continue
+        r0, r1 = i * (nx_rows + 1), (i + 1) * (nx_rows + 1)
+        rhs[r0:r1] = const[i]
+        for (j, m), s in terms.items():
+            if not s.mlo <= -n <= s.mhi:
+                continue  # zero coefficient (or exactly zero beyond an exact series)
+            cvec = s.c[:, -n - s.mlo]
+            if np.any(cvec):
+                col0 = (j - 1) * (dmu + 1)
+                M[r0:r1, col0 : col0 + dmu + 1] += _mu_columns(cvec, m, dmu, nx_rows)
+        for ii, p in enumerate(a_parts):
+            M[r0:r1, layout.n_mu + ii] -= p[i]
+        for ii, p in enumerate(b_parts):
+            M[r0:r1, layout.n_mu + layout.r + ii] -= p[i]
+    mask = np.repeat(keep, nx_rows + 1)
+    return M[mask], rhs[mask]
 
 
 def assemble_E0(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
     """Matrix and affine right side of (E0) over the unknowns (mu, A, B)."""
-    d, r, dmu = layout.d, layout.r, layout.dmu
     nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
     if window is None:
-        window = valid_window(h, g1, r, d)
-    k = k0_components(h, g1, r, window, nx_rows)
-
-    nrow_n = len(window)
-    rows = nrow_n * (nx_rows + 1)
-    M = np.zeros((rows, layout.n_unknowns), dtype=complex)
-    rhs = np.zeros(rows, dtype=complex)
-    keep = np.ones(nrow_n, dtype=bool)
-
-    for i, n in enumerate(window):
-        if np.isnan(k.const[i, 0]) or any(np.isnan(p[i, 0]) for p in k.a + k.beta):
-            keep[i] = False
-            continue
-        r0, r1 = i * (nx_rows + 1), (i + 1) * (nx_rows + 1)
-        rhs[r0:r1] = k.const[i]
-        for jj in range(1, d + 1):
-            for m in range(jj):
-                try:
-                    cvec = coeff_c0(jj, m, int(n), etab)
-                except TruncationExceeded:
-                    keep[i] = False
-                    break
-                if np.any(cvec):
-                    col0 = (jj - 1) * (dmu + 1)
-                    M[r0:r1, col0 : col0 + dmu + 1] += _mu_columns(cvec, m, dmu, nx_rows)
-            if not keep[i]:
-                break
-        for ii in range(r):
-            M[r0:r1, layout.n_mu + ii] -= k.a[ii][i]
-            M[r0:r1, layout.n_mu + r + ii] -= k.beta[ii][i]
-
-    mask = np.repeat(keep, nx_rows + 1)
-    return M[mask], rhs[mask]
+        window = valid_window(h, g1, layout.r, layout.d)
+    k = k0_components(h, g1, layout.r, window, nx_rows)
+    terms = {(j, m): etab[(j - 1, m)] for j in range(1, layout.d + 1) for m in range(j)}
+    return _assemble(layout, window, nx_rows, terms, k.const, k.a, k.beta)
 
 
 def solve_joint(M, rhs, layout: Layout):
@@ -247,93 +242,27 @@ class FitResult:
     confined: bool = False
 
 
-def pin_AB(M, rhs, layout: Layout, A, B):
-    """Move pinned (A, B) values back to the right side; returns (M_mu, rhs_eff).
-
-    The unknown (a, beta) columns of M hold the negated K components, so
-    pinned values contribute with the opposite sign.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    nm = layout.n_mu
-    if layout.r:
-        rhs_eff = rhs - M[:, nm:] @ np.concatenate((A, B[1:]))
-    else:
-        rhs_eff = rhs
-    return M[:, :nm], rhs_eff
-
-
-def residual_at(M, rhs, layout: Layout, A, B):
-    """System residual with (A, B) pinned, minimizing over mu only."""
-    Mmu, rhs_eff = pin_AB(M, rhs, layout, A, B)
-    if layout.n_mu:
-        sol, *_ = np.linalg.lstsq(Mmu, rhs_eff, rcond=None)
-        resid = Mmu @ sol - rhs_eff
-    else:
-        resid = -rhs_eff
-    return float(np.linalg.norm(resid)) / (1.0 + float(np.linalg.norm(rhs_eff)))
-
-
 def fixed_AB_residual(h, g1, etab, layout: Layout, A, B, window=None, extra_blocks=()):
-    """(E0) residual with (A, B) pinned; extra row blocks (E1/E2) may be stacked."""
-    if window is None:
-        window = valid_window(h, g1, layout.r, layout.d)
-    M, rhs = assemble_E0(h, g1, etab, layout, window, h.Htilde.nx)
+    """(E0) residual with (A, B) pinned, minimizing over mu only.
+
+    Extra row blocks (E1/E2) may be stacked below (E0).  The (a, beta)
+    columns hold the negated K components, so pinned values move to the
+    right side with the opposite sign.
+    """
+    M, rhs = assemble_E0(h, g1, etab, layout, window)
     for Mb, rb in extra_blocks:
         M = np.vstack([M, Mb])
         rhs = np.concatenate([rhs, rb])
-    return residual_at(M, rhs, layout, A, B)
-
-
-def rhs_K0(B, A, h: HData, g1: BiSeries, window=None, nx_rows=None):
-    """Laurent data of [A + X B' - B G_1] e^(-H) for numeric (A, B).
-
-    Returns a map n -> x-Taylor vector over the validated window; entries are
-    None where the series data does not reach.  K_n^0 vanishes for n >= d.
-    """
-    B = np.atleast_1d(np.asarray(B, dtype=complex))
-    A = np.asarray(A, dtype=complex)
-    r = len(B) - 1
-    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
-    if window is None:
-        window = valid_window(h, g1, r, max(r + h.delta, 1))
-    k = k0_components(h, g1, r, window, nx_rows)
-    out = {}
-    for i, n in enumerate(window):
-        row = k.const[i].copy()
-        bad = np.isnan(row[0])
-        for ii in range(r):
-            if np.isnan(k.a[ii][i, 0]) or np.isnan(k.beta[ii][i, 0]):
-                bad = True
-                break
-            row += A[ii] * k.a[ii][i] + B[ii + 1] * k.beta[ii][i]
-        out[int(n)] = None if bad else row
-    return out
-
-
-def assemble_solve_E0(b, r: int, dmu: int = 10, mmax: int = 12) -> FitResult:
-    """Joint least-squares solve of (E0) at a fixed candidate degree r.
-
-    Unknowns are the mu Taylor vectors and (A, B) with beta_0 = 1; the
-    minimizer, relative residual, rank and condition number are reported and
-    a rank-deficient system returns the smallest-norm solution, flagged.
-    """
-    from .geometry import rho as _rho
-
-    lt = indicators.laurent_extract(b, kmax=2, mmax=mmax, cross_check=False)
-    d = r + lt.delta
-    if d < 0:
-        raise ValueError(f"r = {r} gives d = {d} < 0")
-    omega = -2.0 * _rho(b)
-    h = shock.H_from_laurent(lt, lt.delta, omega)
-    g1 = shock.g1_biseries(lt, h.Htilde.nx, omega)
-    etab = shock.E_decomposition(max(d - 1, 0), h)
-    layout = Layout(d=d, r=r, dmu=dmu)
-    M, rhs = assemble_E0(h, g1, etab, layout)
-    fit = solve_joint(M, rhs, layout)
-    fit.r = r
-    fit.confined = infinity.check_confinement(fit.B, _rho(b))
-    return fit
+    nm = layout.n_mu
+    if layout.r:
+        AB = np.concatenate((np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)[1:]))
+        rhs = rhs - M[:, nm:] @ AB
+    if nm:
+        sol, *_ = np.linalg.lstsq(M[:, :nm], rhs, rcond=None)
+        resid = M[:, :nm] @ sol - rhs
+    else:
+        resid = -rhs
+    return float(np.linalg.norm(resid)) / (1.0 + float(np.linalg.norm(rhs)))
 
 
 # -- (E1) and (E2) -------------------------------------------------------------
@@ -352,55 +281,13 @@ def e1_table(etab, h: HData, d: int):
 
 def assemble_E1(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
     """Rows of (E1): sum c^{1,n}_{j,m} mu_j^{(m)} = coeffs of (B' - B dG1/dx) e^-H."""
-    d, r, dmu = layout.d, layout.r, layout.dmu
     nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
     if window is None:
-        window = valid_window(h, g1, r, d)
-    tab1 = e1_table(etab, h, d)
+        window = valid_window(h, g1, layout.r, layout.d)
+    tab1 = e1_table(etab, h, layout.d)
     em = h.Htilde.scale(-1.0).exp()
-    g1xem = g1.dx() * em
-    wmd = h.omega ** (-h.delta)
-
-    const = -wmd * _shifted_coeffs(g1xem, h.delta, window, nx_rows)
-    b_parts = []
-    for i in range(1, r + 1):
-        t = wmd * (
-            i * _shifted_coeffs(em, i - 1 + h.delta, window, nx_rows)
-            - _shifted_coeffs(g1xem, i + h.delta, window, nx_rows)
-        )
-        b_parts.append(t)
-
-    nrow_n = len(window)
-    rows = nrow_n * (nx_rows + 1)
-    M = np.zeros((rows, layout.n_unknowns), dtype=complex)
-    rhs = np.zeros(rows, dtype=complex)
-    keep = np.ones(nrow_n, dtype=bool)
-    for i, n in enumerate(window):
-        if np.isnan(const[i, 0]) or any(np.isnan(p[i, 0]) for p in b_parts):
-            keep[i] = False
-            continue
-        r0, r1 = i * (nx_rows + 1), (i + 1) * (nx_rows + 1)
-        rhs[r0:r1] = const[i]
-        ok = True
-        for jj in range(1, d + 1):
-            for m in range(jj + 1):
-                s = tab1[(jj, m)]
-                if -n > s.mhi and not s.exact:
-                    ok = False
-                    break
-                cvec = s.x_poly(-n) if -n >= s.mlo else np.zeros(s.nx + 1, dtype=complex)
-                if np.any(cvec):
-                    col0 = (jj - 1) * (dmu + 1)
-                    M[r0:r1, col0 : col0 + dmu + 1] += _mu_columns(cvec, m, dmu, nx_rows)
-            if not ok:
-                break
-        if not ok:
-            keep[i] = False
-            continue
-        for ii in range(r):
-            M[r0:r1, layout.n_mu + r + ii] -= b_parts[ii][i]
-    mask = np.repeat(keep, nx_rows + 1)
-    return M[mask], rhs[mask]
+    const, b_parts = _k_parts(h, em, g1.dx() * em, layout.r, window, nx_rows)
+    return _assemble(layout, window, nx_rows, tab1, const, [], b_parts)
 
 
 def e2_table(etab, h: HData, d: int, gxx_inv: BiSeries):
@@ -409,27 +296,16 @@ def e2_table(etab, h: HData, d: int, gxx_inv: BiSeries):
     hxx = hx.dx()
     out = {}
     for j in range(1, d + 1):
+        # E_{j-1,m-2} + 2 D E_{j-1,m-1} + D^2 E_{j-1,m}, over the indices that exist
         for m in range(j + 2):
-            acc = None
-
-            def _get(mm):
-                if 0 <= mm <= j - 1:
-                    return etab[(j - 1, mm)]
-                return None
-
-            t = _get(m - 2)
-            if t is not None:
-                acc = t
-            t = _get(m - 1)
-            if t is not None:
-                dd = shock.op_D(t, h).scale(2.0)
+            acc = etab[(j - 1, m - 2)] if m >= 2 else None
+            if 1 <= m <= j:
+                dd = shock.op_D(etab[(j - 1, m - 1)], h).scale(2.0)
                 acc = dd if acc is None else acc + dd
-            t = _get(m)
-            if t is not None:
+            if m < j:
+                t = etab[(j - 1, m)]
                 dd = t.dx().dx() + (t.dx() * hx).scale(2.0) + t * (hx * hx + hxx)
                 acc = dd if acc is None else acc + dd
-            if acc is None:
-                acc = BiSeries.zero(h.Htilde.nx, h.omega, h.Htilde.tau)
             out[(j, m)] = acc * gxx_inv
     return out
 
@@ -452,57 +328,20 @@ def invert_gxx(g1: BiSeries):
 
 def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
     """Rows of (E2): sum c^{2,n}_{j,m} mu_j^{(m)} = coeffs of -B e^-H."""
-    d, r, dmu = layout.d, layout.r, layout.dmu
     nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
     if window is None:
-        window = valid_window(h, g1, r, d)
-    gxx_inv = invert_gxx(g1)
-    tab2 = e2_table(etab, h, d, gxx_inv)
-    em = h.Htilde.scale(-1.0).exp()
-    wmd = h.omega ** (-h.delta)
-
-    const = -wmd * _shifted_coeffs(em, h.delta, window, nx_rows)
-    b_parts = [-wmd * _shifted_coeffs(em, i + h.delta, window, nx_rows)
-               for i in range(1, r + 1)]
-
-    nrow_n = len(window)
-    rows = nrow_n * (nx_rows + 1)
-    M = np.zeros((rows, layout.n_unknowns), dtype=complex)
-    rhs = np.zeros(rows, dtype=complex)
-    keep = np.ones(nrow_n, dtype=bool)
-    for i, n in enumerate(window):
-        if np.isnan(const[i, 0]) or any(np.isnan(p[i, 0]) for p in b_parts):
-            keep[i] = False
-            continue
-        r0, r1 = i * (nx_rows + 1), (i + 1) * (nx_rows + 1)
-        rhs[r0:r1] = const[i]
-        ok = True
-        for jj in range(1, d + 1):
-            for m in range(jj + 2):
-                s = tab2[(jj, m)]
-                if -n > s.mhi and not s.exact:
-                    ok = False
-                    break
-                cvec = s.x_poly(-n) if -n >= s.mlo else np.zeros(s.nx + 1, dtype=complex)
-                if np.any(cvec):
-                    col0 = (jj - 1) * (dmu + 1)
-                    M[r0:r1, col0 : col0 + dmu + 1] += _mu_columns(cvec, m, dmu, nx_rows)
-            if not ok:
-                break
-        if not ok:
-            keep[i] = False
-            continue
-        for ii in range(r):
-            M[r0:r1, layout.n_mu + r + ii] -= b_parts[ii][i]
-    mask = np.repeat(keep, nx_rows + 1)
-    return M[mask], rhs[mask]
+        window = valid_window(h, g1, layout.r, layout.d)
+    tab2 = e2_table(etab, h, layout.d, invert_gxx(g1))
+    zero = BiSeries.zero(h.Htilde.nx, h.omega, h.Htilde.tau)
+    const, b_parts = _k_parts(h, zero, h.Htilde.scale(-1.0).exp(), layout.r, window, nx_rows)
+    return _assemble(layout, window, nx_rows, tab2, const, [], b_parts)
 
 
 # -- the outer (A, B) discovery loop -------------------------------------------
 
 
 def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
-                 mmax: int = 12, use_e1: bool = False):
+                 mmax: int = 12):
     """Recover (r, A, B, mu) from boundary data alone.
 
     Scans r upward (starting at the smallest r with d = r + delta >= 0) and
@@ -528,10 +367,6 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
         etab = shock.E_decomposition(max(d - 1, 0), h)
         layout = Layout(d=d, r=r, dmu=dmu)
         M, rhs = assemble_E0(h, g1, etab, layout)
-        if use_e1:
-            M1, rhs1 = assemble_E1(h, g1, etab, layout)
-            M = np.vstack([M, M1])
-            rhs = np.concatenate([rhs, rhs1])
         fit = solve_joint(M, rhs, layout)
         fit.r = r
         fit.confined = infinity.check_confinement(fit.B, rh)

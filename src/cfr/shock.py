@@ -143,14 +143,18 @@ class BiSeries:
         nx = a.nx
         c = np.zeros((nx + 1, mhi - mlo + 1), dtype=complex)
         for i in range(a.c.shape[1]):
-            col_m = a.mlo + i
-            for j in range(b.c.shape[1]):
-                m = col_m + b.mlo + j
-                if m > mhi:
-                    break
-                # x-convolution truncated at nx (exact for the kept orders)
-                conv = _xconv(a.c[:, i], b.c[:, j], nx)
-                c[:, m - mlo] += conv
+            # column i of a meets columns 0..nb-1 of b at columns i..i+nb-1 of c
+            nb = min(b.c.shape[1], mhi - mlo - i + 1)
+            if nb <= 0:
+                break
+            # x-convolution truncated at nx (exact for the kept orders)
+            block = np.zeros((nx + 1, nb), dtype=complex)
+            for t, at in enumerate(a.c[:, i]):
+                if at == 0:
+                    continue
+                hi = min(nx - t, b.nx)
+                block[t : t + hi + 1] += at * b.c[: hi + 1, :nb]
+            c[:, i : i + nb] += block
         return BiSeries(c, mlo, mhi, a.omega, a.tau, exact)
 
     def shift_y(self, j):
@@ -209,7 +213,7 @@ class BiSeries:
         for m in range(1, M + 1):
             acc = np.zeros(nx + 1, dtype=complex)
             for j in range(1, m + 1):
-                acc += j * _xconv(h[:, j - 1], e[:, m - j], nx)
+                acc += j * symmetric.series_mul(h[:, j - 1], e[:, m - j], nx)
             e[:, m] = acc / m
         return BiSeries(e, 0, M, self.omega, self.tau, exact=False)
 
@@ -221,15 +225,15 @@ class BiSeries:
         a0 = self.c[:, 0]
         if abs(a0[0]) < 1e-13:
             raise ZeroDivisionError("leading x-coefficient vanishes")
-        inv0 = _xinv(a0, nx)
+        inv0 = symmetric.series_inv(a0, nx)
         out = np.zeros((nx + 1, M + 1), dtype=complex)
         out[:, 0] = inv0
         for m in range(1, M + 1):
             acc = np.zeros(nx + 1, dtype=complex)
             for j in range(1, m + 1):
                 if j <= self.mhi:
-                    acc += _xconv(self.c[:, j], out[:, m - j], nx)
-            out[:, m] = -_xconv(inv0, acc, nx)
+                    acc += symmetric.series_mul(self.c[:, j], out[:, m - j], nx)
+            out[:, m] = -symmetric.series_mul(inv0, acc, nx)
         return BiSeries(out, 0, M, self.omega, self.tau, exact=False)
 
     # -- evaluation / io ---------------------------------------------------
@@ -253,27 +257,6 @@ class BiSeries:
                 if v != 0:
                     out[f"{n},{self.mlo + i}"] = [float(v.real), float(v.imag)]
         return out
-
-
-def _xconv(a, b, nx):
-    out = np.zeros(nx + 1, dtype=complex)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > nx:
-            continue
-        hi = min(nx - i, len(b) - 1)
-        out[i : i + hi + 1] += ai * b[: hi + 1]
-    return out
-
-
-def _xinv(a, nx):
-    out = np.zeros(nx + 1, dtype=complex)
-    out[0] = 1.0 / a[0]
-    for n in range(1, nx + 1):
-        s = 0.0 + 0.0j
-        for i in range(1, min(n, len(a) - 1) + 1):
-            s += a[i] * out[n - i]
-        out[n] = -s * out[0]
-    return out
 
 
 # -- H data -------------------------------------------------------------------
@@ -343,10 +326,6 @@ def delta_from_expH(h: HData, x=0.0, radii=(1e2, 1e3, 1e4)) -> float:
 
 
 # -- operators ---------------------------------------------------------------
-
-
-def primitivize(s: BiSeries) -> BiSeries:
-    return s.primitivize()
 
 
 def op_D(s: BiSeries, h: HData) -> BiSeries:

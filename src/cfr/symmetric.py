@@ -49,6 +49,29 @@ def elementary_to_power(S):
     return np.array(N, dtype=complex)
 
 
+def series_mul(a, b, order):
+    """Product of two power series, truncated after the u^order term."""
+    out = np.zeros(order + 1, dtype=complex)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai == 0:
+            continue
+        hi = min(order - i, len(b) - 1)
+        out[i : i + hi + 1] += ai * b[: hi + 1]
+    return out
+
+
+def series_inv(a, order):
+    """1/a as a power series truncated after u^order; a[0] must be nonzero."""
+    out = np.zeros(order + 1, dtype=complex)
+    out[0] = 1.0 / a[0]
+    for n in range(1, order + 1):
+        s = 0.0 + 0.0j
+        for i in range(1, min(n, len(a) - 1) + 1):
+            s += a[i] * out[n - i]
+        out[n] = -s * out[0]
+    return out
+
+
 def monic_from_elementary(S):
     """Coefficients [1, -S_1, +S_2, ...] of prod (T - h_j), highest power first."""
     out = [1.0 + 0.0j]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from cfr import green
 from cfr.green import (BoundaryGrid, Coincident, CurveModel, MeshTooCoarse,
                        SingularFredholm, disc_principal_dbar, disc_principal_green,
                        fit_log_coefficient, flat_disc_model, fredholm_solve_R,
@@ -142,13 +141,6 @@ def test_mesh_too_coarse(disc):
     with pytest.raises(MeshTooCoarse):
         green_value(0.25 + 0.1j, -0.3 + 0.35j, disc, nr=8, nt=8, sub_nr=4,
                     sub_nt=4, check=True, check_tol=1e-9)
-
-
-def test_green_eval_struct(disc):
-    ev = green.green_eval(disc, 0.2 + 0.1j, [0.5, -0.4 + 0.2j],
-                          nr=64, nt=64, sub_nr=32, sub_nt=16)
-    assert len(ev.values) == 2 and len(ev.ktilde) == 2
-    assert abs(ev.ktilde[0] - 1.0 / (0.5 - (0.2 + 0.1j)) / (2 * np.pi)) < 1e-12
 
 
 # -- boundary operators ------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from cfr import indicators, linsys, oracles, shock
 from cfr.linsys import (E2Degenerate, Layout, assemble_E0, assemble_E1, assemble_E2,
-                        coeff_c0, coeff_c0_circle, fit_infinity, fixed_AB_residual,
+                        coeff_c0, fit_infinity, fixed_AB_residual,
                         invert_gxx, k0_components, solve_joint, valid_window)
 
 
@@ -30,15 +30,39 @@ def test_coeff_c0_E11(interior_h):
 
 
 def test_coeff_c0_dual_route(interior_h):
-    """Series extraction agrees with 128-point circle quadrature for j+m <= 4."""
+    """Series extraction agrees with 128-point circle quadrature for j+m <= 4.
+
+    The quadrature route is (1/2 pi i) * contour integral of E_{j-1,m}(x, y)
+    dy / y^(n+1) over |y| = 4 at a few x points.
+    """
     etab = shock.E_decomposition(3, interior_h)
+    nodes = 128
+    y = 4.0 * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    dy = 1j * y * (2.0 * np.pi / nodes)
     for (j, m) in [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]:
         for n in (-2, -1, 0, 1):
             series_vec = coeff_c0(j, m, n, etab)
-            xs, vals = coeff_c0_circle(j, m, n, etab, radius=4.0)
-            for x, v in zip(xs, vals):
+            for x in (0.0, 0.37, 0.11 + 0.23j):
+                f = etab[(j - 1, m)](np.full_like(y, x), y)
+                v = np.sum(f * dy / y ** (n + 1)) / (2.0j * np.pi)
                 direct = np.polynomial.polynomial.polyval(x, series_vec)
                 assert abs(direct - v) < 1e-9
+
+
+def test_mu_columns_matches_loop():
+    """The block of c(x) * mu^(m) equals an entry-by-entry loop, bit for bit."""
+    from math import factorial
+    rng = np.random.default_rng(2)
+    cases = [(13, 0, 10, 12), (13, 2, 10, 12), (5, 1, 10, 12), (13, 3, 10, 6),
+             (13, 0, 10, 4), (1, 0, 4, 0), (8, 4, 3, 9)]   # (len(c), m, dmu, nx_rows)
+    for ncv, m, dmu, nx_rows in cases:
+        cvec = rng.standard_normal(ncv) + 1j * rng.standard_normal(ncv)
+        ref = np.zeros((nx_rows + 1, dmu + 1), dtype=complex)
+        for i in range(m, dmu + 1):
+            for t in range(i - m, nx_rows + 1):
+                if t - (i - m) < ncv:
+                    ref[t, i] = factorial(i) / factorial(i - m) * cvec[t - (i - m)]
+        assert np.array_equal(linsys._mu_columns(cvec, m, dmu, nx_rows), ref)
 
 
 def test_k0_vanishes_for_large_n(interior_fit):
@@ -120,6 +144,12 @@ def test_E0_discrimination(ext_parts):
     res_true = fixed_AB_residual(h, g1, etab, lay, [2.0], [1.0, 2.0])
     res_wrong = fixed_AB_residual(h, g1, etab, lay, [2.0], [1.0, 2.5])
     assert res_true < 1e-7
+    assert res_wrong > 1e-3
+    # the same with the (E1) rows stacked below (E0)
+    e1 = [assemble_E1(h, g1, etab, lay)]
+    res_true = fixed_AB_residual(h, g1, etab, lay, [2.0], [1.0, 2.0], extra_blocks=e1)
+    res_wrong = fixed_AB_residual(h, g1, etab, lay, [2.0], [1.0, 2.5], extra_blocks=e1)
+    assert res_true < 1e-9
     assert res_wrong > 1e-3
 
 
@@ -203,24 +233,3 @@ def test_discriminant_nonnull_on_grid(twoline):
 def test_rank_reporting(interior_fit):
     fit, _, _ = interior_fit
     assert fit.rank > 0 and np.isfinite(fit.cond)
-
-
-def test_rhs_K0_wrapper(interior_fit):
-    from cfr.linsys import rhs_K0
-    fit, h, g1 = interior_fit
-    out = rhs_K0([1.0], [], h, g1)
-    for n, row in out.items():
-        if row is None:
-            continue
-        if n >= 1:
-            assert np.max(np.abs(row)) < 1e-8
-    row0 = out[0]
-    assert abs(row0[0] - 1.0 / h.omega) < 1e-9
-
-
-def test_assemble_solve_E0_wrapper(exterior):
-    from cfr.linsys import assemble_solve_E0
-    fit = assemble_solve_E0(exterior, r=1)
-    assert fit.residual < 1e-7 and abs(fit.B[1] - 2.0) < 1e-4
-    with pytest.raises(ValueError):
-        assemble_solve_E0(exterior, r=-2)

@@ -6,7 +6,7 @@ from cfr import indicators, shock
 from cfr.shock import (BInversionDiverged, BiSeries, E_decomposition, GridTooSmall,
                        HData, H_from_laurent, ResidueObstruction, delta_from_expH,
                        eqsym1_residual, exp_H, exp_minus_H, g1_biseries, iterate_E,
-                       op_E, primitivize, rational_tail, s_k_from_mu, shock_residual,
+                       op_E, rational_tail, s_k_from_mu, shock_residual,
                        system_residual)
 
 W = -3.0
@@ -30,25 +30,78 @@ def test_biseries_mul_and_eval():
     assert abs(d(0.5, 3.0) - 2.0 / 3.0) < 1e-14
 
 
+def _naive_product(a, b):
+    """Reference for BiSeries.__mul__: one truncated x-convolution per column pair."""
+    mlo = a.mlo + b.mlo
+    if a.exact and b.exact:
+        mhi = a.mhi + b.mhi
+    elif a.exact:
+        mhi = a.mlo + b.mhi
+    elif b.exact:
+        mhi = b.mlo + a.mhi
+    else:
+        mhi = min(a.mhi + b.mlo, b.mhi + a.mlo)
+    nx = a.nx
+    c = np.zeros((nx + 1, mhi - mlo + 1), dtype=complex)
+    for i in range(a.c.shape[1]):
+        for j in range(b.c.shape[1]):
+            m = a.mlo + i + b.mlo + j
+            if m > mhi:
+                break
+            conv = np.zeros(nx + 1, dtype=complex)
+            for t, at in enumerate(a.c[:, i]):
+                if at == 0:
+                    continue
+                hi = min(nx - t, b.nx)
+                conv[t : t + hi + 1] += at * b.c[: hi + 1, j]
+            c[:, m - mlo] += conv
+    return c, mlo, mhi, a.exact and b.exact
+
+
+def test_biseries_mul_matches_column_pairs():
+    """Products equal the column-pair reference bit for bit, validity range included."""
+    rng = np.random.default_rng(5)
+
+    def series(nx, mlo, ncol, exact):
+        c = rng.standard_normal((nx + 1, ncol)) + 1j * rng.standard_normal((nx + 1, ncol))
+        c[rng.random(c.shape) < 0.3] = 0.0          # exercise the zero skip
+        return BiSeries(c, mlo, mlo + ncol - 1, W, exact=exact)
+
+    for ea, eb in [(True, True), (True, False), (False, True), (False, False)]:
+        for mlo_a, mlo_b in [(-2, -1), (0, 0), (1, 2), (-3, 2), (2, -1)]:
+            for nxb in (6, 4, 9):
+                a = series(6, mlo_a, 4, ea)
+                b = series(nxb, mlo_b, 5, eb)
+                c = a * b
+                ref, mlo, mhi, exact = _naive_product(a, b)
+                assert (c.mlo, c.mhi, c.exact) == (mlo, mhi, exact)
+                assert c.c.shape == ref.shape and np.array_equal(c.c, ref)
+    # non-exact x non-exact: valid only up to min(a.mhi + b.mlo, b.mhi + a.mlo)
+    a = series(6, 1, 4, False)                      # m = 1..4
+    b = series(6, -1, 4, False)                     # m = -1..2
+    c = a * b
+    assert (c.mlo, c.mhi, c.exact) == (0, 3, False)
+
+
 def test_primitivize_calculus():
     s = BiSeries(np.array([[1.0]], dtype=complex), 2, 2, W)    # y^-2
-    p = primitivize(s)
+    p = s.primitivize()
     # -y^-1 + 1/omega
     assert abs(p(0.0, 5.0) - (-1.0 / 5.0 + 1.0 / W * (-1) * (-1))) < 1e-14
     assert abs(p(0.0, W)) < 1e-14
     one = BiSeries.from_x_poly([1.0], 4, W)
-    q = primitivize(one)                                        # Y - omega
+    q = one.primitivize()                                       # Y - omega
     assert abs(q(0.0, 5.0) - (5.0 - W)) < 1e-14
     bad = BiSeries(np.array([[1.0]], dtype=complex), 1, 1, W)   # y^-1
     with pytest.raises(ResidueObstruction):
-        primitivize(bad)
+        bad.primitivize()
 
 
 def test_primitivize_inverts_dy():
     rng = np.random.default_rng(3)
     c = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     s = BiSeries(c, 2, 7, W)  # no y^0, no y^-1 content
-    back = primitivize(s.dy())
+    back = s.dy().primitivize()
     lo, hi = s.mlo, s.mhi
     diff = back._window(lo, hi) - s._window(lo, hi)
     assert np.max(np.abs(diff)) < 1e-12
