@@ -264,7 +264,7 @@ def cmd_green(args):
     spec = _load(args.targets)
     qs = complex(spec["q_star"][0], spec["q_star"][1])
     pts = [complex(p[0], p[1]) for p in spec["points"]]
-    vals = [green.green_value(qs, q, model) for q in pts]
+    vals = green._green_values(qs, pts, model)
     _write({"q_star": qs, "values": vals}, args.out)
     return 0
 

@@ -24,7 +24,8 @@ radial x trapezoid angular nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -68,13 +69,9 @@ def _eval4(c, zp, z):
     z1p, z2p = zp
     z1, z2 = z
     out = 0.0
-    for i in range(c.shape[0]):
-        for j in range(c.shape[1]):
-            for k in range(c.shape[2]):
-                for l in range(c.shape[3]):
-                    v = c[i, j, k, l]
-                    if v != 0:
-                        out = out + v * z1p ** i * z2p ** j * z1 ** k * z2 ** l
+    # argwhere lists the nonzero entries in C order, the order of the sum
+    for i, j, k, l in np.argwhere(c).tolist():
+        out = out + c[i, j, k, l] * z1p ** i * z2p ** j * z1 ** k * z2 ** l
     return out
 
 
@@ -132,12 +129,17 @@ def kernel_k(zp, z, psi: Psi):
 
 @dataclass
 class CurveModel:
-    """Graph patch of {Phi = 0} over the disc |z1 - center| < radius."""
+    """Graph patch of {Phi = 0} over the disc |z1 - center| < radius.
+
+    The model keeps the full-patch quadrature grid of every mesh it has been
+    integrated on, so its fields must not change after the first Green value.
+    """
 
     phi: np.ndarray
     center: complex = 0.0 + 0.0j
     radius: float = 1.0
     z2_center: complex = 0.0 + 0.0j
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=complex)
@@ -181,6 +183,21 @@ class CurveModel:
             raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
         return 1.0 / np.abs(fz2) ** 2
 
+    def full_grid(self, nr, nt):
+        """Read-only nodes (z1, weights, z2, form density) of the nr x nt full-patch mesh.
+
+        Built on the first call for a mesh and kept; a mesh whose build raises
+        leaves no entry, so it raises again on the next call.
+        """
+        if (nr, nt) not in self._grids:
+            z, w = _polar_nodes_gl(self.center, self.radius, nr, nt)
+            z2 = self.z2_of(z)
+            nodes = (z, w, z2, self.form_density(z, z2))
+            for a in nodes:
+                a.flags.writeable = False
+            self._grids[nr, nt] = nodes
+        return self._grids[nr, nt]
+
 
 def flat_disc_model(radius=1.0, center=0.0):
     """The Phi = z2 reference model (curve = the z1 disc itself)."""
@@ -205,10 +222,19 @@ def _bump(t, plateau=0.35):
     return 1.0 - _smooth_step((t - plateau) / (1.0 - plateau))
 
 
-def _polar_nodes_gl(center, radius, nr, nt, r_offset=0.0):
-    xr, wr = leggauss(nr)
-    r = r_offset + (radius - r_offset) * (xr + 1.0) / 2.0
-    wr = wr * (radius - r_offset) / 2.0
+@functools.cache
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n, read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _polar_nodes_gl(center, radius, nr, nt):
+    xr, wr = _leggauss(nr)
+    r = radius * (xr + 1.0) / 2.0
+    wr = wr * radius / 2.0
     th = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
     R, T = np.meshgrid(r, th, indexing="ij")
     WR, _ = np.meshgrid(wr, th, indexing="ij")
@@ -217,54 +243,66 @@ def _polar_nodes_gl(center, radius, nr, nt, r_offset=0.0):
     return z.ravel(), w.ravel()
 
 
-def green_value(q_star, q, model: CurveModel, nr=256, nt=256, sub_nr=128, sub_nt=64,
-                sub_radius=None, check=False, check_tol=1e-5) -> float:
-    """Green value g_{q*}(q) of the patch; q_star, q are z1-chart parameters."""
+def green_value(q_star, q, model: CurveModel, **quad_kw) -> float:
+    """Green value g_{q*}(q) of the patch; q_star, q are z1-chart parameters.
+
+    quad_kw are the mesh sizes and the refinement check of _green_values.
+    """
+    return _green_values(q_star, [q], model, **quad_kw)[0]
+
+
+def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128,
+                  sub_nt=64, sub_radius=None, check=False, check_tol=1e-5) -> list:
+    """Green values g_{q*}(q) for every q in targets, in order.
+
+    nr x nt is the full-patch mesh and sub_nr x sub_nt the polar mesh of the
+    sub-patch of radius sub_radius (default radius / 10) around each singular
+    point.  check=True recomputes on meshes twice as fine and raises
+    MeshTooCoarse when a value moves by more than check_tol.
+    """
     qs = complex(q_star)
-    qq = complex(q)
-    if abs(qs - qq) < COINCIDENT_EPS:
+    targets = [complex(q) for q in targets]
+    if any(abs(qs - qq) < COINCIDENT_EPS for qq in targets):
         raise Coincident("green_value on the diagonal")
-    val = _green_quad(qs, qq, model, nr, nt, sub_nr, sub_nt, sub_radius)
+    vals = _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt, sub_radius)
     if check:
-        ref = _green_quad(qs, qq, model, 2 * nr, 2 * nt, 2 * sub_nr, 2 * sub_nt,
-                          sub_radius)
-        if abs(ref - val) > check_tol:
-            raise MeshTooCoarse(f"refinement changed g by {abs(ref - val):.2e}")
-    return val
+        refs = _green_quad(qs, targets, model, 2 * nr, 2 * nt, 2 * sub_nr, 2 * sub_nt,
+                           sub_radius)
+        for val, ref in zip(vals, refs):
+            if abs(ref - val) > check_tol:
+                raise MeshTooCoarse(f"refinement changed g by {abs(ref - val):.2e}")
+    return vals
 
 
-def _green_quad(qs, qq, model, nr, nt, sub_nr, sub_nt, sub_radius):
-    r0 = sub_radius or 0.1 * model.radius
-    sep = abs(qs - qq)
-    r0 = min(r0, 0.4 * sep)
-    pq = model.point(qq)
+def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt, sub_radius):
     pqs = model.point(qs)
 
-    def integrand(z1):
-        z2 = model.z2_of(z1)
-        zp = (z1, z2)
-        k1 = kernel_k(zp, pq, model.psi)
-        k2 = kernel_k((np.full_like(z1, pqs[0]), np.full_like(z1, pqs[1])), zp,
-                      model.psi)
-        dens = model.form_density(z1, z2)
-        return k1 * np.conj(k2) * dens
+    def q_star_kernel(z1, z2):
+        return kernel_k((np.full_like(z1, pqs[0]), np.full_like(z1, pqs[1])), (z1, z2),
+                        model.psi)
 
-    total = 0.0 + 0.0j
-    # singular sub-patches with the smooth bump
-    for s in (qq, qs):
-        z, w = _polar_nodes_gl(s, r0, sub_nr, sub_nt, r_offset=0.0)
-        f = integrand(z)
-        t = np.abs(z - s) / r0
-        total += np.sum(f * _bump(t) * w)
-    # smooth remainder over the full patch
-    z, w = _polar_nodes_gl(model.center, model.radius, nr, nt)
-    cut = np.ones(len(z))
-    for s in (qq, qs):
-        t = np.abs(z - s) / r0
-        cut = cut * (1.0 - _bump(t))
-    f = integrand(z)
-    total += np.sum(f * cut * w)
-    return float(np.real(total)) / (4.0 * np.pi ** 2)
+    z, w, z2, dens = model.full_grid(nr, nt)
+    ck2 = np.conj(q_star_kernel(z, z2))     # the same for every target
+    vals = []
+    for qq in targets:
+        r0 = min(sub_radius or 0.1 * model.radius, 0.4 * abs(qs - qq))
+        pq = model.point(qq)
+        total = 0.0 + 0.0j
+        # singular sub-patches with the smooth bump
+        for s in (qq, qs):
+            zs, ws = _polar_nodes_gl(s, r0, sub_nr, sub_nt)
+            zs2 = model.z2_of(zs)
+            f = (kernel_k((zs, zs2), pq, model.psi) * np.conj(q_star_kernel(zs, zs2))
+                 * model.form_density(zs, zs2))
+            total += np.sum(f * _bump(np.abs(zs - s) / r0) * ws)
+        # smooth remainder over the full patch
+        cut = np.ones(len(z))
+        for s in (qq, qs):
+            cut = cut * (1.0 - _bump(np.abs(z - s) / r0))
+        f = kernel_k((z, z2), pq, model.psi) * ck2 * dens
+        total += np.sum(f * cut * w)
+        vals.append(float(np.real(total)) / (4.0 * np.pi ** 2))
+    return vals
 
 
 def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
@@ -276,11 +314,10 @@ def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
     averaged data is exactly c * ln r + const and the two-radius slope is c.
     """
     qs = complex(q_star)
-    means = []
-    for r in radii:
-        vals = [green_value(qs, qs + r * np.exp(2j * np.pi * (a + 0.13) / n_dir),
-                            model, **quad_kw) for a in range(n_dir)]
-        means.append(np.mean(vals))
+    targets = [qs + r * np.exp(2j * np.pi * (a + 0.13) / n_dir)
+               for r in radii for a in range(n_dir)]
+    vals = _green_values(qs, targets, model, **quad_kw)
+    means = [np.mean(vals[i:i + n_dir]) for i in range(0, len(vals), n_dir)]
     return float((means[1] - means[0]) / (np.log(radii[1]) - np.log(radii[0])))
 
 

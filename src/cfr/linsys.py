@@ -348,6 +348,9 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     accepts the first candidate whose joint (E0) residual is below accept_tol
     and whose B has all roots confined in the rho-disc.  The minimal-degree
     acceptance mirrors the minimality available from the uniqueness theory.
+    An r whose E-table hits shock.ResidueObstruction is skipped.  When no
+    candidate is accepted the one with the smallest residual is returned; when
+    every r hit the obstruction, it is raised.
     """
     lt = indicators.laurent_extract(b, kmax=2, mmax=mmax, cross_check=False)
     from .geometry import rho as _rho
@@ -358,13 +361,17 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     nx = h.Htilde.nx
     g1 = shock.g1_biseries(lt, nx, omega)
 
-    best = None
+    best = obstruction = None
     r_lo = max(0, -lt.delta)
     for r in range(r_lo, r_max + 1):
         d = r + lt.delta
         if d < 0:
             continue
-        etab = shock.E_decomposition(max(d - 1, 0), h)
+        try:
+            etab = shock.E_decomposition(max(d - 1, 0), h)
+        except shock.ResidueObstruction as e:
+            obstruction = e     # this r would need the log term J; try the next
+            continue
         layout = Layout(d=d, r=r, dmu=dmu)
         M, rhs = assemble_E0(h, g1, etab, layout)
         fit = solve_joint(M, rhs, layout)
@@ -374,4 +381,6 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
             return fit, h, g1
         if best is None or fit.residual < best.residual:
             best = fit
+    if best is None and obstruction is not None:
+        raise obstruction
     return best, h, g1

@@ -117,14 +117,18 @@ def test_shock_verify_cli(workdir):
 
 
 def test_green_cli(workdir):
+    from cfr import green
     json.dump([[[0.0, 0.0], [1.0, 0.0]]], open(workdir / "phi.json", "w"))
-    json.dump({"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]},
-              open(workdir / "targets.json", "w"))
-    code, out, _ = run_cli(["green", "--phi", "phi.json",
-                            "--targets", "targets.json"], workdir)
-    assert code == 0
-    obj = json.loads(out)
-    assert len(obj["values"]) == 1
+    for points in ([[0.5, 0.0]], [[0.5, 0.0], [-0.3, 0.2], [0.0, -0.4]]):
+        json.dump({"q_star": [0.2, 0.1], "points": points},
+                  open(workdir / "targets.json", "w"))
+        code, out, _ = run_cli(["green", "--phi", "phi.json",
+                                "--targets", "targets.json"], workdir)
+        assert code == 0
+        # the batch writes exactly what one green_value call per point gives
+        model = green.flat_disc_model()
+        vals = [green.green_value(0.2 + 0.1j, complex(*p), model) for p in points]
+        assert out == cli.dumps({"q_star": 0.2 + 0.1j, "values": vals})
 
 
 def test_genus_cli(workdir):

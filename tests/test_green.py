@@ -3,10 +3,10 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from cfr.green import (BoundaryGrid, Coincident, CurveModel, MeshTooCoarse,
-                       SingularFredholm, disc_principal_dbar, disc_principal_green,
-                       fit_log_coefficient, flat_disc_model, fredholm_solve_R,
-                       green_value, harmonic_extension_T, kernel_k, principal_green,
-                       psi_of, smooth_S_matrix)
+                       SingularFredholm, _eval4, _leggauss, disc_principal_dbar,
+                       disc_principal_green, fit_log_coefficient, flat_disc_model,
+                       fredholm_solve_R, green_value, harmonic_extension_T, kernel_k,
+                       principal_green, psi_of, smooth_S_matrix)
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 
@@ -52,6 +52,22 @@ def test_psi_identity_random_cubic(rng):
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
+def test_eval4_matches_quadruple_loop(rng):
+    """The sum over nonzero coefficients runs in the old nested-loop order, bit for bit."""
+    c = rng.standard_normal((3, 2, 3, 2)) + 1j * rng.standard_normal((3, 2, 3, 2))
+    c[rng.random(c.shape) < 0.4] = 0.0
+    zp = tuple(rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50)))
+    z = tuple(rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50)))
+    ref = 0.0
+    for i in range(3):
+        for j in range(2):
+            for k in range(3):
+                for l in range(2):
+                    if c[i, j, k, l] != 0:
+                        ref = ref + c[i, j, k, l] * zp[0] ** i * zp[1] ** j * z[0] ** k * z[1] ** l
+    assert np.array_equal(_eval4(c, zp, z), ref)
+
+
 def test_kernel_flat_reduction(disc):
     k = kernel_k((0.5 + 0.0j, 0.0j), (0.2 + 0.0j, 0.0j), disc.psi)
     assert abs(k - 1.0 / 0.3) < 1e-13
@@ -86,8 +102,13 @@ def test_green_symmetry(disc):
 
 
 def test_green_log_coefficient(disc):
-    coef = fit_log_coefficient(disc, 0.2 + 0.1j)
+    qs, radii, n_dir = 0.2 + 0.1j, (0.1, 0.2), 8
+    coef = fit_log_coefficient(disc, qs, radii=radii, n_dir=n_dir)
     assert abs(coef - TWO_PI_INV) < 1e-3
+    # the batch over all 16 targets equals one green_value call per target
+    means = [np.mean([green_value(qs, qs + r * np.exp(2j * np.pi * (a + 0.13) / n_dir), disc)
+                      for a in range(n_dir)]) for r in radii]
+    assert coef == float((means[1] - means[0]) / (np.log(radii[1]) - np.log(radii[0])))
 
 
 def test_green_harmonicity(disc):
@@ -141,6 +162,78 @@ def test_mesh_too_coarse(disc):
     with pytest.raises(MeshTooCoarse):
         green_value(0.25 + 0.1j, -0.3 + 0.35j, disc, nr=8, nt=8, sub_nr=4,
                     sub_nt=4, check=True, check_tol=1e-9)
+
+
+# -- cached quadrature grids -------------------------------------------------------
+
+SMALL_MESH = dict(nr=48, nt=48, sub_nr=24, sub_nt=16)
+
+
+def _patch(e, c, radius):
+    """{z2 + e z2^2 = c z1^2}: flat for c = 0, a graph for e = 0, else Newton-continued."""
+    phi = np.zeros((3, 3), dtype=complex)
+    phi[0, 1] = 1.0
+    phi[2, 0] = -c
+    phi[0, 2] = e
+    return CurveModel(phi if e else phi[:, :2], center=0.0, radius=radius)
+
+
+PATCHES = {
+    "flat": flat_disc_model,
+    "graph": lambda: _patch(0.0, 0.5 - 0.2j, 0.9),
+    "implicit": lambda: _patch(0.3 + 0.1j, 0.35 - 0.05j, 0.6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_warm_values_equal_cold(name):
+    """Values on a model with a filled grid cache equal those on a fresh model."""
+    warm = PATCHES[name]()
+    pairs = [(0.1 + 0.05j, -0.2 + 0.1j), (-0.15j, 0.2), (0.1 + 0.05j, 0.25j)]
+    for kw in (SMALL_MESH, dict(SMALL_MESH, nr=32)):
+        for qs, q in pairs:
+            assert green_value(qs, q, warm, **kw) == green_value(qs, q, PATCHES[name](), **kw)
+    assert set(warm._grids) == {(48, 48), (32, 48)}
+
+
+def test_check_refines_under_its_own_key():
+    model = PATCHES["implicit"]()
+    kw = dict(nr=16, nt=12, sub_nr=8, sub_nt=6)
+    val = green_value(0.1, -0.2j, model, check=True, check_tol=1.0, **kw)
+    assert set(model._grids) == {(16, 12), (32, 24)}
+    assert val == green_value(0.1, -0.2j, PATCHES["implicit"](), **kw)
+    fine = dict(nr=32, nt=24, sub_nr=16, sub_nt=12)
+    assert green_value(0.1, -0.2j, model, **fine) == green_value(
+        0.1, -0.2j, PATCHES["implicit"](), **fine)
+
+
+def test_grid_failure_leaves_no_entry(monkeypatch):
+    """A full-patch mesh whose build raises is rebuilt, and raises, on every call."""
+    model = PATCHES["implicit"]()
+    sizes = []
+
+    def z2_of(z1):
+        sizes.append(np.size(z1))
+        if np.size(z1) == 16 * 16:
+            raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
+        return CurveModel.z2_of(model, z1)
+
+    monkeypatch.setattr(model, "z2_of", z2_of)
+    for _ in range(2):
+        with pytest.raises(MeshTooCoarse):
+            green_value(0.1, -0.2j, model, nr=16, nt=16, sub_nr=8, sub_nt=4)
+        assert model._grids == {}
+    assert sizes.count(16 * 16) == 2
+
+
+def test_cached_arrays_read_only():
+    for a in _leggauss(12):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    model = flat_disc_model()
+    for a in model.full_grid(8, 8):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 # -- boundary operators ------------------------------------------------------------

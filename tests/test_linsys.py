@@ -212,6 +212,24 @@ def test_E2_discrimination_conic(conic):
     assert res_wrong > 1e-4
 
 
+def test_fit_scan_skips_residue_obstruction(conic, monkeypatch):
+    """An r whose E-table needs the log term J is skipped, not fatal.
+
+    At accept_tol = 0 no candidate is accepted, so the conic scan reaches
+    r = 2..6, where E_decomposition meets a y^-1 coefficient; the best of
+    r = 0, 1 comes back.  With every r obstructed the obstruction is raised.
+    """
+    fit, _, _ = fit_infinity(oracles.conic(n=1024), accept_tol=0.0)
+    assert fit.r in (0, 1) and fit.residual < 1e-12
+
+    def obstructed(dmax, h):
+        raise shock.ResidueObstruction("y^-1 coefficient")
+
+    monkeypatch.setattr(shock, "E_decomposition", obstructed)
+    with pytest.raises(shock.ResidueObstruction):
+        fit_infinity(conic)
+
+
 def test_two_line_fit(twoline):
     fit, h, g1 = fit_infinity(twoline)
     assert fit.r == 0
