@@ -7,7 +7,7 @@ The library is organized around the stages of the reconstruction pipeline:
 - ``infinity``    germs at {w0 = 0}, the polynomial B_inf, rational corrections P_k
 - ``symmetric``   Newton identities, polynomial assembly, root finding
 - ``shock``       shock-wave verification and the operator calculus (P, D, E, e^H)
-- ``linsys``      assembly/solution of the linear differential systems (E0)/(E1)/(E2)
+- ``linsys``      assembly/solution of the linear differential system (E0)
 - ``reconstruct`` per-line fibers, curve sweep, algebraicity detection
 - ``green``       Green-function kernel/quadrature and the Fredholm boundary solve
 - ``genus``       Chern-connection boundary integrals and genus bookkeeping

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import genus, green, indicators, infinity, linsys, oracles, reconstruct, shock, symmetric
-from .geometry import LineParam, boundary_to_json, load_boundary, m_of_y, rho
+from .geometry import LineParam, boundary_to_json, load_boundary, rho
 
 
 class ValidationError(Exception):
@@ -66,8 +66,11 @@ def _write(obj, path):
 def _load(path):
     if not os.path.exists(path):
         raise IOValidationError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValidationError(f"malformed JSON in {path}: {e}") from e
 
 
 def _boundary(path):
@@ -79,6 +82,32 @@ def _boundary(path):
         raise ValidationError(f"malformed boundary file: {e}") from e
 
 
+def _parse(what, fn, value):
+    """fn(value) for a parser of outside input; a malformed value is a ValidationError."""
+    try:
+        return fn(value)
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed {what}: {e!r}") from e
+
+
+def _numbers(kind):
+    return lambda text: tuple(kind(t) for t in text.split(","))
+
+
+def _pair(p):
+    return complex(p[0], p[1])
+
+
+def _sheets(text):
+    """--p: 'auto' or a sheet count >= 0."""
+    if text == "auto":
+        return text
+    p = _parse("--p", int, text)
+    if p < 0:
+        raise ValidationError(f"--p must be 'auto' or an integer >= 0, got {p}")
+    return p
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -87,6 +116,8 @@ def cmd_make_oracle(args):
         raise ValidationError(
             f"unknown oracle {args.name!r}; choose from {sorted(oracles.ORACLES)}"
         )
+    if args.samples < 16:
+        raise ValidationError(f"--samples must be >= 16, got {args.samples}")
     kw = {"n": args.samples}
     if args.name in ("interior-line", "exterior-line"):
         kw["a"] = args.a
@@ -144,7 +175,7 @@ def _cloud_rows(cloud):
     for p, src in zip(cloud.points, cloud.source):
         rows.append([
             p.w0.real, p.w0.imag, p.w1.real, p.w1.imag, p.w2.real, p.w2.imag,
-            src.x.real if isinstance(src.x, complex) else float(np.real(src.x)),
+            float(np.real(src.x)),
             float(np.imag(src.x)), float(np.real(src.y)), float(np.imag(src.y)),
         ])
     return rows
@@ -178,18 +209,17 @@ def _write_cloud(cloud, path):
 
 
 def _do_reconstruct(b, args, fit=None, h=None):
-    if args.p != "auto":
-        p = int(args.p)
-    else:
+    p = _sheets(args.p)
+    radii = _parse("--radii", _numbers(float), args.radii)
+    xfracs = _parse("--xfrac", _numbers(complex), args.xfrac)
+    if p == "auto":
         if fit is None:
             fit, h, _ = _fit(b, args)
         p = indicators.sheet_count(h.delta, fit.r)
     germs = []
     if args.germs:
-        germs = infinity.germs_from_json(_load(args.germs))
+        germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
     fam = infinity.Pk_family(germs, max(p, 1))
-    radii = tuple(float(t) for t in args.radii.split(","))
-    xfracs = tuple(complex(t) for t in args.xfrac.split(","))
     cloud = reconstruct.sweep(b, p, fam, radii=radii, angles=args.angles,
                               xfracs=xfracs)
     return cloud, p
@@ -223,19 +253,17 @@ def cmd_pipeline(args):
 
 def cmd_shock_verify(args):
     b = _boundary(args.boundary)
-    if args.p == "auto":
+    p = _sheets(args.p)
+    y0 = _parse("--y0", complex, args.y0) if args.y0 else 2.5 * rho(b)
+    if p == "auto":
         fit, h, _ = _fit(b, args)
         p = indicators.sheet_count(h.delta, fit.r)
-    else:
-        p = int(args.p)
     if p < 1:
         raise ValidationError("shock-verify needs p >= 1")
     germs = []
     if args.germs:
-        germs = infinity.germs_from_json(_load(args.germs))
+        germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
     fam = infinity.Pk_family(germs, p)
-    r = rho(b)
-    y0 = complex(args.y0) if args.y0 else 2.5 * r
     hx = hy = args.step
     n = args.gridn
     xs = (np.arange(n) - n // 2) * hx
@@ -257,13 +285,24 @@ def cmd_shock_verify(args):
     return 0
 
 
+def _patch(text):
+    center, radius = text.split(",")
+    return complex(center), float(radius)
+
+
+def _phi(rows):
+    return np.array([[_pair(p) for p in row] for row in rows])
+
+
+def _targets(spec):
+    return _pair(spec["q_star"]), [_pair(p) for p in spec["points"]]
+
+
 def cmd_green(args):
-    phi = np.array([[complex(p[0], p[1]) for p in row] for row in _load(args.phi)])
-    center_s, radius_s = args.patch.split(",")
-    model = green.CurveModel(phi, center=complex(center_s), radius=float(radius_s))
-    spec = _load(args.targets)
-    qs = complex(spec["q_star"][0], spec["q_star"][1])
-    pts = [complex(p[0], p[1]) for p in spec["points"]]
+    phi = _parse("phi file", _phi, _load(args.phi))
+    center, radius = _parse("--patch", _patch, args.patch)
+    qs, pts = _parse("targets file", _targets, _load(args.targets))
+    model = green.CurveModel(phi, center=center, radius=radius)
     vals = green._green_values(qs, pts, model)
     _write({"q_star": qs, "values": vals}, args.out)
     return 0
@@ -275,16 +314,19 @@ def _omega_from_spec(spec):
     if spec == "zdz":
         return lambda z: z
     if spec.startswith("z^") and spec.endswith("dz"):
-        k = int(spec[2:-2])
+        k = _parse("--omega exponent", int, spec[2:-2])
         return lambda z: z ** k
     raise ValidationError(f"cannot parse omega spec {spec!r}")
 
 
+def _density(spec):
+    return (np.asarray(spec["num"], dtype=float),
+            np.asarray(spec.get("den", [1.0]), dtype=float))
+
+
 def _lambda_from_file(path):
     """Radial rational density: {"num": [...], "den": [...]} in powers of |z|^2."""
-    spec = _load(path)
-    num = np.asarray(spec["num"], dtype=float)
-    den = np.asarray(spec.get("den", [1.0]), dtype=float)
+    num, den = _parse("lambda file", _density, _load(path))
 
     def lam(z):
         r2 = np.abs(z) ** 2

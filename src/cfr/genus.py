@@ -14,7 +14,7 @@ winding differences are unambiguous and are what the acceptance suite gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,16 +82,6 @@ class SurfaceModel:
         return worst
 
 
-def hstar(omega, lam, zeta):
-    """Metric h*(omega) = (omega ^ *conj(omega) / mu)^(1/2) = |f| / sqrt(lambda).
-
-    omega is the dzeta-coefficient function f; the conjugation operator acts
-    on (0,1)-forms as multiplication by i/2, which pairs f dzeta ^ *conj into
-    |f|^2 dA against mu = lambda dA.
-    """
-    return np.abs(omega(zeta)) / np.sqrt(lam(zeta))
-
-
 def chern_boundary_integral(omega, lam, model: SurfaceModel) -> float:
     """(1/2 pi i) * contour integral over the oriented boundary of d ln h*^2 (1,0)-part.
 
@@ -132,13 +122,6 @@ def winding_difference(omega1, omega2, lam, model: SurfaceModel) -> float:
     """
     return (chern_boundary_integral(omega1, lam, model)
             - chern_boundary_integral(omega2, lam, model))
-
-
-def genus_of_double(g: int, c: int) -> int:
-    """Genus of the double: 2g + c - 1."""
-    if g < 0 or c < 1:
-        raise ValueError("need g >= 0 and c >= 1")
-    return 2 * g + c - 1
 
 
 def q_infinity_estimate(chern_integral: float, g: int, c: int) -> int:

@@ -19,14 +19,6 @@ import numpy as np
 # max-modulus normalization).
 CHART_EPS = 1e-12
 
-# Discrete minima overestimate the true minimum of |x + y*z1 + z2| over the
-# boundary; in_Z deflates m(y) by this factor to stay safely inside Z.
-M_SAFETY = 0.98
-
-
-class ChartUndefined(ValueError):
-    """Requested affine chart divides by a (numerically) vanishing coordinate."""
-
 
 class OutsideDomain(ValueError):
     """Line parameter lies outside the admissible domain (|y| <= rho)."""
@@ -72,10 +64,6 @@ class ProjPoint:
     @property
     def w(self):
         return np.array([self.w0, self.w1, self.w2], dtype=complex)
-
-    @staticmethod
-    def from_array(w) -> "ProjPoint":
-        return ProjPoint(complex(w[0]), complex(w[1]), complex(w[2]))
 
 
 @dataclass(frozen=True)
@@ -172,15 +160,6 @@ class BoundaryData:
 # -- operations ---------------------------------------------------------------
 
 
-def affine_chart(p: ProjPoint, chart: int):
-    """Affine coordinates of p in the given chart, remaining pair in cyclic order."""
-    w = p.w
-    d = w[chart]
-    if abs(d) <= CHART_EPS:
-        raise ChartUndefined(f"coordinate w{chart} vanishes")
-    return w[(chart + 1) % 3] / d, w[(chart + 2) % 3] / d
-
-
 def rho(b: BoundaryData) -> float:
     """max over boundary samples of |w2/w1|."""
     return max(float(np.max(np.abs(lp.w[:, 2] / lp.w[:, 1]))) for lp in b.loops)
@@ -191,18 +170,6 @@ def m_of_y(b: BoundaryData, y: complex) -> float:
     if abs(y) <= rho(b):
         raise OutsideDomain(f"|y| = {abs(y):g} <= rho = {rho(b):g}")
     return min(float(np.min(np.abs(y * lp.z1 + lp.z2))) for lp in b.loops)
-
-
-def in_Z(b: BoundaryData, z: LineParam) -> bool:
-    """Membership in the admissible domain Z (with deflated m(y) for safety)."""
-    if abs(z.y) <= rho(b):
-        return False
-    return abs(z.x) < M_SAFETY * m_of_y(b, z.y)
-
-
-def line_eval(z: LineParam, p: ProjPoint) -> complex:
-    """Incidence residual x*w0 + y*w1 + w2 in the normalized gauge."""
-    return z.x * p.w0 + z.y * p.w1 + p.w2
 
 
 # -- velocity synthesis -------------------------------------------------------

@@ -186,26 +186,12 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
         for m in range(1, mmax + 1):
             for n in range(m):
                 t1 = comb[m, n] * I1[k - m - 1 - a_min, m - n]
-                t2 = (comb[m - 1, n] * I2[k - m - a_min, m - n - 1]) if m >= 1 else 0.0
+                t2 = comb[m - 1, n] * I2[k - m - a_min, m - n - 1]
                 coeffs[k, m, n] = (-1) ** m * (t1 - t2)
     table = LaurentTable(kmax=kmax, mmax=mmax, delta=dlt, coeffs=coeffs)
     if cross_check:
         _circle_cross_check(b, table)
     return table
-
-
-def G110_check(b: BoundaryData, tol=1e-9):
-    """G_{1,1}^0 from the first-order expansion display, term by term.
-
-    The displayed formula carries the extra term (1/2 pi i) * contour
-    integral of (w2/w0)^2 d(w2/w0), an exact form that vanishes on closed
-    loops; it is evaluated as written and flagged when it fails to vanish.
-    Returns (value, exact_term, flagged).
-    """
-    term1 = -_contour_sum(b, ((lp.z2 / lp.z1) * lp.dz1 for lp in b.loops))
-    exact = _contour_sum(b, (lp.z2 ** 2 * lp.dz2 for lp in b.loops))
-    flagged = abs(exact) > tol
-    return term1 + exact, exact, flagged
 
 
 def _circle_cross_check(b: BoundaryData, table: LaurentTable, n_y=256, n_x=32):

@@ -4,7 +4,10 @@ A germ is the Taylor data of one branch u1 = g(u0) of Q at a point
 q = (0 : b : 1), in the chart (u0, u1) = (w0/w2, w1/w2).  The corrections P_k
 are the residues at Q_inf of the indicator integrand; they are polynomials of
 degree k in X whose coefficients are rational in Y with denominators dividing
-B_inf^k.  Everything here is exact truncated-series arithmetic, no quadrature.
+B_inf^k.  Pk_family builds them all at once from the series residue of each
+germ's p_{k,0} and a recursion for the higher X-coefficients; the pointwise
+residue route and the closed form of P_1 are test references.  Everything
+here is exact truncated-series arithmetic, no quadrature.
 """
 
 from __future__ import annotations
@@ -100,26 +103,13 @@ class RationalY:
 class RationalAffinePoly:
     """Polynomial in X with RationalY coefficients: element of C_k[X, Y)."""
 
-    coeffs: list  # X^0 .. X^degX
-
-    @property
-    def degX(self):
-        return len(self.coeffs) - 1
+    coeffs: list  # ascending powers X^0, X^1, ...
 
     def __call__(self, x, y):
         tot = 0.0 + 0.0j
         for m, c in enumerate(self.coeffs):
             tot = tot + c(y) * np.asarray(x) ** m
         return tot
-
-    def deriv_x(self):
-        return RationalAffinePoly(
-            [c.scale(m) for m, c in enumerate(self.coeffs)][1:] or
-            [RationalY(np.zeros(1), 0, self.coeffs[0].base)]
-        )
-
-    def deriv_y(self):
-        return RationalAffinePoly([c.deriv() for c in self.coeffs])
 
 
 # -- truncated series helpers (plain coefficient vectors) ---------------------
@@ -142,51 +132,6 @@ def B_infinity(germs) -> np.ndarray:
     for g in germs:
         out = P.polymul(out, np.array([1.0, g.b], dtype=complex))
     return _trim(out)
-
-
-def P1(germs) -> RationalAffinePoly:
-    """P_1 = p_{1,0} + p_{1,1} X with p_{1,1} = B'/B, p_{1,0} = -sum g_1/(1+Y b)."""
-    base = B_infinity(germs)
-    if not germs:
-        z = RationalY(np.zeros(1), 0, base)
-        return RationalAffinePoly([z, z])
-    p11 = RationalY(P.polyder(base), 1, base)
-    num = np.zeros(1, dtype=complex)
-    for q in germs:
-        g1 = q.taylor[0] if q.taylor else 0.0
-        rest = np.ones(1, dtype=complex)
-        for other in germs:
-            if other is not q:
-                rest = P.polymul(rest, np.array([1.0, other.b], dtype=complex))
-        num = P.polyadd(num, -g1 * rest)
-    p10 = RationalY(num, 1, base)
-    return RationalAffinePoly([p10, p11])
-
-
-def Pk_residue(germ: GermAtInfinity, k: int, z) -> complex:
-    """Residue contribution of one germ to P_k at the line parameter z.
-
-    Equals the coefficient of u^(k-1) in [x(g - u g') - g'] g^(k-1) / (1 + xu + yg),
-    computed with exact truncated series arithmetic; P_0 is identically -1.
-    """
-    if k == 0:
-        return -1.0 + 0.0j
-    x, y = z.x, z.y
-    if abs(1.0 + y * germ.b) < RESONANT_EPS:
-        raise ResonantY("1 + y b_q vanishes")
-    order = k - 1
-    g = germ.series(k)  # length k+1; g' needs g_k for the u^(k-1) coefficient
-    j = np.arange(order + 1)
-    gmu = (1.0 - j) * g[: order + 1]          # g - u g'
-    gp = (j + 1.0) * g[1 : order + 2]         # g'
-    num = x * gmu - gp
-    num = symmetric.series_mul(num, _ser_pow(g, k - 1, order), order)
-    den = y * g[: order + 1].copy()           # 1 + x u + y g(u)
-    den[0] += 1.0
-    if order >= 1:
-        den[1] += x
-    q = symmetric.series_mul(num, symmetric.series_inv(den, order), order)
-    return complex(q[order])
 
 
 def _bracket(germ, k, n):

@@ -1,4 +1,4 @@
-"""Assembly and least-squares solution of the differential systems (E0)/(E1)/(E2).
+"""Assembly and least-squares solution of the differential system (E0).
 
 The unknown rational part of the indicator is R = A/B + X B'/B with
 deg A < r = deg B and B(0) = 1; the shock data is carried by d = r + delta
@@ -13,7 +13,11 @@ solve recovers everything; beta_0 = 1 is the normalization.
 
 Rows are only assembled for Laurent orders on which every participating
 series is exactly valid, so series truncation never perturbs the system; it
-merely bounds the number of equations.
+merely bounds the number of equations.  The row assembler ``_assemble`` takes
+any table of coefficient series; the fit uses it for (E0) only.  Stacking
+the derivative systems (E1)/(E2) under (E0) leaves its rank unchanged on the
+fixtures ((E2) is undefined on lines, where d^2 G_1/dx^2 vanishes), so they
+and the (E0) residual with (A, B) pinned live in the tests as references.
 """
 
 from __future__ import annotations
@@ -25,29 +29,12 @@ from math import factorial
 import numpy as np
 
 from . import indicators, infinity, shock
+from .geometry import rho
 from .shock import BiSeries, HData
-
-
-class TruncationExceeded(ValueError):
-    """Requested Laurent order is outside the validated range."""
-
-
-class E2Degenerate(ValueError):
-    """d^2 G_1 / dx^2 vanishes: system (E2) is unavailable."""
 
 
 class RankDeficient(Warning):
     """Joint system had a nullspace; the smallest-norm solution was returned."""
-
-
-def coeff_c0(j: int, m: int, n: int, etab) -> np.ndarray:
-    """x-Taylor vector c_{j,m}^{0,n}: the coefficient of y^n in E_{j-1,m}."""
-    s = etab[(j - 1, m)]
-    if -n < s.mlo:
-        return np.zeros(s.nx + 1, dtype=complex)
-    if -n > s.mhi and not s.exact:
-        raise TruncationExceeded(f"order y^{n} beyond validated range of E_{j-1},{m}")
-    return s.x_poly(-n)
 
 
 def _shifted_coeffs(series: BiSeries, shift: int, window, nx_rows: int):
@@ -242,101 +229,6 @@ class FitResult:
     confined: bool = False
 
 
-def fixed_AB_residual(h, g1, etab, layout: Layout, A, B, window=None, extra_blocks=()):
-    """(E0) residual with (A, B) pinned, minimizing over mu only.
-
-    Extra row blocks (E1/E2) may be stacked below (E0).  The (a, beta)
-    columns hold the negated K components, so pinned values move to the
-    right side with the opposite sign.
-    """
-    M, rhs = assemble_E0(h, g1, etab, layout, window)
-    for Mb, rb in extra_blocks:
-        M = np.vstack([M, Mb])
-        rhs = np.concatenate([rhs, rb])
-    nm = layout.n_mu
-    if layout.r:
-        AB = np.concatenate((np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)[1:]))
-        rhs = rhs - M[:, nm:] @ AB
-    if nm:
-        sol, *_ = np.linalg.lstsq(M[:, :nm], rhs, rcond=None)
-        resid = M[:, :nm] @ sol - rhs
-    else:
-        resid = -rhs
-    return float(np.linalg.norm(resid)) / (1.0 + float(np.linalg.norm(rhs)))
-
-
-# -- (E1) and (E2) -------------------------------------------------------------
-
-
-def e1_table(etab, h: HData, d: int):
-    """E^1_{j,m} for 1 <= j <= d, 0 <= m <= j (x-derivative system)."""
-    out = {}
-    for j in range(1, d + 1):
-        out[(j, 0)] = shock.op_D(etab[(j - 1, 0)], h)
-        for m in range(1, j):
-            out[(j, m)] = etab[(j - 1, m - 1)] + shock.op_D(etab[(j - 1, m)], h)
-        out[(j, j)] = etab[(j - 1, j - 1)]
-    return out
-
-
-def assemble_E1(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
-    """Rows of (E1): sum c^{1,n}_{j,m} mu_j^{(m)} = coeffs of (B' - B dG1/dx) e^-H."""
-    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
-    if window is None:
-        window = valid_window(h, g1, layout.r, layout.d)
-    tab1 = e1_table(etab, h, layout.d)
-    em = h.Htilde.scale(-1.0).exp()
-    const, b_parts = _k_parts(h, em, g1.dx() * em, layout.r, window, nx_rows)
-    return _assemble(layout, window, nx_rows, tab1, const, [], b_parts)
-
-
-def e2_table(etab, h: HData, d: int, gxx_inv: BiSeries):
-    """E^2_{j,m}/Gxx for 1 <= j <= d, 0 <= m <= j+1 (second-derivative system)."""
-    hx = h.dHx
-    hxx = hx.dx()
-    out = {}
-    for j in range(1, d + 1):
-        # E_{j-1,m-2} + 2 D E_{j-1,m-1} + D^2 E_{j-1,m}, over the indices that exist
-        for m in range(j + 2):
-            acc = etab[(j - 1, m - 2)] if m >= 2 else None
-            if 1 <= m <= j:
-                dd = shock.op_D(etab[(j - 1, m - 1)], h).scale(2.0)
-                acc = dd if acc is None else acc + dd
-            if m < j:
-                t = etab[(j - 1, m)]
-                dd = t.dx().dx() + (t.dx() * hx).scale(2.0) + t * (hx * hx + hxx)
-                acc = dd if acc is None else acc + dd
-            out[(j, m)] = acc * gxx_inv
-    return out
-
-
-def invert_gxx(g1: BiSeries):
-    """1/(d^2 G_1/dx^2) as a BiSeries; raises E2Degenerate when unusable."""
-    gxx = g1.dx().dx()
-    mags = np.abs(gxx.c).max(axis=0)
-    nz = np.nonzero(mags > 1e-8)[0]
-    if not len(nz):
-        raise E2Degenerate("d^2 G_1/dx^2 vanishes within tolerance")
-    m0 = gxx.mlo + nz[0]
-    lead = gxx.x_poly(m0)
-    if abs(lead[0]) < 1e-10:
-        raise E2Degenerate("leading coefficient of d^2 G_1/dx^2 has no constant term")
-    u = gxx.shift_y(m0)  # unit series with mlo = 0
-    u = BiSeries(u._window(0, u.mhi), 0, u.mhi, u.omega, u.tau, u.exact)
-    return u.invert_tail().shift_y(m0)
-
-
-def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
-    """Rows of (E2): sum c^{2,n}_{j,m} mu_j^{(m)} = coeffs of -B e^-H."""
-    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
-    if window is None:
-        window = valid_window(h, g1, layout.r, layout.d)
-    tab2 = e2_table(etab, h, layout.d, invert_gxx(g1))
-    zero = BiSeries.zero(h.Htilde.nx, h.omega, h.Htilde.tau)
-    const, b_parts = _k_parts(h, zero, h.Htilde.scale(-1.0).exp(), layout.r, window, nx_rows)
-    return _assemble(layout, window, nx_rows, tab2, const, [], b_parts)
-
-
 # -- the outer (A, B) discovery loop -------------------------------------------
 
 
@@ -353,9 +245,7 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     every r hit the obstruction, it is raised.
     """
     lt = indicators.laurent_extract(b, kmax=2, mmax=mmax, cross_check=False)
-    from .geometry import rho as _rho
-
-    rh = _rho(b)
+    rh = rho(b)
     omega = -2.0 * rh
     h = shock.H_from_laurent(lt, lt.delta, omega)
     nx = h.Htilde.nx

@@ -45,15 +45,6 @@ def exterior_line(a=0.5, n=1024) -> BoundaryData:
     return BoundaryData(b.loops, [-1])
 
 
-def exterior_line_germ(a=0.5):
-    """Taylor data of the exterior line's branch at {w0 = 0}.
-
-    In the chart (u0, u1) = (w0/w2, w1/w2) the line w2 = w0 + a w1 reads
-    u1 = (1 - u0)/a, so b = 1/a and g_1 = -1/a.
-    """
-    return complex(1.0 / a), [complex(-1.0 / a)]
-
-
 def two_line(a=0.5, b=-1.0 / 3.0, n=1024) -> BoundaryData:
     loops = [
         _loop_from_maps(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import indicators, symmetric
-from .geometry import BoundaryData, LineParam, ProjPoint, in_Z, line_eval, m_of_y, rho
+from .geometry import BoundaryData, LineParam, ProjPoint, m_of_y, rho
 
 
 class DegenerateFiber(ValueError):

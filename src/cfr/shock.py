@@ -236,7 +236,7 @@ class BiSeries:
             out[:, m] = -symmetric.series_mul(inv0, acc, nx)
         return BiSeries(out, 0, M, self.omega, self.tau, exact=False)
 
-    # -- evaluation / io ---------------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=complex)
@@ -247,16 +247,6 @@ class BiSeries:
             m = self.mlo + i
             tot = tot + xp(x, self.c[:, i]) * y ** (-float(m))
         return tot if tot.shape else complex(tot)
-
-    def dumps(self):
-        """Debugging dump {"n,m": [re, im]} of the nonzero coefficients."""
-        out = {}
-        for n in range(self.nx + 1):
-            for i in range(self.c.shape[1]):
-                v = self.c[n, i]
-                if v != 0:
-                    out[f"{n},{self.mlo + i}"] = [float(v.real), float(v.imag)]
-        return out
 
 
 # -- H data -------------------------------------------------------------------

@@ -34,21 +34,6 @@ def power_to_elementary(N):
     return np.array(S[1:], dtype=complex)
 
 
-def elementary_to_power(S):
-    """Power sums from elementary symmetric functions (inverse identities):
-
-        N_k = (-1)^(k-1) k S_k + sum_{j=1..k-1} (-1)^(j-1) S_j N_{k-j}.
-    """
-    S = list(S)
-    N = []
-    for k in range(1, len(S) + 1):
-        acc = (-1) ** (k - 1) * k * S[k - 1]
-        for j in range(1, k):
-            acc += (-1) ** (j - 1) * S[j - 1] * N[k - j - 1]
-        N.append(acc)
-    return np.array(N, dtype=complex)
-
-
 def series_mul(a, b, order):
     """Product of two power series, truncated after the u^order term."""
     out = np.zeros(order + 1, dtype=complex)

@@ -1,0 +1,291 @@
+"""Reference routes that the tests compare the program against.
+
+Nothing in ``cfr`` calls these; each one is an independent or more literal
+route to a quantity the program computes another way, or a small identity
+from the paper that the tests check:
+
+- the systems (E1)/(E2) and the (E0) residual with (A, B) pinned, built
+  with ``linsys._assemble`` and ``linsys._k_parts`` so they share the rows
+  of the fit;
+- the Laurent coefficient c_{j,m}^{0,n} read off one E-table entry;
+- P_1 in closed form, the pointwise residue route for P_k, and the partial
+  derivatives of a correction in X and Y;
+- the term-by-term G_{1,1}^0 display, the metric h*, the genus of the
+  double, affine charts, the domain Z, line incidence, the inverse Newton
+  identities and the exterior-line germ.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.polynomial import polynomial as P
+
+from cfr import shock, symmetric
+from cfr.geometry import CHART_EPS, BoundaryData, LineParam, ProjPoint, m_of_y, rho
+from cfr.indicators import _contour_sum
+from cfr.infinity import (RESONANT_EPS, GermAtInfinity, RationalAffinePoly, RationalY,
+                          ResonantY, B_infinity, _ser_pow)
+from cfr.linsys import Layout, _assemble, _k_parts, assemble_E0, valid_window
+from cfr.shock import BiSeries, HData
+
+
+# -- linsys: coefficient extraction, pinned residual, (E1) and (E2) ------------
+
+
+class TruncationExceeded(ValueError):
+    """Requested Laurent order is outside the validated range."""
+
+
+class E2Degenerate(ValueError):
+    """d^2 G_1 / dx^2 vanishes: system (E2) is unavailable."""
+
+
+def coeff_c0(j: int, m: int, n: int, etab) -> np.ndarray:
+    """x-Taylor vector c_{j,m}^{0,n}: the coefficient of y^n in E_{j-1,m}."""
+    s = etab[(j - 1, m)]
+    if -n < s.mlo:
+        return np.zeros(s.nx + 1, dtype=complex)
+    if -n > s.mhi and not s.exact:
+        raise TruncationExceeded(f"order y^{n} beyond validated range of E_{j-1},{m}")
+    return s.x_poly(-n)
+
+
+def fixed_AB_residual(h, g1, etab, layout: Layout, A, B, window=None, extra_blocks=()):
+    """(E0) residual with (A, B) pinned, minimizing over mu only.
+
+    Extra row blocks (E1/E2) may be stacked below (E0).  The (a, beta)
+    columns hold the negated K components, so pinned values move to the
+    right side with the opposite sign.
+    """
+    M, rhs = assemble_E0(h, g1, etab, layout, window)
+    for Mb, rb in extra_blocks:
+        M = np.vstack([M, Mb])
+        rhs = np.concatenate([rhs, rb])
+    nm = layout.n_mu
+    if layout.r:
+        AB = np.concatenate((np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)[1:]))
+        rhs = rhs - M[:, nm:] @ AB
+    if nm:
+        sol, *_ = np.linalg.lstsq(M[:, :nm], rhs, rcond=None)
+        resid = M[:, :nm] @ sol - rhs
+    else:
+        resid = -rhs
+    return float(np.linalg.norm(resid)) / (1.0 + float(np.linalg.norm(rhs)))
+
+
+def e1_table(etab, h: HData, d: int):
+    """E^1_{j,m} for 1 <= j <= d, 0 <= m <= j (x-derivative system)."""
+    out = {}
+    for j in range(1, d + 1):
+        out[(j, 0)] = shock.op_D(etab[(j - 1, 0)], h)
+        for m in range(1, j):
+            out[(j, m)] = etab[(j - 1, m - 1)] + shock.op_D(etab[(j - 1, m)], h)
+        out[(j, j)] = etab[(j - 1, j - 1)]
+    return out
+
+
+def assemble_E1(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
+    """Rows of (E1): sum c^{1,n}_{j,m} mu_j^{(m)} = coeffs of (B' - B dG1/dx) e^-H."""
+    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
+    if window is None:
+        window = valid_window(h, g1, layout.r, layout.d)
+    tab1 = e1_table(etab, h, layout.d)
+    em = h.Htilde.scale(-1.0).exp()
+    const, b_parts = _k_parts(h, em, g1.dx() * em, layout.r, window, nx_rows)
+    return _assemble(layout, window, nx_rows, tab1, const, [], b_parts)
+
+
+def e2_table(etab, h: HData, d: int, gxx_inv: BiSeries):
+    """E^2_{j,m}/Gxx for 1 <= j <= d, 0 <= m <= j+1 (second-derivative system)."""
+    hx = h.dHx
+    hxx = hx.dx()
+    out = {}
+    for j in range(1, d + 1):
+        # E_{j-1,m-2} + 2 D E_{j-1,m-1} + D^2 E_{j-1,m}, over the indices that exist
+        for m in range(j + 2):
+            acc = etab[(j - 1, m - 2)] if m >= 2 else None
+            if 1 <= m <= j:
+                dd = shock.op_D(etab[(j - 1, m - 1)], h).scale(2.0)
+                acc = dd if acc is None else acc + dd
+            if m < j:
+                t = etab[(j - 1, m)]
+                dd = t.dx().dx() + (t.dx() * hx).scale(2.0) + t * (hx * hx + hxx)
+                acc = dd if acc is None else acc + dd
+            out[(j, m)] = acc * gxx_inv
+    return out
+
+
+def invert_gxx(g1: BiSeries):
+    """1/(d^2 G_1/dx^2) as a BiSeries; raises E2Degenerate when unusable."""
+    gxx = g1.dx().dx()
+    mags = np.abs(gxx.c).max(axis=0)
+    nz = np.nonzero(mags > 1e-8)[0]
+    if not len(nz):
+        raise E2Degenerate("d^2 G_1/dx^2 vanishes within tolerance")
+    m0 = gxx.mlo + nz[0]
+    lead = gxx.x_poly(m0)
+    if abs(lead[0]) < 1e-10:
+        raise E2Degenerate("leading coefficient of d^2 G_1/dx^2 has no constant term")
+    u = gxx.shift_y(m0)  # unit series with mlo = 0
+    u = BiSeries(u._window(0, u.mhi), 0, u.mhi, u.omega, u.tau, u.exact)
+    return u.invert_tail().shift_y(m0)
+
+
+def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
+    """Rows of (E2): sum c^{2,n}_{j,m} mu_j^{(m)} = coeffs of -B e^-H."""
+    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
+    if window is None:
+        window = valid_window(h, g1, layout.r, layout.d)
+    tab2 = e2_table(etab, h, layout.d, invert_gxx(g1))
+    zero = BiSeries.zero(h.Htilde.nx, h.omega, h.Htilde.tau)
+    const, b_parts = _k_parts(h, zero, h.Htilde.scale(-1.0).exp(), layout.r, window, nx_rows)
+    return _assemble(layout, window, nx_rows, tab2, const, [], b_parts)
+
+
+# -- infinity: P_1 in closed form, pointwise residues, partial derivatives -----
+
+
+def P1(germs) -> RationalAffinePoly:
+    """P_1 = p_{1,0} + p_{1,1} X with p_{1,1} = B'/B, p_{1,0} = -sum g_1/(1+Y b)."""
+    base = B_infinity(germs)
+    if not germs:
+        z = RationalY(np.zeros(1), 0, base)
+        return RationalAffinePoly([z, z])
+    p11 = RationalY(P.polyder(base), 1, base)
+    num = np.zeros(1, dtype=complex)
+    for q in germs:
+        g1 = q.taylor[0] if q.taylor else 0.0
+        rest = np.ones(1, dtype=complex)
+        for other in germs:
+            if other is not q:
+                rest = P.polymul(rest, np.array([1.0, other.b], dtype=complex))
+        num = P.polyadd(num, -g1 * rest)
+    p10 = RationalY(num, 1, base)
+    return RationalAffinePoly([p10, p11])
+
+
+def Pk_residue(germ: GermAtInfinity, k: int, z) -> complex:
+    """Residue contribution of one germ to P_k at the line parameter z.
+
+    Equals the coefficient of u^(k-1) in [x(g - u g') - g'] g^(k-1) / (1 + xu + yg),
+    computed with exact truncated series arithmetic; P_0 is identically -1.
+    """
+    if k == 0:
+        return -1.0 + 0.0j
+    x, y = z.x, z.y
+    if abs(1.0 + y * germ.b) < RESONANT_EPS:
+        raise ResonantY("1 + y b_q vanishes")
+    order = k - 1
+    g = germ.series(k)  # length k+1; g' needs g_k for the u^(k-1) coefficient
+    j = np.arange(order + 1)
+    gmu = (1.0 - j) * g[: order + 1]          # g - u g'
+    gp = (j + 1.0) * g[1 : order + 2]         # g'
+    num = x * gmu - gp
+    num = symmetric.series_mul(num, _ser_pow(g, k - 1, order), order)
+    den = y * g[: order + 1].copy()           # 1 + x u + y g(u)
+    den[0] += 1.0
+    if order >= 1:
+        den[1] += x
+    q = symmetric.series_mul(num, symmetric.series_inv(den, order), order)
+    return complex(q[order])
+
+
+def deriv_x(p: RationalAffinePoly) -> RationalAffinePoly:
+    """d/dX of a polynomial in X with RationalY coefficients."""
+    return RationalAffinePoly(
+        [c.scale(m) for m, c in enumerate(p.coeffs)][1:] or
+        [RationalY(np.zeros(1), 0, p.coeffs[0].base)]
+    )
+
+
+def deriv_y(p: RationalAffinePoly) -> RationalAffinePoly:
+    """d/dY of a polynomial in X with RationalY coefficients."""
+    return RationalAffinePoly([c.deriv() for c in p.coeffs])
+
+
+# -- indicators, genus, geometry, symmetric, oracles ---------------------------
+
+
+def G110_check(b: BoundaryData, tol=1e-9):
+    """G_{1,1}^0 from the first-order expansion display, term by term.
+
+    The displayed formula carries the extra term (1/2 pi i) * contour
+    integral of (w2/w0)^2 d(w2/w0), an exact form that vanishes on closed
+    loops; it is evaluated as written and flagged when it fails to vanish.
+    Returns (value, exact_term, flagged).
+    """
+    term1 = -_contour_sum(b, ((lp.z2 / lp.z1) * lp.dz1 for lp in b.loops))
+    exact = _contour_sum(b, (lp.z2 ** 2 * lp.dz2 for lp in b.loops))
+    flagged = abs(exact) > tol
+    return term1 + exact, exact, flagged
+
+
+def hstar(omega, lam, zeta):
+    """Metric h*(omega) = (omega ^ *conj(omega) / mu)^(1/2) = |f| / sqrt(lambda).
+
+    omega is the dzeta-coefficient function f; the conjugation operator acts
+    on (0,1)-forms as multiplication by i/2, which pairs f dzeta ^ *conj into
+    |f|^2 dA against mu = lambda dA.
+    """
+    return np.abs(omega(zeta)) / np.sqrt(lam(zeta))
+
+
+def genus_of_double(g: int, c: int) -> int:
+    """Genus of the double: 2g + c - 1."""
+    if g < 0 or c < 1:
+        raise ValueError("need g >= 0 and c >= 1")
+    return 2 * g + c - 1
+
+
+# Discrete minima overestimate the true minimum of |x + y*z1 + z2| over the
+# boundary; in_Z deflates m(y) by this factor to stay safely inside Z.
+M_SAFETY = 0.98
+
+
+class ChartUndefined(ValueError):
+    """Requested affine chart divides by a (numerically) vanishing coordinate."""
+
+
+def affine_chart(p: ProjPoint, chart: int):
+    """Affine coordinates of p in the given chart, remaining pair in cyclic order."""
+    w = p.w
+    d = w[chart]
+    if abs(d) <= CHART_EPS:
+        raise ChartUndefined(f"coordinate w{chart} vanishes")
+    return w[(chart + 1) % 3] / d, w[(chart + 2) % 3] / d
+
+
+def in_Z(b: BoundaryData, z: LineParam) -> bool:
+    """Membership in the admissible domain Z (with deflated m(y) for safety)."""
+    if abs(z.y) <= rho(b):
+        return False
+    return abs(z.x) < M_SAFETY * m_of_y(b, z.y)
+
+
+def line_eval(z: LineParam, p: ProjPoint) -> complex:
+    """Incidence residual x*w0 + y*w1 + w2 in the normalized gauge."""
+    return z.x * p.w0 + z.y * p.w1 + p.w2
+
+
+def elementary_to_power(S):
+    """Power sums from elementary symmetric functions (inverse identities):
+
+        N_k = (-1)^(k-1) k S_k + sum_{j=1..k-1} (-1)^(j-1) S_j N_{k-j}.
+    """
+    S = list(S)
+    N = []
+    for k in range(1, len(S) + 1):
+        acc = (-1) ** (k - 1) * k * S[k - 1]
+        for j in range(1, k):
+            acc += (-1) ** (j - 1) * S[j - 1] * N[k - j - 1]
+        N.append(acc)
+    return np.array(N, dtype=complex)
+
+
+def exterior_line_germ(a=0.5):
+    """Taylor data of the exterior line's branch at {w0 = 0}.
+
+    In the chart (u0, u1) = (w0/w2, w1/w2) the line w2 = w0 + a w1 reads
+    u1 = (1 - u0)/a, so b = 1/a and g_1 = -1/a.
+    """
+    return complex(1.0 / a), [complex(-1.0 / a)]

@@ -62,6 +62,45 @@ def test_indicators_two_line(workdir):
     assert abs(obj["G0"][0] - 2.0) < 1e-9
 
 
+MALFORMED = {
+    "samples-below-16": (["make-oracle", "--name", "conic", "--samples", "8"], {}),
+    "p-not-integer": (["reconstruct", "--boundary", "line.json", "--p", "abc"], {}),
+    "p-negative": (["reconstruct", "--boundary", "line.json", "--p", "-1"], {}),
+    "shock-p-not-integer": (["shock-verify", "--boundary", "conic.json", "--p", "x"], {}),
+    "radii-not-numbers": (["reconstruct", "--boundary", "line.json", "--p", "1",
+                           "--radii", "2,x"], {}),
+    "xfrac-not-numbers": (["reconstruct", "--boundary", "line.json", "--p", "1",
+                           "--xfrac", "0,i"], {}),
+    "y0-not-number": (["shock-verify", "--boundary", "conic.json", "--p", "1",
+                       "--y0", "far"], {}),
+    "germs-without-germs": (["reconstruct", "--boundary", "line.json", "--p", "1",
+                             "--germs", "bad-germs.json"], {"bad-germs.json": "{}"}),
+    "omega-exponent": (["genus", "--omega", "z^xdz"], {}),
+    "patch-one-field": (["green", "--phi", "ok-phi.json", "--patch", "0",
+                         "--targets", "ok-targets.json"], {}),
+    "phi-not-json": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
+                     {"bad-phi.json": "[[[0, 0], [1, 0]]"}),
+    "targets-without-q-star": (["green", "--phi", "ok-phi.json",
+                                "--targets", "bad-targets.json"],
+                               {"bad-targets.json": '{"points": [[0.5, 0.0]]}'}),
+    "lambda-without-num": (["genus", "--lambda", "bad-lambda.json"],
+                           {"bad-lambda.json": '{"den": [1.0]}'}),
+}
+
+
+@pytest.mark.parametrize("argv,files", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_validation_error(workdir, argv, files):
+    """Bad arguments and input files exit 1 with one JSON error object on stderr."""
+    files = {"ok-phi.json": "[[[0.0, 0.0], [1.0, 0.0]]]",
+             "ok-targets.json": '{"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]}', **files}
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    code, out, err = run_cli(argv, workdir)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] in ("E_VALIDATION", "E_IO")
+
+
 def test_missing_input_exit_code(workdir):
     code, _, err = run_cli(["indicators", "--boundary", "missing.json"], workdir)
     assert code == 1

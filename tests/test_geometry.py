@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cfr import geometry, oracles
-from cfr.geometry import (BoundaryData, BoundaryLoop, ChartUndefined, LineParam,
-                          OutsideDomain, ProjPoint, affine_chart, boundary_from_json,
-                          boundary_to_json, in_Z, line_eval, m_of_y, rho,
+from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, OutsideDomain, ProjPoint,
+                          boundary_from_json, boundary_to_json, m_of_y, rho,
                           synth_velocities)
+from reference import ChartUndefined, affine_chart, in_Z, line_eval
 
 
 def dense_theta_oracle(fn, n=200000):

@@ -1,0 +1,37 @@
+"""The package holds only the program: every public name in it has a caller.
+
+A top-level function or class of ``src/cfr`` that only the tests reach
+belongs in ``tests/reference.py``; this test fails when such a name appears
+in the package, so test-only routes do not drift back into it.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "cfr").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _public_definitions(text):
+    """(name, first line, last line) of each public top-level def and class."""
+    for node in ast.parse(text).body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield node.name, first, node.end_lineno
+
+
+def test_every_public_name_has_a_caller():
+    texts = {path: path.read_text(encoding="utf-8") for path in MODULES + DEMOS}
+    uncalled = []
+    for path in MODULES:
+        lines = texts[path].splitlines()
+        for name, first, last in _public_definitions(texts[path]):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            elsewhere = ["\n".join(lines[: first - 1] + lines[last:]) if p == path else t
+                         for p, t in texts.items()]
+            if not any(word.search(t) for t in elsewhere):
+                uncalled.append(f"{path.stem}.{name}")
+    assert not uncalled, f"reached only from tests, move to tests/reference.py: {uncalled}"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cfr import indicators, linsys, oracles, shock
-from cfr.linsys import (E2Degenerate, Layout, assemble_E0, assemble_E1, assemble_E2,
-                        coeff_c0, fit_infinity, fixed_AB_residual,
-                        invert_gxx, k0_components, solve_joint, valid_window)
+from cfr.linsys import (Layout, assemble_E0, fit_infinity, k0_components, solve_joint,
+                        valid_window)
+from reference import (E2Degenerate, assemble_E1, assemble_E2, coeff_c0, fixed_AB_residual,
+                       invert_gxx)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,22 @@ def test_E1_rows_consistent(ext_parts):
     M1, rhs1 = assemble_E1(h, g1, etab, lay)
     u = np.array([2.0, 2.0])
     assert np.linalg.norm(M1 @ u - rhs1) < 1e-9 * (1 + np.linalg.norm(rhs1))
+
+
+def test_E1_rows_leave_rank_unchanged(twoline):
+    """(E1) adds no information to (E0) at the fitted r and d, so the fit omits it.
+
+    On the two-line oracle (r = 0, d = 2) the (E0) matrix has rank 21 of 22
+    columns, and stacking the (E1) rows below it leaves the rank at 21.
+    """
+    fit, h, g1 = fit_infinity(twoline)
+    lay = Layout(d=fit.r + h.delta, r=fit.r, dmu=10)
+    etab = shock.E_decomposition(lay.d - 1, h)
+    M0, _ = assemble_E0(h, g1, etab, lay)
+    M1, _ = assemble_E1(h, g1, etab, lay)
+    assert M0.shape[1] == 22
+    assert np.linalg.matrix_rank(M0) == 21
+    assert np.linalg.matrix_rank(np.vstack([M0, M1])) == 21
 
 
 def test_K1_vanishes_for_large_n(ext_parts):

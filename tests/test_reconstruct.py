@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cfr import infinity, oracles, reconstruct
-from cfr.geometry import LineParam, chordal, line_eval
+from cfr.geometry import LineParam, chordal
 from cfr.reconstruct import DegenerateFiber, N_Qk, detect_algebraic, fiber, sweep
+from reference import exterior_line_germ, line_eval
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +14,7 @@ def no_germs():
 
 @pytest.fixture(scope="module")
 def line_germs():
-    b, tay = oracles.exterior_line_germ()
+    b, tay = exterior_line_germ()
     return infinity.Pk_family([infinity.GermAtInfinity(b, tay + [0.0] * 3)], 4)
 
 

