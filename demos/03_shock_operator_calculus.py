@@ -37,7 +37,7 @@ lhs = shock.iterate_E(f, 3, h)
 rhs = None
 fj = f.copy()
 for j in range(4):
-    t = tab[(3, j)] * shock.BiSeries.from_x_poly(fj, h.Htilde.nx, omega)
+    t = tab[(3, j)] * shock.BiSeries.from_x_poly(fj, h.Htilde.nx)
     rhs = t if rhs is None else rhs + t
     fj = np.polynomial.polynomial.polyder(fj)
 lo, hi = max(lhs.mlo, rhs.mlo), min(lhs.mhi, rhs.mhi)
@@ -48,18 +48,19 @@ print("\nE^3 decomposition identity, max coefficient error:",
 # dN/dx = dG_1/dx - B'/B; that is the content of the construction.
 rng = np.random.default_rng(0)
 B = np.array([1.0, 0.5])
-g1 = shock.g1_biseries(lt, h.Htilde.nx, omega)
+g1 = shock.g1_biseries(lt, h.Htilde.nx)
 dNx = g1.dx() - shock.rational_tail(np.polynomial.polynomial.polyder(B), B,
-                                    h.Htilde.nx, omega, lt.mmax + 2)
+                                    h.Htilde.nx, lt.mmax + 2)
 mu = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)]
 s = shock.s_k_from_mu(mu, B, h)
 print("chain residual for random (mu, B):", shock.eqsym1_residual(s, dNx))
 
-# Finite-difference verification of the shock equation on a fiber field.
+# Finite-difference verification of the shock equation on a fiber field: the
+# symmetric-function system with the single sheet S_1 = h is h_y = h h_x.
 def wave(x, y):
     return -(x + 1.0) / (y + 0.5)
 
 grid = np.array([[wave(i * 0.05, 10 + j * 0.05) for j in range(-4, 5)]
                  for i in range(-4, 5)])
 print("shock residual of the line wave:",
-      shock.shock_residual(grid, 0.05, 0.05))
+      shock.system_residual([grid], 0.05, 0.05))

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -276,11 +277,7 @@ def cmd_shock_verify(args):
             Sv = symmetric.power_to_elementary(N)
             for k in range(p):
                 S[k][i, j] = Sv[k]
-    if p == 1:
-        # the single elementary symmetric function is the shock wave itself
-        res = shock.shock_residual(S[0], hx, hy)
-    else:
-        res = shock.system_residual(S, hx, hy)
+    res = shock.system_residual(S, hx, hy)
     _write({"p": p, "grid": n, "step": args.step, "residual": res}, args.out)
     return 0
 
@@ -445,7 +442,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            # stderr carries only error objects; the report's cond covers a rank-deficient fit
+            warnings.simplefilter("ignore", linsys.RankDeficient)
+            return args.fn(args)
     except ValidationError as e:
         sys.stderr.write(dumps({"error": e.code, "detail": str(e)}))
         return 1

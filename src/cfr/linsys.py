@@ -32,6 +32,8 @@ from . import indicators, infinity, shock
 from .geometry import rho
 from .shock import BiSeries, HData
 
+WINDOW_EXTRA = 4        # orders n above d kept in the (E0) window
+
 
 class RankDeficient(Warning):
     """Joint system had a nullspace; the smallest-norm solution was returned."""
@@ -81,7 +83,7 @@ def k0_components(h: HData, g1: BiSeries, r: int, window, nx_rows: int) -> K0Com
     # X * e^(-H~): multiply by x, i.e. shift coefficients up one x-degree.
     cx = np.zeros_like(em.c)
     cx[1:, :] = em.c[:-1, :]
-    xem = BiSeries(cx, em.mlo, em.mhi, em.omega, em.tau, em.exact)
+    xem = BiSeries(cx, em.mlo, em.mhi, em.exact)
 
     wmd = h.omega ** (-d)
     a_parts = [wmd * _shifted_coeffs(em, i + d, window, nx_rows) for i in range(r)]
@@ -108,11 +110,11 @@ def _k_parts(h: HData, lin: BiSeries, f: BiSeries, r: int, window, nx_rows: int)
     return const, b_parts
 
 
-def valid_window(h: HData, g1: BiSeries, r: int, d: int, extra: int = 4):
+def valid_window(h: HData, g1: BiSeries, r: int, d: int):
     """Laurent orders n on which every (E0) ingredient is exactly valid."""
     depth = min(h.Htilde.mhi, g1.mhi) - (r + max(d, 1)) - 2
     n_lo = -max(depth, 2)
-    return np.arange(n_lo, d + extra + 1)
+    return np.arange(n_lo, d + WINDOW_EXTRA + 1)
 
 
 @dataclass
@@ -249,7 +251,7 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     omega = -2.0 * rh
     h = shock.H_from_laurent(lt, lt.delta, omega)
     nx = h.Htilde.nx
-    g1 = shock.g1_biseries(lt, nx, omega)
+    g1 = shock.g1_biseries(lt, nx)
 
     best = obstruction = None
     r_lo = max(0, -lt.delta)

@@ -31,13 +31,17 @@ def _loop_from_maps(n, wfun, dwfun):
     return BoundaryLoop(t, w, dw)
 
 
-def interior_line(a=0.5, n=1024) -> BoundaryData:
-    lp = _loop_from_maps(
+def _line_loop(a, n):
+    """Unit circle |z1| = 1 on the line z2 = 1 + a z1."""
+    return _loop_from_maps(
         n,
         lambda t: (np.ones_like(t, dtype=complex), np.exp(1j * t), 1.0 + a * np.exp(1j * t)),
         lambda t: (np.zeros_like(t, dtype=complex), 1j * np.exp(1j * t), a * 1j * np.exp(1j * t)),
     )
-    return BoundaryData([lp], [1])
+
+
+def interior_line(a=0.5, n=1024) -> BoundaryData:
+    return BoundaryData([_line_loop(a, n)], [1])
 
 
 def exterior_line(a=0.5, n=1024) -> BoundaryData:
@@ -46,15 +50,7 @@ def exterior_line(a=0.5, n=1024) -> BoundaryData:
 
 
 def two_line(a=0.5, b=-1.0 / 3.0, n=1024) -> BoundaryData:
-    loops = [
-        _loop_from_maps(
-            n,
-            lambda t, c=c: (np.ones_like(t, dtype=complex), np.exp(1j * t), 1.0 + c * np.exp(1j * t)),
-            lambda t, c=c: (np.zeros_like(t, dtype=complex), 1j * np.exp(1j * t), c * 1j * np.exp(1j * t)),
-        )
-        for c in (a, b)
-    ]
-    return BoundaryData(loops, [1, 1])
+    return BoundaryData([_line_loop(a, n), _line_loop(b, n)], [1, 1])
 
 
 def conic(n=1024) -> BoundaryData:

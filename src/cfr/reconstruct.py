@@ -23,6 +23,14 @@ class DegenerateFiber(ValueError):
 
 MERGE_EPS = 1e-6
 
+# detect_algebraic samples G_1 at x in ALG_XS on ALG_ANGLES points of each
+# circle |y| = ALG_RADII * rho, and fits denominators up to degree ALG_DEG_MAX.
+ALG_RADII = (2.0, 3.0)
+ALG_ANGLES = 16
+ALG_XS = (0.0, 0.25, -0.25, 0.2j, -0.2j)
+ALG_DEG_MAX = 6
+ALG_FIT_TOL = 1e-8
+
 
 def N_Qk(b: BoundaryData, z: LineParam, k, pk_family) -> complex:
     """Holomorphic extension N_{Q,k}(z) = G_k(z) - P_k(x, y)."""
@@ -129,34 +137,27 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     return cloud
 
 
-def detect_algebraic(b: BoundaryData, radii=(2.0, 3.0), angles=16,
-                     xs=(0.0, 0.25, -0.25, 0.2j, -0.2j), deg_max=6,
-                     fit_tol=1e-8):
-    """Least-squares test of G_1(x, y) = (A0(y) + x A1(y)) / B(y).
+def detect_algebraic(b: BoundaryData):
+    """Least-squares test of G_1(x, y) = (A0(y) + x A1(y)) / B(y) on the ALG_* grid.
 
-    Scans denominator degrees up to deg_max with B monic in its top
+    Scans denominator degrees up to ALG_DEG_MAX with B monic in its top
     coefficient; returns (True, model) when some degree fits with relative
-    residual below fit_tol, else (False, best_model).
+    residual below ALG_FIT_TOL, else (False, best_model).
     """
     r = rho(b)
-    samples = []
-    for mult in radii:
-        R = mult * r
-        for j in range(angles):
-            y = R * np.exp(2j * np.pi * (j + 0.17) / angles)
-            for x in xs:
-                z = LineParam(x, y)
-                samples.append((x, y, indicators.G_k(b, z, 1)))
-    xv = np.array([s[0] for s in samples])
-    yv = np.array([s[1] for s in samples])
-    gv = np.array([s[2] for s in samples])
+    ys = [mult * r * np.exp(2j * np.pi * (j + 0.17) / ALG_ANGLES)
+          for mult in ALG_RADII for j in range(ALG_ANGLES)]
+    # x runs fastest: sample i is at (ALG_XS[i % len(ALG_XS)], ys[i // len(ALG_XS)])
+    gv = indicators.G_grid(b, ALG_XS, ys, 1)[0].T.ravel()
+    xv = np.tile(np.array(ALG_XS, dtype=complex), len(ys))
+    yv = np.repeat(np.array(ys), len(ALG_XS))
 
     if np.max(np.abs(gv)) < 1e-13:
         return True, {"A0": np.zeros(1), "A1": np.zeros(1), "B": np.ones(1),
                       "residual": 0.0, "degree": 0}
 
     best = None
-    for dB in range(1, deg_max + 1):
+    for dB in range(1, ALG_DEG_MAX + 1):
         # unknowns: A0 (deg dB-1), A1 (deg dB-1), low coefficients of monic B
         cols = []
         for i in range(dB):
@@ -177,6 +178,6 @@ def detect_algebraic(b: BoundaryData, radii=(2.0, 3.0), angles=16,
         entry = {"A0": A0, "A1": A1, "B": B, "residual": rel, "degree": dB}
         if best is None or rel < best["residual"]:
             best = entry
-        if rel < fit_tol:
+        if rel < ALG_FIT_TOL:
             return True, entry
     return False, best

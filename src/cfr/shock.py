@@ -7,7 +7,8 @@ All operator algebra runs on BiSeries values: truncated sums
 where negative m carries positive powers of y (used by the polynomial parts
 (Y - omega)^k of the E-table).  The log-bearing term J never materializes:
 the factor y^(-delta) of e^H is kept as an exact monomial, so no branch cut
-enters the numerics and the cut direction tau is metadata only.
+enters the numerics.  Products run on the shared kernel symmetric.series_mul;
+the anchor omega lives in HData and is handed to the primitivization P.
 
 Each series tracks the m-range on which its coefficients are exact.  The
 primitivization P and multiplications by positive y-powers move information
@@ -25,6 +26,8 @@ import numpy as np
 from . import symmetric
 
 RESIDUE_EPS = 1e-12
+DELTA_FIT_X = 0.0                   # x of the slope fit in delta_from_expH
+DELTA_FIT_RADII = (1e2, 1e3, 1e4)   # |y| of its sample points
 
 
 class ResidueObstruction(ValueError):
@@ -46,8 +49,6 @@ class BiSeries:
     c: np.ndarray
     mlo: int
     mhi: int
-    omega: complex
-    tau: complex = 1.0 + 0.0j
     exact: bool = False
 
     def __post_init__(self):
@@ -61,25 +62,25 @@ class BiSeries:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(nx, omega, tau=1.0):
-        return BiSeries(np.zeros((nx + 1, 1), dtype=complex), 0, 0, omega, tau, exact=True)
+    def zero(nx):
+        return BiSeries(np.zeros((nx + 1, 1), dtype=complex), 0, 0, exact=True)
 
     @staticmethod
-    def from_x_poly(coeffs, nx, omega, tau=1.0):
+    def from_x_poly(coeffs, nx):
         """Embed an x-polynomial as a y-independent series (f ⊗ 1)."""
         c = np.zeros((nx + 1, 1), dtype=complex)
         coeffs = np.asarray(coeffs, dtype=complex)
         c[: min(len(coeffs), nx + 1), 0] = coeffs[: nx + 1]
-        return BiSeries(c, 0, 0, omega, tau, exact=True)
+        return BiSeries(c, 0, 0, exact=True)
 
     @staticmethod
-    def from_y_poly(coeffs, nx, omega, tau=1.0):
+    def from_y_poly(coeffs, nx):
         """Embed a y-polynomial sum b_j y^j: exponent j sits at m = -j."""
         coeffs = np.asarray(coeffs, dtype=complex)
         deg = len(coeffs) - 1
         c = np.zeros((nx + 1, deg + 1), dtype=complex)
         c[0, :] = coeffs[::-1]  # m = -deg .. 0 maps to y^deg .. y^0
-        return BiSeries(c, -deg, 0, omega, tau, exact=True)
+        return BiSeries(c, -deg, 0, exact=True)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -106,7 +107,7 @@ class BiSeries:
 
     def __add__(self, other):
         if np.isscalar(other):
-            other = BiSeries.from_x_poly([other], self.nx, self.omega, self.tau)
+            other = BiSeries.from_x_poly([other], self.nx)
         mlo = min(self.mlo, other.mlo)
         if self.exact and other.exact:
             mhi, exact = max(self.mhi, other.mhi), True
@@ -117,11 +118,11 @@ class BiSeries:
         else:
             mhi, exact = min(self.mhi, other.mhi), False
         c = self._window(mlo, mhi) + other._window(mlo, mhi)
-        return BiSeries(c, mlo, mhi, self.omega, self.tau, exact)
+        return BiSeries(c, mlo, mhi, exact)
 
     def __sub__(self, other):
         if np.isscalar(other):
-            other = BiSeries.from_x_poly([other], self.nx, self.omega, self.tau)
+            other = BiSeries.from_x_poly([other], self.nx)
         return self + other.scale(-1.0)
 
     def scale(self, a):
@@ -140,22 +141,14 @@ class BiSeries:
             mhi, exact = b.mlo + a.mhi, False
         else:
             mhi, exact = min(a.mhi + b.mlo, b.mhi + a.mlo), False
-        nx = a.nx
-        c = np.zeros((nx + 1, mhi - mlo + 1), dtype=complex)
+        c = np.zeros((a.nx + 1, mhi - mlo + 1), dtype=complex)
         for i in range(a.c.shape[1]):
             # column i of a meets columns 0..nb-1 of b at columns i..i+nb-1 of c
             nb = min(b.c.shape[1], mhi - mlo - i + 1)
             if nb <= 0:
                 break
-            # x-convolution truncated at nx (exact for the kept orders)
-            block = np.zeros((nx + 1, nb), dtype=complex)
-            for t, at in enumerate(a.c[:, i]):
-                if at == 0:
-                    continue
-                hi = min(nx - t, b.nx)
-                block[t : t + hi + 1] += at * b.c[: hi + 1, :nb]
-            c[:, i : i + nb] += block
-        return BiSeries(c, mlo, mhi, a.omega, a.tau, exact)
+            c[:, i : i + nb] += symmetric.series_mul(a.c[:, i], b.c[:, :nb], a.nx)
+        return BiSeries(c, mlo, mhi, exact)
 
     def shift_y(self, j):
         """Multiply by y^j (exact index shift m -> m - j)."""
@@ -172,11 +165,10 @@ class BiSeries:
     def dy(self):
         """d/dy: c x^n y^-m -> -m c x^n y^-(m+1)."""
         ms = np.arange(self.mlo, self.mhi + 1)
-        return BiSeries(self.c * (-ms)[None, :], self.mlo + 1, self.mhi + 1,
-                        self.omega, self.tau, self.exact)
+        return BiSeries(self.c * (-ms)[None, :], self.mlo + 1, self.mhi + 1, self.exact)
 
-    def primitivize(self):
-        """Antiderivative in y vanishing at omega: c y^-m -> c (y^(1-m) - w^(1-m))/(1-m).
+    def primitivize(self, w):
+        """Antiderivative in y vanishing at the anchor w: c y^-m -> c (y^(1-m) - w^(1-m))/(1-m).
 
         A nonzero y^-1 coefficient is an obstruction (it would demand the
         multivalued J term) and raises ResidueObstruction.
@@ -188,23 +180,22 @@ class BiSeries:
                     f"y^-1 coefficient of size {np.max(np.abs(res)):.2e}"
                 )
         mlo = min(self.mlo - 1, 0)
-        mhi = max((self.mhi - 1) if self.exact else self.mhi - 1, 0)
+        mhi = max(self.mhi - 1, 0)
         c = np.zeros((self.nx + 1, mhi - mlo + 1), dtype=complex)
-        w = self.omega
         for m in range(self.mlo, self.mhi + 1):
             if m == 1:
                 continue
             col = self.c[:, m - self.mlo] / (1.0 - m)
             c[:, (m - 1) - mlo] += col
             c[:, 0 - mlo] -= col * w ** (1 - m)
-        return BiSeries(c, mlo, mhi, self.omega, self.tau, self.exact)
+        return BiSeries(c, mlo, mhi, self.exact)
 
     def exp(self):
         """exp of a series with no y^0-or-lower content."""
         if self.mlo < 1 and np.max(np.abs(self._window(min(self.mlo, 0), 0))) > 0:
             raise ValueError("exp expects a pure 1/y tail (mlo >= 1)")
         if self.mhi < 1:
-            return BiSeries.from_x_poly([1.0], self.nx, self.omega, self.tau)
+            return BiSeries.from_x_poly([1.0], self.nx)
         M = self.mhi
         nx = self.nx
         h = self._window(1, M)
@@ -215,7 +206,7 @@ class BiSeries:
             for j in range(1, m + 1):
                 acc += j * symmetric.series_mul(h[:, j - 1], e[:, m - j], nx)
             e[:, m] = acc / m
-        return BiSeries(e, 0, M, self.omega, self.tau, exact=False)
+        return BiSeries(e, 0, M)
 
     def invert_tail(self):
         """1/self for series of shape c0(x) + O(1/y) with c0(0) != 0."""
@@ -234,7 +225,7 @@ class BiSeries:
                 if j <= self.mhi:
                     acc += symmetric.series_mul(self.c[:, j], out[:, m - j], nx)
             out[:, m] = -symmetric.series_mul(inv0, acc, nx)
-        return BiSeries(out, 0, M, self.omega, self.tau, exact=False)
+        return BiSeries(out, 0, M)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -278,18 +269,18 @@ class ExpH:
             * self.series(x, y)
 
 
-def H_from_laurent(lt, delta: int, omega, tau=1.0) -> HData:
+def H_from_laurent(lt, delta: int, omega) -> HData:
     """H~ = -sum_{m>=1} G'_{1,m+1}(x)/m * y^-m from a LaurentTable."""
     nx = max(lt.mmax + 1, 12)
     M = lt.mmax - 1
     if M < 1:
-        return HData(delta, BiSeries.zero(nx, omega, tau), omega)
+        return HData(delta, BiSeries.zero(nx), omega)
     c = np.zeros((nx + 1, M), dtype=complex)
     for m in range(1, M + 1):
         g = lt.poly_Gkm(1, m + 1)            # degree <= m+1
         dg = np.polynomial.polynomial.polyder(g)
         c[: len(dg), m - 1] = -dg / m
-    return HData(delta, BiSeries(c, 1, M, omega, tau, exact=False), omega)
+    return HData(delta, BiSeries(c, 1, M), omega)
 
 
 def exp_H(h: HData) -> ExpH:
@@ -301,15 +292,15 @@ def exp_minus_H(h: HData) -> ExpH:
     return ExpH(h.omega ** (-h.delta), -h.delta, h.Htilde.scale(-1.0).exp())
 
 
-def delta_from_expH(h: HData, x=0.0, radii=(1e2, 1e3, 1e4)) -> float:
+def delta_from_expH(h: HData) -> float:
     """Slope fit of ln|e^-H| against ln|y| over large radii; converges to delta.
 
     ln|e^-H| = delta ln|y| + const + O(1/y), so the fit basis includes the
     known first-order 1/y correction; the slope is then exact to O(1/y^2).
     """
     em = exp_minus_H(h)
-    r = np.asarray(radii, dtype=float)
-    logs = np.array([np.log(abs(em(x, ri))) for ri in r])
+    r = np.asarray(DELTA_FIT_RADII, dtype=float)
+    logs = np.array([np.log(abs(em(DELTA_FIT_X, ri))) for ri in r])
     A = np.stack([np.log(r), np.ones_like(r), 1.0 / r], axis=1)
     sol, *_ = np.linalg.lstsq(A, logs, rcond=None)
     return float(sol[0])
@@ -325,7 +316,7 @@ def op_D(s: BiSeries, h: HData) -> BiSeries:
 
 def op_E(s: BiSeries, h: HData) -> BiSeries:
     """E = P . D."""
-    return op_D(s, h).primitivize()
+    return op_D(s, h).primitivize(h.omega)
 
 
 def E_decomposition(kmax: int, h: HData):
@@ -336,14 +327,14 @@ def E_decomposition(kmax: int, h: HData):
     """
     if kmax > 8:
         raise ValueError("E-table capped at kmax <= 8")
-    nx, w, tau = h.Htilde.nx, h.omega, h.Htilde.tau
-    tab = {(0, 0): BiSeries.from_x_poly([1.0], nx, w, tau)}
+    w = h.omega
+    tab = {(0, 0): BiSeries.from_x_poly([1.0], h.Htilde.nx)}
     for k in range(kmax):
-        tab[(k + 1, k + 1)] = tab[(k, k)].primitivize()
+        tab[(k + 1, k + 1)] = tab[(k, k)].primitivize(w)
         for j in range(1, k + 1):
-            tab[(k + 1, j)] = tab[(k, j - 1)].primitivize() + op_E(tab[(k, j)], h)
+            tab[(k + 1, j)] = tab[(k, j - 1)].primitivize(w) + op_E(tab[(k, j)], h)
         if k == 0:
-            tab[(1, 0)] = h.dHx.primitivize()
+            tab[(1, 0)] = h.dHx.primitivize(w)
         else:
             tab[(k + 1, 0)] = op_E(tab[(k, 0)], h)
     return tab
@@ -351,7 +342,7 @@ def E_decomposition(kmax: int, h: HData):
 
 def iterate_E(f_coeffs, k: int, h: HData) -> BiSeries:
     """E^k applied to f ⊗ 1 by direct iteration (independent check route)."""
-    s = BiSeries.from_x_poly(f_coeffs, h.Htilde.nx, h.omega, h.Htilde.tau)
+    s = BiSeries.from_x_poly(f_coeffs, h.Htilde.nx)
     for _ in range(k):
         s = op_E(s, h)
     return s
@@ -366,24 +357,19 @@ def s_k_from_mu(mu, B, h: HData):
     """
     d = len(mu)
     B = np.atleast_1d(np.asarray(B, dtype=complex))
-    nx, w, tau = h.Htilde.nx, h.omega, h.Htilde.tau
-    r = len(B) - 1
-    if r > 0:
+    nx = h.Htilde.nx
+    if len(B) > 1:
         rts = symmetric.roots(B[::-1])
-        if 1.5 * float(np.max(np.abs(rts))) > abs(w):
+        if 1.5 * float(np.max(np.abs(rts))) > abs(h.omega):
             raise BInversionDiverged(
                 "roots of B too close to the series anchor |omega|"
             )
-    # 1/B as y^-r * (unit tail series)
-    mcap = h.Htilde.mhi + 2
-    unit = np.zeros((nx + 1, mcap + 1), dtype=complex)
-    unit[0, : r + 1] = B[::-1]
-    invB = BiSeries(unit, 0, mcap, w, tau, exact=False).invert_tail().shift_y(-r)
+    invB = _inverse_y_poly(B, nx, h.Htilde.mhi + 2)
 
     eH = exp_H(h)
     pref = (eH.series * invB).shift_y(-eH.mono_pow).scale(eH.mono_coef)
 
-    terms = [BiSeries.from_x_poly(mj, nx, w, tau) for mj in mu]
+    terms = [BiSeries.from_x_poly(mj, nx) for mj in mu]
     out = []
     # E_k(mu) built backwards: acc_k = mu_k + E(acc_{k+1})
     acc = None
@@ -407,24 +393,13 @@ def _fd4(vals, h, axis):
     return np.moveaxis(d, 0, axis)
 
 
-def shock_residual(values, hx: float, hy: float) -> float:
-    """sup over interior nodes of |dh/dy - h dh/dx| on an axis-parallel grid."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape[0] < 5 or values.shape[1] < 5:
-        raise GridTooSmall("need at least 5 nodes per axis")
-    hx_ = _fd4(values, hx, 0)
-    hy_ = _fd4(values, hy, 1)
-    res = hy_ - values * hx_
-    core = res[2:-2, 2:-2]
-    return float(np.max(np.abs(core)))
-
-
 def system_residual(S, hx: float, hy: float) -> float:
     """Max residual of the symmetric-function system over the d equations.
 
     S is the list of grids [S_1 .. S_d]; with Sig_k = (-1)^k S_k the system is
     Sig_d dSig_1/dx + dSig_d/dy = 0 and
-    Sig_k dSig_1/dx + dSig_k/dy = dSig_{k+1}/dx for k < d.
+    Sig_k dSig_1/dx + dSig_k/dy = dSig_{k+1}/dx for k < d.  For d = 1 this
+    is the shock equation dh/dy = h dh/dx of the single sheet h = S_1.
     """
     d = len(S)
     sig = [((-1) ** (k + 1)) * np.asarray(S[k], dtype=complex) for k in range(d)]
@@ -440,15 +415,20 @@ def system_residual(S, hx: float, hy: float) -> float:
     return worst
 
 
-def rational_tail(num, den, nx, omega, mhi, tau=1.0) -> BiSeries:
-    """num(y)/den(y) expanded in powers of 1/y, valid to order y^-mhi."""
-    num = np.atleast_1d(np.asarray(num, dtype=complex))
+def _inverse_y_poly(den, nx, mcap) -> BiSeries:
+    """1/den(y) for ascending coefficients: y^-r times the inverse of a unit tail to order mcap."""
     den = np.atleast_1d(np.asarray(den, dtype=complex))
     r = len(den) - 1
-    unit = np.zeros((nx + 1, mhi + r + 1), dtype=complex)
+    unit = np.zeros((nx + 1, mcap + 1), dtype=complex)
     unit[0, : r + 1] = den[::-1]
-    inv = BiSeries(unit, 0, mhi + r, omega, tau, exact=False).invert_tail().shift_y(-r)
-    return BiSeries.from_y_poly(num, nx, omega, tau) * inv
+    return BiSeries(unit, 0, mcap).invert_tail().shift_y(-r)
+
+
+def rational_tail(num, den, nx, mhi) -> BiSeries:
+    """num(y)/den(y) expanded in powers of 1/y, valid to order y^-mhi."""
+    num = np.atleast_1d(np.asarray(num, dtype=complex))
+    inv = _inverse_y_poly(den, nx, mhi + np.size(den) - 1)
+    return BiSeries.from_y_poly(num, nx) * inv
 
 
 def eqsym1_residual(s_list, dNx=None):
@@ -474,11 +454,11 @@ def eqsym1_residual(s_list, dNx=None):
     return worst
 
 
-def g1_biseries(lt, nx, omega, tau=1.0) -> BiSeries:
+def g1_biseries(lt, nx) -> BiSeries:
     """G_1 as a BiSeries, straight from a LaurentTable."""
     M = lt.mmax
     c = np.zeros((nx + 1, M + 1), dtype=complex)
     for m in range(M + 1):
         g = lt.poly_Gkm(1, m)
         c[: len(g), m] = g[: nx + 1]
-    return BiSeries(c, 0, M, omega, tau, exact=False)
+    return BiSeries(c, 0, M)

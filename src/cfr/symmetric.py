@@ -35,8 +35,8 @@ def power_to_elementary(N):
 
 
 def series_mul(a, b, order):
-    """Product of two power series, truncated after the u^order term."""
-    out = np.zeros(order + 1, dtype=complex)
+    """Product of two power series truncated after u^order; a 2-D b is a set of columns."""
+    out = np.zeros((order + 1,) + np.shape(b)[1:], dtype=complex)
     for i, ai in enumerate(a[: order + 1]):
         if ai == 0:
             continue

@@ -127,7 +127,7 @@ def invert_gxx(g1: BiSeries):
     if abs(lead[0]) < 1e-10:
         raise E2Degenerate("leading coefficient of d^2 G_1/dx^2 has no constant term")
     u = gxx.shift_y(m0)  # unit series with mlo = 0
-    u = BiSeries(u._window(0, u.mhi), 0, u.mhi, u.omega, u.tau, u.exact)
+    u = BiSeries(u._window(0, u.mhi), 0, u.mhi, u.exact)
     return u.invert_tail().shift_y(m0)
 
 
@@ -137,7 +137,7 @@ def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_ro
     if window is None:
         window = valid_window(h, g1, layout.r, layout.d)
     tab2 = e2_table(etab, h, layout.d, invert_gxx(g1))
-    zero = BiSeries.zero(h.Htilde.nx, h.omega, h.Htilde.tau)
+    zero = BiSeries.zero(h.Htilde.nx)
     const, b_parts = _k_parts(h, zero, h.Htilde.scale(-1.0).exp(), layout.r, window, nx_rows)
     return _assemble(layout, window, nx_rows, tab2, const, [], b_parts)
 

@@ -97,7 +97,7 @@ def test_criterion_04_conic_fiber_and_shock(conic):
         for j in range(n):
             z = LineParam((i - n // 2) * step, y0 + (j - n // 2) * step)
             vals[i, j] = reconstruct.fiber(conic, z, 1, fam).roots[0]
-    res = shock.shock_residual(vals, step, step)
+    res = shock.system_residual([vals], step, step)
     algebraic, model = reconstruct.detect_algebraic(conic)
     report(4, worst < 1e-7 and res < 1e-5 and not algebraic,
            f"fiber err={worst:.2e}, shock residual={res:.2e}, "
@@ -131,8 +131,7 @@ def test_criterion_06_operator_identities(interior_h, interior_lt):
         rhs = None
         fj = f.copy()
         for j in range(k + 1):
-            t = tab[(k, j)] * shock.BiSeries.from_x_poly(fj, interior_h.Htilde.nx,
-                                                         interior_h.omega)
+            t = tab[(k, j)] * shock.BiSeries.from_x_poly(fj, interior_h.Htilde.nx)
             rhs = t if rhs is None else rhs + t
             fj = P.polyder(fj)
         lo, hi = max(lhs.mlo, rhs.mlo), min(lhs.mhi, rhs.mhi)
@@ -142,9 +141,8 @@ def test_criterion_06_operator_identities(interior_h, interior_lt):
     W2 = -4.5
     h2 = shock.H_from_laurent(interior_lt, interior_lt.delta, W2)
     B = np.array([1.0, 0.5])
-    g1 = shock.g1_biseries(interior_lt, h2.Htilde.nx, W2)
-    dNx = g1.dx() - shock.rational_tail(P.polyder(B), B, h2.Htilde.nx, W2,
-                                        interior_lt.mmax + 2)
+    g1 = shock.g1_biseries(interior_lt, h2.Htilde.nx)
+    dNx = g1.dx() - shock.rational_tail(P.polyder(B), B, h2.Htilde.nx, interior_lt.mmax + 2)
     mu = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)]
     s = shock.s_k_from_mu(mu, B, h2)
     chain = shock.eqsym1_residual(s, dNx)

@@ -192,25 +192,34 @@ def test_numeric_error_exit_code(workdir):
     assert json.loads(err)["error"] == "E_NUMERIC"
 
 
-def test_entrypoint_subprocess(workdir):
-    """The command line runs as its own process and keeps main's exit codes."""
+def run_process(argv, cwd):
+    """Run `python -m cfr` in its own process, capturing stdout/stderr."""
     import cfr
 
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cfr.__file__)))
     inherited = os.environ.get("PYTHONPATH", "")
     env = dict(os.environ,
                PYTHONPATH=pkg_root + (os.pathsep + inherited if inherited else ""))
+    return subprocess.run([sys.executable, "-m", "cfr", *argv],
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "cfr", *argv],
-                              capture_output=True, text=True, cwd=workdir, env=env)
 
-    r = run("genus", "--model", "annulus")
+def test_entrypoint_subprocess(workdir):
+    """The command line runs as its own process and keeps main's exit codes."""
+    r = run_process(["genus", "--model", "annulus"], workdir)
     assert r.returncode == 0
     assert "integral" in r.stdout
-    r = run("make-oracle", "--name", "nonsense")
+    r = run_process(["make-oracle", "--name", "nonsense"], workdir)
     assert r.returncode == 1
     assert json.loads(r.stderr)["error"] == "E_VALIDATION"
+
+
+@pytest.mark.parametrize("cmd", ["pipeline", "fit-infinity", "shock-verify"])
+def test_rank_deficient_fit_keeps_stderr_empty(workdir, cmd):
+    """The two-line fit has a mu nullspace; a successful run still writes nothing to stderr."""
+    r = run_process([cmd, "--boundary", "twoline.json"], workdir)
+    assert r.returncode == 0
+    assert r.stderr == ""
 
 
 def test_genus_lambda_from_file(workdir):

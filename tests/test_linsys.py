@@ -84,8 +84,8 @@ def test_k0_vanishes_for_large_n(interior_fit):
 def test_k0_trivial_zero_feed():
     """B=1, A=0, G_1 = 0, H~ = 0 => all K_n^0 = 0."""
     nx, W = 8, -3.0
-    h = shock.HData(0, shock.BiSeries(np.zeros((nx + 1, 4), dtype=complex), 1, 4, W), W)
-    g1 = shock.BiSeries(np.zeros((nx + 1, 5), dtype=complex), 0, 4, W)
+    h = shock.HData(0, shock.BiSeries(np.zeros((nx + 1, 4), dtype=complex), 1, 4), W)
+    g1 = shock.BiSeries(np.zeros((nx + 1, 5), dtype=complex), 0, 4)
     window = np.arange(-3, 3)
     k = k0_components(h, g1, 0, window, nx)
     assert np.nanmax(np.abs(k.const)) < 1e-14
@@ -191,8 +191,8 @@ def test_K1_vanishes_for_large_n(ext_parts):
     """K_n^1(B) = 0 for n >= d on the exterior-line oracle."""
     fit, h, g1, etab = ext_parts
     em = h.Htilde.scale(-1.0).exp()
-    B = shock.BiSeries.from_y_poly([1.0, 2.0], h.Htilde.nx, h.omega)
-    Bp = shock.BiSeries.from_x_poly([2.0], h.Htilde.nx, h.omega)
+    B = shock.BiSeries.from_y_poly([1.0, 2.0], h.Htilde.nx)
+    Bp = shock.BiSeries.from_x_poly([2.0], h.Htilde.nx)
     g1x = g1.dx()
     k1 = (Bp - B * g1x) * em
     k1 = k1.shift_y(-h.delta).scale(h.omega ** (-h.delta))

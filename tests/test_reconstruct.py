@@ -158,7 +158,8 @@ def test_detect_algebraic(interior, twoline, conic):
 def test_detect_algebraic_zero_model(interior, monkeypatch):
     """A zero indicator feed returns True with the zero model."""
     from cfr import indicators as ind
-    monkeypatch.setattr(ind, "G_k", lambda b, z, k: 0.0 + 0.0j)
+    monkeypatch.setattr(ind, "G_grid",
+                        lambda b, xs, ys, ks: np.zeros((1, len(xs), len(ys)), dtype=complex))
     ok, model = detect_algebraic(interior)
     assert ok
     assert model["residual"] == 0.0

@@ -4,10 +4,9 @@ from numpy.polynomial import polynomial as P
 
 from cfr import indicators, shock
 from cfr.shock import (BInversionDiverged, BiSeries, E_decomposition, GridTooSmall,
-                       HData, H_from_laurent, ResidueObstruction, delta_from_expH,
+                       HData, H_from_laurent, ResidueObstruction, _fd4, delta_from_expH,
                        eqsym1_residual, exp_H, exp_minus_H, g1_biseries, iterate_E,
-                       op_E, rational_tail, s_k_from_mu, shock_residual,
-                       system_residual)
+                       op_E, rational_tail, s_k_from_mu, system_residual)
 
 W = -3.0
 
@@ -22,8 +21,8 @@ def grid_eval(fn, x0, y0, hx, hy, n=9):
 
 
 def test_biseries_mul_and_eval():
-    a = BiSeries.from_x_poly([1.0, 2.0], 8, W)        # 1 + 2x
-    b = BiSeries.from_y_poly([0.0, 1.0], 8, W)        # y
+    a = BiSeries.from_x_poly([1.0, 2.0], 8)           # 1 + 2x
+    b = BiSeries.from_y_poly([0.0, 1.0], 8)           # y
     c = a * b
     assert abs(c(0.5, 3.0) - (1 + 1.0) * 3.0) < 1e-14
     d = c.shift_y(-2)                                  # multiply by y^-2
@@ -65,7 +64,7 @@ def test_biseries_mul_matches_column_pairs():
     def series(nx, mlo, ncol, exact):
         c = rng.standard_normal((nx + 1, ncol)) + 1j * rng.standard_normal((nx + 1, ncol))
         c[rng.random(c.shape) < 0.3] = 0.0          # exercise the zero skip
-        return BiSeries(c, mlo, mlo + ncol - 1, W, exact=exact)
+        return BiSeries(c, mlo, mlo + ncol - 1, exact=exact)
 
     for ea, eb in [(True, True), (True, False), (False, True), (False, False)]:
         for mlo_a, mlo_b in [(-2, -1), (0, 0), (1, 2), (-3, 2), (2, -1)]:
@@ -84,24 +83,24 @@ def test_biseries_mul_matches_column_pairs():
 
 
 def test_primitivize_calculus():
-    s = BiSeries(np.array([[1.0]], dtype=complex), 2, 2, W)    # y^-2
-    p = s.primitivize()
+    s = BiSeries(np.array([[1.0]], dtype=complex), 2, 2)       # y^-2
+    p = s.primitivize(W)
     # -y^-1 + 1/omega
     assert abs(p(0.0, 5.0) - (-1.0 / 5.0 + 1.0 / W * (-1) * (-1))) < 1e-14
     assert abs(p(0.0, W)) < 1e-14
-    one = BiSeries.from_x_poly([1.0], 4, W)
-    q = one.primitivize()                                       # Y - omega
+    one = BiSeries.from_x_poly([1.0], 4)
+    q = one.primitivize(W)                                      # Y - omega
     assert abs(q(0.0, 5.0) - (5.0 - W)) < 1e-14
-    bad = BiSeries(np.array([[1.0]], dtype=complex), 1, 1, W)   # y^-1
+    bad = BiSeries(np.array([[1.0]], dtype=complex), 1, 1)      # y^-1
     with pytest.raises(ResidueObstruction):
-        bad.primitivize()
+        bad.primitivize(W)
 
 
 def test_primitivize_inverts_dy():
     rng = np.random.default_rng(3)
     c = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    s = BiSeries(c, 2, 7, W)  # no y^0, no y^-1 content
-    back = s.dy().primitivize()
+    s = BiSeries(c, 2, 7)  # no y^0, no y^-1 content
+    back = s.dy().primitivize(W)
     lo, hi = s.mlo, s.mhi
     diff = back._window(lo, hi) - s._window(lo, hi)
     assert np.max(np.abs(diff)) < 1e-12
@@ -113,7 +112,7 @@ def test_primitivize_inverts_dy():
 def test_exp_identity():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((4, 6)) * 0.3
-    h = BiSeries(c, 1, 6, W)
+    h = BiSeries(c, 1, 6)
     e = h.exp()
     em = h.scale(-1.0).exp()
     prod = e * em
@@ -172,11 +171,11 @@ def test_op_E_single_term():
     a = 0.7
     c = np.zeros((4, 2), dtype=complex)
     c[1, 1] = a
-    h = HData(0, BiSeries(c, 1, 2, W), W)
-    e1 = op_E(BiSeries.from_x_poly([1.0], 3, W), h)
+    h = HData(0, BiSeries(c, 1, 2), W)
+    e1 = op_E(BiSeries.from_x_poly([1.0], 3), h)
     y = 6.0
     assert abs(e1(0.0, y) - (-a / y + a / W)) < 1e-14
-    zero = op_E(BiSeries.zero(3, W), h)
+    zero = op_E(BiSeries.zero(3), h)
     assert np.max(np.abs(zero.c)) == 0
 
 
@@ -188,7 +187,7 @@ def test_E_table_structure(interior_h):
         assert abs(e22(0.3, y) - (y - W) ** 2 / 2.0) < 1e-12
     # E_{1,0} = P(dH/dx)
     e10 = tab[(1, 0)]
-    direct = interior_h.dHx.primitivize()
+    direct = interior_h.dHx.primitivize(interior_h.omega)
     lo, hi = max(e10.mlo, direct.mlo), min(e10.mhi, direct.mhi)
     assert np.max(np.abs((e10 - direct)._window(lo, hi))) < 1e-14
     with pytest.raises(ValueError):
@@ -204,21 +203,11 @@ def test_operator_identity_Ek(interior_h):
         rhs = None
         fj = f.copy()
         for j in range(k + 1):
-            t = tab[(k, j)] * BiSeries.from_x_poly(fj, interior_h.Htilde.nx, W)
+            t = tab[(k, j)] * BiSeries.from_x_poly(fj, interior_h.Htilde.nx)
             rhs = t if rhs is None else rhs + t
             fj = P.polyder(fj)
         lo, hi = max(lhs.mlo, rhs.mlo), min(lhs.mhi, rhs.mhi)
         assert np.max(np.abs((lhs - rhs)._window(lo, hi))) < 1e-9
-
-
-def test_tau_independence(interior_lt):
-    """With the anchor omega fixed, the cut direction never enters the numbers."""
-    h1 = H_from_laurent(interior_lt, interior_lt.delta, W, tau=1.0)
-    h2 = H_from_laurent(interior_lt, interior_lt.delta, W, tau=1.0j)
-    mu = [np.array([0.4, -0.2, 0.1])]
-    s1 = s_k_from_mu(mu, [1.0], h1)
-    s2 = s_k_from_mu(mu, [1.0], h2)
-    assert np.max(np.abs(s1[0].c - s2[0].c)) < 1e-9
 
 
 def test_s_k_from_mu_line_closure(interior_h, interior_lt):
@@ -226,7 +215,7 @@ def test_s_k_from_mu_line_closure(interior_h, interior_lt):
     s = s_k_from_mu([np.array([1.0, 1.0]) / W], [1.0], interior_h)
     for (x, y) in [(0.25, 5.0), (-0.3, -4.0 + 1.0j)]:
         assert abs(-s[0](x, y) - (-(x + 1) / (y + 0.5))) < 1e-9
-    g1 = g1_biseries(interior_lt, interior_h.Htilde.nx, W)
+    g1 = g1_biseries(interior_lt, interior_h.Htilde.nx)
     assert eqsym1_residual(s, g1.dx()) < 1e-8
 
 
@@ -242,13 +231,13 @@ def test_s_k_random_mu_chain(interior_lt, rng):
     h = H_from_laurent(interior_lt, interior_lt.delta, W2)
     nx = h.Htilde.nx
     B = np.array([1.0, 0.5])
-    g1 = g1_biseries(interior_lt, nx, W2)
-    dNx = g1.dx() - rational_tail(P.polyder(B), B, nx, W2, interior_lt.mmax + 2)
+    g1 = g1_biseries(interior_lt, nx)
+    dNx = g1.dx() - rational_tail(P.polyder(B), B, nx, interior_lt.mmax + 2)
     mu = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)]
     s = s_k_from_mu(mu, B, h)
     assert eqsym1_residual(s, dNx) < 1e-8
     # sensitivity: perturbing s_2 must be detected
-    pert = [s[0], s[1] + BiSeries.from_x_poly([1e-3], nx, W2)]
+    pert = [s[0], s[1] + BiSeries.from_x_poly([1e-3], nx)]
     assert eqsym1_residual(pert, dNx) > 1e-4
 
 
@@ -260,13 +249,13 @@ def test_systMu_reproduces_inputs(interior_lt, rng):
     mu = [rng.standard_normal(4) for _ in range(2)]
     s = s_k_from_mu(mu, B, h)
     eh = exp_H(h)
-    tab_mu = [BiSeries.from_x_poly(m, h.Htilde.nx, W2) for m in mu]
+    tab_mu = [BiSeries.from_x_poly(m, h.Htilde.nx) for m in mu]
     for k in (1, 2):
         acc = tab_mu[k - 1]
         if k == 1:
             acc = acc + op_E(tab_mu[1], h)
         rhs = (eh.series * acc).shift_y(-eh.mono_pow).scale(eh.mono_coef)
-        lhs = s[k - 1] * BiSeries.from_y_poly(B, h.Htilde.nx, W2)
+        lhs = s[k - 1] * BiSeries.from_y_poly(B, h.Htilde.nx)
         lo, hi = max(lhs.mlo, rhs.mlo), min(lhs.mhi, rhs.mhi)
         assert np.max(np.abs((lhs - rhs)._window(lo, hi))) < 1e-9
 
@@ -282,23 +271,32 @@ def test_B_inversion_guard(interior_h):
 def test_shock_residual_line_wave():
     h = lambda x, y: -(x + 1.0) / (y + 0.5)
     vals = grid_eval(h, 0.0, 10.0, 0.05, 0.05)
-    assert shock_residual(vals, 0.05, 0.05) < 1e-8
+    assert system_residual([vals], 0.05, 0.05) < 1e-8
 
 
 def test_shock_residual_constant():
     vals = np.full((9, 9), 0.7 + 0.2j)
-    assert shock_residual(vals, 0.1, 0.1) < 1e-14
+    assert system_residual([vals], 0.1, 0.1) < 1e-14
 
 
 def test_shock_residual_not_a_wave():
     vals = grid_eval(lambda x, y: x, 0.0, 10.0, 0.2, 0.2)
     # residual |h_y - h h_x| = |x|, maximized over interior nodes
-    assert shock_residual(vals, 0.2, 0.2) > 0.1
+    assert system_residual([vals], 0.2, 0.2) > 0.1
+
+
+def test_single_sheet_system_is_the_shock_equation():
+    """For d = 1 the system residual is max |S_y - S S_x| bit for bit."""
+    vals = grid_eval(lambda x, y: x * x + 0.3j * y - 0.1 * x * y, 0.1, 2.0, 0.1, 0.15)
+    Sx, Sy = _fd4(vals, 0.1, 0), _fd4(vals, 0.15, 1)
+    direct = float(np.max(np.abs((Sy - vals * Sx)[2:-2, 2:-2])))
+    assert direct > 0.1
+    assert system_residual([vals], 0.1, 0.15) == direct
 
 
 def test_grid_too_small():
     with pytest.raises(GridTooSmall):
-        shock_residual(np.zeros((4, 6), dtype=complex), 0.1, 0.1)
+        system_residual([np.zeros((4, 6), dtype=complex)], 0.1, 0.1)
 
 
 def test_system_residual_two_line():

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from cfr.symmetric import (discriminant, fiber_scale, monic_from_elementary,
-                           power_to_elementary, roots)
+                           power_to_elementary, roots, series_mul)
 from reference import elementary_to_power
 
 
@@ -57,6 +57,17 @@ def match_multisets(a, b):
     a = sorted(a, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     b = sorted(b, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     return max(abs(x - y) for x, y in zip(a, b))
+
+
+def test_series_mul_columns(rng):
+    """A right factor with columns gives each column's 1-D product, bit for bit."""
+    a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    a[[1, 4]] = 0.0                                 # exercise the zero skip
+    for rows in (4, 7, 10):
+        b = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+        for order in (2, 6):
+            cols = np.stack([series_mul(a, b[:, j], order) for j in range(3)], axis=1)
+            assert np.array_equal(series_mul(a, b, order), cols)
 
 
 def test_roots_examples():
