@@ -146,9 +146,9 @@ def cmd_indicators(args):
     return 0
 
 
-def _fit(b, args):
+def _fit(b, args, table=None):
     return linsys.fit_infinity(
-        b, dmu=args.dmu, r_max=args.rmax, accept_tol=args.tol, mmax=args.mmax
+        b, dmu=args.dmu, r_max=args.rmax, accept_tol=args.tol, mmax=args.mmax, table=table
     )
 
 
@@ -236,7 +236,7 @@ def cmd_reconstruct(args):
 def cmd_pipeline(args):
     b = _boundary(args.boundary)
     lt = indicators.laurent_extract(b, kmax=2, mmax=args.mmax)
-    fit, h, _ = _fit(b, args)
+    fit, h, _ = _fit(b, args, table=lt)
     cloud, p = _do_reconstruct(b, args, fit, h)
     report = {
         "delta": lt.delta,

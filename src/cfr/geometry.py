@@ -19,6 +19,17 @@ import numpy as np
 # max-modulus normalization).
 CHART_EPS = 1e-12
 
+# Largest (lines x samples) block one array operation over a loop holds:
+# 8 lines at 4096 samples, 32 at 1024.  It bounds the work arrays, so the
+# peak memory of a sweep does not grow with its number of lines.
+TILE_ENTRIES = 2 ** 15
+
+
+def tiles(count: int, samples: int):
+    """Slices of range(count) with at most TILE_ENTRIES // samples items each."""
+    step = max(1, TILE_ENTRIES // samples)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
 
 class OutsideDomain(ValueError):
     """Line parameter lies outside the admissible domain (|y| <= rho)."""
@@ -165,11 +176,23 @@ def rho(b: BoundaryData) -> float:
     return max(float(np.max(np.abs(lp.w[:, 2] / lp.w[:, 1]))) for lp in b.loops)
 
 
-def m_of_y(b: BoundaryData, y: complex) -> float:
-    """min over boundary samples of |y*(w1/w0) + (w2/w0)|, defined for |y| > rho."""
-    if abs(y) <= rho(b):
-        raise OutsideDomain(f"|y| = {abs(y):g} <= rho = {rho(b):g}")
-    return min(float(np.min(np.abs(y * lp.z1 + lp.z2))) for lp in b.loops)
+def m_of_y(b: BoundaryData, y):
+    """min over boundary samples of |y*(w1/w0) + (w2/w0)|, defined for |y| > rho.
+
+    y may be an array, which gives an array of minima from one pass over the
+    samples.  min and abs are exact, so an entry does not depend on the other
+    values of y.
+    """
+    r = rho(b)
+    ys = np.atleast_1d(np.asarray(y, dtype=complex))
+    if np.any(np.abs(ys) <= r):
+        raise OutsideDomain(f"|y| = {np.min(np.abs(ys)):g} <= rho = {r:g}")
+    m = np.full(len(ys), np.inf)
+    for lp in b.loops:
+        z1, z2 = lp.z1, lp.z2
+        for sl in tiles(len(ys), len(z1)):
+            np.minimum(m[sl], np.min(np.abs(ys[sl, None] * z1 + z2), axis=1), out=m[sl])
+    return float(m[0]) if np.ndim(y) == 0 else m
 
 
 # -- velocity synthesis -------------------------------------------------------

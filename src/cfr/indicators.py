@@ -13,12 +13,22 @@ from math import comb as _comb
 
 import numpy as np
 
-from .geometry import BoundaryData, LineParam, rho
+from .geometry import BoundaryData, LineParam, m_of_y, rho, tiles
 
 DENOM_EPS = 1e-9
 DELTA_ROUND_TOL = 1e-6
 LAURENT_XCHECK_TOL = 1e-6
-GRID_TILE = 32          # y values per G_grid tile; bounds its work arrays
+
+# Circle grid of the Laurent cross-check, sized by the aliasing bound of the
+# trapezoid rule (Trefethen & Weideman, SIAM Rev. 56, 2014).  A DFT of n
+# samples folds the coefficient of order j + n onto order j.  In 1/y the
+# series converges for |y| > rho (up to the small |x|), so on |y| = 2 rho the
+# fold is damped by 2^-n_y: 64 samples give 5e-20.  In x it converges for
+# |x| < m(y), so on |x| = 0.3 min m the fold is damped by 0.3^n_x: 16 samples
+# give 4e-9, far under LAURENT_XCHECK_TOL, and n_x > 12 >= mmax keeps every
+# n <= m of the table in the check.
+XCHECK_NY = 64
+XCHECK_NX = 16
 
 
 class NearIncidence(ValueError):
@@ -49,28 +59,65 @@ def _contour_sum(b: BoundaryData, values_per_loop):
 def G_grid(b: BoundaryData, xs, ys, ks):
     """Indicators G_k on the tensor grid xs x ys, shape (len(ks), len(xs), len(ys)).
 
-    y runs in tiles of GRID_TILE values; each sum runs over one loop's samples
+    y runs in tiles (geometry.tiles); each sum runs over one loop's samples
     as for a single line, so an entry does not depend on the rest of the grid.
     """
     ys = np.asarray(ys, dtype=complex)
     ks = [int(k) for k in np.atleast_1d(ks)]
     acc = np.zeros((len(ks), len(xs), len(ys)), dtype=complex)
     for sign, lp in b.signed_loops():
-        z1, z2 = lp.z1, lp.z2
+        z1, z2, dz1, dz2 = lp.z1, lp.z2, lp.dz1, lp.dz2
         h = lp.t[1] - lp.t[0]
         z1k = [z1 ** k for k in ks]
-        for j0 in range(0, len(ys), GRID_TILE):
-            yb = ys[j0 : j0 + GRID_TILE, None]
+        for sl in tiles(len(ys), len(z1)):
+            yb = ys[sl, None]
             yz1 = yb * z1
-            num = yb * lp.dz1 + lp.dz2
+            num = yb * dz1 + dz2
             for ix, x in enumerate(xs):
                 den = x + yz1
                 den += z2       # in place: a broadcast add into a fresh array is slow
-                if np.min(np.abs(den)) <= DENOM_EPS:
-                    raise NearIncidence("line parameter too close to the boundary image")
-                base = num / den
-                for i, zk in enumerate(z1k):
-                    acc[i, ix, j0 : j0 + GRID_TILE] += sign * h * np.sum(zk * base, axis=-1)
+                acc[:, ix, sl] += sign * h * _row_sums(num, den, z1k)
+    acc /= 2.0j * np.pi
+    return acc
+
+
+def _row_sums(num, den, z1k):
+    """Sums of z1^k num/den over one loop's samples, one row per line, for each k."""
+    if np.min(np.abs(den)) <= DENOM_EPS:
+        raise NearIncidence("line parameter too close to the boundary image")
+    base = num / den
+    return np.array([np.sum(zk * base, axis=-1) for zk in z1k])
+
+
+def _loop_line_sums(lp, xs, ys, ks):
+    """Sums over one loop's samples of z1^k (y dz1 + dz2)/(x + y z1 + z2), per line.
+
+    Shape (len(ks), len(xs)); lines run in tiles (geometry.tiles), with the
+    operation order of G_grid.
+    """
+    z1, z2, dz1, dz2 = lp.z1, lp.z2, lp.dz1, lp.dz2
+    z1k = [z1 ** k for k in ks]
+    out = np.empty((len(ks), len(xs)), dtype=complex)
+    for sl in tiles(len(xs), len(z1)):
+        yb = ys[sl, None]
+        den = xs[sl, None] + yb * z1
+        den += z2
+        out[:, sl] = _row_sums(yb * dz1 + dz2, den, z1k)
+    return out
+
+
+def G_lines(b: BoundaryData, xs, ys, ks):
+    """Indicators G_k on the lines (xs[j], ys[j]), shape (len(ks), len(xs)).
+
+    Entry [i, j] equals G_grid(b, [xs[j]], [ys[j]], ks)[i, 0, 0] bit for bit.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    ks = [int(k) for k in np.atleast_1d(ks)]
+    acc = np.zeros((len(ks), len(xs)), dtype=complex)
+    for sign, lp in b.signed_loops():
+        h = lp.t[1] - lp.t[0]
+        acc += sign * h * _loop_line_sums(lp, xs, ys, ks)
     acc /= 2.0j * np.pi
     return acc
 
@@ -79,9 +126,10 @@ def G_k(b: BoundaryData, z: LineParam, k: int):
     """Indicator G_k(z): contour integral of z1^k d(x + y z1 + z2)/(x + y z1 + z2).
 
     k may be an int or a sequence of ints; a sequence returns an array (the
-    denominators are shared, so batching is essentially free).
+    denominators are shared, so batching is essentially free).  This is the
+    one-line case of G_lines.
     """
-    acc = G_grid(b, [z.x], [z.y], k)[:, 0, 0]
+    acc = G_lines(b, [z.x], [z.y], k)[:, 0]
     return acc[0] if np.ndim(k) == 0 else acc
 
 
@@ -165,8 +213,10 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
 
     for 0 <= n < m, with the diagonal G_{k,k}^k = (-1)^k delta and all other
     entries zero.  When cross_check is set the table is validated against an
-    independent extraction that samples G_k on circles |y| = 2 rho and
-    |x| = r_x and reads coefficients off a 2-D discrete Fourier transform.
+    independent extraction that samples G_k on XCHECK_NY points of the circle
+    |y| = 2 rho and XCHECK_NX points of |x| = r_x (one G_grid call) and reads
+    coefficients off a 2-D discrete Fourier transform.  `cfr pipeline` builds
+    one checked table per run and hands it to linsys.fit_infinity.
     """
     if kmax > 12 or mmax > 12:
         raise ValueError("truncation caps are kmax, mmax <= 12")
@@ -194,16 +244,16 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
     return table
 
 
-def _circle_cross_check(b: BoundaryData, table: LaurentTable, n_y=256, n_x=32):
-    """Validate the table against circle sampling + discrete Fourier analysis."""
-    r = rho(b)
-    R = 2.0 * r
-    m_min = min(
-        float(np.min(np.abs(R * np.exp(1j * th) * lp.z1 + lp.z2)))
-        for lp in b.loops
-        for th in np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    )
-    r_x = 0.3 * m_min
+def _circle_cross_check(b: BoundaryData, table: LaurentTable):
+    """Validate the table against circle sampling + discrete Fourier analysis.
+
+    Returns the largest coefficient gap; raises TruncationMismatch when it
+    exceeds LAURENT_XCHECK_TOL.
+    """
+    R = 2.0 * rho(b)
+    th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    r_x = 0.3 * float(np.min(m_of_y(b, R * np.exp(1j * th))))
+    n_y, n_x = XCHECK_NY, XCHECK_NX
     ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
     xs = r_x * np.exp(2j * np.pi * np.arange(n_x) / n_x)
     ks = list(range(table.kmax + 1))
@@ -219,3 +269,4 @@ def _circle_cross_check(b: BoundaryData, table: LaurentTable, n_y=256, n_x=32):
                 bad = max(bad, abs(sampled - table.coeffs[k, m, n]))
     if bad > LAURENT_XCHECK_TOL:
         raise TruncationMismatch(f"laurent extraction routes disagree by {bad:.3e}")
+    return bad

@@ -235,7 +235,7 @@ class FitResult:
 
 
 def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
-                 mmax: int = 12):
+                 mmax: int = 12, table=None):
     """Recover (r, A, B, mu) from boundary data alone.
 
     Scans r upward (starting at the smallest r with d = r + delta >= 0) and
@@ -245,8 +245,14 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     An r whose E-table hits shock.ResidueObstruction is skipped.  When no
     candidate is accepted the one with the smallest residual is returned; when
     every r hit the obstruction, it is raised.
+
+    table is a Laurent table of b with kmax = 2 that the caller already has
+    (its mmax then stands for mmax); without one, a table is built here with
+    no circle cross-check.
     """
-    lt = indicators.laurent_extract(b, kmax=2, mmax=mmax, cross_check=False)
+    lt = table
+    if lt is None:
+        lt = indicators.laurent_extract(b, kmax=2, mmax=mmax, cross_check=False)
     rh = rho(b)
     omega = -2.0 * rh
     h = shock.H_from_laurent(lt, lt.delta, omega)

@@ -32,16 +32,22 @@ ALG_DEG_MAX = 6
 ALG_FIT_TOL = 1e-8
 
 
-def N_Qk(b: BoundaryData, z: LineParam, k, pk_family) -> complex:
-    """Holomorphic extension N_{Q,k}(z) = G_k(z) - P_k(x, y)."""
+def N_Qk(b: BoundaryData, z, k, pk_family):
+    """Holomorphic extension N_{Q,k}(z) = G_k(z) - P_k(x, y).
+
+    z is one LineParam, or a list of them, which gives an array of shape
+    (len(k), len(z)) from one G_lines call.
+    """
+    one = isinstance(z, LineParam)
+    lines = [z] if one else list(z)
     ks = np.atleast_1d(k)
-    g = indicators.G_k(b, z, ks)
-    out = np.array(
-        [g[i] - (pk_family[kk](z.x, z.y) if kk < len(pk_family) else 0.0)
-         for i, kk in enumerate(ks)],
-        dtype=complex,
-    )
-    return out if len(ks) > 1 else complex(out[0])
+    out = indicators.G_lines(b, [l.x for l in lines], [l.y for l in lines], ks)
+    for i, kk in enumerate(ks):
+        if kk < len(pk_family):
+            out[i] -= np.array([pk_family[kk](l.x, l.y) for l in lines], dtype=complex)
+    if not one:
+        return out
+    return out[:, 0] if len(ks) > 1 else complex(out[0, 0])
 
 
 @dataclass
@@ -63,40 +69,58 @@ class PointCloud:
         return len(self.points)
 
 
-def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> FiberResult:
-    """Roots of the fiber polynomial over L_z and the projective points.
+def fibers(b: BoundaryData, zs, p: int, pk_family):
+    """Fibers over the lines zs as one batch: (results, skipped).
 
-    p is the sheet count; the power sums N_{Q,1..p} convert to elementary
-    symmetric functions, the monic fiber polynomial is rooted, and lines with
-    |discriminant| below 1e-12 * scale raise DegenerateFiber.
+    One G_lines call gives the power sums N_{Q,1..p} of every line; Newton's
+    identities and the discriminant test run per line, and one batched
+    Aberth solve roots the lines that pass.  results holds a FiberResult per
+    accepted line and skipped a (z, reason) per line whose |discriminant|
+    falls below 1e-12 * scale, both in the order of zs.  A line near the
+    boundary image raises NearIncidence before any line is rooted.
     """
     if p < 1:
         raise ValueError("fiber needs p >= 1")
-    N = np.atleast_1d(N_Qk(b, z, list(range(1, p + 1)), pk_family))
-    S = symmetric.power_to_elementary(N)
-    coeffs = symmetric.monic_from_elementary(S)
-    if p >= 2:
-        disc = symmetric.discriminant(coeffs)
-        if abs(disc) < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(coeffs):
-            raise DegenerateFiber(f"discriminant {abs(disc):.2e} below threshold")
-    else:
-        disc = 1.0 + 0.0j
-    rts = symmetric.roots(coeffs)
-    pts = [ProjPoint(1.0, complex(h), complex(-z.x - z.y * h)) for h in rts]
-    return FiberResult(z=z, roots=rts, points=pts, discriminant=complex(disc))
+    N = N_Qk(b, zs, list(range(1, p + 1)), pk_family)
+    kept, coeffs, discs, skipped = [], [], [], []
+    for z, col in zip(zs, N.T):
+        c = symmetric.monic_from_elementary(symmetric.power_to_elementary(col))
+        if p >= 2:
+            disc = symmetric.discriminant(c)
+            if abs(disc) < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(c):
+                skipped.append((z, f"discriminant {abs(disc):.2e} below threshold"))
+                continue
+        else:
+            disc = 1.0 + 0.0j
+        kept.append(z)
+        coeffs.append(c)
+        discs.append(complex(disc))
+    rts = symmetric.roots(np.reshape(coeffs, (len(kept), p + 1)))
+    results = [FiberResult(z=z, roots=r, discriminant=d,
+                           points=[ProjPoint(1.0, complex(h), complex(-z.x - z.y * h))
+                                   for h in r])
+               for z, r, d in zip(kept, rts, discs)]
+    return results, skipped
+
+
+def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> FiberResult:
+    """Roots of the fiber polynomial over L_z and the projective points.
+
+    The one-line case of fibers: p is the sheet count, and a line whose
+    discriminant test fails raises DegenerateFiber.
+    """
+    results, skipped = fibers(b, [z], p, pk_family)
+    if skipped:
+        raise DegenerateFiber(skipped[0][1])
+    return results[0]
 
 
 def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):
     r = rho(b)
-    zs = []
-    for rad_mult in radii:
-        R = rad_mult * r
-        for j in range(angles):
-            y = R * np.exp(2j * np.pi * (j + angle_offset) / angles)
-            m = m_of_y(b, y)
-            for f in xfracs:
-                zs.append(LineParam(f * m, y))
-    return zs
+    ys = [rad_mult * r * np.exp(2j * np.pi * (j + angle_offset) / angles)
+          for rad_mult in radii for j in range(angles)]
+    ms = m_of_y(b, ys)
+    return [LineParam(f * m, y) for y, m in zip(ys, ms.tolist()) for f in xfracs]
 
 
 def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
@@ -105,22 +129,19 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     """Union of fibers over a z-grid, deduplicated in the chordal metric.
 
     radii are multiples of rho; xfracs are fractions of m(y) (complex values
-    allowed).  Degenerate lines are recorded in cloud.skipped, not raised.
-    A point within merge_eps of an accepted point adds to the multiplicity of
-    the first such point in order of acceptance.
+    allowed).  All lines go through one fibers batch.  Degenerate lines are
+    recorded in cloud.skipped, not raised.  A point within merge_eps of an
+    accepted point adds to the multiplicity of the first such point in order
+    of acceptance.
     """
     cloud = PointCloud()
     if p < 1:
         return cloud
     zs = _default_grid(b, radii, angles, xfracs, angle_offset)
+    results, cloud.skipped = fibers(b, zs, p, pk_family)
     W = np.empty((p * len(zs), 3), dtype=complex)     # rows :len(cloud) are the points
     norms = np.empty(p * len(zs))
-    for z in zs:
-        try:
-            res = fiber(b, z, p, pk_family)
-        except DegenerateFiber as e:
-            cloud.skipped.append((z, str(e)))
-            continue
+    for res in results:
         for pt in res.points:
             a, n = pt.w, len(cloud)
             na = np.linalg.norm(a)

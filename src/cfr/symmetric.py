@@ -66,69 +66,92 @@ def monic_from_elementary(S):
 
 
 def _polyval_and_deriv(coeffs, z):
-    """Horner evaluation of p and p' for coefficients in descending order."""
-    p = np.zeros_like(z) + coeffs[0]
+    """Horner evaluation of p and p', row by row: coeffs (rows, deg+1) descending, z (rows, n)."""
+    p = np.zeros_like(z) + coeffs[:, :1]
     dp = np.zeros_like(z)
-    for c in coeffs[1:]:
+    for j in range(1, coeffs.shape[1]):
         dp = dp * z + p
-        p = p * z + c
+        p = p * z + coeffs[:, j : j + 1]
     return p, dp
 
 
 def roots(coeffs):
-    """All roots of a monic-ish polynomial via Aberth-Ehrlich iteration.
+    """All roots of monic-ish polynomials via Aberth-Ehrlich iteration.
 
-    Falls back to companion-matrix eigenvalues if the iteration stalls; the
-    result is accepted only when |p(root)| < 1e-9 * (1 + ||coeffs||).
+    coeffs holds one polynomial (descending coefficients) or a (rows, deg+1)
+    array of them, and the roots come back in the same layout; one
+    polynomial is the one-row case.  The iteration is elementwise, so a row
+    gives the same bits in any batch: each row has its own convergence test
+    and is frozen once it passes.  A row that stalls falls back to
+    companion-matrix eigenvalues on its own; a result is accepted only when
+    |p(root)| < 1e-9 * (1 + ||coeffs||).
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if len(coeffs) < 2:
+    C = np.asarray(coeffs, dtype=complex)
+    if C.shape[-1] < 2:
         raise ValueError("degree must be at least 1")
-    coeffs = coeffs / coeffs[0]
-    deg = len(coeffs) - 1
-    scale = 1.0 + float(np.max(np.abs(coeffs)))
-    tol = ROOT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(coeffs)))
+    Z = _aberth(np.atleast_2d(C))
+    return Z if C.ndim == 2 else Z[0]
 
+
+def _aberth(C):
+    """Roots of each row of C, (rows, deg+1) descending coefficients; see roots."""
+    C = C / C[:, :1]
+    deg = C.shape[1] - 1
     if deg == 1:
-        return np.array([-coeffs[1]])
+        return -C[:, 1:]
+    scale = 1.0 + np.max(np.abs(C), axis=1)
+    tol = ROOT_RESIDUAL_TOL * (1.0 + np.array([np.linalg.norm(c) for c in C]))
 
     # Deterministic Fejer-like starting circle; the offset breaks the symmetry
     # of polynomials with real coefficients.
     k = np.arange(deg)
-    z = scale * np.exp(2j * np.pi * (k + 0.5) / deg + 0.4j)
+    Z = scale[:, None] * np.exp(2j * np.pi * (k + 0.5) / deg + 0.4j)
 
-    converged = False
+    converged = np.zeros(len(C), dtype=bool)
+    live = np.arange(len(C))            # rows still iterating
+    diag = np.arange(deg)
     for _ in range(ABERTH_MAX_ITER):
-        p, dp = _polyval_and_deriv(coeffs, z)
-        if np.max(np.abs(p)) < tol * 1e-3:
-            converged = True
+        if not live.size:
             break
+        z = Z[live]
+        p, dp = _polyval_and_deriv(C[live], z)
+        small = np.max(np.abs(p), axis=1) < tol[live] * 1e-3
+        converged[live[small]] = True
+        live, z, p, dp = live[~small], z[~small], p[~small], dp[~small]
         with np.errstate(divide="ignore", invalid="ignore"):
             w = p / dp
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            s = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal 1/1 term
+            diff = z[:, :, None] - z[:, None, :]
+            diff[:, diag, diag] = 1.0
+            s = np.sum(1.0 / diff, axis=2) - 1.0  # remove the diagonal 1/1 term
             corr = w / (1.0 - w * s)
         corr = np.where(np.isfinite(corr), corr, w)
         z = z - corr
-        if np.max(np.abs(corr)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-            converged = True
-            break
+        Z[live] = z
+        done = np.max(np.abs(corr), axis=1) < 1e-14 * (1.0 + np.max(np.abs(z), axis=1))
+        converged[live[done]] = True
+        live = live[~done]
 
-    p, _ = _polyval_and_deriv(coeffs, z)
-    if not converged or np.max(np.abs(p)) > tol:
-        comp = np.diag(np.ones(deg - 1, dtype=complex), -1)
-        comp[0, :] = -coeffs[1:]
-        z = np.linalg.eigvals(comp)
-        # one Newton polish pass
-        for _ in range(3):
-            p, dp = _polyval_and_deriv(coeffs, z)
-            step = np.where(np.abs(dp) > 0, p / np.where(dp == 0, 1, dp), 0)
-            z = z - step
-        p, _ = _polyval_and_deriv(coeffs, z)
-        if np.max(np.abs(p)) > tol:
-            raise NoConvergence(f"max residual {np.max(np.abs(p)):.3e} exceeds {tol:.3e}")
-    return z
+    p, _ = _polyval_and_deriv(C, Z)
+    for i in np.flatnonzero(~converged | (np.max(np.abs(p), axis=1) > tol)):
+        Z[i] = _companion_roots(C[i], tol[i])
+    return Z
+
+
+def _companion_roots(coeffs, tol):
+    """Companion-matrix eigenvalues of one polynomial, polished by Newton steps."""
+    deg = len(coeffs) - 1
+    comp = np.diag(np.ones(deg - 1, dtype=complex), -1)
+    comp[0, :] = -coeffs[1:]
+    z = np.linalg.eigvals(comp)[None, :]
+    c = coeffs[None, :]
+    for _ in range(3):      # Newton polish steps
+        p, dp = _polyval_and_deriv(c, z)
+        step = np.where(np.abs(dp) > 0, p / np.where(dp == 0, 1, dp), 0)
+        z = z - step
+    p, _ = _polyval_and_deriv(c, z)
+    if np.max(np.abs(p)) > tol:
+        raise NoConvergence(f"max residual {np.max(np.abs(p)):.3e} exceeds {tol:.3e}")
+    return z[0]
 
 
 def discriminant(coeffs):

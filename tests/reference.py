@@ -12,7 +12,9 @@ from the paper that the tests check:
   derivatives of a correction in X and Y;
 - the term-by-term G_{1,1}^0 display, the metric h*, the genus of the
   double, affine charts, the domain Z, line incidence, the inverse Newton
-  identities and the exterior-line germ.
+  identities and the exterior-line germ;
+- the sweep one line at a time: m(y) per y, G_k, Newton, the discriminant
+  test and one root solve per line, which the batched sweep must equal.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from cfr import shock, symmetric
+from cfr import indicators, shock, symmetric
 from cfr.geometry import CHART_EPS, BoundaryData, LineParam, ProjPoint, m_of_y, rho
 from cfr.indicators import _contour_sum
 from cfr.infinity import (RESONANT_EPS, GermAtInfinity, RationalAffinePoly, RationalY,
                           ResonantY, B_infinity, _ser_pow)
 from cfr.linsys import Layout, _assemble, _k_parts, assemble_E0, valid_window
+from cfr.reconstruct import PointCloud
 from cfr.shock import BiSeries, HData
 
 
@@ -289,3 +292,46 @@ def exterior_line_germ(a=0.5):
     u1 = (1 - u0)/a, so b = 1/a and g_1 = -1/a.
     """
     return complex(1.0 / a), [complex(-1.0 / a)]
+
+
+# -- reconstruct: the sweep one line at a time -------------------------------------
+
+
+def sweep_per_line(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0), angles=16,
+                   xfracs=(0.0, 0.2, -0.35), merge_eps=1e-6, angle_offset=0.31):
+    """reconstruct.sweep with every stage run for one line at a time."""
+    cloud = PointCloud()
+    r = rho(b)
+    zs = []
+    for rad_mult in radii:
+        R = rad_mult * r
+        for j in range(angles):
+            y = R * np.exp(2j * np.pi * (j + angle_offset) / angles)
+            m = m_of_y(b, y)
+            zs.extend(LineParam(f * m, y) for f in xfracs)
+    W = np.empty((p * len(zs), 3), dtype=complex)
+    norms = np.empty(p * len(zs))
+    for z in zs:
+        g = indicators.G_k(b, z, list(range(1, p + 1)))
+        N = np.array([g[i] - (pk_family[k](z.x, z.y) if k < len(pk_family) else 0.0)
+                      for i, k in enumerate(range(1, p + 1))], dtype=complex)
+        coeffs = symmetric.monic_from_elementary(symmetric.power_to_elementary(N))
+        if p >= 2:
+            disc = symmetric.discriminant(coeffs)
+            if abs(disc) < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(coeffs):
+                cloud.skipped.append((z, f"discriminant {abs(disc):.2e} below threshold"))
+                continue
+        for h in symmetric.roots(coeffs):
+            pt = ProjPoint(1.0, complex(h), complex(-z.x - z.y * h))
+            a, n = pt.w, len(cloud)
+            na = np.linalg.norm(a)
+            dist = np.linalg.norm(np.cross(a, W[:n]), axis=1) / (na * norms[:n])
+            hits = np.flatnonzero(dist < merge_eps)
+            if hits.size:
+                cloud.multiplicity[hits[0]] += 1
+                continue
+            W[n], norms[n] = a, na
+            cloud.points.append(pt)
+            cloud.multiplicity.append(1)
+            cloud.source.append(z)
+    return cloud

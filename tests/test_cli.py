@@ -228,3 +228,34 @@ def test_genus_lambda_from_file(workdir):
                             "--omega", "zdz", "--genus-known", "0"], workdir)
     assert code == 0
     assert json.loads(out)["q_inf"] == 1
+
+
+def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
+    """One pipeline run: one moment table, one line-kernel pass, one cross-check grid.
+
+    The counts pin the batched sweep: a per-line route would call the line
+    kernel and the root solver once per line.
+    """
+    from cfr import indicators, symmetric
+    from cfr.geometry import load_boundary
+    calls = {"moments": 0, "line kernel": 0, "G_grid": 0, "batched roots": 0}
+
+    def counted(key, fn, when=lambda *a: True):
+        def wrapper(*args, **kwargs):
+            calls[key] += bool(when(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(indicators, "_moment_integrals",
+                        counted("moments", indicators._moment_integrals))
+    monkeypatch.setattr(indicators, "_loop_line_sums",
+                        counted("line kernel", indicators._loop_line_sums))
+    monkeypatch.setattr(indicators, "G_grid", counted("G_grid", indicators.G_grid))
+    monkeypatch.setattr(symmetric, "roots", counted("batched roots", symmetric.roots,
+                                                    lambda c: np.ndim(c) == 2))
+    code, _, _ = run_cli(["pipeline", "--boundary", "twoline.json", "--out", "once.json"],
+                         workdir)
+    assert code == 0
+    loops = len(load_boundary(workdir / "twoline.json").loops)
+    assert loops == 2
+    assert calls == {"moments": 1, "line kernel": loops, "G_grid": 1, "batched roots": 1}

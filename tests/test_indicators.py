@@ -3,7 +3,7 @@ import pytest
 
 from cfr import indicators, oracles
 from cfr.geometry import LineParam, m_of_y, rho
-from cfr.indicators import (G_grid, G_k, NearIncidence, NegativeSheets,
+from cfr.indicators import (G_grid, G_k, G_lines, NearIncidence, NegativeSheets,
                             TruncationMismatch, delta, laurent_extract, sheet_count)
 from reference import G110_check
 
@@ -70,6 +70,31 @@ def test_G_grid_matches_per_line_sums(name, request, rng):
             assert np.array_equal(grid[:, ix, iy], ref)
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("count", [1, 8, 9, 32, 33])
+def test_G_lines_rows_equal_G_k(n, count, rng):
+    """A G_lines column is G_k of its line and the per-line sum, bit for bit.
+
+    Tiles hold 32 lines at 1024 samples and 8 at 4096, so the counts cross
+    tile edges.
+    """
+    b = oracles.two_line(n=n)
+    ks = [0, 1, 2]
+    ys = rho(b) * (2.0 + rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+    xs = (0.6 * rng.random(count) - 0.3) * m_of_y(b, ys)
+    got = G_lines(b, xs, ys, ks)
+    assert got.shape == (3, count)
+    for j in range(count):
+        assert np.array_equal(got[:, j], G_k(b, LineParam(xs[j], ys[j]), ks))
+        assert np.array_equal(got[:, j], _G_per_line(b, xs[j], ys[j], ks))
+
+
+def test_G_lines_near_incidence(interior):
+    x = -(3.0 * 1.0 + 1.5)            # the line through the boundary point z1 = 1
+    with pytest.raises(NearIncidence):
+        G_lines(interior, [0.1] * 40 + [x], [5.0] * 40 + [3.0], [1])
+
+
 def test_quadrature_doubling(interior):
     b2 = oracles.interior_line(n=512)
     b3 = oracles.interior_line(n=1024)
@@ -121,6 +146,21 @@ def test_laurent_cross_check_fires(name, request):
     t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
     indicators._circle_cross_check(b, t)
     t.coeffs[1, 2, 0] += 1e-5
+    with pytest.raises(TruncationMismatch):
+        indicators._circle_cross_check(b, t)
+
+
+@pytest.mark.parametrize("name", ["interior", "exterior", "twoline", "conic"])
+def test_laurent_cross_check_gap(name, request):
+    """The 64 x 16 circle grid agrees with the moment table to 1e-7.
+
+    A 2e-6 change to one coefficient, twice LAURENT_XCHECK_TOL, is caught.
+    """
+    b = request.getfixturevalue(name)
+    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    assert (indicators.XCHECK_NY, indicators.XCHECK_NX) == (64, 16)
+    assert indicators._circle_cross_check(b, t) <= 1e-7
+    t.coeffs[2, 5, 3] += 2e-6
     with pytest.raises(TruncationMismatch):
         indicators._circle_cross_check(b, t)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cfr import infinity, oracles, reconstruct
-from cfr.geometry import LineParam, chordal
+from cfr.geometry import BoundaryData, LineParam, chordal
 from cfr.reconstruct import DegenerateFiber, N_Qk, detect_algebraic, fiber, sweep
-from reference import exterior_line_germ, line_eval
+from reference import exterior_line_germ, line_eval, sweep_per_line
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +181,28 @@ def test_G0_consistency_on_sweep(twoline, no_germs):
     for z in grid:
         g0 = indicators.G_k(twoline, z, 0)
         assert round(g0.real) == 2 and abs(g0 - 2.0) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def threeline():
+    return BoundaryData([oracles._line_loop(a, 1024) for a in (0.5, -1.0 / 3.0, 0.25j)],
+                        [1, 1, 1])
+
+
+@pytest.mark.parametrize("name, p, angles", [("twoline", 2, 16), ("conic", 1, 16),
+                                             ("threeline", 3, 16), ("twoline", 2, 32)])
+def test_sweep_equals_per_line_loop(name, p, angles, no_germs, request):
+    """The batched sweep gives the cloud of one-line-at-a-time fibers exactly."""
+    b = request.getfixturevalue(name)
+    xfracs = (0.0, 0.2, -0.35, 0.1j)
+    cloud = sweep(b, p, no_germs, angles=angles, xfracs=xfracs)
+    assert cloud == sweep_per_line(b, p, no_germs, angles=angles, xfracs=xfracs)
+    assert len(cloud) > 0
+    if name == "threeline":
+        assert cloud.skipped            # the discriminant test declines some lines
+
+
+def test_sweep_with_germs_equals_per_line_loop(interior, line_germs):
+    """Nonzero corrections P_k enter the batch as they enter one line."""
+    cloud = sweep(interior, 1, line_germs, angles=8)
+    assert cloud == sweep_per_line(interior, 1, line_germs, angles=8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from cfr.symmetric import (discriminant, fiber_scale, monic_from_elementary,
+from cfr.symmetric import (NoConvergence, discriminant, fiber_scale, monic_from_elementary,
                            power_to_elementary, roots, series_mul)
 from reference import elementary_to_power
 
@@ -123,3 +123,31 @@ def test_discriminant_collision_both_ways(rng):
     # distinct roots => discriminant bounded away from zero
     c2 = P.polymul(P.polymul([1.0, 1.0], [0.5, 1.0]), [-2.0, 1.0])[::-1]
     assert abs(discriminant(c2)) > 1e-6 * fiber_scale(c2)
+
+
+def test_roots_batch_rows_equal_one_row_calls(rng, monkeypatch):
+    """Each row of a batched Aberth run equals its one-row call, bit for bit.
+
+    T^3 - 1e10 T^2 + 1 stalls in the iteration and takes the companion
+    fallback; it sits between rows that converge.
+    """
+    from cfr import symmetric
+    fallbacks = []
+    companion = symmetric._companion_roots
+    monkeypatch.setattr(symmetric, "_companion_roots",
+                        lambda c, tol: fallbacks.append(len(c) - 1) or companion(c, tol))
+    for deg in range(1, 9):
+        C = rng.standard_normal((6, deg + 1)) + 1j * rng.standard_normal((6, deg + 1))
+        if deg == 3:
+            C[2] = [1.0, -1e10, 0.0, 1.0]
+        batch = roots(C)
+        assert batch.shape == (6, deg)
+        for row, got in zip(C, batch):
+            assert np.array_equal(got, roots(row))
+    assert fallbacks == [3, 3]          # the stalled row, batched and alone
+
+
+def test_roots_batch_empty_and_failure():
+    assert roots(np.zeros((0, 4))).shape == (0, 3)
+    with pytest.raises(NoConvergence):
+        roots(np.array([[1.0, -5.0, 6.0, 0.0], [1.0, 1e10, 1.0, 1.0]]))
