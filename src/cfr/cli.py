@@ -32,6 +32,13 @@ class IOValidationError(ValidationError):
 
 
 def _fmt(v) -> str:
+    t = type(v)         # exact types first: they make up nearly all of a report
+    if t is float:
+        return format(v, ".17g")
+    if t is list or t is tuple:
+        return "[" + ",".join(map(_fmt, v)) + "]"
+    if t is complex:
+        return f"[{format(v.real, '.17g')},{format(v.imag, '.17g')}]"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -79,7 +86,7 @@ def _boundary(path):
         raise IOValidationError(f"boundary file not found: {path}")
     try:
         return load_boundary(path)
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed boundary file: {e}") from e
 
 

@@ -223,10 +223,6 @@ def _c2pair(c):
     return [float(np.real(c)), float(np.imag(c))]
 
 
-def _pair2c(p):
-    return complex(p[0], p[1])
-
-
 def boundary_to_json(b: BoundaryData) -> dict:
     loops = []
     for sign, lp in b.signed_loops():
@@ -241,21 +237,23 @@ def boundary_to_json(b: BoundaryData) -> dict:
     return {"loops": loops}
 
 
+def _pairs(samples, key):
+    """samples[i][key], three [re, im] number pairs per sample, as one (N, 3) complex array."""
+    a = np.array([s[key] for s in samples])
+    if a.dtype.kind not in "biuf" or a.shape != (len(samples), 3, 2):
+        raise ValueError(f"'{key}' must hold three [re, im] number pairs per sample")
+    return a.astype(float).view(complex)[..., 0]
+
+
 def boundary_from_json(obj: dict) -> BoundaryData:
     loops, signs = [], []
     for entry in obj["loops"]:
         signs.append(int(entry["orientation"]))
-        ts, ws, dws = [], [], []
-        has_dw = all("dw" in s for s in entry["samples"])
-        for s in entry["samples"]:
-            ts.append(float(s["t"]))
-            ws.append([_pair2c(p) for p in s["w"]])
-            if has_dw:
-                dws.append([_pair2c(p) for p in s["dw"]])
-        ts = np.array(ts)
-        ws = np.array(ws, dtype=complex)
-        if has_dw:
-            dws = np.array(dws, dtype=complex)
+        samples = entry["samples"]
+        ts = np.array([float(s["t"]) for s in samples])
+        ws = _pairs(samples, "w")
+        if all("dw" in s for s in samples):
+            dws = _pairs(samples, "dw")
         else:
             dws = synth_velocities(ts, ws)
         loops.append(BoundaryLoop(ts, ws, dws))

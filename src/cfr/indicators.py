@@ -26,7 +26,7 @@ LAURENT_XCHECK_TOL = 1e-6
 # fold is damped by 2^-n_y: 64 samples give 5e-20.  In x it converges for
 # |x| < m(y), so on |x| = 0.3 min m the fold is damped by 0.3^n_x: 16 samples
 # give 4e-9, far under LAURENT_XCHECK_TOL, and n_x > 12 >= mmax keeps every
-# n <= m of the table in the check.
+# n <= m of the table in the check.  n_x is a power of two (q^n_x by squaring).
 XCHECK_NY = 64
 XCHECK_NX = 16
 
@@ -56,31 +56,6 @@ def _contour_sum(b: BoundaryData, values_per_loop):
     return total / (2.0j * np.pi)
 
 
-def G_grid(b: BoundaryData, xs, ys, ks):
-    """Indicators G_k on the tensor grid xs x ys, shape (len(ks), len(xs), len(ys)).
-
-    y runs in tiles (geometry.tiles); each sum runs over one loop's samples
-    as for a single line, so an entry does not depend on the rest of the grid.
-    """
-    ys = np.asarray(ys, dtype=complex)
-    ks = [int(k) for k in np.atleast_1d(ks)]
-    acc = np.zeros((len(ks), len(xs), len(ys)), dtype=complex)
-    for sign, lp in b.signed_loops():
-        z1, z2, dz1, dz2 = lp.z1, lp.z2, lp.dz1, lp.dz2
-        h = lp.t[1] - lp.t[0]
-        z1k = [z1 ** k for k in ks]
-        for sl in tiles(len(ys), len(z1)):
-            yb = ys[sl, None]
-            yz1 = yb * z1
-            num = yb * dz1 + dz2
-            for ix, x in enumerate(xs):
-                den = x + yz1
-                den += z2       # in place: a broadcast add into a fresh array is slow
-                acc[:, ix, sl] += sign * h * _row_sums(num, den, z1k)
-    acc /= 2.0j * np.pi
-    return acc
-
-
 def _row_sums(num, den, z1k):
     """Sums of z1^k num/den over one loop's samples, one row per line, for each k."""
     if np.min(np.abs(den)) <= DENOM_EPS:
@@ -92,8 +67,8 @@ def _row_sums(num, den, z1k):
 def _loop_line_sums(lp, xs, ys, ks):
     """Sums over one loop's samples of z1^k (y dz1 + dz2)/(x + y z1 + z2), per line.
 
-    Shape (len(ks), len(xs)); lines run in tiles (geometry.tiles), with the
-    operation order of G_grid.
+    Shape (len(ks), len(xs)); lines run in tiles (geometry.tiles), and each
+    line's sum is one row sum, so an entry does not depend on the other lines.
     """
     z1, z2, dz1, dz2 = lp.z1, lp.z2, lp.dz1, lp.dz2
     z1k = [z1 ** k for k in ks]
@@ -109,7 +84,7 @@ def _loop_line_sums(lp, xs, ys, ks):
 def G_lines(b: BoundaryData, xs, ys, ks):
     """Indicators G_k on the lines (xs[j], ys[j]), shape (len(ks), len(xs)).
 
-    Entry [i, j] equals G_grid(b, [xs[j]], [ys[j]], ks)[i, 0, 0] bit for bit.
+    Entry [i, j] equals G_lines(b, [xs[j]], [ys[j]], ks)[i, 0] bit for bit.
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
@@ -190,17 +165,17 @@ def _moment_integrals(b: BoundaryData, a_range, b_max):
         h = lp.t[1] - lp.t[0]
         w1 = sign * h * lp.dz1 / (2.0j * np.pi)
         w2 = sign * h * lp.dz2 / (2.0j * np.pi)
+        za = np.empty((na, len(z1)), dtype=complex)     # row ia holds z1^(a_min + ia)
+        za[0] = z1 ** float(a_min)
+        for ia in range(1, na):
+            za[ia] = za[ia - 1] * z1
         zb = np.ones_like(z2)
         for bb in range(nb):
             if bb > 0:
                 zb = zb * z2
-            za = z1 ** float(a_min)
-            for ia in range(na):
-                if ia > 0:
-                    za = za * z1
-                p = za * zb
-                I1[ia, bb] += np.sum(p * w1)
-                I2[ia, bb] += np.sum(p * w2)
+            p = za * zb
+            I1[:, bb] += np.sum(p * w1, axis=-1)
+            I2[:, bb] += np.sum(p * w2, axis=-1)
     return I1, I2
 
 
@@ -212,11 +187,10 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
         G_{k,m}^n = (-1)^m [ C(m,n) I1(k-m-1, m-n) - C(m-1,n) I2(k-m, m-n-1) ]
 
     for 0 <= n < m, with the diagonal G_{k,k}^k = (-1)^k delta and all other
-    entries zero.  When cross_check is set the table is validated against an
-    independent extraction that samples G_k on XCHECK_NY points of the circle
-    |y| = 2 rho and XCHECK_NX points of |x| = r_x (one G_grid call) and reads
-    coefficients off a 2-D discrete Fourier transform.  `cfr pipeline` builds
-    one checked table per run and hands it to linsys.fit_infinity.
+    entries zero.  When cross_check is set the table is validated against the
+    2-D DFT of G_k on two circles, in x summed in closed form (_circle_coeffs).
+    `cfr pipeline` builds one checked table per run and hands it to
+    linsys.fit_infinity.
     """
     if kmax > 12 or mmax > 12:
         raise ValueError("truncation caps are kmax, mmax <= 12")
@@ -244,29 +218,50 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
     return table
 
 
-def _circle_cross_check(b: BoundaryData, table: LaurentTable):
-    """Validate the table against circle sampling + discrete Fourier analysis.
+def _circle_coeffs(b: BoundaryData, kmax: int, mmax: int):
+    """Laurent coefficients [k, m, n <= min(mmax, XCHECK_NX - 1)] read off two circles.
 
-    Returns the largest coefficient gap; raises TruncationMismatch when it
-    exceeds LAURENT_XCHECK_TOL.
+    The grid is XCHECK_NY points of |y| = R = 2 rho by XCHECK_NX points of
+    |x| = r_x = 0.3 min m(y).  Per sample, with c = y z1 + z2, u = -1/c and
+    q = r_x u (|q| <= 0.3), the x-DFT of the Cauchy kernel is exact, aliasing
+    included: (1/n_x) sum_l w^(-ln) / (r_x w^l + c) = q^n / (c (1 - q^n_x)),
+    so x^n has the coefficient -u^(n+1) / (1 - q^n_x), with no division by
+    r_x^n.  An inverse FFT over y gives the orders y^-m.  |x + c| >= 0.7 m(y)
+    on the grid, so NearIncidence is raised when 0.7 min m(y) <= DENOM_EPS.
     """
     R = 2.0 * rho(b)
-    th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    r_x = 0.3 * float(np.min(m_of_y(b, R * np.exp(1j * th))))
     n_y, n_x = XCHECK_NY, XCHECK_NX
     ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
-    xs = r_x * np.exp(2j * np.pi * np.arange(n_x) / n_x)
-    ks = list(range(table.kmax + 1))
-    # Taylor in x lives at positive frequencies, the 1/y Laurent tail at
-    # negative ones, hence fft along x and ifft along y.
-    cx = np.fft.fft(G_grid(b, xs, ys, ks), axis=1) / n_x    # coefficient of x^n: / r_x^n
-    cxy = np.fft.ifft(cx, axis=2)                       # coefficient of y^-m: * R^m
-    bad = 0.0
-    for k in ks:
-        for m in range(table.mmax + 1):
-            for n in range(min(m, n_x - 1) + 1):
-                sampled = cxy[k, n, m] * (R ** m) / (r_x ** n)
-                bad = max(bad, abs(sampled - table.coeffs[k, m, n]))
+    m_min = float(np.min(m_of_y(b, ys)))
+    if 0.7 * m_min <= DENOM_EPS:
+        raise NearIncidence("cross-check circle too close to the boundary image")
+    r_x = 0.3 * m_min
+    nn = min(mmax, n_x - 1) + 1
+    cx = np.zeros((kmax + 1, nn, n_y), dtype=complex)     # [k, n, y sample]
+    for sign, lp in b.signed_loops():
+        z1, z2, dz1, dz2 = lp.z1, lp.z2, lp.dz1, lp.dz2
+        wz = sign * (lp.t[1] - lp.t[0]) * z1[:, None] ** np.arange(kmax + 1)   # (N, k)
+        for sl in tiles(n_y, len(z1)):
+            yb = ys[sl, None]
+            u = -1.0 / (yb * z1 + z2)
+            qn = r_x * u
+            for _ in range(n_x.bit_length() - 1):        # q^n_x by squaring
+                qn *= qn
+            term = -u * (yb * dz1 + dz2) / (1.0 - qn)
+            for n in range(nn):
+                cx[:, n, sl] += (term @ wz).T
+                term *= u
+    # The 1/y Laurent tail lives at negative frequencies, hence ifft along y.
+    cxy = np.fft.ifft(cx / (2.0j * np.pi), axis=2)[:, :, : mmax + 1]
+    return (cxy * R ** np.arange(mmax + 1)).transpose(0, 2, 1)
+
+
+def _circle_cross_check(b: BoundaryData, table: LaurentTable):
+    """Largest gap to _circle_coeffs; TruncationMismatch above LAURENT_XCHECK_TOL."""
+    got = _circle_coeffs(b, table.kmax, table.mmax)
+    nn = got.shape[2]
+    n_le_m = np.arange(nn) <= np.arange(table.mmax + 1)[:, None]
+    bad = float(np.max(np.abs(got - table.coeffs[:, :, :nn])[:, n_le_m]))
     if bad > LAURENT_XCHECK_TOL:
         raise TruncationMismatch(f"laurent extraction routes disagree by {bad:.3e}")
     return bad

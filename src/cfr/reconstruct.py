@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import indicators, symmetric
-from .geometry import BoundaryData, LineParam, ProjPoint, m_of_y, rho
+from .geometry import BoundaryData, LineParam, ProjPoint, m_of_y, rho, tiles
 
 
 class DegenerateFiber(ValueError):
@@ -36,14 +36,15 @@ def N_Qk(b: BoundaryData, z, k, pk_family):
     """Holomorphic extension N_{Q,k}(z) = G_k(z) - P_k(x, y).
 
     z is one LineParam, or a list of them, which gives an array of shape
-    (len(k), len(z)) from one G_lines call.
+    (len(k), len(z)) from one G_lines call.  A P_k whose numerators are all
+    zero (every P_k without germs) is skipped: its value is exactly 0.
     """
     one = isinstance(z, LineParam)
     lines = [z] if one else list(z)
     ks = np.atleast_1d(k)
     out = indicators.G_lines(b, [l.x for l in lines], [l.y for l in lines], ks)
     for i, kk in enumerate(ks):
-        if kk < len(pk_family):
+        if kk < len(pk_family) and any(np.any(c.num) for c in pk_family[kk].coeffs):
             out[i] -= np.array([pk_family[kk](l.x, l.y) for l in lines], dtype=complex)
     if not one:
         return out
@@ -139,22 +140,32 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
         return cloud
     zs = _default_grid(b, radii, angles, xfracs, angle_offset)
     results, cloud.skipped = fibers(b, zs, p, pk_family)
-    W = np.empty((p * len(zs), 3), dtype=complex)     # rows :len(cloud) are the points
-    norms = np.empty(p * len(zs))
-    for res in results:
-        for pt in res.points:
-            a, n = pt.w, len(cloud)
-            na = np.linalg.norm(a)
-            # chordal distance |a ^ w| / (|a| |w|) to every accepted point w
-            dist = np.linalg.norm(np.cross(a, W[:n]), axis=1) / (na * norms[:n])
-            hits = np.flatnonzero(dist < merge_eps)
-            if hits.size:
-                cloud.multiplicity[hits[0]] += 1
-                continue
-            W[n], norms[n] = a, na
-            cloud.points.append(pt)
-            cloud.multiplicity.append(1)
-            cloud.source.append(res.z)
+    pts = [(pt, res.z) for res in results for pt in res.points]
+    A = np.array([[pt.w0, pt.w1, pt.w2] for pt, _ in pts], dtype=complex).reshape(-1, 3)
+    norms = np.array([np.linalg.norm(a) for a in A])   # per row: a 1-D norm is a BLAS dot
+    # earlier[i]: the j < i with chordal distance |a_i ^ a_j| / (|a_i| |a_j|)
+    # below merge_eps, ascending; pairs run in tiles of i x j entries
+    earlier = [[] for _ in pts]
+    idx = np.arange(len(A))
+    for rows in tiles(len(A), max(1, len(A))):
+        i = idx[rows]
+        for cols in tiles(i[-1] + 1, len(i)):
+            j = idx[cols]
+            dist = (np.linalg.norm(np.cross(A[i, None], A[None, j]), axis=-1)
+                    / (norms[i, None] * norms[None, j]))
+            rr, cc = np.nonzero((dist < merge_eps) & (j < i[:, None]))
+            for r, c in zip(i[rr].tolist(), j[cc].tolist()):
+                earlier[r].append(c)
+    slot = {}                                          # accepted point -> cloud index
+    for i, (pt, z) in enumerate(pts):
+        hit = next((slot[j] for j in earlier[i] if j in slot), None)
+        if hit is not None:
+            cloud.multiplicity[hit] += 1
+            continue
+        slot[i] = len(cloud)
+        cloud.points.append(pt)
+        cloud.multiplicity.append(1)
+        cloud.source.append(z)
     return cloud
 
 
@@ -169,9 +180,9 @@ def detect_algebraic(b: BoundaryData):
     ys = [mult * r * np.exp(2j * np.pi * (j + 0.17) / ALG_ANGLES)
           for mult in ALG_RADII for j in range(ALG_ANGLES)]
     # x runs fastest: sample i is at (ALG_XS[i % len(ALG_XS)], ys[i // len(ALG_XS)])
-    gv = indicators.G_grid(b, ALG_XS, ys, 1)[0].T.ravel()
     xv = np.tile(np.array(ALG_XS, dtype=complex), len(ys))
     yv = np.repeat(np.array(ys), len(ALG_XS))
+    gv = indicators.G_lines(b, xv, yv, [1])[0]
 
     if np.max(np.abs(gv)) < 1e-13:
         return True, {"A0": np.zeros(1), "A1": np.zeros(1), "B": np.ones(1),

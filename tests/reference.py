@@ -14,17 +14,25 @@ from the paper that the tests check:
   double, affine charts, the domain Z, line incidence, the inverse Newton
   identities and the exterior-line germ;
 - the sweep one line at a time: m(y) per y, G_k, Newton, the discriminant
-  test and one root solve per line, which the batched sweep must equal.
+  test and one root solve per line, which the batched sweep must equal;
+- the Laurent cross-check by sampling: G_lines on the circle grid, an FFT
+  along x and an inverse FFT along y, against the closed-form x sums;
+- the boundary JSON parse one number pair at a time, and the generic
+  recursive JSON writer, which the array parse and the writer's exact-type
+  paths must equal.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from cfr import indicators, shock, symmetric
-from cfr.geometry import CHART_EPS, BoundaryData, LineParam, ProjPoint, m_of_y, rho
-from cfr.indicators import _contour_sum
+from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
+                          rho, synth_velocities)
+from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch, _contour_sum
 from cfr.infinity import (RESONANT_EPS, GermAtInfinity, RationalAffinePoly, RationalY,
                           ResonantY, B_infinity, _ser_pow)
 from cfr.linsys import Layout, _assemble, _k_parts, assemble_E0, valid_window
@@ -207,6 +215,80 @@ def deriv_y(p: RationalAffinePoly) -> RationalAffinePoly:
 
 
 # -- indicators, genus, geometry, symmetric, oracles ---------------------------
+
+
+def sampled_cross_check(b: BoundaryData, table):
+    """The Laurent cross-check with G_k sampled on the whole circle grid.
+
+    G_lines gives G_k on the XCHECK_NX x XCHECK_NY points of |x| = r_x,
+    |y| = 2 rho; an FFT along x (divided by r_x^n) and an inverse FFT along
+    y (times R^m) give the coefficients.  Returns (gap, coefficients[k, m, n])
+    in the layout of indicators._circle_coeffs; raises TruncationMismatch
+    when the gap exceeds LAURENT_XCHECK_TOL.
+    """
+    R = 2.0 * rho(b)
+    th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    r_x = 0.3 * float(np.min(m_of_y(b, R * np.exp(1j * th))))
+    n_y, n_x = indicators.XCHECK_NY, indicators.XCHECK_NX
+    ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
+    xs = r_x * np.exp(2j * np.pi * np.arange(n_x) / n_x)
+    ks = list(range(table.kmax + 1))
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = indicators.G_lines(b, X.ravel(), Y.ravel(), ks).reshape(len(ks), n_x, n_y)
+    cx = np.fft.fft(grid, axis=1) / n_x
+    cxy = np.fft.ifft(cx, axis=2)
+    nn = min(table.mmax, n_x - 1) + 1
+    out = np.zeros((len(ks), table.mmax + 1, nn), dtype=complex)
+    bad = 0.0
+    for k in ks:
+        for m in range(table.mmax + 1):
+            for n in range(nn):
+                out[k, m, n] = cxy[k, n, m] * (R ** m) / (r_x ** n)
+                if n <= m:
+                    bad = max(bad, abs(out[k, m, n] - table.coeffs[k, m, n]))
+    if bad > LAURENT_XCHECK_TOL:
+        raise TruncationMismatch(f"laurent extraction routes disagree by {bad:.3e}")
+    return bad, out
+
+
+def boundary_from_json_per_element(obj: dict) -> BoundaryData:
+    """geometry.boundary_from_json with one complex() per [re, im] pair."""
+    loops, signs = [], []
+    for entry in obj["loops"]:
+        signs.append(int(entry["orientation"]))
+        ts, ws, dws = [], [], []
+        has_dw = all("dw" in s for s in entry["samples"])
+        for s in entry["samples"]:
+            ts.append(float(s["t"]))
+            ws.append([complex(p[0], p[1]) for p in s["w"]])
+            if has_dw:
+                dws.append([complex(p[0], p[1]) for p in s["dw"]])
+        ts = np.array(ts)
+        ws = np.array(ws, dtype=complex)
+        dws = np.array(dws, dtype=complex) if has_dw else synth_velocities(ts, ws)
+        loops.append(BoundaryLoop(ts, ws, dws))
+    return BoundaryData(loops, signs)
+
+
+def fmt_generic(v) -> str:
+    """cli.dumps without its trailing newline, by isinstance tests alone."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    if isinstance(v, (complex, np.complexfloating)):
+        return fmt_generic([float(v.real), float(v.imag)])
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return "[" + ",".join(fmt_generic(x) for x in v) + "]"
+    if isinstance(v, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{fmt_generic(x)}" for k, x in v.items()) + "}"
+    if v is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(v)}")
 
 
 def G110_check(b: BoundaryData, tol=1e-9):

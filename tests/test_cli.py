@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfr import cli
+from reference import fmt_generic
 
 
 def run_cli(argv, cwd):
@@ -86,6 +89,20 @@ MALFORMED = {
     "lambda-without-num": (["genus", "--lambda", "bad-lambda.json"],
                            {"bad-lambda.json": '{"den": [1.0]}'}),
 }
+# Boundary files whose loops, samples or number pairs have the wrong JSON type.
+_BAD_BOUNDARIES = {
+    "loops-a-number": '{"loops": 5}',
+    "top-level-list": "[1, 2]",
+    "orientation-null": '{"loops": [{"orientation": null, "samples": []}]}',
+    "w-null": '{"loops": [{"orientation": 1, "samples": [{"t": 0.0, "w": null}]}]}',
+    "pair-one-element": ('{"loops": [{"orientation": 1, "samples": '
+                         '[{"t": 0.0, "w": [[1.0], [0.5, 0.5], [1.5, 0.0]]}]}]}'),
+    "pair-string": ('{"loops": [{"orientation": 1, "samples": '
+                    '[{"t": 0.0, "w": [["x", 1.0], [0.5, 0.5], [1.5, 0.0]]}]}]}'),
+}
+for _name, _text in _BAD_BOUNDARIES.items():
+    MALFORMED["boundary-" + _name] = (["indicators", "--boundary", "bad.json"],
+                                      {"bad.json": _text})
 
 
 @pytest.mark.parametrize("argv,files", MALFORMED.values(), ids=MALFORMED.keys())
@@ -99,6 +116,26 @@ def test_malformed_input_is_a_validation_error(workdir, argv, files):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert json.loads(err)["error"] in ("E_VALIDATION", "E_IO")
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(), st.sampled_from([0.0, -0.0, float("inf"), -float("inf"), float("nan")]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.complex_numbers().map(np.complex128),
+    st.lists(st.floats(), max_size=3).map(np.array),
+)
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_dumps_equals_generic_writer(value):
+    """The exact-type paths of the writer give the bytes of the isinstance route."""
+    assert cli.dumps(value) == fmt_generic(value) + "\n"
 
 
 def test_missing_input_exit_code(workdir):
@@ -231,14 +268,15 @@ def test_genus_lambda_from_file(workdir):
 
 
 def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
-    """One pipeline run: one moment table, one line-kernel pass, one cross-check grid.
+    """One pipeline run: one moment table, one line-kernel pass, one cross-check.
 
     The counts pin the batched sweep: a per-line route would call the line
-    kernel and the root solver once per line.
+    kernel and the root solver once per line.  Without germs every P_k is
+    zero and is never evaluated.
     """
-    from cfr import indicators, symmetric
+    from cfr import indicators, infinity, symmetric
     from cfr.geometry import load_boundary
-    calls = {"moments": 0, "line kernel": 0, "G_grid": 0, "batched roots": 0}
+    calls = {"moments": 0, "line kernel": 0, "cross-check": 0, "batched roots": 0, "P_k": 0}
 
     def counted(key, fn, when=lambda *a: True):
         def wrapper(*args, **kwargs):
@@ -250,7 +288,10 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
                         counted("moments", indicators._moment_integrals))
     monkeypatch.setattr(indicators, "_loop_line_sums",
                         counted("line kernel", indicators._loop_line_sums))
-    monkeypatch.setattr(indicators, "G_grid", counted("G_grid", indicators.G_grid))
+    monkeypatch.setattr(indicators, "_circle_cross_check",
+                        counted("cross-check", indicators._circle_cross_check))
+    monkeypatch.setattr(infinity.RationalAffinePoly, "__call__",
+                        counted("P_k", infinity.RationalAffinePoly.__call__))
     monkeypatch.setattr(symmetric, "roots", counted("batched roots", symmetric.roots,
                                                     lambda c: np.ndim(c) == 2))
     code, _, _ = run_cli(["pipeline", "--boundary", "twoline.json", "--out", "once.json"],
@@ -258,4 +299,5 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
     assert code == 0
     loops = len(load_boundary(workdir / "twoline.json").loops)
     assert loops == 2
-    assert calls == {"moments": 1, "line kernel": loops, "G_grid": 1, "batched roots": 1}
+    assert calls == {"moments": 1, "line kernel": loops, "cross-check": 1, "batched roots": 1,
+                     "P_k": 0}

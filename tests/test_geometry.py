@@ -7,7 +7,8 @@ from cfr import geometry, oracles
 from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, OutsideDomain, ProjPoint,
                           boundary_from_json, boundary_to_json, m_of_y, rho,
                           synth_velocities)
-from reference import ChartUndefined, affine_chart, in_Z, line_eval
+from reference import (ChartUndefined, affine_chart, boundary_from_json_per_element, in_Z,
+                       line_eval)
 
 
 def dense_theta_oracle(fn, n=200000):
@@ -163,3 +164,31 @@ def test_velocity_synthesis_from_smooth_gauge():
     from cfr.indicators import G_k
     z = LineParam(0.1, 6.0)
     assert abs(G_k(b, z, 1) - (-(0.1 + 1) / 6.5)) < 1e-9
+
+
+def _hand_written_loop(n, with_dw):
+    """The interior line as a file might spell it: int entries and -0.0 parts."""
+    samples = []
+    for i, t in enumerate(np.linspace(0, 2 * np.pi, n, endpoint=False)):
+        c, s = float(np.cos(t)), float(np.sin(t))
+        zero = -0.0 if i % 2 else 0
+        sample = {"t": float(t) if i else 0, "w": [[1, zero], [c, s], [1 + 0.5 * c, 0.5 * s]]}
+        if with_dw:
+            sample["dw"] = [[0, -0.0], [-s, c], [-0.5 * s, 0.5 * c]]
+        samples.append(sample)
+    return {"orientation": 1 if with_dw else -1, "samples": samples}
+
+
+def test_boundary_from_json_equals_per_element_parse(twoline):
+    """The array parse gives the arrays of one complex() per pair, byte for byte."""
+    objs = [boundary_to_json(twoline),
+            {"loops": [_hand_written_loop(64, True), _hand_written_loop(64, False)]}]
+    for obj in objs:
+        obj = json.loads(json.dumps(obj))
+        got, ref = boundary_from_json(obj), boundary_from_json_per_element(obj)
+        assert got.orientation == ref.orientation
+        assert len(got.loops) == len(ref.loops) == 2
+        for a, b in zip(got.loops, ref.loops):
+            for name in ("t", "w", "dw"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert np.signbit(got.loops[0].w[1, 0].imag)       # a -0.0 part survives the parse

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cfr import indicators, oracles
-from cfr.geometry import LineParam, m_of_y, rho
-from cfr.indicators import (G_grid, G_k, G_lines, NearIncidence, NegativeSheets,
+from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, m_of_y, rho
+from cfr.indicators import (DENOM_EPS, G_k, G_lines, NearIncidence, NegativeSheets,
                             TruncationMismatch, delta, laurent_extract, sheet_count)
-from reference import G110_check
+from reference import G110_check, sampled_cross_check
 
 
 def test_G1_interior_residue_oracle(interior):
@@ -39,9 +39,9 @@ def test_near_incidence_guard(interior):
     x = -(y * z1 + z2)
     with pytest.raises(NearIncidence):
         G_k(interior, LineParam(x, y), 1)
-    # one incident node among four on a grid
+    # one incident line among the four of a 2 x 2 grid
     with pytest.raises(NearIncidence):
-        G_grid(interior, [0.1, x], [5.0, y], [0, 1])
+        G_lines(interior, [0.1, x, 0.1, x], [5.0, 5.0, y, y], [0, 1])
 
 
 def _G_per_line(b, x, y, ks):
@@ -57,16 +57,17 @@ def _G_per_line(b, x, y, ks):
 
 @pytest.mark.parametrize("name", ["interior", "twoline", "conic"])
 def test_G_grid_matches_per_line_sums(name, request, rng):
+    """G_lines on the xs x ys grid of lines equals the per-line sums bit for bit."""
     b = request.getfixturevalue(name)
     ks = [0, 1, 2, 3]
-    ys = 3.0 * rho(b) * np.exp(2j * np.pi * rng.random(35))   # two tiles, one partial
+    ys = 3.0 * rho(b) * np.exp(2j * np.pi * rng.random(35))
     xs = [f * m_of_y(b, ys[0]) for f in (0.3 * rng.random(3) - 0.15)]
-    grid = G_grid(b, xs, ys, ks)
-    assert grid.shape == (4, 3, 35)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")             # 105 lines: four tiles, one partial
+    grid = G_lines(b, X.ravel(), Y.ravel(), ks).reshape(4, 3, 35)
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
             ref = _G_per_line(b, x, y, ks)
-            assert np.array_equal(G_grid(b, [x], [y], ks)[:, 0, 0], ref)
+            assert np.array_equal(G_lines(b, [x], [y], ks)[:, 0], ref)
             assert np.array_equal(grid[:, ix, iy], ref)
 
 
@@ -152,16 +153,63 @@ def test_laurent_cross_check_fires(name, request):
 
 @pytest.mark.parametrize("name", ["interior", "exterior", "twoline", "conic"])
 def test_laurent_cross_check_gap(name, request):
-    """The 64 x 16 circle grid agrees with the moment table to 1e-7.
+    """The 64 x 16 circle grid agrees with the moment table to 1e-9.
 
     A 2e-6 change to one coefficient, twice LAURENT_XCHECK_TOL, is caught.
     """
     b = request.getfixturevalue(name)
     t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
     assert (indicators.XCHECK_NY, indicators.XCHECK_NX) == (64, 16)
-    assert indicators._circle_cross_check(b, t) <= 1e-7
+    assert indicators._circle_cross_check(b, t) <= 1e-9
     t.coeffs[2, 5, 3] += 2e-6
     with pytest.raises(TruncationMismatch):
+        indicators._circle_cross_check(b, t)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("name", ["interior_line", "exterior_line", "two_line", "conic"])
+def test_closed_form_cross_check_equals_sampled_route(name, n):
+    """The closed-form x sums agree with G_k sampled on the grid and an FFT.
+
+    Per coefficient within 1e-7, and both routes catch a 2e-6 change to one
+    coefficient.
+    """
+    b = getattr(oracles, name)(n=n)
+    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    got = indicators._circle_coeffs(b, t.kmax, t.mmax)
+    _, ref = sampled_cross_check(b, t)
+    assert got.shape == ref.shape == (3, 13, 13)
+    n_le_m = np.arange(13) <= np.arange(13)[:, None]
+    assert np.max(np.abs(got - ref)[:, n_le_m]) <= 1e-7
+    t.coeffs[1, 4, 2] += 2e-6
+    with pytest.raises(TruncationMismatch):
+        indicators._circle_cross_check(b, t)
+    with pytest.raises(TruncationMismatch):
+        sampled_cross_check(b, t)
+
+
+def _small_interior_line(s, n=256):
+    """The interior line with w2 scaled by s: rho and every m(y) scale by s."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    e = np.exp(1j * t)
+    w = np.stack([np.ones_like(e), e, s * (1.0 + 0.5 * e)], axis=1)
+    dw = np.stack([np.zeros_like(e), 1j * e, s * 0.5j * e], axis=1)
+    return BoundaryData([BoundaryLoop(t, w, dw)], [1])
+
+
+def test_closed_form_cross_check_near_incidence(monkeypatch):
+    """min m(y) at or below DENOM_EPS on |y| = 2 rho raises NearIncidence."""
+    b = _small_interior_line(1e-10)                # m(y) <= 4.5e-10 on |y| = 2 rho
+    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    assert np.max(m_of_y(b, 2 * rho(b) * np.exp(1j * np.arange(8)))) < DENOM_EPS
+    with pytest.raises(NearIncidence):
+        indicators._circle_cross_check(b, t)
+    with pytest.raises(NearIncidence):
+        sampled_cross_check(b, t)
+    b = oracles.interior_line(n=256)
+    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    monkeypatch.setattr(indicators, "m_of_y", lambda b, ys: np.full(len(ys), DENOM_EPS))
+    with pytest.raises(NearIncidence):
         indicators._circle_cross_check(b, t)
 
 

@@ -158,8 +158,8 @@ def test_detect_algebraic(interior, twoline, conic):
 def test_detect_algebraic_zero_model(interior, monkeypatch):
     """A zero indicator feed returns True with the zero model."""
     from cfr import indicators as ind
-    monkeypatch.setattr(ind, "G_grid",
-                        lambda b, xs, ys, ks: np.zeros((1, len(xs), len(ys)), dtype=complex))
+    monkeypatch.setattr(ind, "G_lines",
+                        lambda b, xs, ys, ks: np.zeros((1, len(xs)), dtype=complex))
     ok, model = detect_algebraic(interior)
     assert ok
     assert model["residual"] == 0.0
@@ -189,6 +189,12 @@ def threeline():
                         [1, 1, 1])
 
 
+@pytest.fixture(scope="module")
+def fourline():
+    return BoundaryData([oracles._line_loop(a, 1024)
+                         for a in (0.5, -1.0 / 3.0, 0.25j, -0.6 + 0.1j)], [1, 1, 1, 1])
+
+
 @pytest.mark.parametrize("name, p, angles", [("twoline", 2, 16), ("conic", 1, 16),
                                              ("threeline", 3, 16), ("twoline", 2, 32)])
 def test_sweep_equals_per_line_loop(name, p, angles, no_germs, request):
@@ -200,6 +206,24 @@ def test_sweep_equals_per_line_loop(name, p, angles, no_germs, request):
     assert len(cloud) > 0
     if name == "threeline":
         assert cloud.skipped            # the discriminant test declines some lines
+
+
+@pytest.mark.parametrize("name, p, eps", [("threeline", 3, reconstruct.MERGE_EPS),
+                                          ("fourline", 4, reconstruct.MERGE_EPS),
+                                          ("threeline", 3, 3e-2)])
+def test_sweep_in_small_tiles_equals_per_line_loop(name, p, eps, no_germs, request,
+                                                  monkeypatch):
+    """With 2^8-entry tiles the dedup runs on many i x j tiles and keeps the cloud.
+
+    At 3e-2 sightings merge, some within eps of two accepted points.
+    """
+    from cfr import geometry
+    b = request.getfixturevalue(name)
+    monkeypatch.setattr(geometry, "TILE_ENTRIES", 2 ** 8)
+    cloud = sweep(b, p, no_germs, angles=32, merge_eps=eps)
+    assert cloud == sweep_per_line(b, p, no_germs, angles=32, merge_eps=eps)
+    if eps > reconstruct.MERGE_EPS:
+        assert len(cloud) < sum(cloud.multiplicity)
 
 
 def test_sweep_with_germs_equals_per_line_loop(interior, line_germs):
