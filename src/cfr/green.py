@@ -19,7 +19,13 @@ area normalization (i/2) w ^ conj(w) is what pins the coefficient at exactly
 Quadrature: a smooth partition of unity isolates each singular point inside
 a polar sub-patch (radius-weighted nodes kill the 1/|z - s| singularity);
 the remainder is C-infinity on the patch and integrates with Gauss-Legendre
-radial x trapezoid angular nodes.
+radial x trapezoid angular nodes.  Since k(q*, z) = -k(z, q*), the q* factor
+-conj(k(z, q*)) times the form density and node weight is one weight per
+call on the full grid and on each sub-patch; a target then costs one kernel
+pass k(z, q) against it.  The cut 1 - bump(|z - s| / r0) is exactly 1 at
+distance r0 or more from s, so it is evaluated only on the nodes inside the
+two discs.  The q*-side sub-patch is built once per sub-patch radius within
+a call, and sub-patch z2 comes from Newton started at the known z2(s).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ class SingularFredholm(RuntimeError):
 
 
 COINCIDENT_EPS = 1e-12
+DPHI_EPS = 1e-9         # |dPhi/dz2| below this (or NaN) on a node: MeshTooCoarse
 
 
 # -- divided differences --------------------------------------------------------
@@ -55,23 +62,40 @@ class Psi:
     """Symmetric pair with Phi(z') - Phi(z) = Psi1 (z1'-z1) + Psi2 (z2'-z2).
 
     Components are polynomials in (z1', z2', z1, z2), stored as 4-index
-    coefficient arrays.
+    coefficient arrays c[i, j, k, l] of z1'^i z2'^j z1^k z2^l.
     """
 
     c1: np.ndarray
     c2: np.ndarray
 
     def __call__(self, zp, z):
-        return _eval4(self.c1, zp, z), _eval4(self.c2, zp, z)
+        return _eval_pair(self.c1, zp, z), _eval_pair(self.c2, zp, z)
 
 
-def _eval4(c, zp, z):
-    z1p, z2p = zp
-    z1, z2 = z
-    out = 0.0
-    # argwhere lists the nonzero entries in C order, the order of the sum
-    for i, j, k, l in np.argwhere(c).tolist():
-        out = out + c[i, j, k, l] * z1p ** i * z2p ** j * z1 ** k * z2 ** l
+def _eval_pair(c, zp, z):
+    """sum c[i, j, k, l] z1'^i z2'^j z1^k z2^l.
+
+    Contracting against z's monomials first leaves the (i, j) table of a
+    polynomial in z'; for a point z the table is a few scalars, so nodes z'
+    cost a few multiply-adds each.
+    """
+    if not c.size:
+        return 0.0
+    lift = (slice(None),) * 4 + (None,) * max(np.ndim(z[0]), np.ndim(z[1]))
+    table = _horner2(np.transpose(c, (2, 3, 0, 1))[lift], *z)
+    return _horner2(table, *zp)
+
+
+def _horner2(c, x, y):
+    """sum_kl c[k, l] x^k y^l by Horner's rule in y, then in x."""
+    return _horner([_horner(row, y) for row in c], x)
+
+
+def _horner(c, x):
+    """sum_k c[k] x^k by Horner's rule."""
+    out = c[-1]
+    for a in c[-2::-1]:
+        out = out * x + a
     return out
 
 
@@ -98,7 +122,7 @@ def psi_of(phi: np.ndarray) -> Psi:
             # (z2'^b - z2^b)/(z2'-z2) = sum_j z2'^j z2^(b-1-j); carries z1'^a
             for j in range(b):
                 c2[a, j, 0, b - 1 - j] += v
-    return Psi(_symmetrize4(c1), _symmetrize4(c2))
+    return Psi(_trim(_symmetrize4(c1)), _trim(_symmetrize4(c2)))
 
 
 def _symmetrize4(c):
@@ -111,6 +135,12 @@ def _symmetrize4(c):
     return full
 
 
+def _trim(c):
+    """c cut to the smallest box that holds its nonzero entries."""
+    nz = np.argwhere(c)
+    return c[tuple(slice(m + 1) for m in nz.max(axis=0))] if len(nz) else c[:0, :0, :0, :0]
+
+
 def kernel_k(zp, z, psi: Psi):
     """k(z', z): determinant of the normalized conjugate difference against Psi."""
     d1 = np.asarray(zp[0]) - z[0]
@@ -118,10 +148,8 @@ def kernel_k(zp, z, psi: Psi):
     n2 = np.abs(d1) ** 2 + np.abs(d2) ** 2
     if np.min(n2) < COINCIDENT_EPS ** 2:
         raise Coincident("kernel points coincide")
-    v1 = np.conj(d1) / n2
-    v2 = np.conj(d2) / n2
     p1, p2 = psi(zp, z)
-    return v1 * p2 - v2 * p1
+    return (np.conj(d1) * p2 - np.conj(d2) * p1) / n2
 
 
 # -- curve model ----------------------------------------------------------------
@@ -154,24 +182,44 @@ class CurveModel:
         z1 = np.asarray(z1, dtype=complex)
         scalar = z1.ndim == 0
         flat = np.atleast_1d(z1).ravel()
-        if self.phi.shape[1] == 2 and not np.any(self.phi[1:, 1]):
-            # Phi = c * z2 + p(z1): closed-form graph
-            out = -P.polyval(flat, self.phi[:, 0]) / self.phi[0, 1]
-        else:
+        out = self._graph_z2(flat)
+        if out is None:
             out = np.full(flat.shape, self.z2_center, dtype=complex)
             # continuation along straight segments keeps Newton in the branch basin
             for s in np.linspace(0.15, 1.0, 7):
-                zt = self.center + s * (flat - self.center)
-                for _ in range(30):
-                    f = self._pv(self.phi, zt, out)
-                    fw = self._pv(self._phi_z2, zt, out)
-                    if np.min(np.abs(fw)) < 1e-9:
-                        raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
-                    step = f / fw
-                    out = out - step
-                    if np.max(np.abs(step)) < 1e-14:
-                        break
+                out = self._newton(self.center + s * (flat - self.center), out)
         return complex(out[0]) if scalar else out.reshape(z1.shape)
+
+    def _z2_near(self, z1, z2_s):
+        """z2 on sub-patch nodes z1 around a point s of the branch, z2(s) = z2_s.
+
+        Newton starts at z2_s: the nodes lie within r0 <= radius / 10 of s
+        (default sub-patch radius), a shorter jump than the first 0.15 |z1 -
+        center| segment of the continuation in z2_of.
+        """
+        out = self._graph_z2(z1)
+        return self._newton(z1, np.full(z1.shape, z2_s, dtype=complex)) if out is None else out
+
+    def _graph_z2(self, z1):
+        """z2 of Phi = c * z2 + p(z1) in closed form; None when Phi is not of that form."""
+        if self.phi.shape[1] != 2 or np.any(self.phi[1:, 1]):
+            return None
+        if not abs(self.phi[0, 1]) >= DPHI_EPS:
+            raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
+        return -P.polyval(z1, self.phi[:, 0]) / self.phi[0, 1]
+
+    def _newton(self, z1, z2):
+        """Newton on Phi(z1, .) = 0 from z2, at most 30 steps, stopping below 1e-14."""
+        for _ in range(30):
+            f = self._pv(self.phi, z1, z2)
+            fw = self._pv(self._phi_z2, z1, z2)
+            if not np.min(np.abs(fw)) >= DPHI_EPS:
+                raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
+            step = f / fw
+            z2 = z2 - step
+            if np.max(np.abs(step)) < 1e-14:
+                break
+        return z2
 
     def point(self, z1):
         return (np.asarray(z1, dtype=complex), self.z2_of(z1))
@@ -179,7 +227,7 @@ class CurveModel:
     def form_density(self, z1, z2):
         """|1/ (dPhi/dz2)|^2, the density of (i/2) w ^ conj(w) against dA(z1)."""
         fz2 = self._pv(self._phi_z2, z1, z2)
-        if np.min(np.abs(fz2)) < 1e-9:
+        if not np.min(np.abs(fz2)) >= DPHI_EPS:
             raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
         return 1.0 / np.abs(fz2) ** 2
 
@@ -256,9 +304,10 @@ def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128
     """Green values g_{q*}(q) for every q in targets, in order.
 
     nr x nt is the full-patch mesh and sub_nr x sub_nt the polar mesh of the
-    sub-patch of radius sub_radius (default radius / 10) around each singular
-    point.  check=True recomputes on meshes twice as fine and raises
-    MeshTooCoarse when a value moves by more than check_tol.
+    sub-patch of radius sub_radius (default radius / 10, at most 0.4 |q* - q|,
+    taken to 12 significant digits) around each singular point.  check=True
+    recomputes on meshes twice as fine and raises MeshTooCoarse when a value
+    moves by more than check_tol.
     """
     qs = complex(q_star)
     targets = [complex(q) for q in targets]
@@ -269,40 +318,60 @@ def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128
         refs = _green_quad(qs, targets, model, 2 * nr, 2 * nt, 2 * sub_nr, 2 * sub_nt,
                            sub_radius)
         for val, ref in zip(vals, refs):
-            if abs(ref - val) > check_tol:
+            if not abs(ref - val) <= check_tol:
                 raise MeshTooCoarse(f"refinement changed g by {abs(ref - val):.2e}")
     return vals
 
 
 def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt, sub_radius):
     pqs = model.point(qs)
-
-    def q_star_kernel(z1, z2):
-        return kernel_k((np.full_like(z1, pqs[0]), np.full_like(z1, pqs[1])), (z1, z2),
-                        model.psi)
-
     z, w, z2, dens = model.full_grid(nr, nt)
-    ck2 = np.conj(q_star_kernel(z, z2))     # the same for every target
+    weight = _star_weight(model, pqs, z, z2, dens * w)
+    star = {}               # sub-patch radius -> q*-side sub-patch
     vals = []
     for qq in targets:
-        r0 = min(sub_radius or 0.1 * model.radius, 0.4 * abs(qs - qq))
+        # to 12 digits, so targets on one circle around q* share the q*-side sub-patch
+        r0 = float(f"{min(sub_radius or 0.1 * model.radius, 0.4 * abs(qs - qq)):.12g}")
         pq = model.point(qq)
+        if r0 not in star:
+            star[r0] = _sub_patch(model, pqs, pqs, r0, sub_nr, sub_nt)
         total = 0.0 + 0.0j
         # singular sub-patches with the smooth bump
-        for s in (qq, qs):
-            zs, ws = _polar_nodes_gl(s, r0, sub_nr, sub_nt)
-            zs2 = model.z2_of(zs)
-            f = (kernel_k((zs, zs2), pq, model.psi) * np.conj(q_star_kernel(zs, zs2))
-                 * model.form_density(zs, zs2))
-            total += np.sum(f * _bump(np.abs(zs - s) / r0) * ws)
+        for zs, zs2, ws in (_sub_patch(model, pqs, pq, r0, sub_nr, sub_nt), star[r0]):
+            total += np.sum(kernel_k((zs, zs2), pq, model.psi) * ws)
         # smooth remainder over the full patch
-        cut = np.ones(len(z))
-        for s in (qq, qs):
-            cut = cut * (1.0 - _bump(np.abs(z - s) / r0))
-        f = kernel_k((z, z2), pq, model.psi) * ck2 * dens
-        total += np.sum(f * cut * w)
+        total += np.sum(kernel_k((z, z2), pq, model.psi) * weight * _cut(z, (qq, qs), r0))
         vals.append(float(np.real(total)) / (4.0 * np.pi ** 2))
     return vals
+
+
+def _star_weight(model, pqs, z1, z2, w):
+    """conj(k(q*, z)) w on the nodes (z1, z2): k(q*, z) = -k(z, q*), as the
+    difference flips sign exactly and Psi is symmetric."""
+    return -np.conj(kernel_k((z1, z2), pqs, model.psi)) * w
+
+
+def _sub_patch(model, pqs, ps, r0, sub_nr, sub_nt):
+    """Nodes, z2 and q*-side weight of the polar sub-patch of radius r0 around ps."""
+    s = complex(ps[0])
+    zs, ws = _polar_nodes_gl(s, r0, sub_nr, sub_nt)
+    zs2 = model._z2_near(zs, ps[1])
+    w = model.form_density(zs, zs2) * _bump(np.abs(zs - s) / r0) * ws
+    return zs, zs2, _star_weight(model, pqs, zs, zs2, w)
+
+
+def _cut(z, points, r0):
+    """prod over s in points of 1 - bump(|z - s| / r0) on the nodes z.
+
+    Each factor is exactly 1.0 at |z - s| >= r0, so the bump is evaluated
+    only on the nodes inside the discs.
+    """
+    cut = np.ones(len(z))
+    for s in points:
+        t = np.abs(z - s) / r0
+        near = np.flatnonzero(t < 1.0)
+        cut[near] *= 1.0 - _bump(t[near])
+    return cut
 
 
 def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
@@ -312,7 +381,10 @@ def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
     The directional average over a full circle of the harmonic background is
     its center value (mean-value property), so with enough directions the
     averaged data is exactly c * ln r + const and the two-radius slope is c.
+    radii must be two distinct positive radii.
     """
+    if len(radii) != 2 or radii[0] == radii[1] or not all(r > 0 for r in radii):
+        raise ValueError(f"need two distinct positive radii, got {tuple(radii)}")
     qs = complex(q_star)
     targets = [qs + r * np.exp(2j * np.pi * (a + 0.13) / n_dir)
                for r in radii for a in range(n_dir)]

@@ -19,7 +19,11 @@ from the paper that the tests check:
   along x and an inverse FFT along y, against the closed-form x sums;
 - the boundary JSON parse one number pair at a time, and the generic
   recursive JSON writer, which the array parse and the writer's exact-type
-  paths must equal.
+  paths must equal;
+- Green values term by term: Psi summed over its nonzero (z1', z2', z1, z2)
+  monomials, the q*-side kernel on every node of every target's grids, the
+  cut by the bump on the whole full grid, and sub-patch z2 by the Newton
+  continuation from the patch center.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from cfr import indicators, shock, symmetric
+from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
 from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
                           rho, synth_velocities)
 from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch, _contour_sum
@@ -417,3 +422,68 @@ def sweep_per_line(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0), an
             cloud.multiplicity.append(1)
             cloud.source.append(z)
     return cloud
+
+
+# -- green: term-by-term kernel and per-target quadrature ----------------------
+
+
+def _eval4(c, zp, z):
+    z1p, z2p = zp
+    z1, z2 = z
+    out = 0.0
+    # argwhere lists the nonzero entries in C order, the order of the sum
+    for i, j, k, l in np.argwhere(c).tolist():
+        out = out + c[i, j, k, l] * z1p ** i * z2p ** j * z1 ** k * z2 ** l
+    return out
+
+
+def psi_terms(psi, zp, z):
+    """(Psi1, Psi2) at (z', z), one monomial of the 4-index arrays at a time."""
+    return _eval4(psi.c1, zp, z), _eval4(psi.c2, zp, z)
+
+
+def kernel_k_terms(zp, z, psi):
+    """green.kernel_k with Psi summed term by term."""
+    d1 = np.asarray(zp[0]) - z[0]
+    d2 = np.asarray(zp[1]) - z[1]
+    n2 = np.abs(d1) ** 2 + np.abs(d2) ** 2
+    if np.min(n2) < COINCIDENT_EPS ** 2:
+        raise Coincident("kernel points coincide")
+    v1 = np.conj(d1) / n2
+    v2 = np.conj(d2) / n2
+    p1, p2 = psi_terms(psi, zp, z)
+    return v1 * p2 - v2 * p1
+
+
+def green_values_per_target(q_star, targets, model, nr=256, nt=256, sub_nr=128, sub_nt=64,
+                            sub_radius=None):
+    """green._green_values without the refinement check, every grid term built per target."""
+    qs = complex(q_star)
+    pqs = model.point(qs)
+
+    def q_star_kernel(z1, z2):
+        return kernel_k_terms((np.full_like(z1, pqs[0]), np.full_like(z1, pqs[1])), (z1, z2),
+                              model.psi)
+
+    z, w, z2, dens = model.full_grid(nr, nt)
+    ck2 = np.conj(q_star_kernel(z, z2))     # the same for every target
+    vals = []
+    for qq in (complex(q) for q in targets):
+        r0 = min(sub_radius or 0.1 * model.radius, 0.4 * abs(qs - qq))
+        pq = model.point(qq)
+        total = 0.0 + 0.0j
+        # singular sub-patches with the smooth bump
+        for s in (qq, qs):
+            zs, ws = _polar_nodes_gl(s, r0, sub_nr, sub_nt)
+            zs2 = model.z2_of(zs)
+            f = (kernel_k_terms((zs, zs2), pq, model.psi) * np.conj(q_star_kernel(zs, zs2))
+                 * model.form_density(zs, zs2))
+            total += np.sum(f * _bump(np.abs(zs - s) / r0) * ws)
+        # smooth remainder over the full patch
+        cut = np.ones(len(z))
+        for s in (qq, qs):
+            cut = cut * (1.0 - _bump(np.abs(z - s) / r0))
+        f = kernel_k_terms((z, z2), pq, model.psi) * ck2 * dens
+        total += np.sum(f * cut * w)
+        vals.append(float(np.real(total)) / (4.0 * np.pi ** 2))
+    return vals

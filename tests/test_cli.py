@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,44 @@ def test_green_cli(workdir):
         model = green.flat_disc_model()
         vals = [green.green_value(0.2 + 0.1j, complex(*p), model) for p in points]
         assert out == cli.dumps({"q_star": 0.2 + 0.1j, "values": vals})
+
+
+CURVED_PHIS = {
+    "graph": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[-0.5, 0.2], [0.0, 0.0]]],
+    "implicit": [[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                 [[-0.35, 0.05], [0.0, 0.0], [0.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVED_PHIS))
+def test_green_cli_matches_per_target_reference(workdir, name):
+    """cfr green on curved patches: within 1e-13 of the route that builds every term per target."""
+    from cfr import green
+    from reference import green_values_per_target
+    points = [[0.5, 0.0], [-0.3, 0.2], [0.0, -0.4]]
+    json.dump(CURVED_PHIS[name], open(workdir / f"phi-{name}.json", "w"))
+    json.dump({"q_star": [0.2, 0.1], "points": points},
+              open(workdir / f"targets-{name}.json", "w"))
+    code, out, _ = run_cli(["green", "--phi", f"phi-{name}.json",
+                            "--targets", f"targets-{name}.json"], workdir)
+    assert code == 0
+    model = green.CurveModel(cli._phi(CURVED_PHIS[name]))
+    refs = green_values_per_target(0.2 + 0.1j, [complex(*p) for p in points], model)
+    assert max(abs(v - r) for v, r in zip(json.loads(out)["values"], refs)) <= 1e-13
+
+
+def test_green_cli_phi_without_z2_is_a_numeric_error(workdir):
+    """Phi = z1 has dPhi/dz2 = 0 everywhere: exit 2, not NaN values."""
+    json.dump([[[0, 0], [0, 0]], [[1, 0], [0, 0]]], open(workdir / "phi-z1.json", "w"))
+    json.dump({"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]},
+              open(workdir / "targets-z1.json", "w"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["green", "--phi", "phi-z1.json",
+                                  "--targets", "targets-z1.json"], workdir)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "E_NUMERIC"
 
 
 def test_genus_cli(workdir):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from cfr import green
 from cfr.green import (BoundaryGrid, Coincident, CurveModel, MeshTooCoarse,
-                       SingularFredholm, _eval4, _leggauss, disc_principal_dbar,
-                       disc_principal_green, fit_log_coefficient, flat_disc_model,
-                       fredholm_solve_R, green_value, harmonic_extension_T, kernel_k,
-                       principal_green, psi_of, smooth_S_matrix)
+                       SingularFredholm, _bump, _cut, _leggauss, _polar_nodes_gl,
+                       disc_principal_dbar, disc_principal_green, fit_log_coefficient,
+                       flat_disc_model, fredholm_solve_R, green_value, harmonic_extension_T,
+                       kernel_k, principal_green, psi_of, smooth_S_matrix)
+from reference import _eval4, green_values_per_target, kernel_k_terms, psi_terms
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 
@@ -66,6 +68,21 @@ def test_eval4_matches_quadruple_loop(rng):
                     if c[i, j, k, l] != 0:
                         ref = ref + c[i, j, k, l] * zp[0] ** i * zp[1] ** j * z[0] ** k * z[1] ** l
     assert np.array_equal(_eval4(c, zp, z), ref)
+
+
+def test_psi_and_kernel_match_term_sum():
+    """The contracted Psi and kernel_k equal the term-by-term sums, array arguments on both sides."""
+    # its own generator: draws from the shared rng fixture would shift later tests' inputs
+    rng = np.random.default_rng(3843)
+    phi = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    psi = psi_of(phi)
+    zp = tuple(rng.standard_normal((2, 60)) + 1j * rng.standard_normal((2, 60)))
+    z = tuple(rng.standard_normal((2, 60)) + 1j * rng.standard_normal((2, 60)))
+    for args in ((zp, z), (zp, (z[0][0], z[1][0])), ((zp[0][0], zp[1][0]), z)):
+        for new, ref in zip(psi(*args), psi_terms(psi, *args)):
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+        new, ref = kernel_k(*args, psi), kernel_k_terms(*args, psi)
+        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_kernel_flat_reduction(disc):
@@ -158,6 +175,12 @@ def test_green_curved_model_smoke():
     assert abs(coef - TWO_PI_INV) < 5e-3
 
 
+def test_log_coefficient_needs_two_distinct_positive_radii(disc):
+    for radii in ((0.1,), (0.1, 0.2, 0.3), (0.1, 0.1), (-0.1, 0.2), (0.0, 0.2)):
+        with pytest.raises(ValueError):
+            fit_log_coefficient(disc, 0.2 + 0.1j, radii=radii)
+
+
 def test_mesh_too_coarse(disc):
     with pytest.raises(MeshTooCoarse):
         green_value(0.25 + 0.1j, -0.3 + 0.35j, disc, nr=8, nt=8, sub_nr=4,
@@ -205,6 +228,50 @@ def test_check_refines_under_its_own_key():
     fine = dict(nr=32, nt=24, sub_nr=16, sub_nt=12)
     assert green_value(0.1, -0.2j, model, **fine) == green_value(
         0.1, -0.2j, PATCHES["implicit"](), **fine)
+
+
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_values_match_per_target_reference(name):
+    """Values within 1e-13 of the route that builds every grid term per target."""
+    model = PATCHES[name]()
+    for qs, targets in ((0.1 + 0.05j, [-0.2 + 0.1j, 0.25j, 0.3 - 0.1j]), (-0.15j, [0.2])):
+        vals = green._green_values(qs, targets, model, **SMALL_MESH)
+        refs = green_values_per_target(qs, targets, model, **SMALL_MESH)
+        assert max(abs(v - r) for v, r in zip(vals, refs)) <= 1e-13
+
+
+def test_cut_near_nodes_equals_full_product():
+    z, _, _, _ = flat_disc_model().full_grid(64, 64)
+    for pts, r0 in (((0.3 + 0.1j, -0.2 + 0.25j), 0.1), ((0.5j, 0.52j), 0.008),
+                    ((0.95, -0.9j), 0.1)):
+        full = np.ones(len(z))
+        for s in pts:
+            full = full * (1.0 - _bump(np.abs(z - s) / r0))
+        assert np.array_equal(_cut(z, pts, r0), full)
+
+
+def test_log_coefficient_builds_one_q_star_sub_patch_per_radius(monkeypatch):
+    """16 targets at 2 radii: 16 target-side sub-patches and 2 on the q* side."""
+    model = flat_disc_model()
+    model.full_grid(SMALL_MESH["nr"], SMALL_MESH["nt"])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _polar_nodes_gl(*args)
+
+    monkeypatch.setattr(green, "_polar_nodes_gl", counted)
+    fit_log_coefficient(model, 0.2 + 0.1j, radii=(0.1, 0.2), n_dir=8, **SMALL_MESH)
+    assert len(calls) == 18
+    assert sum(complex(c[0]) == 0.2 + 0.1j for c in calls) == 2
+
+
+def test_seeded_sub_patch_z2():
+    """Sub-patch z2 by Newton from z2(s) agrees with the continuation from the center."""
+    model = PATCHES["implicit"]()
+    for s in (0.1 + 0.05j, -0.35 + 0.2j, 0.45j):
+        zs, _ = _polar_nodes_gl(s, 0.06, 24, 16)
+        assert np.max(np.abs(model._z2_near(zs, model.z2_of(s)) - model.z2_of(zs))) <= 1e-15
 
 
 def test_grid_failure_leaves_no_entry(monkeypatch):
