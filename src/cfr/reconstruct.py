@@ -75,7 +75,8 @@ def fibers(b: BoundaryData, zs, p: int, pk_family):
 
     One G_lines call gives the power sums N_{Q,1..p} of every line; Newton's
     identities and the discriminant test run per line, and one batched
-    Aberth solve roots the lines that pass.  results holds a FiberResult per
+    companion-eigenvalue solve roots the lines that pass, each fiber's roots
+    in np.sort_complex order.  results holds a FiberResult per
     accepted line and skipped a (z, reason) per line whose |discriminant|
     falls below 1e-12 * scale, both in the order of zs.  A line near the
     boundary image raises NearIncidence before any line is rooted.
@@ -142,7 +143,7 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     results, cloud.skipped = fibers(b, zs, p, pk_family)
     pts = [(pt, res.z) for res in results for pt in res.points]
     A = np.array([[pt.w0, pt.w1, pt.w2] for pt, _ in pts], dtype=complex).reshape(-1, 3)
-    norms = np.array([np.linalg.norm(a) for a in A])   # per row: a 1-D norm is a BLAS dot
+    norms = np.linalg.norm(A, axis=1)   # an ulp off moves a merge only at dist ~ merge_eps
     # earlier[i]: the j < i with chordal distance |a_i ^ a_j| / (|a_i| |a_j|)
     # below merge_eps, ascending; pairs run in tiles of i x j entries
     earlier = [[] for _ in pts]

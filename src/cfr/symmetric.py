@@ -1,11 +1,10 @@
-"""Newton identities, monic assembly, simultaneous root finding, discriminant."""
+"""Newton identities, monic assembly, companion-matrix root finding, discriminant."""
 
 from __future__ import annotations
 
 import numpy as np
 
 ROOT_RESIDUAL_TOL = 1e-9
-ABERTH_MAX_ITER = 200
 
 # Fibers whose discriminant falls under this relative threshold are treated as
 # non-transverse line positions and skipped by callers.
@@ -13,7 +12,7 @@ DISC_SINGULAR_TOL = 1e-12
 
 
 class NoConvergence(RuntimeError):
-    """Root iteration failed to reach the residual target."""
+    """Computed roots miss the residual target."""
 
 
 def power_to_elementary(N):
@@ -76,82 +75,41 @@ def _polyval_and_deriv(coeffs, z):
 
 
 def roots(coeffs):
-    """All roots of monic-ish polynomials via Aberth-Ehrlich iteration.
+    """All roots of polynomials as companion-matrix eigenvalues.
 
     coeffs holds one polynomial (descending coefficients) or a (rows, deg+1)
-    array of them, and the roots come back in the same layout; one
-    polynomial is the one-row case.  The iteration is elementwise, so a row
-    gives the same bits in any batch: each row has its own convergence test
-    and is frozen once it passes.  A row that stalls falls back to
-    companion-matrix eigenvalues on its own; a result is accepted only when
-    |p(root)| < 1e-9 * (1 + ||coeffs||).
+    array of them, and the roots come back in the same layout, each row in
+    np.sort_complex order; one polynomial is the one-row case.  Each row is
+    normalised to monic and its companion matrix joins one (rows, deg, deg)
+    stack for np.linalg.eigvals, which solves every matrix on its own, so a
+    row gives the same bits in any batch.  The eigenvalues are backward
+    stable (Edelman & Murakami, Math. Comp. 64, 1995) and get one Newton
+    step; a row is accepted only when |p(root)| < 1e-9 * (1 + ||coeffs||),
+    else NoConvergence.
     """
     C = np.asarray(coeffs, dtype=complex)
     if C.shape[-1] < 2:
         raise ValueError("degree must be at least 1")
-    Z = _aberth(np.atleast_2d(C))
-    return Z if C.ndim == 2 else Z[0]
-
-
-def _aberth(C):
-    """Roots of each row of C, (rows, deg+1) descending coefficients; see roots."""
-    C = C / C[:, :1]
-    deg = C.shape[1] - 1
+    A = np.atleast_2d(C)
+    A = A / A[:, :1]
+    deg = A.shape[1] - 1
     if deg == 1:
-        return -C[:, 1:]
-    scale = 1.0 + np.max(np.abs(C), axis=1)
-    tol = ROOT_RESIDUAL_TOL * (1.0 + np.array([np.linalg.norm(c) for c in C]))
-
-    # Deterministic Fejer-like starting circle; the offset breaks the symmetry
-    # of polynomials with real coefficients.
-    k = np.arange(deg)
-    Z = scale[:, None] * np.exp(2j * np.pi * (k + 0.5) / deg + 0.4j)
-
-    converged = np.zeros(len(C), dtype=bool)
-    live = np.arange(len(C))            # rows still iterating
-    diag = np.arange(deg)
-    for _ in range(ABERTH_MAX_ITER):
-        if not live.size:
-            break
-        z = Z[live]
-        p, dp = _polyval_and_deriv(C[live], z)
-        small = np.max(np.abs(p), axis=1) < tol[live] * 1e-3
-        converged[live[small]] = True
-        live, z, p, dp = live[~small], z[~small], p[~small], dp[~small]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = p / dp
-            diff = z[:, :, None] - z[:, None, :]
-            diff[:, diag, diag] = 1.0
-            s = np.sum(1.0 / diff, axis=2) - 1.0  # remove the diagonal 1/1 term
-            corr = w / (1.0 - w * s)
-        corr = np.where(np.isfinite(corr), corr, w)
-        z = z - corr
-        Z[live] = z
-        done = np.max(np.abs(corr), axis=1) < 1e-14 * (1.0 + np.max(np.abs(z), axis=1))
-        converged[live[done]] = True
-        live = live[~done]
-
-    p, _ = _polyval_and_deriv(C, Z)
-    for i in np.flatnonzero(~converged | (np.max(np.abs(p), axis=1) > tol)):
-        Z[i] = _companion_roots(C[i], tol[i])
-    return Z
-
-
-def _companion_roots(coeffs, tol):
-    """Companion-matrix eigenvalues of one polynomial, polished by Newton steps."""
-    deg = len(coeffs) - 1
-    comp = np.diag(np.ones(deg - 1, dtype=complex), -1)
-    comp[0, :] = -coeffs[1:]
-    z = np.linalg.eigvals(comp)[None, :]
-    c = coeffs[None, :]
-    for _ in range(3):      # Newton polish steps
-        p, dp = _polyval_and_deriv(c, z)
-        step = np.where(np.abs(dp) > 0, p / np.where(dp == 0, 1, dp), 0)
-        z = z - step
-    p, _ = _polyval_and_deriv(c, z)
-    if np.max(np.abs(p)) > tol:
-        raise NoConvergence(f"max residual {np.max(np.abs(p)):.3e} exceeds {tol:.3e}")
-    return z[0]
+        Z = -A[:, 1:]
+    else:
+        comp = np.zeros((len(A), deg, deg), dtype=complex)
+        comp[:, 0, :] = -A[:, 1:]
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        # one Newton step takes large roots down to Horner's rounding level
+        Z = np.linalg.eigvals(comp)
+        p, dp = _polyval_and_deriv(A, Z)
+        Z = np.sort_complex(Z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0))
+        res = np.max(np.abs(_polyval_and_deriv(A, Z)[0]), axis=1)
+        tol = ROOT_RESIDUAL_TOL * (1.0 + np.linalg.norm(A, axis=1))
+        bad = np.flatnonzero(res > tol)
+        if bad.size:
+            i = bad[0]
+            raise NoConvergence(f"max residual {res[i]:.3e} exceeds {tol[i]:.3e}")
+    return Z if C.ndim == 2 else Z[0]
 
 
 def discriminant(coeffs):

@@ -195,6 +195,24 @@ def fourline():
                          for a in (0.5, -1.0 / 3.0, 0.25j, -0.6 + 0.1j)], [1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("name, slopes", [("twoline", (0.5, -1.0 / 3.0)),
+                                          ("threeline", (0.5, -1.0 / 3.0, 0.25j))])
+def test_fibers_match_closed_form_roots(name, slopes, no_germs, request):
+    """Every accepted fiber of the default grid lies within 1e-12 of -(x+1)/(y+a).
+
+    The loops are the lines z2 = 1 + a z1, so the fiber over L_z is exact.
+    """
+    b = request.getfixturevalue(name)
+    zs = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    results, _ = reconstruct.fibers(b, zs, len(slopes), no_germs)
+    assert results
+    for res in results:
+        exact = np.array([-(res.z.x + 1.0) / (res.z.y + a) for a in slopes])
+        assert np.array_equal(res.roots, np.sort_complex(res.roots))
+        assert np.max(np.min(np.abs(res.roots[:, None] - exact), axis=0)) < 1e-12
+        assert np.max(np.min(np.abs(res.roots[:, None] - exact), axis=1)) < 1e-12
+
+
 @pytest.mark.parametrize("name, p, angles", [("twoline", 2, 16), ("conic", 1, 16),
                                              ("threeline", 3, 16), ("twoline", 2, 32)])
 def test_sweep_equals_per_line_loop(name, p, angles, no_germs, request):

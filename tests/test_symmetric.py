@@ -25,7 +25,8 @@ def test_newton_examples():
     assert np.allclose(elementary_to_power(np.zeros(4)), np.zeros(4))
 
 
-def test_newton_round_trips(rng):
+def test_newton_round_trips():
+    rng = np.random.default_rng(20250809)
     for p in range(1, 9):
         for _ in range(20):
             N = rng.uniform(-5, 5, p) + 1j * rng.uniform(-5, 5, p)
@@ -125,17 +126,12 @@ def test_discriminant_collision_both_ways(rng):
     assert abs(discriminant(c2)) > 1e-6 * fiber_scale(c2)
 
 
-def test_roots_batch_rows_equal_one_row_calls(rng, monkeypatch):
-    """Each row of a batched Aberth run equals its one-row call, bit for bit.
+def test_roots_batch_rows_equal_one_row_calls(rng):
+    """Each row of a batched solve equals its one-row call, bit for bit.
 
-    T^3 - 1e10 T^2 + 1 stalls in the iteration and takes the companion
-    fallback; it sits between rows that converge.
+    T^3 - 1e10 T^2 + 1, whose roots span fifteen orders of magnitude, sits
+    between ordinary rows.
     """
-    from cfr import symmetric
-    fallbacks = []
-    companion = symmetric._companion_roots
-    monkeypatch.setattr(symmetric, "_companion_roots",
-                        lambda c, tol: fallbacks.append(len(c) - 1) or companion(c, tol))
     for deg in range(1, 9):
         C = rng.standard_normal((6, deg + 1)) + 1j * rng.standard_normal((6, deg + 1))
         if deg == 3:
@@ -144,7 +140,7 @@ def test_roots_batch_rows_equal_one_row_calls(rng, monkeypatch):
         assert batch.shape == (6, deg)
         for row, got in zip(C, batch):
             assert np.array_equal(got, roots(row))
-    assert fallbacks == [3, 3]          # the stalled row, batched and alone
+            assert np.array_equal(got, np.sort_complex(got))
 
 
 def test_roots_batch_empty_and_failure():
