@@ -31,8 +31,8 @@ p = indicators.sheet_count(h2.delta, fit2.r)
 print("\ntwo-line nodal curve: delta =", h2.delta, " q_inf =", fit2.r, " p =", p)
 
 fam = infinity.Pk_family([], p)
-fr = reconstruct.fiber(b2, LineParam(0.0, 10.0), p, fam)
-print("  fiber roots over z=(0,10):", np.round(sorted(fr.roots, key=lambda c: c.real), 8))
+h = reconstruct.fiber(b2, LineParam(0.0, 10.0), p, fam)
+print("  fiber roots over z=(0,10):", np.round(sorted(h, key=lambda c: c.real), 8))
 print("  exact:", sorted([-1.0 / 10.5, -1.0 / (10 - 1.0 / 3.0)]))
 
 cloud = reconstruct.sweep(b2, p, fam, angles=24)
@@ -51,6 +51,6 @@ bc = oracles.conic()
 ok, model = reconstruct.detect_algebraic(bc)
 print("\nconic piece: detect_algebraic ->", ok,
       "(best rational fit residual %.1e)" % model["residual"])
-frc = reconstruct.fiber(bc, LineParam(0.1, 10.0), 1, infinity.Pk_family([], 1))
-print("  fiber root:", frc.roots[0], " vs quadratic formula:",
+hc = reconstruct.fiber(bc, LineParam(0.1, 10.0), 1, infinity.Pk_family([], 1))
+print("  fiber root:", hc[0], " vs quadratic formula:",
       oracles.conic_small_root(0.1, 10.0))

@@ -63,7 +63,10 @@ def dumps(obj) -> str:
 
 
 def _write(obj, path):
-    text = dumps(obj)
+    _write_text(dumps(obj), path)
+
+
+def _write_text(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -179,41 +182,27 @@ def cmd_fit_infinity(args):
 
 
 def _cloud_rows(cloud):
+    """Per cloud point: w0, w1, w2 and the source x, y as real and imaginary parts, '.17g' text."""
     rows = []
     for p, src in zip(cloud.points, cloud.source):
-        rows.append([
-            p.w0.real, p.w0.imag, p.w1.real, p.w1.imag, p.w2.real, p.w2.imag,
-            float(np.real(src.x)),
-            float(np.imag(src.x)), float(np.real(src.y)), float(np.imag(src.y)),
-        ])
+        vals = (p.w0, p.w1, p.w2, complex(src.x), complex(src.y))
+        rows.append([format(f, ".17g") for v in vals for f in (v.real, v.imag)])
     return rows
 
 
 CSV_HEADER = "w0_re,w0_im,w1_re,w1_im,w2_re,w2_im,src_x_re,src_x_im,src_y_re,src_y_im"
+POINT_JSON = '{{"w":[[{},{}],[{},{}],[{},{}]],"src":[[{},{}],[{},{}]],"multiplicity":{}}}'
 
 
 def _write_cloud(cloud, path):
+    rows = _cloud_rows(cloud)
     if path and path.endswith(".csv"):
-        lines = [CSV_HEADER]
-        for row in _cloud_rows(cloud):
-            lines.append(",".join(format(v, ".17g") for v in row))
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        obj = {
-            "points": [
-                {"w": [complex(p.w0), complex(p.w1), complex(p.w2)],
-                 "src": [complex(s.x), complex(s.y)],
-                 "multiplicity": m}
-                for p, s, m in zip(cloud.points, cloud.source, cloud.multiplicity)
-            ],
-            "skipped": [
-                {"z": [complex(z.x), complex(z.y)], "reason": msg}
-                for z, msg in cloud.skipped
-            ],
-        }
-        _write(obj, path)
+        _write_text("\n".join([CSV_HEADER] + [",".join(r) for r in rows]) + "\n", path)
+        return
+    points = ",".join(POINT_JSON.format(*r, m) for r, m in zip(rows, cloud.multiplicity))
+    skipped = _fmt([{"z": [complex(z.x), complex(z.y)], "reason": msg}
+                    for z, msg in cloud.skipped])
+    _write_text(f'{{"points":[{points}],"skipped":{skipped}}}\n', path)
 
 
 def _do_reconstruct(b, args, fit=None, h=None):
@@ -276,14 +265,9 @@ def cmd_shock_verify(args):
     n = args.gridn
     xs = (np.arange(n) - n // 2) * hx
     ys = y0 + (np.arange(n) - n // 2) * hy
-    S = [np.zeros((n, n), dtype=complex) for _ in range(p)]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            fr = reconstruct.fiber(b, LineParam(complex(x), complex(y)), p, fam)
-            N = np.array([np.sum(fr.roots ** k) for k in range(1, p + 1)])
-            Sv = symmetric.power_to_elementary(N)
-            for k in range(p):
-                S[k][i, j] = Sv[k]
+    zs = [LineParam(complex(x), complex(y)) for x in xs for y in ys]
+    N = reconstruct.N_Qk(b, zs, list(range(1, p + 1)), fam)
+    S = symmetric.power_to_elementary(N).reshape(p, n, n)      # S[k - 1][i, j] at (xs[i], ys[j])
     res = shock.system_residual(S, hx, hy)
     _write({"p": p, "grid": n, "step": args.step, "residual": res}, args.out)
     return 0

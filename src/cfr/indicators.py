@@ -13,7 +13,7 @@ from math import comb as _comb
 
 import numpy as np
 
-from .geometry import BoundaryData, LineParam, m_of_y, rho, tiles
+from .geometry import BoundaryData, LineParam, rho, tiles
 
 DENOM_EPS = 1e-9
 DELTA_ROUND_TOL = 1e-6
@@ -232,18 +232,20 @@ def _circle_coeffs(b: BoundaryData, kmax: int, mmax: int):
     R = 2.0 * rho(b)
     n_y, n_x = XCHECK_NY, XCHECK_NX
     ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
-    m_min = float(np.min(m_of_y(b, ys)))
+    # c = y z1 + z2 per loop and y tile; the least |c| is min m(y) on the grid
+    cs = [[ys[sl, None] * lp.z1 + lp.z2 for sl in tiles(n_y, len(lp.z1))] for lp in b.loops]
+    m_min = min(float(np.min(np.abs(c))) for row in cs for c in row)
     if 0.7 * m_min <= DENOM_EPS:
         raise NearIncidence("cross-check circle too close to the boundary image")
     r_x = 0.3 * m_min
     nn = min(mmax, n_x - 1) + 1
     cx = np.zeros((kmax + 1, nn, n_y), dtype=complex)     # [k, n, y sample]
-    for sign, lp in b.signed_loops():
-        z1, z2, dz1, dz2 = lp.z1, lp.z2, lp.dz1, lp.dz2
+    for (sign, lp), row in zip(b.signed_loops(), cs):
+        z1, dz1, dz2 = lp.z1, lp.dz1, lp.dz2
         wz = sign * (lp.t[1] - lp.t[0]) * z1[:, None] ** np.arange(kmax + 1)   # (N, k)
-        for sl in tiles(n_y, len(z1)):
+        for sl, c in zip(tiles(n_y, len(z1)), row):
             yb = ys[sl, None]
-            u = -1.0 / (yb * z1 + z2)
+            u = -1.0 / c
             qn = r_x * u
             for _ in range(n_x.bit_length() - 1):        # q^n_x by squaring
                 qn *= qn

@@ -52,14 +52,6 @@ def N_Qk(b: BoundaryData, z, k, pk_family):
 
 
 @dataclass
-class FiberResult:
-    z: LineParam
-    roots: np.ndarray
-    points: list
-    discriminant: complex
-
-
-@dataclass
 class PointCloud:
     points: list = field(default_factory=list)        # ProjPoint
     multiplicity: list = field(default_factory=list)  # int
@@ -71,50 +63,40 @@ class PointCloud:
 
 
 def fibers(b: BoundaryData, zs, p: int, pk_family):
-    """Fibers over the lines zs as one batch: (results, skipped).
+    """Fibers over the lines zs as one batch: (lines, roots, skipped).
 
-    One G_lines call gives the power sums N_{Q,1..p} of every line; Newton's
-    identities and the discriminant test run per line, and one batched
-    companion-eigenvalue solve roots the lines that pass, each fiber's roots
-    in np.sort_complex order.  results holds a FiberResult per
-    accepted line and skipped a (z, reason) per line whose |discriminant|
-    falls below 1e-12 * scale, both in the order of zs.  A line near the
-    boundary image raises NearIncidence before any line is rooted.
+    One G_lines call gives the power sums N_{Q,1..p} of every line, and
+    Newton's identities, the monic assembly, the discriminant test and the
+    companion-eigenvalue solve each run once on the whole stack.  lines are
+    the accepted z, roots their (len(lines), p) fibers, each row in
+    np.sort_complex order, and skipped a (z, reason) per line whose
+    |discriminant| falls below 1e-12 * scale, both in the order of zs.  A line
+    near the boundary image raises NearIncidence before any line is rooted.
     """
     if p < 1:
         raise ValueError("fiber needs p >= 1")
     N = N_Qk(b, zs, list(range(1, p + 1)), pk_family)
-    kept, coeffs, discs, skipped = [], [], [], []
-    for z, col in zip(zs, N.T):
-        c = symmetric.monic_from_elementary(symmetric.power_to_elementary(col))
-        if p >= 2:
-            disc = symmetric.discriminant(c)
-            if abs(disc) < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(c):
-                skipped.append((z, f"discriminant {abs(disc):.2e} below threshold"))
-                continue
-        else:
-            disc = 1.0 + 0.0j
-        kept.append(z)
-        coeffs.append(c)
-        discs.append(complex(disc))
-    rts = symmetric.roots(np.reshape(coeffs, (len(kept), p + 1)))
-    results = [FiberResult(z=z, roots=r, discriminant=d,
-                           points=[ProjPoint(1.0, complex(h), complex(-z.x - z.y * h))
-                                   for h in r])
-               for z, r, d in zip(kept, rts, discs)]
-    return results, skipped
+    C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N)).T
+    skip, skipped = np.zeros(len(zs), dtype=bool), []
+    if p >= 2:
+        disc = np.abs(symmetric.discriminant(C))
+        skip = disc < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(C)
+        skipped = [(zs[i], f"discriminant {disc[i]:.2e} below threshold")
+                   for i in np.flatnonzero(skip)]
+    lines = [z for z, s in zip(zs, skip) if not s]
+    return lines, symmetric.roots(C[~skip]), skipped
 
 
-def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> FiberResult:
-    """Roots of the fiber polynomial over L_z and the projective points.
+def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> np.ndarray:
+    """Roots of the fiber polynomial over L_z, in np.sort_complex order.
 
     The one-line case of fibers: p is the sheet count, and a line whose
     discriminant test fails raises DegenerateFiber.
     """
-    results, skipped = fibers(b, [z], p, pk_family)
+    _, rts, skipped = fibers(b, [z], p, pk_family)
     if skipped:
         raise DegenerateFiber(skipped[0][1])
-    return results[0]
+    return rts[0]
 
 
 def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):
@@ -140,13 +122,18 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     if p < 1:
         return cloud
     zs = _default_grid(b, radii, angles, xfracs, angle_offset)
-    results, cloud.skipped = fibers(b, zs, p, pk_family)
-    pts = [(pt, res.z) for res in results for pt in res.points]
-    A = np.array([[pt.w0, pt.w1, pt.w2] for pt, _ in pts], dtype=complex).reshape(-1, 3)
+    lines, rts, cloud.skipped = fibers(b, zs, p, pk_family)
+    # row i is the point (1 : h : -x - y h) of root i % p over line i // p,
+    # scaled to max modulus 1 as ProjPoint scales it
+    x = np.array([z.x for z in lines], dtype=complex)[:, None]
+    y = np.array([z.y for z in lines], dtype=complex)[:, None]
+    A = np.stack([np.ones_like(rts), rts, -x - y * rts], axis=-1).reshape(-1, 3)
+    s = np.max(np.abs(A), axis=1, keepdims=True)
+    A = np.where(np.abs(s - 1.0) > 1e-9, A / s, A)
     norms = np.linalg.norm(A, axis=1)   # an ulp off moves a merge only at dist ~ merge_eps
     # earlier[i]: the j < i with chordal distance |a_i ^ a_j| / (|a_i| |a_j|)
     # below merge_eps, ascending; pairs run in tiles of i x j entries
-    earlier = [[] for _ in pts]
+    earlier = [[] for _ in A]
     idx = np.arange(len(A))
     for rows in tiles(len(A), max(1, len(A))):
         i = idx[rows]
@@ -158,15 +145,15 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
             for r, c in zip(i[rr].tolist(), j[cc].tolist()):
                 earlier[r].append(c)
     slot = {}                                          # accepted point -> cloud index
-    for i, (pt, z) in enumerate(pts):
+    for i in range(len(A)):
         hit = next((slot[j] for j in earlier[i] if j in slot), None)
         if hit is not None:
             cloud.multiplicity[hit] += 1
             continue
         slot[i] = len(cloud)
-        cloud.points.append(pt)
+        cloud.points.append(ProjPoint(*A[i].tolist()))
         cloud.multiplicity.append(1)
-        cloud.source.append(z)
+        cloud.source.append(lines[i // p])
     return cloud
 
 

@@ -22,15 +22,18 @@ def power_to_elementary(N):
         S_k = (1/k) sum_{j=1..k} (-1)^(j-1) S_{k-j} N_j,   S_0 = 1,
     which the brute-force expansion of prod (T - h_j) confirms; displayed
     versions with a (-1)^(j-1) against S_j N_{k-j} get the k >= 3 signs wrong.
+    N_1..N_p lie on axis 0 and S_1..S_p come back there; every other axis is
+    an independent problem.
     """
-    N = list(N)
-    S = [1.0 + 0.0j]
+    N = np.asarray(N, dtype=complex)
+    S = np.ones((len(N) + 1,) + N.shape[1:], dtype=complex)
     for k in range(1, len(N) + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            acc += (-1) ** (j - 1) * S[k - j] * N[j - 1]
-        S.append(acc / k)
-    return np.array(S[1:], dtype=complex)
+        acc = S[k - 1] * N[0]
+        for j in range(2, k + 1):
+            t = S[k - j] * N[j - 1]
+            acc = acc + t if j % 2 else acc - t
+        S[k] = acc / k
+    return S[1:]
 
 
 def series_mul(a, b, order):
@@ -57,11 +60,12 @@ def series_inv(a, order):
 
 
 def monic_from_elementary(S):
-    """Coefficients [1, -S_1, +S_2, ...] of prod (T - h_j), highest power first."""
-    out = [1.0 + 0.0j]
-    for k, s in enumerate(S, start=1):
-        out.append((-1) ** k * s)
-    return np.array(out, dtype=complex)
+    """Coefficients [1, -S_1, +S_2, ...] of prod (T - h_j), highest power first, on axis 0."""
+    S = np.asarray(S, dtype=complex)
+    out = np.ones((len(S) + 1,) + S.shape[1:], dtype=complex)
+    out[1:] = S
+    out[1::2] = -S[::2]
+    return out
 
 
 def _polyval_and_deriv(coeffs, z):
@@ -93,46 +97,44 @@ def roots(coeffs):
     A = np.atleast_2d(C)
     A = A / A[:, :1]
     deg = A.shape[1] - 1
-    if deg == 1:
-        Z = -A[:, 1:]
-    else:
-        comp = np.zeros((len(A), deg, deg), dtype=complex)
-        comp[:, 0, :] = -A[:, 1:]
-        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        # one Newton step takes large roots down to Horner's rounding level
-        Z = np.linalg.eigvals(comp)
-        p, dp = _polyval_and_deriv(A, Z)
-        Z = np.sort_complex(Z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0))
-        res = np.max(np.abs(_polyval_and_deriv(A, Z)[0]), axis=1)
-        tol = ROOT_RESIDUAL_TOL * (1.0 + np.linalg.norm(A, axis=1))
-        bad = np.flatnonzero(res > tol)
-        if bad.size:
-            i = bad[0]
-            raise NoConvergence(f"max residual {res[i]:.3e} exceeds {tol[i]:.3e}")
+    comp = np.zeros((len(A), deg, deg), dtype=complex)
+    comp[:, 0, :] = -A[:, 1:]
+    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    # one Newton step takes large roots down to Horner's rounding level
+    Z = np.linalg.eigvals(comp)
+    p, dp = _polyval_and_deriv(A, Z)
+    Z = np.sort_complex(Z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0))
+    res = np.max(np.abs(_polyval_and_deriv(A, Z)[0]), axis=1)
+    tol = ROOT_RESIDUAL_TOL * (1.0 + np.linalg.norm(A, axis=1))
+    bad = np.flatnonzero(res > tol)
+    if bad.size:
+        i = bad[0]
+        raise NoConvergence(f"max residual {res[i]:.3e} exceeds {tol[i]:.3e}")
     return Z if C.ndim == 2 else Z[0]
 
 
 def discriminant(coeffs):
-    """Resultant-based discriminant of a polynomial (descending coefficients)."""
+    """Resultant-based discriminant of polynomials (descending coefficients on the last axis)."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    deg = len(coeffs) - 1
+    deg = coeffs.shape[-1] - 1
     if deg < 2:
         raise ValueError("discriminant needs degree >= 2")
-    dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
+    dcoeffs = coeffs[..., :-1] * np.arange(deg, 0, -1)
     n, m = deg, deg - 1
-    # Sylvester matrix of p (degree n) and p' (degree m).
-    S = np.zeros((n + m, n + m), dtype=complex)
+    # Sylvester matrices of p (degree n) and p' (degree m), one per polynomial.
+    S = np.zeros(coeffs.shape[:-1] + (n + m, n + m), dtype=complex)
     for i in range(m):
-        S[i, i : i + n + 1] = coeffs
+        S[..., i, i : i + n + 1] = coeffs
     for i in range(n):
-        S[m + i, i : i + m + 1] = dcoeffs
+        S[..., m + i, i : i + m + 1] = dcoeffs
     res = np.linalg.det(S)
     sign = (-1) ** (n * (n - 1) // 2)
-    return sign * res / coeffs[0]
+    return sign * res / coeffs[..., 0]
 
 
 def fiber_scale(coeffs):
-    """Homogeneous magnitude scale used for the near-tangency discriminant test."""
+    """Homogeneous magnitude scale for the near-tangency discriminant test (last axis)."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    deg = len(coeffs) - 1
-    return (1.0 + float(np.max(np.abs(coeffs)))) ** (2 * (deg - 1))
+    deg = coeffs.shape[-1] - 1
+    # np.power, not **: on a numpy scalar ** can differ from the array path in the last bit
+    return np.power(1.0 + np.max(np.abs(coeffs), axis=-1), 2 * (deg - 1))

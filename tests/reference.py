@@ -13,8 +13,9 @@ from the paper that the tests check:
 - the term-by-term G_{1,1}^0 display, the metric h*, the genus of the
   double, affine charts, the domain Z, line incidence, the inverse Newton
   identities and the exterior-line germ;
-- the sweep one line at a time: m(y) per y, G_k, Newton, the discriminant
-  test and one root solve per line, which the batched sweep must equal;
+- the sweep one line at a time: m(y) per y, G_k, and the batch's Newton,
+  discriminant, root and point-row expressions on a one-line stack, then a
+  pairwise merge per point, which the batched sweep must equal;
 - the Laurent cross-check by sampling: G_lines on the circle grid, an FFT
   along x and an inverse FFT along y, against the closed-form x sums;
 - the boundary JSON parse one number pair at a time, and the generic
@@ -402,15 +403,14 @@ def sweep_per_line(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0), an
         g = indicators.G_k(b, z, list(range(1, p + 1)))
         N = np.array([g[i] - (pk_family[k](z.x, z.y) if k < len(pk_family) else 0.0)
                       for i, k in enumerate(range(1, p + 1))], dtype=complex)
-        coeffs = symmetric.monic_from_elementary(symmetric.power_to_elementary(N))
+        C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N[:, None])).T
         if p >= 2:
-            disc = symmetric.discriminant(coeffs)
-            if abs(disc) < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(coeffs):
-                cloud.skipped.append((z, f"discriminant {abs(disc):.2e} below threshold"))
+            disc = np.abs(symmetric.discriminant(C))[0]
+            if disc < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(C)[0]:
+                cloud.skipped.append((z, f"discriminant {disc:.2e} below threshold"))
                 continue
-        for h in symmetric.roots(coeffs):
-            pt = ProjPoint(1.0, complex(h), complex(-z.x - z.y * h))
-            a, n = pt.w, len(cloud)
+        for a in fiber_rows(z, symmetric.roots(C)[0]):
+            n = len(cloud)
             na = np.linalg.norm(a)
             dist = np.linalg.norm(np.cross(a, W[:n]), axis=1) / (na * norms[:n])
             hits = np.flatnonzero(dist < merge_eps)
@@ -418,10 +418,18 @@ def sweep_per_line(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0), an
                 cloud.multiplicity[hits[0]] += 1
                 continue
             W[n], norms[n] = a, na
-            cloud.points.append(pt)
+            cloud.points.append(ProjPoint(*a.tolist()))
             cloud.multiplicity.append(1)
             cloud.source.append(z)
     return cloud
+
+
+def fiber_rows(z: LineParam, h):
+    """The sweep's rows (1 : h : -x - y h) for the roots h over one line, scaled as ProjPoint."""
+    x, y = np.array([z.x, z.y], dtype=complex)
+    A = np.stack([np.ones_like(h), h, -x - y * h], axis=-1)
+    s = np.max(np.abs(A), axis=1, keepdims=True)
+    return np.where(np.abs(s - 1.0) > 1e-9, A / s, A)
 
 
 # -- green: term-by-term kernel and per-target quadrature ----------------------

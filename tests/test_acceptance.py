@@ -66,10 +66,10 @@ def test_criterion_03_two_line_fibers_and_cloud(twoline):
     fam = infinity.Pk_family([], 2)
     worst_root = 0.0
     for z in zgrid_5x5(twoline):
-        fr = reconstruct.fiber(twoline, z, 2, fam)
+        h = reconstruct.fiber(twoline, z, 2, fam)
         expect = sorted([-(z.x + 1) / (z.y + 0.5), -(z.x + 1) / (z.y - 1.0 / 3.0)],
                         key=lambda c: (c.real, c.imag))
-        got = sorted(fr.roots, key=lambda c: (c.real, c.imag))
+        got = sorted(h, key=lambda c: (c.real, c.imag))
         worst_root = max(worst_root, max(abs(g - e) for g, e in zip(got, expect)))
     cloud = reconstruct.sweep(twoline, 2, fam, angles=24)
     worst_member = 0.0
@@ -87,8 +87,8 @@ def test_criterion_04_conic_fiber_and_shock(conic):
     fam = infinity.Pk_family([], 1)
     worst = 0.0
     for z in zgrid_5x5(conic):
-        fr = reconstruct.fiber(conic, z, 1, fam)
-        worst = max(worst, abs(fr.roots[0] - oracles.conic_small_root(z.x, z.y)))
+        h = reconstruct.fiber(conic, z, 1, fam)
+        worst = max(worst, abs(h[0] - oracles.conic_small_root(z.x, z.y)))
     # shock residual of the fiber field around (0, 2.5 rho)
     n, step = 9, 0.05
     y0 = 2.5 * rho(conic)
@@ -96,7 +96,7 @@ def test_criterion_04_conic_fiber_and_shock(conic):
     for i in range(n):
         for j in range(n):
             z = LineParam((i - n // 2) * step, y0 + (j - n // 2) * step)
-            vals[i, j] = reconstruct.fiber(conic, z, 1, fam).roots[0]
+            vals[i, j] = reconstruct.fiber(conic, z, 1, fam)[0]
     res = shock.system_residual([vals], step, step)
     algebraic, model = reconstruct.detect_algebraic(conic)
     report(4, worst < 1e-7 and res < 1e-5 and not algebraic,

@@ -193,6 +193,28 @@ def test_shock_verify_cli(workdir):
     assert json.loads(out)["residual"] < 1e-5
 
 
+def test_shock_verify_through_a_node(workdir):
+    """A grid line through the node of the two lines gives a residual, not DegenerateFiber.
+
+    With --step 0.25 the first grid column is x = -1, whose line passes through
+    the node (z1, z2) = (0, 1); S_k come from the power sums, so no fiber is
+    rooted, and the residual is that of the closed-form S_1, S_2 of the sheets
+    h = -(x + 1) / (y + a), a = 1/2, -1/3.
+    """
+    from cfr import shock
+    from cfr.geometry import load_boundary, rho
+    code, out, err = run_cli(["shock-verify", "--boundary", "twoline.json", "--p", "2",
+                              "--step", "0.25"], workdir)
+    assert code == 0, err
+    n, step = 9, 0.25
+    xs = (np.arange(n) - n // 2) * step
+    ys = 2.5 * rho(load_boundary(workdir / "twoline.json")) + (np.arange(n) - n // 2) * step
+    assert xs[0] == -1.0
+    ha, hb = (-(xs[:, None] + 1.0) / (ys[None, :] + a) for a in (0.5, -1.0 / 3.0))
+    expect = shock.system_residual([ha + hb, ha * hb], step, step)
+    assert abs(json.loads(out)["residual"] - expect) < 1e-12
+
+
 def test_green_cli(workdir):
     from cfr import green
     (workdir / "phi.json").write_text(json.dumps([[[0.0, 0.0], [1.0, 0.0]]]))

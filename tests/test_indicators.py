@@ -208,7 +208,9 @@ def test_closed_form_cross_check_near_incidence(monkeypatch):
         sampled_cross_check(b, t)
     b = oracles.interior_line(n=256)
     t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    monkeypatch.setattr(indicators, "m_of_y", lambda b, ys: np.full(len(ys), DENOM_EPS))
+    n_y = indicators.XCHECK_NY
+    ys = 2.0 * rho(b) * np.exp(2j * np.pi * np.arange(n_y) / n_y)  # the cross-check's y circle
+    monkeypatch.setattr(indicators, "DENOM_EPS", 0.7 * float(np.min(m_of_y(b, ys))))
     with pytest.raises(NearIncidence):
         indicators._circle_cross_check(b, t)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cfr import infinity, oracles, reconstruct
-from cfr.geometry import BoundaryData, LineParam, chordal
+from cfr.geometry import BoundaryData, LineParam, ProjPoint, chordal
 from cfr.reconstruct import DegenerateFiber, N_Qk, detect_algebraic, fiber, sweep
-from reference import exterior_line_germ, line_eval, sweep_per_line
+from reference import exterior_line_germ, fiber_rows, line_eval, sweep_per_line
 
 
 @pytest.fixture(scope="module")
@@ -34,26 +34,28 @@ def test_NQk_two_line(twoline, no_germs):
 
 
 def test_fiber_interior(interior, no_germs):
-    fr = fiber(interior, LineParam(0.0, 10.0), 1, no_germs)
-    assert abs(fr.roots[0] + 2.0 / 21.0) < 1e-12
-    p = fr.points[0]
+    z = LineParam(0.0, 10.0)
+    h = fiber(interior, z, 1, no_germs)
+    assert abs(h[0] + 2.0 / 21.0) < 1e-12
+    p = ProjPoint(*fiber_rows(z, h)[0])
     assert abs(p.w2 / p.w0 - 20.0 / 21.0) < 1e-12
-    assert abs(line_eval(fr.z, p)) < 1e-9
+    assert abs(line_eval(z, p)) < 1e-9
 
 
 def test_fiber_two_line(twoline, no_germs):
-    fr = fiber(twoline, LineParam(0.0, 10.0), 2, no_germs)
-    got = sorted(fr.roots, key=lambda r: r.real)
+    z = LineParam(0.0, 10.0)
+    h = fiber(twoline, z, 2, no_germs)
+    got = sorted(h, key=lambda r: r.real)
     expect = sorted([-1.0 / 10.5, -1.0 / (10.0 - 1.0 / 3.0)])
     assert max(abs(g - e) for g, e in zip(got, expect)) < 1e-9
-    for p in fr.points:
-        assert abs(line_eval(fr.z, p)) < 1e-9
+    for row in fiber_rows(z, h):
+        assert abs(line_eval(z, ProjPoint(*row))) < 1e-9
 
 
 def test_fiber_conic_quadratic_oracle(conic, no_germs):
     for (x, y) in [(0.1, 10.0), (0.3, -8.0), (0.2j, 6.0 + 2.0j)]:
-        fr = fiber(conic, LineParam(x, y), 1, no_germs)
-        assert abs(fr.roots[0] - oracles.conic_small_root(x, y)) < 1e-9
+        h = fiber(conic, LineParam(x, y), 1, no_germs)
+        assert abs(h[0] - oracles.conic_small_root(x, y)) < 1e-9
 
 
 def test_fiber_newton_route_equals_direct(twoline, no_germs):
@@ -61,9 +63,9 @@ def test_fiber_newton_route_equals_direct(twoline, no_germs):
     for a in np.linspace(0, 2 * np.pi, 5, endpoint=False):
         y = 6.0 * np.exp(1j * a)
         x = 0.3
-        fr = fiber(twoline, LineParam(x, y), 2, no_germs)
+        h = fiber(twoline, LineParam(x, y), 2, no_germs)
         direct = [-(x + 1) / (y + 0.5), -(x + 1) / (y - 1.0 / 3.0)]
-        got = sorted(fr.roots, key=lambda r: (r.real, r.imag))
+        got = sorted(h, key=lambda r: (r.real, r.imag))
         want = sorted(direct, key=lambda r: (r.real, r.imag))
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-7
 
@@ -126,10 +128,10 @@ def test_sweep_dedup_first_match(twoline, no_germs, eps):
     points, mult, source = [], [], []
     for z in reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35), 0.31):
         try:
-            fr = fiber(twoline, z, 2, no_germs)
+            h = fiber(twoline, z, 2, no_germs)
         except DegenerateFiber:
             continue
-        for pt in fr.points:
+        for pt in (ProjPoint(*row.tolist()) for row in fiber_rows(z, h)):
             for i, q in enumerate(points):
                 if chordal(pt.w, q.w) < eps:
                     mult[i] += 1
@@ -204,13 +206,14 @@ def test_fibers_match_closed_form_roots(name, slopes, no_germs, request):
     """
     b = request.getfixturevalue(name)
     zs = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
-    results, _ = reconstruct.fibers(b, zs, len(slopes), no_germs)
-    assert results
-    for res in results:
-        exact = np.array([-(res.z.x + 1.0) / (res.z.y + a) for a in slopes])
-        assert np.array_equal(res.roots, np.sort_complex(res.roots))
-        assert np.max(np.min(np.abs(res.roots[:, None] - exact), axis=0)) < 1e-12
-        assert np.max(np.min(np.abs(res.roots[:, None] - exact), axis=1)) < 1e-12
+    lines, rts, _ = reconstruct.fibers(b, zs, len(slopes), no_germs)
+    assert lines
+    assert rts.shape == (len(lines), len(slopes))
+    for z, h in zip(lines, rts):
+        exact = np.array([-(z.x + 1.0) / (z.y + a) for a in slopes])
+        assert np.array_equal(h, np.sort_complex(h))
+        assert np.max(np.min(np.abs(h[:, None] - exact), axis=0)) < 1e-12
+        assert np.max(np.min(np.abs(h[:, None] - exact), axis=1)) < 1e-12
 
 
 @pytest.mark.parametrize("name, p, angles", [("twoline", 2, 16), ("conic", 1, 16),
