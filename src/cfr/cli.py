@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import genus, green, indicators, infinity, linsys, oracles, reconstruct, shock, symmetric
-from .geometry import LineParam, boundary_to_json, load_boundary, rho
+from .geometry import boundary_to_json, load_boundary, rho
 
 
 class ValidationError(Exception):
@@ -105,8 +105,32 @@ def _numbers(kind):
     return lambda text: tuple(kind(t) for t in text.split(","))
 
 
+def _finite(what, vals):
+    """vals when every number in it is finite; else a ValidationError."""
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError(f"{what} must be finite, got {vals}")
+    return vals
+
+
 def _pair(p):
     return complex(p[0], p[1])
+
+
+def _check_options(args):
+    """A numeric option outside its range is a ValidationError; argparse checks only types."""
+    rules = (("kmax", "in 0..12", lambda v: 0 <= v <= 12),     # laurent_extract's caps
+             ("mmax", "in 0..12", lambda v: 0 <= v <= 12),
+             ("dmu", ">= 0", lambda v: v >= 0),
+             ("rmax", ">= 0", lambda v: v >= 0),
+             ("tol", "finite and > 0", lambda v: 0 < v < np.inf),
+             ("angles", ">= 1", lambda v: v >= 1),
+             ("step", "finite and > 0", lambda v: 0 < v < np.inf),
+             ("gridn", ">= 5", lambda v: v >= 5),
+             ("samples", ">= 16", lambda v: v >= 16))
+    for name, rule, ok in rules:
+        v = getattr(args, name, None)
+        if v is not None and not ok(v):
+            raise ValidationError(f"--{name} must be {rule}, got {v}")
 
 
 def _sheets(text):
@@ -127,8 +151,6 @@ def cmd_make_oracle(args):
         raise ValidationError(
             f"unknown oracle {args.name!r}; choose from {sorted(oracles.ORACLES)}"
         )
-    if args.samples < 16:
-        raise ValidationError(f"--samples must be >= 16, got {args.samples}")
     kw = {"n": args.samples}
     if args.name in ("interior-line", "exterior-line"):
         kw["a"] = args.a
@@ -142,15 +164,10 @@ def cmd_make_oracle(args):
 def cmd_indicators(args):
     b = _boundary(args.boundary)
     lt = indicators.laurent_extract(b, kmax=args.kmax, mmax=args.mmax)
-    z = LineParam(0.0, 2.5 * rho(b))
-    g0 = indicators.G_k(b, z, 0)
-    laurent = {}
-    for k in range(lt.kmax + 1):
-        for m in range(lt.mmax + 1):
-            for n in range(min(m, lt.mmax) + 1):
-                c = lt.coeffs[k, m, n]
-                if abs(c) > 1e-14:
-                    laurent[f"{k},{m},{n}"] = complex(c)
+    g0 = indicators.G_lines(b, [0.0], [2.5 * rho(b)], [0])[0, 0]
+    laurent = {f"{k},{m},{n}": complex(lt.coeffs[k, m, n])
+               for k in range(lt.kmax + 1) for m in range(lt.mmax + 1) for n in range(m + 1)
+               if abs(lt.coeffs[k, m, n]) > 1e-14}
     out = {"delta": lt.delta, "G0": complex(g0), "laurent": laurent}
     _write(out, args.out)
     return 0
@@ -205,10 +222,9 @@ def _write_cloud(cloud, path):
     _write_text(f'{{"points":[{points}],"skipped":{skipped}}}\n', path)
 
 
-def _do_reconstruct(b, args, fit=None, h=None):
+def _sheets_and_family(b, args, fit=None, h=None):
+    """--p, from a fit of b when it is 'auto', and the P_k family of --germs."""
     p = _sheets(args.p)
-    radii = _parse("--radii", _numbers(float), args.radii)
-    xfracs = _parse("--xfrac", _numbers(complex), args.xfrac)
     if p == "auto":
         if fit is None:
             fit, h, _ = _fit(b, args)
@@ -216,7 +232,13 @@ def _do_reconstruct(b, args, fit=None, h=None):
     germs = []
     if args.germs:
         germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
-    fam = infinity.Pk_family(germs, max(p, 1))
+    return p, infinity.Pk_family(germs, max(p, 1))
+
+
+def _do_reconstruct(b, args, fit=None, h=None):
+    radii = _finite("--radii", _parse("--radii", _numbers(float), args.radii))
+    xfracs = _finite("--xfrac", _parse("--xfrac", _numbers(complex), args.xfrac))
+    p, fam = _sheets_and_family(b, args, fit, h)
     cloud = reconstruct.sweep(b, p, fam, radii=radii, angles=args.angles,
                               xfracs=xfracs)
     return cloud, p
@@ -250,23 +272,15 @@ def cmd_pipeline(args):
 
 def cmd_shock_verify(args):
     b = _boundary(args.boundary)
-    p = _sheets(args.p)
-    y0 = _parse("--y0", complex, args.y0) if args.y0 else 2.5 * rho(b)
-    if p == "auto":
-        fit, h, _ = _fit(b, args)
-        p = indicators.sheet_count(h.delta, fit.r)
+    y0 = _finite("--y0", _parse("--y0", complex, args.y0)) if args.y0 else 2.5 * rho(b)
+    p, fam = _sheets_and_family(b, args)
     if p < 1:
         raise ValidationError("shock-verify needs p >= 1")
-    germs = []
-    if args.germs:
-        germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
-    fam = infinity.Pk_family(germs, p)
     hx = hy = args.step
     n = args.gridn
     xs = (np.arange(n) - n // 2) * hx
     ys = y0 + (np.arange(n) - n // 2) * hy
-    zs = [LineParam(complex(x), complex(y)) for x in xs for y in ys]
-    N = reconstruct.N_Qk(b, zs, list(range(1, p + 1)), fam)
+    N = reconstruct.N_Qk(b, np.repeat(xs, n), np.tile(ys, n), p, fam)
     S = symmetric.power_to_elementary(N).reshape(p, n, n)      # S[k - 1][i, j] at (xs[i], ys[j])
     res = shock.system_residual(S, hx, hy)
     _write({"p": p, "grid": n, "step": args.step, "residual": res}, args.out)
@@ -436,6 +450,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             # stderr carries only error objects; the report's cond covers a rank-deficient fit
             warnings.simplefilter("ignore", linsys.RankDeficient)
+            _check_options(args)
             return args.fn(args)
     except ValidationError as e:
         sys.stderr.write(dumps({"error": e.code, "detail": str(e)}))

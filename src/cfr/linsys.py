@@ -60,23 +60,13 @@ def _shifted_coeffs(series: BiSeries, shift: int, window, nx_rows: int):
     return out
 
 
-@dataclass
-class K0Components:
-    """Affine decomposition of the right side K_n^0 = const + sum a_i A_i + sum b_i B_i."""
-
-    const: np.ndarray
-    a: list
-    beta: list
-    window: np.ndarray
-
-
-def k0_components(h: HData, g1: BiSeries, r: int, window, nx_rows: int) -> K0Components:
+def k0_components(h: HData, g1: BiSeries, r: int, window, nx_rows: int):
     """Laurent data of [A + X B' - B G_1] e^(-H), split by its (A, B) linearity.
 
     e^(-H) = w^(-delta) y^delta e^(-H~); multiplication by the monomials Y^i
     of A and B is an exact index shift, so each unknown coefficient a_i,
     beta_i contributes a fixed known series.  beta_0 = 1 feeds the constant
-    part.
+    part.  Returns (const, [a_0 .. a_{r-1} parts], [beta_1 .. beta_r parts]).
     """
     d = h.delta
     em = h.Htilde.scale(-1.0).exp()          # e^(-H~)
@@ -88,7 +78,7 @@ def k0_components(h: HData, g1: BiSeries, r: int, window, nx_rows: int) -> K0Com
     wmd = h.omega ** (-d)
     a_parts = [wmd * _shifted_coeffs(em, i + d, window, nx_rows) for i in range(r)]
     const, b_parts = _k_parts(h, xem, g1 * em, r, window, nx_rows)
-    return K0Components(const, a_parts, b_parts, np.asarray(window))
+    return const, a_parts, b_parts
 
 
 def _k_parts(h: HData, lin: BiSeries, f: BiSeries, r: int, window, nx_rows: int):
@@ -189,9 +179,9 @@ def assemble_E0(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_ro
     nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
     if window is None:
         window = valid_window(h, g1, layout.r, layout.d)
-    k = k0_components(h, g1, layout.r, window, nx_rows)
+    const, a_parts, b_parts = k0_components(h, g1, layout.r, window, nx_rows)
     terms = {(j, m): etab[(j - 1, m)] for j in range(1, layout.d + 1) for m in range(j)}
-    return _assemble(layout, window, nx_rows, terms, k.const, k.a, k.beta)
+    return _assemble(layout, window, nx_rows, terms, const, a_parts, b_parts)
 
 
 def solve_joint(M, rhs, layout: Layout):
@@ -244,7 +234,7 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     acceptance mirrors the minimality available from the uniqueness theory.
     An r whose E-table hits shock.ResidueObstruction is skipped.  When no
     candidate is accepted the one with the smallest residual is returned; when
-    every r hit the obstruction, it is raised.
+    every r hit the obstruction it is raised, and when there is no r, ValueError.
 
     table is a Laurent table of b with kmax = 2 that the caller already has
     (its mmax then stands for mmax); without one, a table is built here with
@@ -279,6 +269,6 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
             return fit, h, g1
         if best is None or fit.residual < best.residual:
             best = fit
-    if best is None and obstruction is not None:
-        raise obstruction
+    if best is None:
+        raise obstruction or ValueError(f"no candidate r in {r_lo}..{r_max}")
     return best, h, g1

@@ -21,6 +21,7 @@ class DegenerateFiber(ValueError):
     """Discriminant vanished: the line is treated as non-transverse and skipped."""
 
 
+DISC_SINGULAR_TOL = 1e-12     # relative discriminant below which a line counts as non-transverse
 MERGE_EPS = 1e-6
 
 # detect_algebraic samples G_1 at x in ALG_XS on ALG_ANGLES points of each
@@ -32,23 +33,17 @@ ALG_DEG_MAX = 6
 ALG_FIT_TOL = 1e-8
 
 
-def N_Qk(b: BoundaryData, z, k, pk_family):
-    """Holomorphic extension N_{Q,k}(z) = G_k(z) - P_k(x, y).
+def N_Qk(b: BoundaryData, xs, ys, p: int, pk_family):
+    """Holomorphic extensions N_{Q,k}(z) = G_k(z) - P_k(x, y), k = 1..p, on the lines (xs, ys).
 
-    z is one LineParam, or a list of them, which gives an array of shape
-    (len(k), len(z)) from one G_lines call.  A P_k whose numerators are all
-    zero (every P_k without germs) is skipped: its value is exactly 0.
+    Returns a (p, lines) array from one G_lines call.  A P_k whose numerators
+    are all zero (every P_k without germs) is skipped: its value is exactly 0.
     """
-    one = isinstance(z, LineParam)
-    lines = [z] if one else list(z)
-    ks = np.atleast_1d(k)
-    out = indicators.G_lines(b, [l.x for l in lines], [l.y for l in lines], ks)
-    for i, kk in enumerate(ks):
-        if kk < len(pk_family) and any(np.any(c.num) for c in pk_family[kk].coeffs):
-            out[i] -= np.array([pk_family[kk](l.x, l.y) for l in lines], dtype=complex)
-    if not one:
-        return out
-    return out[:, 0] if len(ks) > 1 else complex(out[0, 0])
+    out = indicators.G_lines(b, xs, ys, range(1, p + 1))
+    for k in range(1, min(p + 1, len(pk_family))):
+        if any(np.any(c.num) for c in pk_family[k].coeffs):
+            out[k - 1] -= np.array([pk_family[k](x, y) for x, y in zip(xs, ys)], dtype=complex)
+    return out
 
 
 @dataclass
@@ -62,29 +57,30 @@ class PointCloud:
         return len(self.points)
 
 
-def fibers(b: BoundaryData, zs, p: int, pk_family):
-    """Fibers over the lines zs as one batch: (lines, roots, skipped).
+def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
+    """Fibers over the lines (xs, ys) as one batch: (keep, roots, skipped).
 
     One G_lines call gives the power sums N_{Q,1..p} of every line, and
-    Newton's identities, the monic assembly, the discriminant test and the
-    companion-eigenvalue solve each run once on the whole stack.  lines are
-    the accepted z, roots their (len(lines), p) fibers, each row in
-    np.sort_complex order, and skipped a (z, reason) per line whose
-    |discriminant| falls below 1e-12 * scale, both in the order of zs.  A line
-    near the boundary image raises NearIncidence before any line is rooted.
+    Newton's identities, the monic assembly and the companion-eigenvalue solve
+    each run once on the whole stack.  A line is skipped when prod_{i<j}
+    |h_i - h_j|^2 over its roots falls below DISC_SINGULAR_TOL * (1 +
+    max|c|)^(2(p-1)) over its monic coefficients c.  keep masks the accepted
+    lines, roots holds their fibers in np.sort_complex order, and skipped a
+    (LineParam, reason) per skipped line.  A line near the boundary image
+    raises NearIncidence before any line is rooted.
     """
     if p < 1:
         raise ValueError("fiber needs p >= 1")
-    N = N_Qk(b, zs, list(range(1, p + 1)), pk_family)
+    N = N_Qk(b, xs, ys, p, pk_family)
     C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N)).T
-    skip, skipped = np.zeros(len(zs), dtype=bool), []
-    if p >= 2:
-        disc = np.abs(symmetric.discriminant(C))
-        skip = disc < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(C)
-        skipped = [(zs[i], f"discriminant {disc[i]:.2e} below threshold")
-                   for i in np.flatnonzero(skip)]
-    lines = [z for z, s in zip(zs, skip) if not s]
-    return lines, symmetric.roots(C[~skip]), skipped
+    h = symmetric.roots(C)
+    i, j = np.triu_indices(p, 1)
+    disc = np.prod(np.abs(h[:, i] - h[:, j]) ** 2, axis=1)
+    # np.power, not **: on a numpy scalar ** can differ from the array path in the last bit
+    skip = disc < DISC_SINGULAR_TOL * np.power(1.0 + np.max(np.abs(C), axis=1), 2 * (p - 1))
+    skipped = [(LineParam(xs[k], ys[k]), f"discriminant {disc[k]:.2e} below threshold")
+               for k in np.flatnonzero(skip)]
+    return ~skip, h[~skip], skipped
 
 
 def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> np.ndarray:
@@ -93,18 +89,20 @@ def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> np.ndarray:
     The one-line case of fibers: p is the sheet count, and a line whose
     discriminant test fails raises DegenerateFiber.
     """
-    _, rts, skipped = fibers(b, [z], p, pk_family)
+    _, rts, skipped = fibers(b, [z.x], [z.y], p, pk_family)
     if skipped:
         raise DegenerateFiber(skipped[0][1])
     return rts[0]
 
 
 def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):
+    """The sweep's lines as arrays (xs, ys): x = f m(y) for each f in xfracs, x fastest."""
     r = rho(b)
     ys = [rad_mult * r * np.exp(2j * np.pi * (j + angle_offset) / angles)
           for rad_mult in radii for j in range(angles)]
     ms = m_of_y(b, ys)
-    return [LineParam(f * m, y) for y, m in zip(ys, ms.tolist()) for f in xfracs]
+    xs = np.array([f * m for m in ms.tolist() for f in xfracs], dtype=complex)
+    return xs, np.repeat(np.array(ys, dtype=complex), len(xfracs))
 
 
 def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
@@ -121,12 +119,11 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     cloud = PointCloud()
     if p < 1:
         return cloud
-    zs = _default_grid(b, radii, angles, xfracs, angle_offset)
-    lines, rts, cloud.skipped = fibers(b, zs, p, pk_family)
-    # row i is the point (1 : h : -x - y h) of root i % p over line i // p,
+    xs, ys = _default_grid(b, radii, angles, xfracs, angle_offset)
+    keep, rts, cloud.skipped = fibers(b, xs, ys, p, pk_family)
+    # row i is the point (1 : h : -x - y h) of root i % p over accepted line i // p,
     # scaled to max modulus 1 as ProjPoint scales it
-    x = np.array([z.x for z in lines], dtype=complex)[:, None]
-    y = np.array([z.y for z in lines], dtype=complex)[:, None]
+    x, y = xs[keep, None], ys[keep, None]
     A = np.stack([np.ones_like(rts), rts, -x - y * rts], axis=-1).reshape(-1, 3)
     s = np.max(np.abs(A), axis=1, keepdims=True)
     A = np.where(np.abs(s - 1.0) > 1e-9, A / s, A)
@@ -153,7 +150,7 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
         slot[i] = len(cloud)
         cloud.points.append(ProjPoint(*A[i].tolist()))
         cloud.multiplicity.append(1)
-        cloud.source.append(lines[i // p])
+        cloud.source.append(LineParam(x[i // p, 0], y[i // p, 0]))
     return cloud
 
 
@@ -179,14 +176,8 @@ def detect_algebraic(b: BoundaryData):
     best = None
     for dB in range(1, ALG_DEG_MAX + 1):
         # unknowns: A0 (deg dB-1), A1 (deg dB-1), low coefficients of monic B
-        cols = []
-        for i in range(dB):
-            cols.append(yv ** i)                    # A0
-        for i in range(dB):
-            cols.append(xv * yv ** i)               # x A1
-        for i in range(dB):
-            cols.append(-gv * yv ** i)              # -G_1 * beta_i
-        M = np.stack(cols, axis=1)
+        # columns y^i for A0, x y^i for x A1, -G_1 y^i for -G_1 * beta_i, i < dB
+        M = np.stack([f * yv ** i for f in (1.0, xv, -gv) for i in range(dB)], axis=1)
         rhs = gv * yv ** dB
         sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
         A0, A1, Blow = sol[:dB], sol[dB : 2 * dB], sol[2 * dB :]

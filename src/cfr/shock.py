@@ -38,6 +38,10 @@ class GridTooSmall(ValueError):
     """Finite-difference verification needs at least a 5x5 grid."""
 
 
+class NonFiniteResidual(ValueError):
+    """The finite-difference residual is NaN or infinite, so it verifies nothing."""
+
+
 class BInversionDiverged(ValueError):
     """Roots of B leave no 1/y-expansion margin at the anchor point omega."""
 
@@ -406,12 +410,11 @@ def system_residual(S, hx: float, hy: float) -> float:
     if sig[0].shape[0] < 5 or sig[0].shape[1] < 5:
         raise GridTooSmall("need at least 5 nodes per axis")
     ds1x = _fd4(sig[0], hx, 0)
-    worst = 0.0
-    for k in range(1, d + 1):
-        lhs = sig[k - 1] * ds1x + _fd4(sig[k - 1], hy, 1)
-        rhs = _fd4(sig[k], hx, 0) if k < d else 0.0
-        res = (lhs - rhs)[2:-2, 2:-2]
-        worst = max(worst, float(np.max(np.abs(res))))
+    res = [(sig[k - 1] * ds1x + _fd4(sig[k - 1], hy, 1)
+            - (_fd4(sig[k], hx, 0) if k < d else 0.0))[2:-2, 2:-2] for k in range(1, d + 1)]
+    worst = float(np.max(np.abs(res)))      # np.max keeps a NaN that max() would drop
+    if not np.isfinite(worst):
+        raise NonFiniteResidual(f"residual {worst} is not finite")
     return worst
 
 

@@ -1,14 +1,10 @@
-"""Newton identities, monic assembly, companion-matrix root finding, discriminant."""
+"""Newton identities, monic assembly and companion-matrix root finding."""
 
 from __future__ import annotations
 
 import numpy as np
 
 ROOT_RESIDUAL_TOL = 1e-9
-
-# Fibers whose discriminant falls under this relative threshold are treated as
-# non-transverse line positions and skipped by callers.
-DISC_SINGULAR_TOL = 1e-12
 
 
 class NoConvergence(RuntimeError):
@@ -26,6 +22,8 @@ def power_to_elementary(N):
     an independent problem.
     """
     N = np.asarray(N, dtype=complex)
+    if N.ndim == 1:     # as one column: numpy scalar arithmetic can round apart from arrays
+        return power_to_elementary(N[:, None])[:, 0]
     S = np.ones((len(N) + 1,) + N.shape[1:], dtype=complex)
     for k in range(1, len(N) + 1):
         acc = S[k - 1] * N[0]
@@ -112,29 +110,3 @@ def roots(coeffs):
         raise NoConvergence(f"max residual {res[i]:.3e} exceeds {tol[i]:.3e}")
     return Z if C.ndim == 2 else Z[0]
 
-
-def discriminant(coeffs):
-    """Resultant-based discriminant of polynomials (descending coefficients on the last axis)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    deg = coeffs.shape[-1] - 1
-    if deg < 2:
-        raise ValueError("discriminant needs degree >= 2")
-    dcoeffs = coeffs[..., :-1] * np.arange(deg, 0, -1)
-    n, m = deg, deg - 1
-    # Sylvester matrices of p (degree n) and p' (degree m), one per polynomial.
-    S = np.zeros(coeffs.shape[:-1] + (n + m, n + m), dtype=complex)
-    for i in range(m):
-        S[..., i, i : i + n + 1] = coeffs
-    for i in range(n):
-        S[..., m + i, i : i + m + 1] = dcoeffs
-    res = np.linalg.det(S)
-    sign = (-1) ** (n * (n - 1) // 2)
-    return sign * res / coeffs[..., 0]
-
-
-def fiber_scale(coeffs):
-    """Homogeneous magnitude scale for the near-tangency discriminant test (last axis)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    deg = coeffs.shape[-1] - 1
-    # np.power, not **: on a numpy scalar ** can differ from the array path in the last bit
-    return np.power(1.0 + np.max(np.abs(coeffs), axis=-1), 2 * (deg - 1))

@@ -13,8 +13,10 @@ from the paper that the tests check:
 - the term-by-term G_{1,1}^0 display, the metric h*, the genus of the
   double, affine charts, the domain Z, line incidence, the inverse Newton
   identities and the exterior-line germ;
+- the discriminant as a Sylvester determinant of p and p', and the fiber
+  skip rule on it, which the rule read off the roots must equal;
 - the sweep one line at a time: m(y) per y, G_k, and the batch's Newton,
-  discriminant, root and point-row expressions on a one-line stack, then a
+  root, discriminant and point-row expressions on a one-line stack, then a
   pairwise merge per point, which the batched sweep must equal;
 - the Laurent cross-check by sampling: G_lines on the circle grid, an FFT
   along x and an inverse FFT along y, against the closed-form x sums;
@@ -34,7 +36,7 @@ import json
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from cfr import indicators, shock, symmetric
+from cfr import indicators, reconstruct, shock, symmetric
 from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
 from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
                           rho, synth_velocities)
@@ -373,6 +375,34 @@ def elementary_to_power(S):
     return np.array(N, dtype=complex)
 
 
+def discriminant(coeffs):
+    """Resultant-based discriminant of polynomials (descending coefficients on the last axis)."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    deg = coeffs.shape[-1] - 1
+    if deg < 2:
+        raise ValueError("discriminant needs degree >= 2")
+    dcoeffs = coeffs[..., :-1] * np.arange(deg, 0, -1)
+    n, m = deg, deg - 1
+    # Sylvester matrices of p (degree n) and p' (degree m), one per polynomial.
+    S = np.zeros(coeffs.shape[:-1] + (n + m, n + m), dtype=complex)
+    for i in range(m):
+        S[..., i, i : i + n + 1] = coeffs
+    for i in range(n):
+        S[..., m + i, i : i + m + 1] = dcoeffs
+    res = np.linalg.det(S)
+    sign = (-1) ** (n * (n - 1) // 2)
+    return sign * res / coeffs[..., 0]
+
+
+def sylvester_skips(C):
+    """The fiber skip rule on Sylvester discriminants of monic rows C (lines, p + 1)."""
+    p = C.shape[-1] - 1
+    if p < 2:
+        return np.zeros(len(C), dtype=bool)
+    scale = (1.0 + np.max(np.abs(C), axis=-1)) ** (2 * (p - 1))
+    return np.abs(discriminant(C)) < reconstruct.DISC_SINGULAR_TOL * scale
+
+
 def exterior_line_germ(a=0.5):
     """Taylor data of the exterior line's branch at {w0 = 0}.
 
@@ -404,12 +434,14 @@ def sweep_per_line(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0), an
         N = np.array([g[i] - (pk_family[k](z.x, z.y) if k < len(pk_family) else 0.0)
                       for i, k in enumerate(range(1, p + 1))], dtype=complex)
         C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N[:, None])).T
-        if p >= 2:
-            disc = np.abs(symmetric.discriminant(C))[0]
-            if disc < symmetric.DISC_SINGULAR_TOL * symmetric.fiber_scale(C)[0]:
-                cloud.skipped.append((z, f"discriminant {disc:.2e} below threshold"))
-                continue
-        for a in fiber_rows(z, symmetric.roots(C)[0]):
+        h = symmetric.roots(C)
+        i, j = np.triu_indices(p, 1)
+        disc = np.prod(np.abs(h[:, i] - h[:, j]) ** 2, axis=1)[0]
+        scale = np.power(1.0 + np.max(np.abs(C), axis=1), 2 * (p - 1))[0]
+        if disc < reconstruct.DISC_SINGULAR_TOL * scale:
+            cloud.skipped.append((z, f"discriminant {disc:.2e} below threshold"))
+            continue
+        for a in fiber_rows(z, h[0]):
             n = len(cloud)
             na = np.linalg.norm(a)
             dist = np.linalg.norm(np.cross(a, W[:n]), axis=1) / (na * norms[:n])

@@ -89,6 +89,18 @@ MALFORMED = {
                                {"bad-targets.json": '{"points": [[0.5, 0.0]]}'}),
     "lambda-without-num": (["genus", "--lambda", "bad-lambda.json"],
                            {"bad-lambda.json": '{"den": [1.0]}'}),
+    "angles-zero": (["reconstruct", "--boundary", "line.json", "--p", "1", "--angles", "0"], {}),
+    "angles-negative": (["reconstruct", "--boundary", "line.json", "--p", "1",
+                         "--angles", "-3"], {}),
+    "kmax-negative": (["indicators", "--boundary", "line.json", "--kmax", "-1"], {}),
+    "mmax-above-cap": (["indicators", "--boundary", "line.json", "--mmax", "20"], {}),
+    "rmax-negative": (["fit-infinity", "--boundary", "line.json", "--rmax", "-1"], {}),
+    "dmu-negative": (["fit-infinity", "--boundary", "line.json", "--dmu", "-1"], {}),
+    "radii-nan": (["reconstruct", "--boundary", "line.json", "--p", "1", "--radii", "nan"], {}),
+    "xfrac-nan": (["reconstruct", "--boundary", "line.json", "--p", "1", "--xfrac", "nan"], {}),
+    "step-zero": (["shock-verify", "--boundary", "conic.json", "--p", "1", "--step", "0"], {}),
+    "gridn-below-5": (["shock-verify", "--boundary", "conic.json", "--p", "1",
+                       "--gridn", "4"], {}),
 }
 # Boundary files whose loops, samples or number pairs have the wrong JSON type.
 _BAD_BOUNDARIES = {

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cfr import infinity, oracles, reconstruct
+from cfr import indicators, infinity, oracles, reconstruct, symmetric
 from cfr.geometry import BoundaryData, LineParam, ProjPoint, chordal
 from cfr.reconstruct import DegenerateFiber, N_Qk, detect_algebraic, fiber, sweep
-from reference import exterior_line_germ, fiber_rows, line_eval, sweep_per_line
+from reference import exterior_line_germ, fiber_rows, line_eval, sweep_per_line, sylvester_skips
 
 
 @pytest.fixture(scope="module")
@@ -21,16 +21,16 @@ def line_germs():
 def test_NQk_exterior_is_zero(exterior, line_germs):
     for y in (8.0, -6.0 + 2.0j):
         for x in (0.0, 0.4):
-            assert abs(N_Qk(exterior, LineParam(x, y), 1, line_germs)) < 1e-10
+            assert abs(N_Qk(exterior, [x], [y], 1, line_germs)[0, 0]) < 1e-10
 
 
 def test_NQk_interior(interior, no_germs):
-    assert abs(N_Qk(interior, LineParam(0.0, 10.0), 1, no_germs) + 2.0 / 21.0) < 1e-12
+    assert abs(N_Qk(interior, [0.0], [10.0], 1, no_germs)[0, 0] + 2.0 / 21.0) < 1e-12
 
 
 def test_NQk_two_line(twoline, no_germs):
     expect = -(1.0 / 10.5 + 1.0 / (10.0 - 1.0 / 3.0))
-    assert abs(N_Qk(twoline, LineParam(0.0, 10.0), 1, no_germs) - expect) < 1e-12
+    assert abs(N_Qk(twoline, [0.0], [10.0], 1, no_germs)[0, 0] - expect) < 1e-12
 
 
 def test_fiber_interior(interior, no_germs):
@@ -126,7 +126,8 @@ def test_sweep_dedup_first_match(twoline, no_germs, eps):
     """
     cloud = sweep(twoline, 2, no_germs, angles=8, merge_eps=eps)
     points, mult, source = [], [], []
-    for z in reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35), 0.31):
+    xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35), 0.31)
+    for z in map(LineParam, xs, ys):
         try:
             h = fiber(twoline, z, 2, no_germs)
         except DegenerateFiber:
@@ -178,23 +179,27 @@ def test_dedup_radius_respected(interior, no_germs):
 
 def test_G0_consistency_on_sweep(twoline, no_germs):
     """Rounded G_0 equals p - q_inf at every swept line."""
-    from cfr import indicators
-    grid = reconstruct._default_grid(twoline, (2.0, 3.0), 6, (0.0, 0.2), 0.31)
-    for z in grid:
-        g0 = indicators.G_k(twoline, z, 0)
+    xs, ys = reconstruct._default_grid(twoline, (2.0, 3.0), 6, (0.0, 0.2), 0.31)
+    for g0 in indicators.G_lines(twoline, xs, ys, [0])[0]:
         assert round(g0.real) == 2 and abs(g0 - 2.0) < 1e-8
+
+
+SLOPES = (0.5, -1.0 / 3.0, 0.25j, -0.6 + 0.1j, 0.8j, -0.9 - 0.2j, 0.35 + 0.6j, 1.2)
+
+
+def union_of_lines(p, n=1024):
+    """Unit circles on the lines z2 = 1 + a z1 for the first p SLOPES."""
+    return BoundaryData([oracles._line_loop(a, n) for a in SLOPES[:p]], [1] * p)
 
 
 @pytest.fixture(scope="module")
 def threeline():
-    return BoundaryData([oracles._line_loop(a, 1024) for a in (0.5, -1.0 / 3.0, 0.25j)],
-                        [1, 1, 1])
+    return union_of_lines(3)
 
 
 @pytest.fixture(scope="module")
 def fourline():
-    return BoundaryData([oracles._line_loop(a, 1024)
-                         for a in (0.5, -1.0 / 3.0, 0.25j, -0.6 + 0.1j)], [1, 1, 1, 1])
+    return union_of_lines(4)
 
 
 @pytest.mark.parametrize("name, slopes", [("twoline", (0.5, -1.0 / 3.0)),
@@ -205,12 +210,12 @@ def test_fibers_match_closed_form_roots(name, slopes, no_germs, request):
     The loops are the lines z2 = 1 + a z1, so the fiber over L_z is exact.
     """
     b = request.getfixturevalue(name)
-    zs = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
-    lines, rts, _ = reconstruct.fibers(b, zs, len(slopes), no_germs)
-    assert lines
-    assert rts.shape == (len(lines), len(slopes))
-    for z, h in zip(lines, rts):
-        exact = np.array([-(z.x + 1.0) / (z.y + a) for a in slopes])
+    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    keep, rts, _ = reconstruct.fibers(b, xs, ys, len(slopes), no_germs)
+    assert keep.any()
+    assert rts.shape == (keep.sum(), len(slopes))
+    for x, y, h in zip(xs[keep], ys[keep], rts):
+        exact = np.array([-(x + 1.0) / (y + a) for a in slopes])
         assert np.array_equal(h, np.sort_complex(h))
         assert np.max(np.min(np.abs(h[:, None] - exact), axis=0)) < 1e-12
         assert np.max(np.min(np.abs(h[:, None] - exact), axis=1)) < 1e-12
@@ -251,3 +256,40 @@ def test_sweep_with_germs_equals_per_line_loop(interior, line_germs):
     """Nonzero corrections P_k enter the batch as they enter one line."""
     cloud = sweep(interior, 1, line_germs, angles=8)
     assert cloud == sweep_per_line(interior, 1, line_germs, angles=8)
+
+
+@pytest.mark.parametrize("n", [512, 1024, 4096])
+@pytest.mark.parametrize("p", [3, 4])
+def test_skips_equal_sylvester_rule(p, n, no_germs):
+    """The skip test read off the roots declines the lines the Sylvester discriminant declines.
+
+    Grid of 288 lines, N samples per loop.
+    """
+    b = union_of_lines(p, n)
+    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 32, (0.0, 0.2, -0.35), 0.31)
+    keep, _, skipped = reconstruct.fibers(b, xs, ys, p, no_germs)
+    C = symmetric.monic_from_elementary(
+        symmetric.power_to_elementary(N_Qk(b, xs, ys, p, no_germs))).T
+    assert np.array_equal(~keep, sylvester_skips(C))
+    assert len(skipped) == np.count_nonzero(~keep)
+    if p == 3:
+        assert keep.any() and not keep.all()
+
+
+def test_skips_equal_sylvester_rule_too_many_sheets(interior, no_germs):
+    """With p = 3 on the one-sheet interior line every fiber has a double root at 0."""
+    xs, ys = reconstruct._default_grid(interior, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    keep, _, _ = reconstruct.fibers(interior, xs, ys, 3, no_germs)
+    C = symmetric.monic_from_elementary(
+        symmetric.power_to_elementary(N_Qk(interior, xs, ys, 3, no_germs))).T
+    assert np.array_equal(~keep, sylvester_skips(C))
+    assert not keep.any()
+
+
+@pytest.mark.parametrize("p", [5, 8])
+def test_sweep_of_many_lines_completes(p):
+    """Every line of a 5- and an 8-line union is rooted, the lines the gate skips too."""
+    cloud = sweep(union_of_lines(p), p, infinity.Pk_family([], p))
+    assert len(cloud.skipped) <= 144
+    for q in cloud.points:
+        assert min(abs(q.w2 - q.w0 - a * q.w1) for a in SLOPES[:p]) < 1e-8

@@ -4,9 +4,9 @@ from numpy.polynomial import polynomial as P
 
 from cfr import indicators, shock
 from cfr.shock import (BInversionDiverged, BiSeries, E_decomposition, GridTooSmall,
-                       HData, H_from_laurent, ResidueObstruction, _fd4, delta_from_expH,
-                       eqsym1_residual, exp_H, exp_minus_H, g1_biseries, iterate_E,
-                       op_E, rational_tail, s_k_from_mu, system_residual)
+                       HData, H_from_laurent, NonFiniteResidual, ResidueObstruction, _fd4,
+                       delta_from_expH, eqsym1_residual, exp_H, exp_minus_H, g1_biseries,
+                       iterate_E, op_E, rational_tail, s_k_from_mu, system_residual)
 
 W = -3.0
 
@@ -297,6 +297,15 @@ def test_single_sheet_system_is_the_shock_equation():
 def test_grid_too_small():
     with pytest.raises(GridTooSmall):
         system_residual([np.zeros((4, 6), dtype=complex)], 0.1, 0.1)
+
+
+@pytest.mark.parametrize("sheet", [0, 1])
+def test_system_residual_nan_is_not_finite(sheet):
+    """A NaN node in either grid raises, where a fold with max() read it as a perfect fit."""
+    S = [np.full((9, 9), 0.7 + 0.2j), np.full((9, 9), 0.1 + 0.0j)]
+    S[sheet][4, 4] = np.nan
+    with pytest.raises(NonFiniteResidual):
+        system_residual(S, 0.1, 0.1)
 
 
 def test_system_residual_two_line():
