@@ -347,12 +347,12 @@ def cmd_genus(args):
     else:
         raise ValidationError(f"unknown lambda {args.lam!r}")
     omega = _omega_from_spec(args.omega)
-    integral = genus.chern_boundary_integral(omega, lam, model)
-    out = {
-        "model": args.model,
-        "integral": integral,
-        "tangency_defect": model.tangency_certificate(lam),
-    }
+    with np.errstate(all="ignore"):     # a non-finite result is the typed error below
+        integral = genus.chern_boundary_integral(omega, lam, model)
+        defect = model.tangency_certificate(lam)
+    if not np.isfinite([integral, defect]).all():
+        raise genus.NonFiniteResult(f"integral {integral}, tangency defect {defect}")
+    out = {"model": args.model, "integral": integral, "tangency_defect": defect}
     if args.genus_known is not None:
         out["q_inf"] = genus.q_infinity_estimate(
             integral, args.genus_known, model.n_components

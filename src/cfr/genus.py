@@ -29,6 +29,10 @@ class RoundingGuard(ValueError):
     """Integer-valued combination landed too far from an integer."""
 
 
+class NonFiniteResult(ValueError):
+    """The boundary integral or the tangency defect is NaN or infinite."""
+
+
 def lambda_flat(zeta):
     return np.ones_like(np.real(zeta))
 
@@ -68,8 +72,8 @@ class SurfaceModel:
         return len(self.circles())
 
     def tangency_certificate(self, lam) -> float:
-        """max |d lambda / d rho| over the boundary circles (radial FD)."""
-        worst = 0.0
+        """max |d lambda / d rho| over the boundary circles (radial FD); NaN if any is."""
+        worst = []
         for R, _, dirn in self.circles():
             th = 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
             ring = lambda r: (r * np.exp(1j * th))
@@ -78,8 +82,8 @@ class SurfaceModel:
             f1 = lam(ring(R + dirn * h))
             f2 = lam(ring(R + dirn * 2 * h))
             dr = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * dirn * h)
-            worst = max(worst, float(np.max(np.abs(dr))))
-        return worst
+            worst.append(np.max(np.abs(dr)))
+        return float(np.max(worst))     # np.max keeps a NaN that max() would drop
 
 
 def chern_boundary_integral(omega, lam, model: SurfaceModel) -> float:

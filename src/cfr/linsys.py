@@ -13,11 +13,13 @@ solve recovers everything; beta_0 = 1 is the normalization.
 
 Rows are only assembled for Laurent orders on which every participating
 series is exactly valid, so series truncation never perturbs the system; it
-merely bounds the number of equations.  The row assembler ``_assemble`` takes
-any table of coefficient series; the fit uses it for (E0) only.  Stacking
-the derivative systems (E1)/(E2) under (E0) leaves its rank unchanged on the
-fixtures ((E2) is undefined on lines, where d^2 G_1/dx^2 vanishes), so they
-and the (E0) residual with (A, B) pinned live in the tests as references.
+merely bounds the number of equations.  One reader takes the y^n
+coefficients of a series on the window as an array, NaN where the series is
+not exact, and ``assemble_E0`` reads each series of (E0) once with it.
+Stacking the derivative systems (E1)/(E2) under (E0) leaves its rank
+unchanged on the fixtures ((E2) is undefined on lines, where d^2 G_1/dx^2
+vanishes), so they and the (E0) residual with (A, B) pinned live in the
+tests as references.
 """
 
 from __future__ import annotations
@@ -37,67 +39,6 @@ WINDOW_EXTRA = 4        # orders n above d kept in the (E0) window
 
 class RankDeficient(Warning):
     """Joint system had a nullspace; the smallest-norm solution was returned."""
-
-
-def _shifted_coeffs(series: BiSeries, shift: int, window, nx_rows: int):
-    """Coefficient arrays of y^shift * series on the window of Laurent orders n.
-
-    Entry [i, t] is the x^t coefficient of y^(window[i]); orders where the
-    shifted series is not valid are flagged by NaN in column 0.
-    """
-    out = np.zeros((len(window), nx_rows + 1), dtype=complex)
-    sh = series.shift_y(shift)
-    for i, n in enumerate(window):
-        m = -n
-        if m < sh.mlo:
-            continue  # exactly zero above the top of the series
-        if m > sh.mhi:
-            if not sh.exact:
-                out[i, 0] = np.nan
-            continue
-        v = sh.x_poly(m)
-        out[i, :] = v[: nx_rows + 1]
-    return out
-
-
-def k0_components(h: HData, g1: BiSeries, r: int, window, nx_rows: int):
-    """Laurent data of [A + X B' - B G_1] e^(-H), split by its (A, B) linearity.
-
-    e^(-H) = w^(-delta) y^delta e^(-H~); multiplication by the monomials Y^i
-    of A and B is an exact index shift, so each unknown coefficient a_i,
-    beta_i contributes a fixed known series.  beta_0 = 1 feeds the constant
-    part.  Returns (const, [a_0 .. a_{r-1} parts], [beta_1 .. beta_r parts]).
-    """
-    d = h.delta
-    em = h.Htilde.scale(-1.0).exp()          # e^(-H~)
-    # X * e^(-H~): multiply by x, i.e. shift coefficients up one x-degree.
-    cx = np.zeros_like(em.c)
-    cx[1:, :] = em.c[:-1, :]
-    xem = BiSeries(cx, em.mlo, em.mhi, em.exact)
-
-    wmd = h.omega ** (-d)
-    a_parts = [wmd * _shifted_coeffs(em, i + d, window, nx_rows) for i in range(r)]
-    const, b_parts = _k_parts(h, xem, g1 * em, r, window, nx_rows)
-    return const, a_parts, b_parts
-
-
-def _k_parts(h: HData, lin: BiSeries, f: BiSeries, r: int, window, nx_rows: int):
-    """Right-side parts of [B' lin - B f] e^(-H~) w^(-delta) y^delta, linear in B.
-
-    B = 1 + sum beta_i Y^i, so beta_0 = 1 gives const = -f and each beta_i
-    the part i Y^(i-1) lin - Y^i f.  Returns (const, [beta_1 .. beta_r parts]).
-    """
-    d = h.delta
-    wmd = h.omega ** (-d)
-    const = -wmd * _shifted_coeffs(f, d, window, nx_rows)
-    b_parts = []
-    for i in range(1, r + 1):
-        t = wmd * (
-            i * _shifted_coeffs(lin, i - 1 + d, window, nx_rows)
-            - _shifted_coeffs(f, i + d, window, nx_rows)
-        )
-        b_parts.append(t)
-    return const, b_parts
 
 
 def valid_window(h: HData, g1: BiSeries, r: int, d: int):
@@ -128,60 +69,65 @@ class Layout:
         return mu, a, beta
 
 
-def _mu_columns(cvec, m, dmu, nx_rows):
-    """Rows x columns block of the term c(x) * mu^{(m)} for one (j, m, n)."""
-    block = np.zeros((nx_rows + 1, dmu + 1), dtype=complex)
-    for i in range(m, min(dmu, nx_rows + m) + 1):
-        lo = i - m
-        t = min(nx_rows + 1 - lo, len(cvec))
-        block[lo : lo + t, i] = factorial(i) / factorial(i - m) * cvec[:t]
-    return block
+def _read(s: BiSeries, orders, nx: int):
+    """y^n coefficients of s for n in orders, x^0..x^nx, as a (len(orders), nx + 1) array.
 
-
-def _assemble(layout: Layout, window, nx_rows: int, terms, const, a_parts, b_parts):
-    """Rows of sum c^n_{j,m} mu_j^(m) - sum a_i K_i^a - sum beta_i K_i^b = const.
-
-    terms maps (j, m) to the series whose y^n coefficient c^n_{j,m}(x)
-    multiplies mu_j^(m); const and the parts are (window, nx_rows + 1)
-    arrays, NaN where not valid.  An order n is dropped when a part or a
-    term is not exactly valid there.
+    Rows above the top of s are zero; rows past its valid range are NaN,
+    or zero when s is exact.
     """
-    dmu = layout.dmu
-    rows = len(window) * (nx_rows + 1)
-    M = np.zeros((rows, layout.n_unknowns), dtype=complex)
-    rhs = np.zeros(rows, dtype=complex)
-    keep = np.ones(len(window), dtype=bool)
-    for i, n in enumerate(window):
-        n = int(n)
-        if (any(np.isnan(p[i, 0]) for p in [const, *a_parts, *b_parts])
-                or any(-n > s.mhi and not s.exact for s in terms.values())):
-            keep[i] = False
-            continue
-        r0, r1 = i * (nx_rows + 1), (i + 1) * (nx_rows + 1)
-        rhs[r0:r1] = const[i]
-        for (j, m), s in terms.items():
-            if not s.mlo <= -n <= s.mhi:
-                continue  # zero coefficient (or exactly zero beyond an exact series)
-            cvec = s.c[:, -n - s.mlo]
-            if np.any(cvec):
-                col0 = (j - 1) * (dmu + 1)
-                M[r0:r1, col0 : col0 + dmu + 1] += _mu_columns(cvec, m, dmu, nx_rows)
-        for ii, p in enumerate(a_parts):
-            M[r0:r1, layout.n_mu + ii] -= p[i]
-        for ii, p in enumerate(b_parts):
-            M[r0:r1, layout.n_mu + layout.r + ii] -= p[i]
-    mask = np.repeat(keep, nx_rows + 1)
-    return M[mask], rhs[mask]
+    m = -orders
+    out = np.zeros((len(orders), nx + 1), dtype=complex)
+    inside = (m >= s.mlo) & (m <= s.mhi)
+    k = min(nx, s.nx) + 1
+    out[inside, :k] = s.c[:k, m[inside] - s.mlo].T
+    if not s.exact:
+        out[m > s.mhi] = np.nan
+    return out
 
 
-def assemble_E0(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
-    """Matrix and affine right side of (E0) over the unknowns (mu, A, B)."""
-    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
-    if window is None:
-        window = valid_window(h, g1, layout.r, layout.d)
-    const, a_parts, b_parts = k0_components(h, g1, layout.r, window, nx_rows)
-    terms = {(j, m): etab[(j - 1, m)] for j in range(1, layout.d + 1) for m in range(j)}
-    return _assemble(layout, window, nx_rows, terms, const, a_parts, b_parts)
+def assemble_E0(h: HData, g1: BiSeries, etab, layout: Layout):
+    """Matrix and affine right side of (E0) over the unknowns (mu, A, B).
+
+    Per order n of the window there are nx + 1 rows, one per x-power.  The
+    term E_{j-1,m} mu_j^(m) puts t!/(t-m)! times the read of E_{j-1,m},
+    shifted down t - m rows, into the column of mu_j's x^t coefficient.  The
+    right side [A + X B' - B G_1] e^(-H) with e^(-H) = w^(-delta) y^delta
+    e^(-H~) is linear in a_i, beta_i: multiplication by Y^i is a y-shift, so
+    e^(-H~), X e^(-H~) and G_1 e^(-H~) are read once on the orders the
+    shifts reach, and beta_0 = 1 gives the constant part.  An order is
+    dropped where any read is NaN, including a term no mu column reaches.
+    """
+    d, r, dmu, delta = layout.d, layout.r, layout.dmu, h.delta
+    nx = h.Htilde.nx
+    window = valid_window(h, g1, r, d)
+    nw = len(window)
+    em = h.Htilde.scale(-1.0).exp()          # e^(-H~)
+    orders = np.arange(window[0] - delta - r, window[-1] - delta + 1)
+    E, GE = _read(em, orders, nx), _read(g1 * em, orders, nx)
+    XE = np.zeros_like(E)
+    XE[:, 1:] = E[:, :-1]                    # X e^(-H~): one x-degree up
+
+    def y(R, k):
+        """y^k times the series read as R, on the window."""
+        return R[delta + r - k : delta + r - k + nw]
+
+    wmd = h.omega ** (-delta)
+    M = np.zeros((nw, nx + 1, layout.n_unknowns), dtype=complex)
+    rhs = -wmd * y(GE, delta)
+    for i in range(r):
+        M[:, :, layout.n_mu + i] -= wmd * y(E, i + delta)
+    for i in range(1, r + 1):
+        M[:, :, layout.n_mu + r + i - 1] -= wmd * (i * y(XE, i - 1 + delta) - y(GE, i + delta))
+    drop = np.isnan(rhs).any(axis=1) | np.isnan(M).any(axis=(1, 2))
+    for j in range(1, d + 1):
+        for m in range(j):
+            R = _read(etab[(j - 1, m)], window, nx)
+            drop |= np.isnan(R).any(axis=1)
+            for t in range(m, min(dmu, nx + m) + 1):
+                M[:, t - m :, (j - 1) * (dmu + 1) + t] += (
+                    factorial(t) / factorial(t - m) * R[:, : nx + 1 - (t - m)])
+    keep = np.repeat(~drop, nx + 1)
+    return M.reshape(nw * (nx + 1), layout.n_unknowns)[keep], rhs.reshape(-1)[keep]
 
 
 def solve_joint(M, rhs, layout: Layout):
@@ -232,9 +178,10 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     accepts the first candidate whose joint (E0) residual is below accept_tol
     and whose B has all roots confined in the rho-disc.  The minimal-degree
     acceptance mirrors the minimality available from the uniqueness theory.
-    An r whose E-table hits shock.ResidueObstruction is skipped.  When no
-    candidate is accepted the one with the smallest residual is returned; when
-    every r hit the obstruction it is raised, and when there is no r, ValueError.
+    An r whose E-table hits shock.ResidueObstruction is skipped, and r stops
+    where d - 1 would pass the E-table cap shock.E_KMAX.  When no candidate
+    is accepted the one with the smallest residual is returned; when every r
+    hit the obstruction it is raised, and when there is no r, ValueError.
 
     table is a Laurent table of b with kmax = 2 that the caller already has
     (its mmax then stands for mmax); without one, a table is built here with
@@ -250,11 +197,9 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     g1 = shock.g1_biseries(lt, nx)
 
     best = obstruction = None
-    r_lo = max(0, -lt.delta)
-    for r in range(r_lo, r_max + 1):
+    r_lo, r_hi = max(0, -lt.delta), min(r_max, shock.E_KMAX + 1 - lt.delta)
+    for r in range(r_lo, r_hi + 1):
         d = r + lt.delta
-        if d < 0:
-            continue
         try:
             etab = shock.E_decomposition(max(d - 1, 0), h)
         except shock.ResidueObstruction as e:
@@ -270,5 +215,5 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
         if best is None or fit.residual < best.residual:
             best = fit
     if best is None:
-        raise obstruction or ValueError(f"no candidate r in {r_lo}..{r_max}")
+        raise obstruction or ValueError(f"no candidate r in {r_lo}..{r_hi}")
     return best, h, g1

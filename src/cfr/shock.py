@@ -26,6 +26,7 @@ import numpy as np
 from . import symmetric
 
 RESIDUE_EPS = 1e-12
+E_KMAX = 8                          # largest k of the E-table E_{k,j}
 DELTA_FIT_X = 0.0                   # x of the slope fit in delta_from_expH
 DELTA_FIT_RADII = (1e2, 1e3, 1e4)   # |y| of its sample points
 
@@ -206,10 +207,9 @@ class BiSeries:
         e = np.zeros((nx + 1, M + 1), dtype=complex)  # orders 0..M
         e[0, 0] = 1.0
         for m in range(1, M + 1):
-            acc = np.zeros(nx + 1, dtype=complex)
-            for j in range(1, m + 1):
-                acc += j * symmetric.series_mul(h[:, j - 1], e[:, m - j], nx)
-            e[:, m] = acc / m
+            # column j - 1 is h_j e_{m-j}; cumsum adds the j terms in order
+            terms = symmetric.series_mul(h[:, :m], e[:, m - 1 :: -1], nx)
+            e[:, m] = np.cumsum(np.arange(1, m + 1) * terms, axis=1)[:, -1] / m
         return BiSeries(e, 0, M)
 
     def invert_tail(self):
@@ -224,11 +224,8 @@ class BiSeries:
         out = np.zeros((nx + 1, M + 1), dtype=complex)
         out[:, 0] = inv0
         for m in range(1, M + 1):
-            acc = np.zeros(nx + 1, dtype=complex)
-            for j in range(1, m + 1):
-                if j <= self.mhi:
-                    acc += symmetric.series_mul(self.c[:, j], out[:, m - j], nx)
-            out[:, m] = -symmetric.series_mul(inv0, acc, nx)
+            terms = symmetric.series_mul(self.c[:, 1 : m + 1], out[:, m - 1 :: -1], nx)
+            out[:, m] = -symmetric.series_mul(inv0, np.cumsum(terms, axis=1)[:, -1], nx)
         return BiSeries(out, 0, M)
 
     # -- evaluation ---------------------------------------------------------
@@ -329,8 +326,8 @@ def E_decomposition(kmax: int, h: HData):
     E_{k,k} = (Y-omega)^k / k!,  E_{k+1,0} = E^k P(dH/dx),
     E_{k+1,j} = P E_{k,j-1} + E E_{k,j}.
     """
-    if kmax > 8:
-        raise ValueError("E-table capped at kmax <= 8")
+    if kmax > E_KMAX:
+        raise ValueError(f"E-table capped at kmax <= {E_KMAX}")
     w = h.omega
     tab = {(0, 0): BiSeries.from_x_poly([1.0], h.Htilde.nx)}
     for k in range(kmax):
@@ -447,14 +444,14 @@ def eqsym1_residual(s_list, dNx=None):
     d = len(s_list)
     if dNx is None:
         dNx = s_list[0].dx().scale(-1.0)
-    worst = 0.0
+    worst = []
     for k in range(1, d + 1):
         sk = s_list[k - 1]
         term = sk.scale(-1.0) * dNx + sk.dy()
         if k < d:
             term = term - s_list[k].dx()
-        worst = max(worst, float(np.max(np.abs(term.c))))
-    return worst
+        worst.append(np.max(np.abs(term.c)))
+    return float(np.max(worst, initial=0.0))    # np.max keeps a NaN that max() would drop
 
 
 def g1_biseries(lt, nx) -> BiSeries:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-ROOT_RESIDUAL_TOL = 1e-9
+ROOT_RESIDUAL_SLACK = 8     # c in the per-root bound c * deg * eps * sum |a_k| |z|^k
 
 
 class NoConvergence(RuntimeError):
@@ -35,13 +35,15 @@ def power_to_elementary(N):
 
 
 def series_mul(a, b, order):
-    """Product of two power series truncated after u^order; a 2-D b is a set of columns."""
+    """Product of two power series truncated after u^order; a 2-D b is a set of columns.
+
+    A 2-D a is a set of columns too, and column c of the product is a[:, c] * b[:, c].
+    """
     out = np.zeros((order + 1,) + np.shape(b)[1:], dtype=complex)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
+    a = np.asarray(a)[: order + 1]
+    for i in np.flatnonzero(a.reshape(len(a), -1).any(axis=1)):     # skip rows of zeros
         hi = min(order - i, len(b) - 1)
-        out[i : i + hi + 1] += ai * b[: hi + 1]
+        out[i : i + hi + 1] += a[i] * b[: hi + 1]
     return out
 
 
@@ -86,8 +88,10 @@ def roots(coeffs):
     stack for np.linalg.eigvals, which solves every matrix on its own, so a
     row gives the same bits in any batch.  The eigenvalues are backward
     stable (Edelman & Murakami, Math. Comp. 64, 1995) and get one Newton
-    step; a row is accepted only when |p(root)| < 1e-9 * (1 + ||coeffs||),
-    else NoConvergence.
+    step; a row is accepted only when every root z meets Horner's rounding
+    bound |p(z)| <= c * deg * eps * sum |a_k| |z|^k of the monic row
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1),
+    else NoConvergence; a NaN residual fails.
     """
     C = np.asarray(coeffs, dtype=complex)
     if C.shape[-1] < 2:
@@ -102,11 +106,14 @@ def roots(coeffs):
     Z = np.linalg.eigvals(comp)
     p, dp = _polyval_and_deriv(A, Z)
     Z = np.sort_complex(Z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0))
-    res = np.max(np.abs(_polyval_and_deriv(A, Z)[0]), axis=1)
-    tol = ROOT_RESIDUAL_TOL * (1.0 + np.linalg.norm(A, axis=1))
-    bad = np.flatnonzero(res > tol)
+    res = np.abs(_polyval_and_deriv(A, Z)[0])
+    bound = ROOT_RESIDUAL_SLACK * deg * np.finfo(float).eps * _polyval_and_deriv(
+        np.abs(A), np.abs(Z))[0]
+    ok = res <= bound
+    bad = np.flatnonzero(~ok.all(axis=1))
     if bad.size:
         i = bad[0]
-        raise NoConvergence(f"max residual {res[i]:.3e} exceeds {tol[i]:.3e}")
+        k = np.argmin(ok[i])
+        raise NoConvergence(f"root residual {res[i, k]:.3e} exceeds {bound[i, k]:.3e}")
     return Z if C.ndim == 2 else Z[0]
 

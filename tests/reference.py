@@ -4,9 +4,10 @@ Nothing in ``cfr`` calls these; each one is an independent or more literal
 route to a quantity the program computes another way, or a small identity
 from the paper that the tests check:
 
-- the systems (E1)/(E2) and the (E0) residual with (A, B) pinned, built
-  with ``linsys._assemble`` and ``linsys._k_parts`` so they share the rows
-  of the fit;
+- (E0) assembled one Laurent order at a time from per-order copies of its
+  series and a table-driven row assembler, which the program's one-read
+  assembly must equal, and the systems (E1)/(E2) built with that assembler;
+  the (E0) residual with (A, B) pinned uses the program's rows;
 - the Laurent coefficient c_{j,m}^{0,n} read off one E-table entry;
 - P_1 in closed form, the pointwise residue route for P_k, and the partial
   derivatives of a correction in X and Y;
@@ -32,6 +33,7 @@ from the paper that the tests check:
 from __future__ import annotations
 
 import json
+from math import factorial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -43,12 +45,130 @@ from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, Proj
 from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch, _contour_sum
 from cfr.infinity import (RESONANT_EPS, GermAtInfinity, RationalAffinePoly, RationalY,
                           ResonantY, B_infinity, _ser_pow)
-from cfr.linsys import Layout, _assemble, _k_parts, assemble_E0, valid_window
+from cfr.linsys import Layout, assemble_E0, valid_window
 from cfr.reconstruct import PointCloud
 from cfr.shock import BiSeries, HData
 
 
-# -- linsys: coefficient extraction, pinned residual, (E1) and (E2) ------------
+# -- linsys: (E0) order by order, coefficient extraction, pinned residual, (E1), (E2)
+
+
+def shifted_coeffs(series: BiSeries, shift: int, window, nx_rows: int):
+    """Coefficient arrays of y^shift * series on the window of Laurent orders n.
+
+    Entry [i, t] is the x^t coefficient of y^(window[i]); orders where the
+    shifted series is not valid are flagged by NaN in column 0.
+    """
+    out = np.zeros((len(window), nx_rows + 1), dtype=complex)
+    sh = series.shift_y(shift)
+    for i, n in enumerate(window):
+        m = -n
+        if m < sh.mlo:
+            continue  # exactly zero above the top of the series
+        if m > sh.mhi:
+            if not sh.exact:
+                out[i, 0] = np.nan
+            continue
+        v = sh.x_poly(m)
+        out[i, :] = v[: nx_rows + 1]
+    return out
+
+
+def k0_components(h: HData, g1: BiSeries, r: int, window, nx_rows: int):
+    """Laurent data of [A + X B' - B G_1] e^(-H), split by its (A, B) linearity.
+
+    e^(-H) = w^(-delta) y^delta e^(-H~); multiplication by the monomials Y^i
+    of A and B is an exact index shift, so each unknown coefficient a_i,
+    beta_i contributes a fixed known series.  beta_0 = 1 feeds the constant
+    part.  Returns (const, [a_0 .. a_{r-1} parts], [beta_1 .. beta_r parts]).
+    """
+    d = h.delta
+    em = h.Htilde.scale(-1.0).exp()          # e^(-H~)
+    # X * e^(-H~): multiply by x, i.e. shift coefficients up one x-degree.
+    cx = np.zeros_like(em.c)
+    cx[1:, :] = em.c[:-1, :]
+    xem = BiSeries(cx, em.mlo, em.mhi, em.exact)
+
+    wmd = h.omega ** (-d)
+    a_parts = [wmd * shifted_coeffs(em, i + d, window, nx_rows) for i in range(r)]
+    const, b_parts = k_parts(h, xem, g1 * em, r, window, nx_rows)
+    return const, a_parts, b_parts
+
+
+def k_parts(h: HData, lin: BiSeries, f: BiSeries, r: int, window, nx_rows: int):
+    """Right-side parts of [B' lin - B f] e^(-H~) w^(-delta) y^delta, linear in B.
+
+    B = 1 + sum beta_i Y^i, so beta_0 = 1 gives const = -f and each beta_i
+    the part i Y^(i-1) lin - Y^i f.  Returns (const, [beta_1 .. beta_r parts]).
+    """
+    d = h.delta
+    wmd = h.omega ** (-d)
+    const = -wmd * shifted_coeffs(f, d, window, nx_rows)
+    b_parts = []
+    for i in range(1, r + 1):
+        t = wmd * (
+            i * shifted_coeffs(lin, i - 1 + d, window, nx_rows)
+            - shifted_coeffs(f, i + d, window, nx_rows)
+        )
+        b_parts.append(t)
+    return const, b_parts
+
+
+def mu_columns(cvec, m, dmu, nx_rows):
+    """Rows x columns block of the term c(x) * mu^{(m)} for one (j, m, n)."""
+    block = np.zeros((nx_rows + 1, dmu + 1), dtype=complex)
+    for i in range(m, min(dmu, nx_rows + m) + 1):
+        lo = i - m
+        t = min(nx_rows + 1 - lo, len(cvec))
+        block[lo : lo + t, i] = factorial(i) / factorial(i - m) * cvec[:t]
+    return block
+
+
+def assemble_rows(layout: Layout, window, nx_rows: int, terms, const, a_parts, b_parts):
+    """Rows of sum c^n_{j,m} mu_j^(m) - sum a_i K_i^a - sum beta_i K_i^b = const.
+
+    terms maps (j, m) to the series whose y^n coefficient c^n_{j,m}(x)
+    multiplies mu_j^(m); const and the parts are (window, nx_rows + 1)
+    arrays, NaN where not valid.  An order n is dropped when a part or a
+    term is not exactly valid there.
+    """
+    dmu = layout.dmu
+    rows = len(window) * (nx_rows + 1)
+    M = np.zeros((rows, layout.n_unknowns), dtype=complex)
+    rhs = np.zeros(rows, dtype=complex)
+    keep = np.ones(len(window), dtype=bool)
+    for i, n in enumerate(window):
+        n = int(n)
+        if (any(np.isnan(p[i, 0]) for p in [const, *a_parts, *b_parts])
+                or any(-n > s.mhi and not s.exact for s in terms.values())):
+            keep[i] = False
+            continue
+        r0, r1 = i * (nx_rows + 1), (i + 1) * (nx_rows + 1)
+        rhs[r0:r1] = const[i]
+        for (j, m), s in terms.items():
+            if not s.mlo <= -n <= s.mhi:
+                continue  # zero coefficient (or exactly zero beyond an exact series)
+            cvec = s.c[:, -n - s.mlo]
+            if np.any(cvec):
+                col0 = (j - 1) * (dmu + 1)
+                M[r0:r1, col0 : col0 + dmu + 1] += mu_columns(cvec, m, dmu, nx_rows)
+        for ii, p in enumerate(a_parts):
+            M[r0:r1, layout.n_mu + ii] -= p[i]
+        for ii, p in enumerate(b_parts):
+            M[r0:r1, layout.n_mu + layout.r + ii] -= p[i]
+    mask = np.repeat(keep, nx_rows + 1)
+    return M[mask], rhs[mask]
+
+
+def assemble_E0_by_order(h: HData, g1: BiSeries, etab, layout: Layout, window=None,
+                         nx_rows=None):
+    """(E0) one Laurent order at a time, the route linsys.assemble_E0 must equal."""
+    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
+    if window is None:
+        window = valid_window(h, g1, layout.r, layout.d)
+    const, a_parts, b_parts = k0_components(h, g1, layout.r, window, nx_rows)
+    terms = {(j, m): etab[(j - 1, m)] for j in range(1, layout.d + 1) for m in range(j)}
+    return assemble_rows(layout, window, nx_rows, terms, const, a_parts, b_parts)
 
 
 class TruncationExceeded(ValueError):
@@ -69,14 +189,14 @@ def coeff_c0(j: int, m: int, n: int, etab) -> np.ndarray:
     return s.x_poly(-n)
 
 
-def fixed_AB_residual(h, g1, etab, layout: Layout, A, B, window=None, extra_blocks=()):
+def fixed_AB_residual(h, g1, etab, layout: Layout, A, B, extra_blocks=()):
     """(E0) residual with (A, B) pinned, minimizing over mu only.
 
     Extra row blocks (E1/E2) may be stacked below (E0).  The (a, beta)
     columns hold the negated K components, so pinned values move to the
     right side with the opposite sign.
     """
-    M, rhs = assemble_E0(h, g1, etab, layout, window)
+    M, rhs = assemble_E0(h, g1, etab, layout)
     for Mb, rb in extra_blocks:
         M = np.vstack([M, Mb])
         rhs = np.concatenate([rhs, rb])
@@ -110,8 +230,8 @@ def assemble_E1(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_ro
         window = valid_window(h, g1, layout.r, layout.d)
     tab1 = e1_table(etab, h, layout.d)
     em = h.Htilde.scale(-1.0).exp()
-    const, b_parts = _k_parts(h, em, g1.dx() * em, layout.r, window, nx_rows)
-    return _assemble(layout, window, nx_rows, tab1, const, [], b_parts)
+    const, b_parts = k_parts(h, em, g1.dx() * em, layout.r, window, nx_rows)
+    return assemble_rows(layout, window, nx_rows, tab1, const, [], b_parts)
 
 
 def e2_table(etab, h: HData, d: int, gxx_inv: BiSeries):
@@ -157,8 +277,8 @@ def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_ro
         window = valid_window(h, g1, layout.r, layout.d)
     tab2 = e2_table(etab, h, layout.d, invert_gxx(g1))
     zero = BiSeries.zero(h.Htilde.nx)
-    const, b_parts = _k_parts(h, zero, h.Htilde.scale(-1.0).exp(), layout.r, window, nx_rows)
-    return _assemble(layout, window, nx_rows, tab2, const, [], b_parts)
+    const, b_parts = k_parts(h, zero, h.Htilde.scale(-1.0).exp(), layout.r, window, nx_rows)
+    return assemble_rows(layout, window, nx_rows, tab2, const, [], b_parts)
 
 
 # -- infinity: P_1 in closed form, pointwise residues, partial derivatives -----

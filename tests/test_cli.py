@@ -290,6 +290,18 @@ def test_genus_cli(workdir):
     assert json.loads(out)["q_inf"] == 1
 
 
+def test_genus_cli_nan_density_is_a_numeric_error(workdir):
+    """0/0 on the unit circle: exit 2 with one error line, not a NaN integral and a warning."""
+    (workdir / "lam-nan.json").write_text(json.dumps({"num": [1, -1], "den": [1, -1]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["genus", "--lambda", "lam-nan.json"], workdir)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "E_NUMERIC"
+    assert json.loads(err)["type"] == "NonFiniteResult"
+
+
 def test_numeric_error_exit_code(workdir):
     # a line through the boundary: indicators fail numerically via shock-verify
     # on a bogus p; easier: green with coincident points

@@ -62,6 +62,13 @@ def test_disc_flat_recorded_discrepancy(disc):
     assert disc.tangency_certificate(lambda_fubini_study) > 0.1
 
 
+def test_tangency_certificate_keeps_nan(annulus):
+    """A density that is NaN on the inner circle gives a NaN defect, not the outer one."""
+    def lam(z):
+        return np.where(np.abs(np.abs(z) - annulus.r_in) < 1e-12, np.nan, 1.0)
+    assert np.isnan(annulus.tangency_certificate(lam))
+
+
 def test_mu_independence(disc, annulus):
     """Densities differing by e^(2 kappa) with certificate-satisfying kappa
     give the same integral."""

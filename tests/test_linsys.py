@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cfr import indicators, linsys, oracles, shock
-from cfr.linsys import (Layout, RankDeficient, assemble_E0, fit_infinity, k0_components,
-                        solve_joint, valid_window)
-from reference import (E2Degenerate, assemble_E1, assemble_E2, coeff_c0, fixed_AB_residual,
-                       invert_gxx)
+from cfr.geometry import BoundaryData, rho
+from cfr.linsys import Layout, RankDeficient, assemble_E0, fit_infinity, valid_window
+from reference import (E2Degenerate, assemble_E0_by_order, assemble_E1, assemble_E2, coeff_c0,
+                       fixed_AB_residual, invert_gxx, mu_columns)
 
 
 @pytest.fixture(scope="module")
@@ -63,49 +65,116 @@ def test_mu_columns_matches_loop():
             for t in range(i - m, nx_rows + 1):
                 if t - (i - m) < ncv:
                     ref[t, i] = factorial(i) / factorial(i - m) * cvec[t - (i - m)]
-        assert np.array_equal(linsys._mu_columns(cvec, m, dmu, nx_rows), ref)
+        assert np.array_equal(mu_columns(cvec, m, dmu, nx_rows), ref)
+
+
+def e0_blocks(h, g1, etab, layout):
+    """(E0) as (orders, M, rhs) with one (nx + 1)-row block per order.
+
+    Only orders past the valid range of a non-exact series, the most
+    negative n, are dropped, so the kept orders are the last of the window.
+    """
+    M, rhs = assemble_E0(h, g1, etab, layout)
+    nx1 = h.Htilde.nx + 1
+    k = len(rhs) // nx1
+    window = valid_window(h, g1, layout.r, layout.d)
+    return window[len(window) - k:], M.reshape(k, nx1, layout.n_unknowns), rhs.reshape(k, nx1)
+
+
+@pytest.mark.parametrize("name", ["interior_line", "exterior_line", "two_line"])
+def test_assemble_E0_equals_order_by_order_route(name):
+    """The one-read assembly equals the per-order route bit for bit, dmu < m included."""
+    b = getattr(oracles, name)(n=256)
+    lt = indicators.laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    h = shock.H_from_laurent(lt, lt.delta, -2.0 * rho(b))
+    g1 = shock.g1_biseries(lt, h.Htilde.nx)
+    etab = shock.E_decomposition(3, h)
+    for d in range(5):
+        for r in range(4):
+            for dmu in (0, 3, 10):
+                lay = Layout(d=d, r=r, dmu=dmu)
+                M, rhs = assemble_E0(h, g1, etab, lay)
+                M0, rhs0 = assemble_E0_by_order(h, g1, etab, lay)
+                assert M.shape == (len(rhs), lay.n_unknowns) and len(rhs)
+                assert np.array_equal(M, M0) and np.array_equal(rhs, rhs0)
+
+
+def test_assemble_E0_drops_orders_of_a_term_no_mu_column_reaches(interior_h):
+    """With dmu = 0 no column carries E_{1,1}, yet its validity still drops orders."""
+    etab = dict(shock.E_decomposition(1, interior_h))
+    e11 = etab[(1, 1)]
+    etab[(1, 1)] = shock.BiSeries(e11.c, e11.mlo, e11.mhi, exact=False)   # y^1, y^0 only
+    g1 = shock.BiSeries(np.zeros((interior_h.Htilde.nx + 1, 9), dtype=complex), 0, 8)
+    lay = Layout(d=2, r=0, dmu=0)
+    orders, _, _ = e0_blocks(interior_h, g1, etab, lay)
+    assert list(orders) == list(range(0, 2 + linsys.WINDOW_EXTRA + 1))
+    M, rhs = assemble_E0(interior_h, g1, etab, lay)
+    M0, rhs0 = assemble_E0_by_order(interior_h, g1, etab, lay)
+    assert np.array_equal(M, M0) and np.array_equal(rhs, rhs0)
+
+
+def test_read_rows_zero_above_the_top_nan_past_a_series():
+    """Rows above the top are zero; past the bottom, NaN unless the series is exact."""
+    c = np.arange(1, 13, dtype=complex).reshape(4, 3)        # nx = 3, y^1, y^0, y^-1
+    orders = np.arange(-3, 4)
+    for exact in (False, True):
+        got = linsys._read(shock.BiSeries(c, -1, 1, exact), orders, 2)
+        assert got.shape == (7, 3)
+        assert np.all(got[orders > 1] == 0)
+        assert np.array_equal(got[2:5], c[:3, ::-1].T)      # y^-1, y^0, y^1
+        past = got[orders < -1]
+        assert np.all(past == 0) if exact else np.all(np.isnan(past))
+    # a series with fewer x-powers than asked for reads zeros above its own
+    got = linsys._read(shock.BiSeries(c, -1, 1, True), np.array([0]), 5)
+    assert np.array_equal(got[0], np.concatenate((c[:, 1], [0, 0])))
 
 
 def test_k0_vanishes_for_large_n(interior_fit):
-    """Interior line (B=1, A=0, d=1): K_n^0 = 0 for n >= 1."""
+    """Interior line (B=1, A=0, d=1): the right side K_n^0 of (E0) is 0 for n >= 1."""
     fit, h, g1 = interior_fit
-    window = np.arange(-6, 6)
-    const, _, _ = k0_components(h, g1, 0, window, h.Htilde.nx)
-    for i, n in enumerate(window):
-        if n >= 1 and not np.isnan(const[i, 0]):
-            assert np.max(np.abs(const[i])) < 1e-8
-    i0 = list(window).index(0)
+    orders, _, rhs = e0_blocks(h, g1, shock.E_decomposition(0, h), Layout(d=1, r=0, dmu=10))
+    assert orders[-1] >= 1
+    for n, row in zip(orders, rhs):
+        if n >= 1:
+            assert np.max(np.abs(row)) < 1e-8
     # K_0^0 = (x+1)/omega on this oracle
     expect = np.zeros(h.Htilde.nx + 1, dtype=complex)
     expect[0] = expect[1] = 1.0 / h.omega
-    assert np.max(np.abs(const[i0] - expect)) < 1e-9
+    assert np.max(np.abs(rhs[list(orders).index(0)] - expect)) < 1e-9
 
 
 def test_k0_trivial_zero_feed():
-    """B=1, A=0, G_1 = 0, H~ = 0 => all K_n^0 = 0."""
+    """B=1, A=0, G_1 = 0, H~ = 0 => all K_n^0 = 0, and so are the (A, B) columns."""
     nx, W = 8, -3.0
     h = shock.HData(0, shock.BiSeries(np.zeros((nx + 1, 4), dtype=complex), 1, 4), W)
     g1 = shock.BiSeries(np.zeros((nx + 1, 5), dtype=complex), 0, 4)
-    window = np.arange(-3, 3)
-    const, _, _ = k0_components(h, g1, 0, window, nx)
-    assert np.nanmax(np.abs(const)) < 1e-14
+    for r in (0, 1):
+        orders, M, rhs = e0_blocks(h, g1, {}, Layout(d=0, r=r, dmu=10))
+        assert len(rhs) and np.max(np.abs(rhs)) < 1e-14
+    # with e^(-H~) = 1 the a_0 column is -1 at y^0 x^0, and the beta_1 column
+    # -X at y^0 x^1, from the X B' = beta_1 X of the right side
+    i0 = list(orders).index(0)
+    assert M[i0, 0, 0] == -1.0 and np.count_nonzero(M[..., 0]) == 1
+    assert M[i0, 1, 1] == -1.0 and np.count_nonzero(M[..., 1]) == 1
 
 
 def test_k0_linearity(interior_fit):
-    """K(B, A1+A2) = K(B, A1) + K(B, A2) - K(B, 0) coefficientwise."""
+    """K(B, A1+A2) = K(B, A1) + K(B, A2) - K(B, 0) coefficientwise.
+
+    K(a_0, beta_1) is the right side moved to the mu side: rhs minus the
+    (A, B) columns of assemble_E0 times (a_0, beta_1).
+    """
     fit, h, g1 = interior_fit
-    window = valid_window(h, g1, 1, 2)
-    const, a_parts, b_parts = k0_components(h, g1, 1, window, h.Htilde.nx)
+    lay = Layout(d=2, r=1, dmu=10)
+    M, const = assemble_E0(h, g1, shock.E_decomposition(1, h), lay)
 
     def K_of(a0, b1):
-        out = const.copy()
-        out += a0 * a_parts[0] + b1 * b_parts[0]
-        return out
+        return const - a0 * M[:, lay.n_mu] - b1 * M[:, lay.n_mu + 1]
 
     lhs = K_of(0.7 + 0.1j, 0.3)
     rhs = K_of(0.7 + 0.1j, 0.0) + K_of(0.0, 0.3) - K_of(0.0, 0.0)
-    mask = ~np.isnan(lhs[:, 0])
-    assert np.max(np.abs(lhs[mask] - rhs[mask])) < 1e-12
+    assert np.max(np.abs(M[:, lay.n_mu:])) > 0.1
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_E0_interior_recovers_mu(interior_fit):
@@ -247,6 +316,30 @@ def test_fit_scan_skips_residue_obstruction(conic, monkeypatch):
     monkeypatch.setattr(shock, "E_decomposition", obstructed)
     with pytest.raises(shock.ResidueObstruction):
         fit_infinity(conic)
+
+
+def test_fit_scan_stops_at_the_E_table_cap():
+    """A 4-line union (delta = 4) at an unreachable tolerance returns its best r <= 5.
+
+    r = 6 would need d = 10 unknown functions, whose E-table passes shock.E_KMAX.
+    """
+    slopes = (0.5, -1.0 / 3.0, 0.25j, -0.6 + 0.1j)
+    b = BoundaryData([oracles._line_loop(a, 256) for a in slopes], [1] * 4)
+    with pytest.warns(RankDeficient):
+        fit, h, _ = fit_infinity(b, accept_tol=1e-300)
+    assert h.delta == 4 and 0 <= fit.r <= 5
+
+
+def test_fit_scan_survives_a_tiny_leading_coefficient(interior):
+    """At dmu = 4 the interior-line scan meets a B with top coefficient ~0.
+
+    Its roots are huge, so B is merely not confined; rooting it must not
+    raise NoConvergence, and the best candidate comes back.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficient)
+        fit, _, _ = fit_infinity(interior, dmu=4, accept_tol=0.0)
+    assert fit.residual < 1e-12
 
 
 def test_two_line_fit(twoline):

@@ -241,6 +241,13 @@ def test_s_k_random_mu_chain(interior_lt, rng):
     assert eqsym1_residual(pert, dNx) > 1e-4
 
 
+def test_eqsym1_residual_keeps_nan(interior_h):
+    """A NaN coefficient makes the residual NaN, not a perfect 0."""
+    s = s_k_from_mu([np.zeros(3)], [1.0], interior_h)
+    s[0].c[0, 0] = np.nan
+    assert np.isnan(eqsym1_residual(s))
+
+
 def test_systMu_reproduces_inputs(interior_lt, rng):
     """(1 x B) s_k = (sum E^{j-k} mu_j) e^H termwise within validity."""
     W2 = -4.5

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -111,7 +112,7 @@ def match_multisets(a, b):
 
 
 def test_series_mul_columns(rng):
-    """A right factor with columns gives each column's 1-D product, bit for bit."""
+    """A factor with columns gives each column's 1-D product, bit for bit."""
     a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     a[[1, 4]] = 0.0                                 # exercise the zero skip
     for rows in (4, 7, 10):
@@ -119,6 +120,13 @@ def test_series_mul_columns(rng):
         for order in (2, 6):
             cols = np.stack([series_mul(a, b[:, j], order) for j in range(3)], axis=1)
             assert np.array_equal(series_mul(a, b, order), cols)
+    # a left factor with columns pairs them with b's, one 1-D product each
+    A = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    A[1] = 0.0
+    A[4, 0] = 0.0
+    b = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    pairs = np.stack([series_mul(A[:, j], b[:, j], 6) for j in range(3)], axis=1)
+    assert np.array_equal(series_mul(A, b, 6), pairs)
 
 
 def test_roots_examples():
@@ -176,12 +184,7 @@ def test_discriminant_collision_both_ways(rng):
     assert abs(discriminant(c2)) > 1e-6 * (1.0 + np.max(np.abs(c2))) ** 4
 
 
-def test_roots_batch_rows_equal_one_row_calls(rng):
-    """Each row of a batched solve equals its one-row call, bit for bit.
-
-    T^3 - 1e10 T^2 + 1, whose roots span fifteen orders of magnitude, sits
-    between ordinary rows.
-    """
+def _batch_rows_equal_one_row_calls(rng):
     for deg in range(1, 9):
         C = rng.standard_normal((6, deg + 1)) + 1j * rng.standard_normal((6, deg + 1))
         if deg == 3:
@@ -193,7 +196,32 @@ def test_roots_batch_rows_equal_one_row_calls(rng):
             assert np.array_equal(got, np.sort_complex(got))
 
 
-def test_roots_batch_empty_and_failure():
+def test_roots_batch_rows_equal_one_row_calls(rng):
+    """Each row of a batched solve equals its one-row call, bit for bit.
+
+    T^3 - 1e10 T^2 + 1, whose roots span fifteen orders of magnitude, sits
+    between ordinary rows.
+    """
+    _batch_rows_equal_one_row_calls(rng)
+
+
+def test_roots_batch_rows_pass_on_every_seed():
+    """The same rows on 300 seeds: roots of modulus >> 1 meet the residual bound too."""
+    for seed in range(300):
+        _batch_rows_equal_one_row_calls(np.random.default_rng(seed))
+
+
+def test_roots_batch_empty_and_failure(monkeypatch):
     assert roots(np.zeros((0, 4))).shape == (0, 3)
-    with pytest.raises(NoConvergence):
-        roots(np.array([[1.0, -5.0, 6.0, 0.0], [1.0, 1e10, 1.0, 1.0]]))
+    # roots spanning fifteen orders of magnitude are accepted, each to full relative accuracy
+    got = roots(np.array([[1.0, -5.0, 6.0, 0.0], [1.0, 1e10, 1.0, 1.0]]))[1]
+    mpmath.mp.dps = 50
+    exact = [complex(z) for z in mpmath.polyroots([1, 10**10, 1, 1], maxsteps=200, extraprec=200)]
+    for z in exact:
+        assert np.min(np.abs(got - z)) < 1e-14 * abs(z)
+    # perturbed or NaN eigenvalues miss the residual bound
+    eigvals = np.linalg.eigvals
+    for bad in (lambda a: eigvals(a) + 1e-3, lambda a: eigvals(a) * np.nan):
+        monkeypatch.setattr(np.linalg, "eigvals", bad)
+        with pytest.raises(NoConvergence), np.errstate(invalid="ignore"):
+            roots([1.0, -5.0, 6.0])
