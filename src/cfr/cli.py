@@ -351,7 +351,7 @@ def cmd_genus(args):
         integral = genus.chern_boundary_integral(omega, lam, model)
         defect = model.tangency_certificate(lam)
     if not np.isfinite([integral, defect]).all():
-        raise genus.NonFiniteResult(f"integral {integral}, tangency defect {defect}")
+        raise ValueError(f"non-finite integral {integral}, tangency defect {defect}")
     out = {"model": args.model, "integral": integral, "tangency_defect": defect}
     if args.genus_known is not None:
         out["q_inf"] = genus.q_infinity_estimate(

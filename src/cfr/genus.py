@@ -29,10 +29,6 @@ class RoundingGuard(ValueError):
     """Integer-valued combination landed too far from an integer."""
 
 
-class NonFiniteResult(ValueError):
-    """The boundary integral or the tangency defect is NaN or infinite."""
-
-
 def lambda_flat(zeta):
     return np.ones_like(np.real(zeta))
 

@@ -69,19 +69,15 @@ class Layout:
         return mu, a, beta
 
 
-def _read(s: BiSeries, orders, nx: int):
-    """y^n coefficients of s for n in orders, x^0..x^nx, as a (len(orders), nx + 1) array.
+def _read(s: BiSeries, orders):
+    """y^n coefficients of s for the contiguous orders n, x^0..x^nx, one row per order.
 
     Rows above the top of s are zero; rows past its valid range are NaN,
     or zero when s is exact.
     """
-    m = -orders
-    out = np.zeros((len(orders), nx + 1), dtype=complex)
-    inside = (m >= s.mlo) & (m <= s.mhi)
-    k = min(nx, s.nx) + 1
-    out[inside, :k] = s.c[:k, m[inside] - s.mlo].T
+    out = s._window(-orders[-1], -orders[0])[:, ::-1].T
     if not s.exact:
-        out[m > s.mhi] = np.nan
+        out[-orders > s.mhi] = np.nan
     return out
 
 
@@ -103,7 +99,7 @@ def assemble_E0(h: HData, g1: BiSeries, etab, layout: Layout):
     nw = len(window)
     em = h.Htilde.scale(-1.0).exp()          # e^(-H~)
     orders = np.arange(window[0] - delta - r, window[-1] - delta + 1)
-    E, GE = _read(em, orders, nx), _read(g1 * em, orders, nx)
+    E, GE = _read(em, orders), _read(g1 * em, orders)
     XE = np.zeros_like(E)
     XE[:, 1:] = E[:, :-1]                    # X e^(-H~): one x-degree up
 
@@ -121,7 +117,7 @@ def assemble_E0(h: HData, g1: BiSeries, etab, layout: Layout):
     drop = np.isnan(rhs).any(axis=1) | np.isnan(M).any(axis=(1, 2))
     for j in range(1, d + 1):
         for m in range(j):
-            R = _read(etab[(j - 1, m)], window, nx)
+            R = _read(etab[(j - 1, m)], window)
             drop |= np.isnan(R).any(axis=1)
             for t in range(m, min(dmu, nx + m) + 1):
                 M[:, t - m :, (j - 1) * (dmu + 1) + t] += (

@@ -160,12 +160,10 @@ def assemble_rows(layout: Layout, window, nx_rows: int, terms, const, a_parts, b
     return M[mask], rhs[mask]
 
 
-def assemble_E0_by_order(h: HData, g1: BiSeries, etab, layout: Layout, window=None,
-                         nx_rows=None):
+def assemble_E0_by_order(h: HData, g1: BiSeries, etab, layout: Layout):
     """(E0) one Laurent order at a time, the route linsys.assemble_E0 must equal."""
-    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
-    if window is None:
-        window = valid_window(h, g1, layout.r, layout.d)
+    nx_rows = h.Htilde.nx
+    window = valid_window(h, g1, layout.r, layout.d)
     const, a_parts, b_parts = k0_components(h, g1, layout.r, window, nx_rows)
     terms = {(j, m): etab[(j - 1, m)] for j in range(1, layout.d + 1) for m in range(j)}
     return assemble_rows(layout, window, nx_rows, terms, const, a_parts, b_parts)
@@ -223,11 +221,10 @@ def e1_table(etab, h: HData, d: int):
     return out
 
 
-def assemble_E1(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
+def assemble_E1(h: HData, g1: BiSeries, etab, layout: Layout):
     """Rows of (E1): sum c^{1,n}_{j,m} mu_j^{(m)} = coeffs of (B' - B dG1/dx) e^-H."""
-    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
-    if window is None:
-        window = valid_window(h, g1, layout.r, layout.d)
+    nx_rows = h.Htilde.nx
+    window = valid_window(h, g1, layout.r, layout.d)
     tab1 = e1_table(etab, h, layout.d)
     em = h.Htilde.scale(-1.0).exp()
     const, b_parts = k_parts(h, em, g1.dx() * em, layout.r, window, nx_rows)
@@ -270,11 +267,10 @@ def invert_gxx(g1: BiSeries):
     return u.invert_tail().shift_y(m0)
 
 
-def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout, window=None, nx_rows=None):
+def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout):
     """Rows of (E2): sum c^{2,n}_{j,m} mu_j^{(m)} = coeffs of -B e^-H."""
-    nx_rows = h.Htilde.nx if nx_rows is None else nx_rows
-    if window is None:
-        window = valid_window(h, g1, layout.r, layout.d)
+    nx_rows = h.Htilde.nx
+    window = valid_window(h, g1, layout.r, layout.d)
     tab2 = e2_table(etab, h, layout.d, invert_gxx(g1))
     zero = BiSeries.zero(h.Htilde.nx)
     const, b_parts = k_parts(h, zero, h.Htilde.scale(-1.0).exp(), layout.r, window, nx_rows)

@@ -299,7 +299,7 @@ def test_genus_cli_nan_density_is_a_numeric_error(workdir):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "E_NUMERIC"
-    assert json.loads(err)["type"] == "NonFiniteResult"
+    assert json.loads(err)["type"] == "ValueError"
 
 
 def test_numeric_error_exit_code(workdir):

@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -215,8 +214,10 @@ def test_roots_batch_empty_and_failure(monkeypatch):
     assert roots(np.zeros((0, 4))).shape == (0, 3)
     # roots spanning fifteen orders of magnitude are accepted, each to full relative accuracy
     got = roots(np.array([[1.0, -5.0, 6.0, 0.0], [1.0, 1e10, 1.0, 1.0]]))[1]
-    mpmath.mp.dps = 50
-    exact = [complex(z) for z in mpmath.polyroots([1, 10**10, 1, 1], maxsteps=200, extraprec=200)]
+    import mpmath
+    with mpmath.workdps(50):
+        exact = [complex(z) for z in mpmath.polyroots([1, 10**10, 1, 1], maxsteps=200,
+                                                      extraprec=200)]
     for z in exact:
         assert np.min(np.abs(got - z)) < 1e-14 * abs(z)
     # perturbed or NaN eigenvalues miss the residual bound
