@@ -238,6 +238,8 @@ def _sheets_and_family(b, args, fit=None, h=None):
 def _do_reconstruct(b, args, fit=None, h=None):
     radii = _finite("--radii", _parse("--radii", _numbers(float), args.radii))
     xfracs = _finite("--xfrac", _parse("--xfrac", _numbers(complex), args.xfrac))
+    if np.any(np.abs(radii) <= 1) or np.any(np.abs(xfracs) >= 1):   # the line is outside Z
+        raise ValidationError(f"need |--radii| > 1 and |--xfrac| < 1, got {radii}, {xfracs}")
     p, fam = _sheets_and_family(b, args, fit, h)
     cloud = reconstruct.sweep(b, p, fam, radii=radii, angles=args.angles,
                               xfracs=xfracs)

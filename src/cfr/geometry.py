@@ -19,20 +19,20 @@ import numpy as np
 # max-modulus normalization).
 CHART_EPS = 1e-12
 
-# Largest (lines x samples) block one array operation over a loop holds:
-# 8 lines at 4096 samples, 32 at 1024.  It bounds the work arrays, so the
-# peak memory of a sweep does not grow with its number of lines.
-TILE_ENTRIES = 2 ** 15
+# Largest (lines x samples) block, or dedup chunk of point pairs, one array operation
+# over a loop holds, so peak memory does not grow with the sweep.  A complex temporary is
+# 128 KiB and stays on glibc's heap: a pipeline op takes ~700 minor faults, ~3460 at 2^15.
+TILE_ENTRIES = 2 ** 13
 
 
 def tiles(count: int, samples: int):
     """Slices of range(count) with at most TILE_ENTRIES // samples items each."""
     step = max(1, TILE_ENTRIES // samples)
-    return [slice(i, i + step) for i in range(0, count, step)]
+    return (slice(i, i + step) for i in range(0, count, step))
 
 
 class OutsideDomain(ValueError):
-    """Line parameter lies outside the admissible domain (|y| <= rho)."""
+    """Line parameter lies outside the admissible domain Z (|y| <= rho or |x| >= m(y))."""
 
 
 def _normalize_rows(w):
@@ -47,12 +47,7 @@ def chordal(a, b) -> float:
     """Gauge-independent chordal distance |a ^ b| / (|a| |b|) on CP2."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    cross = np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
-    return float(np.linalg.norm(cross) / (np.linalg.norm(a) * np.linalg.norm(b)))
+    return float(np.linalg.norm(np.cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import indicators, symmetric
-from .geometry import BoundaryData, LineParam, ProjPoint, m_of_y, rho, tiles
+from .geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, m_of_y, rho, tiles
 
 
 class DegenerateFiber(ValueError):
@@ -97,12 +97,46 @@ def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> np.ndarray:
 
 def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):
     """The sweep's lines as arrays (xs, ys): x = f m(y) for each f in xfracs, x fastest."""
+    if np.any(np.abs(xfracs) >= 1):     # |x| < m(y) in Z
+        raise OutsideDomain(f"|x| / m(y) = {np.max(np.abs(xfracs)):g} >= 1")
     r = rho(b)
     ys = [rad_mult * r * np.exp(2j * np.pi * (j + angle_offset) / angles)
           for rad_mult in radii for j in range(angles)]
     ms = m_of_y(b, ys)
     xs = np.array([f * m for m in ms.tolist() for f in xfracs], dtype=complex)
     return xs, np.repeat(np.array(ys, dtype=complex), len(xfracs))
+
+
+def close_pairs(A, merge_eps):
+    """Row pairs (i, j), j < i, of A with |a_i ^ a_j| / (|a_i| |a_j|) < merge_eps, by i then j.
+
+    Unit rows at chordal distance sin(phi) differ in the key |a_0| / |a| by at most 2 sin(phi/2)
+    <= phi, so only keys within 1.01 arcsin(min(merge_eps, 1)) + 1e-12 are paired and tested."""
+    norms = np.linalg.norm(A, axis=1)   # an ulp off moves a merge only at dist ~ merge_eps
+    order = np.argsort(np.abs(A[:, 0]) / norms)
+    key = np.abs(A[order, 0]) / norms[order]
+    w = 1.01 * np.arcsin(np.clip(merge_eps, 0.0, 1.0)) + 1e-12
+    # sorted row s has the candidates s + 1 .. s + cnt[s], pairs ends[s] - cnt[s] .. ends[s] - 1
+    cnt = np.searchsorted(key, key + w, side="right") - np.arange(1, len(A) + 1)
+    ends = np.cumsum(cnt)
+    hits = []                           # i * len(A) + j
+    for sl in tiles(int(cnt.sum()), 1):             # chunks of at most TILE_ENTRIES pairs
+        k = np.arange(sl.start, min(sl.stop, ends[-1]))
+        s = np.searchsorted(ends, k, side="right")
+        i, j = np.sort([order[s], order[k - ends[s] + cnt[s] + s + 1]], axis=0)[::-1]   # j < i
+        dist = np.linalg.norm(np.cross(A[i], A[j]), axis=-1) / (norms[i] * norms[j])
+        hits += (i * len(A) + j)[dist < merge_eps].tolist()
+    return np.divmod(np.sort(np.array(hits, dtype=int)), len(A))
+
+
+def merge_rows(A, merge_eps):
+    """(kept, multiplicity): in row order, a row joins the first kept row within merge_eps."""
+    root = list(range(len(A)))          # root[i]: the kept row that row i counts toward
+    for r, c in zip(*(v.tolist() for v in close_pairs(A, merge_eps))):
+        if root[r] == r and root[c] == c:
+            root[r] = c
+    kept = np.flatnonzero(np.array(root) == np.arange(len(A)))
+    return kept, np.bincount(np.searchsorted(kept, root), minlength=len(kept)).tolist()
 
 
 def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
@@ -112,9 +146,9 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
 
     radii are multiples of rho; xfracs are fractions of m(y) (complex values
     allowed).  All lines go through one fibers batch.  Degenerate lines are
-    recorded in cloud.skipped, not raised.  A point within merge_eps of an
-    accepted point adds to the multiplicity of the first such point in order
-    of acceptance.
+    recorded in cloud.skipped, not raised.  A point within merge_eps of a kept
+    point counts toward the first such point (merge_rows); only pairs whose
+    keys |w0| / |w| lie within about arcsin(merge_eps) are tested (close_pairs).
     """
     cloud = PointCloud()
     if p < 1:
@@ -127,30 +161,9 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     A = np.stack([np.ones_like(rts), rts, -x - y * rts], axis=-1).reshape(-1, 3)
     s = np.max(np.abs(A), axis=1, keepdims=True)
     A = np.where(np.abs(s - 1.0) > 1e-9, A / s, A)
-    norms = np.linalg.norm(A, axis=1)   # an ulp off moves a merge only at dist ~ merge_eps
-    # earlier[i]: the j < i with chordal distance |a_i ^ a_j| / (|a_i| |a_j|)
-    # below merge_eps, ascending; pairs run in tiles of i x j entries
-    earlier = [[] for _ in A]
-    idx = np.arange(len(A))
-    for rows in tiles(len(A), max(1, len(A))):
-        i = idx[rows]
-        for cols in tiles(i[-1] + 1, len(i)):
-            j = idx[cols]
-            dist = (np.linalg.norm(np.cross(A[i, None], A[None, j]), axis=-1)
-                    / (norms[i, None] * norms[None, j]))
-            rr, cc = np.nonzero((dist < merge_eps) & (j < i[:, None]))
-            for r, c in zip(i[rr].tolist(), j[cc].tolist()):
-                earlier[r].append(c)
-    slot = {}                                          # accepted point -> cloud index
-    for i in range(len(A)):
-        hit = next((slot[j] for j in earlier[i] if j in slot), None)
-        if hit is not None:
-            cloud.multiplicity[hit] += 1
-            continue
-        slot[i] = len(cloud)
-        cloud.points.append(ProjPoint(*A[i].tolist()))
-        cloud.multiplicity.append(1)
-        cloud.source.append(LineParam(x[i // p, 0], y[i // p, 0]))
+    kept, cloud.multiplicity = merge_rows(A, merge_eps)
+    cloud.points = [ProjPoint(*a) for a in A[kept].tolist()]
+    cloud.source = list(map(LineParam, x[kept // p, 0], y[kept // p, 0]))
     return cloud
 
 

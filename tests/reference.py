@@ -19,6 +19,8 @@ from the paper that the tests check:
 - the sweep one line at a time: m(y) per y, G_k, and the batch's Newton,
   root, discriminant and point-row expressions on a one-line stack, then a
   pairwise merge per point, which the batched sweep must equal;
+- the dedup's close pairs by testing every pair of rows, and the merge read
+  off them through per-row lists of earlier close rows;
 - the Laurent cross-check by sampling: G_lines on the circle grid, an FFT
   along x and an inverse FFT along y, against the closed-form x sums;
 - the boundary JSON parse one number pair at a time, and the generic
@@ -41,7 +43,7 @@ from numpy.polynomial import polynomial as P
 from cfr import indicators, reconstruct, shock, symmetric
 from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
 from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
-                          rho, synth_velocities)
+                          rho, synth_velocities, tiles)
 from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch, _contour_sum
 from cfr.infinity import (RESONANT_EPS, GermAtInfinity, RationalAffinePoly, RationalY,
                           ResonantY, B_infinity, _ser_pow)
@@ -578,6 +580,42 @@ def fiber_rows(z: LineParam, h):
     A = np.stack([np.ones_like(h), h, -x - y * h], axis=-1)
     s = np.max(np.abs(A), axis=1, keepdims=True)
     return np.where(np.abs(s - 1.0) > 1e-9, A / s, A)
+
+
+def close_pairs_all(A, merge_eps):
+    """reconstruct.close_pairs by testing every pair, in tiles of i x j entries."""
+    norms = np.linalg.norm(A, axis=1)
+    idx = np.arange(len(A))
+    hits = [np.empty((2, 0), dtype=int)]
+    for rows in tiles(len(A), max(1, len(A))):
+        i = idx[rows]
+        for cols in tiles(i[-1] + 1, len(i)):
+            j = idx[cols]
+            dist = (np.linalg.norm(np.cross(A[i, None], A[None, j]), axis=-1)
+                    / (norms[i, None] * norms[None, j]))
+            rr, cc = np.nonzero((dist < merge_eps) & (j < i[:, None]))
+            hits.append(np.stack([i[rr], j[cc]]))
+    i, j = np.concatenate(hits, axis=1)
+    o = np.lexsort((j, i))
+    return i[o], j[o]
+
+
+def merge_first_match(n, pairs):
+    """reconstruct.merge_rows from the pairs (i, j), j < i: earlier[i] lists the j
+    ascending, and row i joins the first of them that was kept."""
+    earlier = [[] for _ in range(n)]
+    for r, c in zip(*(v.tolist() for v in pairs)):
+        earlier[r].append(c)
+    slot, kept, mult = {}, [], []                       # kept row -> index in kept
+    for i in range(n):
+        hit = next((slot[j] for j in earlier[i] if j in slot), None)
+        if hit is not None:
+            mult[hit] += 1
+            continue
+        slot[i] = len(kept)
+        kept.append(i)
+        mult.append(1)
+    return np.array(kept, dtype=int), mult
 
 
 # -- green: term-by-term kernel and per-target quadrature ----------------------

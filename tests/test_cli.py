@@ -98,6 +98,10 @@ MALFORMED = {
     "dmu-negative": (["fit-infinity", "--boundary", "line.json", "--dmu", "-1"], {}),
     "radii-nan": (["reconstruct", "--boundary", "line.json", "--p", "1", "--radii", "nan"], {}),
     "xfrac-nan": (["reconstruct", "--boundary", "line.json", "--p", "1", "--xfrac", "nan"], {}),
+    "xfrac-outside-domain": (["reconstruct", "--boundary", "twoline.json", "--p", "2",
+                              "--xfrac", "1.5"], {}),
+    "radii-outside-domain": (["reconstruct", "--boundary", "twoline.json", "--p", "2",
+                              "--radii", "1.0"], {}),
     "step-zero": (["shock-verify", "--boundary", "conic.json", "--p", "1", "--step", "0"], {}),
     "gridn-below-5": (["shock-verify", "--boundary", "conic.json", "--p", "1",
                        "--gridn", "4"], {}),
@@ -149,6 +153,14 @@ _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
 def test_dumps_equals_generic_writer(value):
     """The exact-type paths of the writer give the bytes of the isinstance route."""
     assert cli.dumps(value) == fmt_generic(value) + "\n"
+
+
+def test_negative_radius_is_inside_the_domain(workdir):
+    """--radii -2 puts y on the circle |y| = 2 rho, inside Z like --radii 2."""
+    runs = [run_cli(["reconstruct", "--boundary", "twoline.json", "--p", "2", "--angles", "4",
+                     "--radii", r], workdir) for r in ("-2", "2")]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert json.loads(runs[0][1])["points"] and runs[0][1] != runs[1][1]
 
 
 def test_missing_input_exit_code(workdir):

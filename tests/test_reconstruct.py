@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfr import indicators, infinity, oracles, reconstruct, symmetric
-from cfr.geometry import BoundaryData, LineParam, ProjPoint, chordal
-from cfr.reconstruct import DegenerateFiber, N_Qk, detect_algebraic, fiber, sweep
-from reference import exterior_line_germ, fiber_rows, line_eval, sweep_per_line, sylvester_skips
+from cfr import geometry, indicators, infinity, oracles, reconstruct, symmetric
+from cfr.geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, chordal
+from cfr.reconstruct import (DegenerateFiber, N_Qk, close_pairs, detect_algebraic, fiber,
+                             merge_rows, sweep)
+from reference import (close_pairs_all, exterior_line_germ, fiber_rows, line_eval,
+                       merge_first_match, sweep_per_line, sylvester_skips)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +256,124 @@ def test_sweep_in_small_tiles_equals_per_line_loop(name, p, eps, no_germs, reque
     assert cloud == sweep_per_line(b, p, no_germs, angles=32, merge_eps=eps)
     if eps > reconstruct.MERGE_EPS:
         assert len(cloud) < sum(cloud.multiplicity)
+
+
+def test_sweep_outside_domain_raises(twoline, no_germs):
+    """|x| >= m(y) and |y| <= rho are outside Z; |y| = 2 rho on the negative axis is inside."""
+    for kw in ({"xfracs": (0.0, 1.5)}, {"xfracs": (1j,)}, {"radii": (2.0, 1.0)}):
+        with pytest.raises(OutsideDomain):
+            sweep(twoline, 2, no_germs, angles=4, **kw)
+    assert len(sweep(twoline, 2, no_germs, angles=4, radii=(-2.0,))) > 0
+
+
+def _scaled(W):
+    """Rows of W scaled to max modulus 1, as the sweep scales its rows."""
+    return W / np.max(np.abs(W), axis=1, keepdims=True)
+
+
+def _circle_rows(n, r=1.0, phase=0.0):
+    """(1 : h : h^2) at n equally spaced h on |h| = r: every row has the same key |a_0| / |a|."""
+    h = r * np.exp(1j * (phase + 2 * np.pi * np.arange(n) / n))
+    return _scaled(np.stack([np.ones_like(h), h, h * h], axis=1))
+
+
+def _at_distance(a, d, rng):
+    """A row at chordal distance min(d, 1) from the row a, in another gauge."""
+    a = a / np.linalg.norm(a)
+    u = rng.normal(size=3) + 1j * rng.normal(size=3)
+    u -= np.vdot(a, u) * a
+    phi = np.arcsin(min(d, 1.0))
+    b = np.cos(phi) * a + np.sin(phi) * u / np.linalg.norm(u)
+    return _scaled(b[None] * np.exp(2j * np.pi * rng.uniform()))[0]
+
+
+def _point_set(seed, eps):
+    """Random rows (1 : h : w2) with |h| up to 1e12, rows of one key, and one row planted at
+    chordal distance eps * (1 - 1e-3) or eps * (1 + 1e-3) from each, shuffled; also the
+    count planted below eps."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    h = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 12, size=n)
+    w2 = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+    rows = [_scaled(np.stack([np.ones(n), h, w2], axis=1)),
+            _circle_rows(int(rng.integers(0, 12)), 10.0 ** rng.uniform(-2, 2), rng.uniform())]
+    A = np.concatenate(rows)
+    below = rng.integers(0, 2, size=len(A)).astype(bool)
+    planted = [_at_distance(a, eps * (1 - 1e-3 if lo else 1 + 1e-3), rng)
+               for a, lo in zip(A, below)]
+    A = np.concatenate([A, planted])
+    return A[rng.permutation(len(A))], int(np.count_nonzero(below))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-6, 1e-2, 3e-2, 0.5, 1.0, 2.0]))
+def test_close_pairs_equal_all_pairs(seed, eps):
+    """The key window finds every pair the all-pairs scan finds, and the clouds agree."""
+    A, below = _point_set(seed, eps)
+    i, j = close_pairs(A, eps)
+    ref = close_pairs_all(A, eps)
+    assert np.array_equal(i, ref[0]) and np.array_equal(j, ref[1])
+    assert len(i) >= below
+    kept, mult = merge_rows(A, eps)
+    ref_kept, ref_mult = merge_first_match(len(A), ref)
+    assert np.array_equal(kept, ref_kept) and mult == ref_mult
+
+
+def test_key_moves_at_most_arcsin_of_the_chordal_distance():
+    """||a_0| - |b_0|| <= arcsin(d) for unit rows a, b at chordal distance d, near and far."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
+    step = 10.0 ** rng.uniform(-12, 1, size=(20000, 1))
+    b = (a + step * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))) \
+        * np.exp(2j * np.pi * rng.uniform(size=(20000, 1)))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    d = np.minimum(np.linalg.norm(np.cross(a, b), axis=1), 1.0)
+    assert np.min(d) < 1e-11 and np.max(d) > 0.9
+    assert np.all(np.abs(np.abs(a[:, 0]) - np.abs(b[:, 0])) <= np.arcsin(d) + 1e-15)
+
+
+def test_close_pairs_in_small_chunks_on_equal_keys(monkeypatch):
+    """2000 rows of one key make all 1999000 pairs candidates; in chunks of 2^8 pairs the
+    pairs and the merge equal the all-pairs reference."""
+    A = _circle_rows(2000)
+    assert np.ptp(np.abs(A[:, 0]) / np.linalg.norm(A, axis=1)) < 1e-15
+    ref = close_pairs_all(A, 1e-2)
+    monkeypatch.setattr(geometry, "TILE_ENTRIES", 2 ** 8)
+    i, j = close_pairs(A, 1e-2)
+    assert len(i) > len(A) and np.array_equal(i, ref[0]) and np.array_equal(j, ref[1])
+    kept, mult = merge_rows(A, 1e-2)
+    ref_kept, ref_mult = merge_first_match(len(A), ref)
+    assert np.array_equal(kept, ref_kept) and mult == ref_mult and len(kept) < len(A)
+
+
+def test_dedup_memory_is_bounded_on_equal_keys(monkeypatch):
+    """On 2000 rows of one key the dedup holds under 2 MB at once, not its 1999000 pairs."""
+    A = _circle_rows(2000)
+    monkeypatch.setattr(geometry, "TILE_ENTRIES", 2 ** 8)
+    tracemalloc.start()
+    try:
+        merge_rows(A, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("name, p, rows", [("twoline", 2, 288), ("conic", 1, 144)])
+def test_dedup_tests_few_pairs_per_point(name, p, rows, no_germs, request, monkeypatch):
+    """The dedup evaluates at most 64 pairs per point; all pairs would be (rows - 1) / 2."""
+    pairs = []
+    cross = np.cross
+
+    def counting_cross(a, b, *args, **kwargs):
+        pairs.append(np.broadcast(a[..., 0], b[..., 0]).size)
+        return cross(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cross", counting_cross)
+    cloud = sweep(request.getfixturevalue(name), p, no_germs)
+    assert sum(cloud.multiplicity) == rows
+    assert 0 < sum(pairs) <= 64 * rows
 
 
 def test_sweep_with_germs_equals_per_line_loop(interior, line_germs):
