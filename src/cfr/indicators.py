@@ -151,31 +151,32 @@ class LaurentTable:
         return tot
 
 
-def _moment_integrals(b: BoundaryData, a_range, b_max):
+def _moment_integrals(b: BoundaryData, kmax: int, mmax: int):
     """I1[a,b], I2[a,b] = (1/2 pi i) contour integrals of z1^a z2^b dz1, dz2.
 
-    a_range is (a_min, a_max) inclusive; returns arrays indexed [a - a_min, b].
+    Only laurent_extract's read set a >= -mmax - 1, b <= mmax, a + b <= kmax - 1
+    is formed, indexed [a + mmax + 1, b] with zeros elsewhere.  Each entry is its
+    own row's np.sum over the samples, so its bits do not depend on the rows formed.
     """
-    a_min, a_max = a_range
-    na, nb = a_max - a_min + 1, b_max + 1
-    I1 = np.zeros((na, nb), dtype=complex)
-    I2 = np.zeros((na, nb), dtype=complex)
+    na = kmax + mmax + 1                                # rows a = -mmax-1 .. kmax-1
+    I1 = np.zeros((na, mmax + 1), dtype=complex)
+    I2 = np.zeros((na, mmax + 1), dtype=complex)
     for sign, lp in b.signed_loops():
         z1, z2 = lp.z1, lp.z2
         h = lp.t[1] - lp.t[0]
         w1 = sign * h * lp.dz1 / (2.0j * np.pi)
         w2 = sign * h * lp.dz2 / (2.0j * np.pi)
-        za = np.empty((na, len(z1)), dtype=complex)     # row ia holds z1^(a_min + ia)
-        za[0] = z1 ** float(a_min)
+        za = np.empty((na, len(z1)), dtype=complex)     # row ia holds z1^(ia - mmax - 1)
+        za[0] = z1 ** float(-mmax - 1)
         for ia in range(1, na):
             za[ia] = za[ia - 1] * z1
         zb = np.ones_like(z2)
-        for bb in range(nb):
+        for bb in range(mmax + 1):
             if bb > 0:
                 zb = zb * z2
-            p = za * zb
-            I1[:, bb] += np.sum(p * w1, axis=-1)
-            I2[:, bb] += np.sum(p * w2, axis=-1)
+            p = za[: na - bb] * zb                      # rows a <= kmax - 1 - bb
+            I1[: na - bb, bb] += np.sum(p * w1, axis=-1)
+            I2[: na - bb, bb] += np.sum(p * w2, axis=-1)
     return I1, I2
 
 
@@ -187,31 +188,26 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
         G_{k,m}^n = (-1)^m [ C(m,n) I1(k-m-1, m-n) - C(m-1,n) I2(k-m, m-n-1) ]
 
     for 0 <= n < m, with the diagonal G_{k,k}^k = (-1)^k delta and all other
-    entries zero.  When cross_check is set the table is validated against the
-    2-D DFT of G_k on two circles, in x summed in closed form (_circle_coeffs).
+    entries zero.  Both reads have a + b = k - n - 1 <= kmax - 1 (as n >= 0)
+    and b <= m <= mmax: the set _moment_integrals forms.  All entries are taken
+    in one array pass; the multipliers are real integers, so each rounds as its
+    scalar formula does.  When cross_check is set the table is validated against
+    the 2-D DFT of G_k on two circles, in x summed in closed form (_circle_coeffs).
     `cfr pipeline` builds one checked table per run and hands it to
     linsys.fit_infinity.
     """
-    if kmax > 12 or mmax > 12:
-        raise ValueError("truncation caps are kmax, mmax <= 12")
+    if not (0 <= kmax <= 12 and 0 <= mmax <= 12):
+        raise ValueError(f"truncation caps are 0 <= kmax, mmax <= 12 (got {kmax}, {mmax})")
     dlt = delta(b)
-    a_min = 0 - mmax - 1
-    a_max = kmax
-    I1, I2 = _moment_integrals(b, (a_min, a_max), mmax + 1)
-    comb = np.zeros((mmax + 1, mmax + 1))
-    for m in range(mmax + 1):
-        for n in range(m + 1):
-            comb[m, n] = _comb(m, n)
-
+    I1, I2 = _moment_integrals(b, kmax, mmax)
+    comb = np.array([[_comb(m, n) for n in range(mmax + 1)] for m in range(mmax + 1)], dtype=float)
     coeffs = np.zeros((kmax + 1, mmax + 1, mmax + 1), dtype=complex)
-    for k in range(kmax + 1):
-        if k <= mmax:
-            coeffs[k, k, k] = (-1) ** k * dlt
-        for m in range(1, mmax + 1):
-            for n in range(m):
-                t1 = comb[m, n] * I1[k - m - 1 - a_min, m - n]
-                t2 = comb[m - 1, n] * I2[k - m - a_min, m - n - 1]
-                coeffs[k, m, n] = (-1) ** m * (t1 - t2)
+    d = np.arange(min(kmax, mmax) + 1)
+    coeffs[d, d, d] = (-1) ** d * dlt
+    m, n = np.tril_indices(mmax + 1, -1)                # 0 <= n < m
+    k = np.arange(kmax + 1)[:, None]
+    coeffs[k, m, n] = (-1) ** m * (comb[m, n] * I1[k - m + mmax, m - n]
+                                   - comb[m - 1, n] * I2[k - m + mmax + 1, m - n - 1])
     table = LaurentTable(kmax=kmax, mmax=mmax, delta=dlt, coeffs=coeffs)
     if cross_check:
         _circle_cross_check(b, table)

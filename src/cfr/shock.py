@@ -146,13 +146,16 @@ class BiSeries:
             mhi, exact = b.mlo + a.mhi, False
         else:
             mhi, exact = min(a.mhi + b.mlo, b.mhi + a.mlo), False
-        c = np.zeros((a.nx + 1, mhi - mlo + 1), dtype=complex)
-        for i in range(a.c.shape[1]):
-            # column i of a meets columns 0..nb-1 of b at columns i..i+nb-1 of c
-            nb = min(b.c.shape[1], mhi - mlo - i + 1)
-            if nb <= 0:
-                break
-            c[:, i : i + nb] += symmetric.series_mul(a.c[:, i], b.c[:, :nb], a.nx)
+        # column i of a meets column j of b at column i + j of c: stack[:, i, i + j] = b.c[:, j]
+        nc = mhi - mlo + 1
+        na = min(a.c.shape[1], nc)
+        i, j = np.nonzero(np.add.outer(np.arange(na), np.arange(b.c.shape[1])) < nc)
+        stack = np.zeros((b.nx + 1, na, nc), dtype=complex)
+        stack[:, i, i + j] = b.c[:, j]
+        # one left column stays 1-D: a one-element broadcast product skips numpy's FMA loop
+        left, right = (a.c[:, 0], stack[:, 0]) if na == 1 else (a.c[:, :na, None], stack)
+        parts = symmetric.series_mul(left, right, a.nx).reshape(a.nx + 1, na, nc)
+        c = sum(parts.transpose(1, 0, 2))       # ascending i, as one product per column
         return BiSeries(c, mlo, mhi, exact)
 
     def shift_y(self, j):

@@ -35,9 +35,10 @@ def power_to_elementary(N):
 
 
 def series_mul(a, b, order):
-    """Product of two power series truncated after u^order; a 2-D b is a set of columns.
+    """Product of two power series truncated after u^order; b's trailing axes stack series.
 
-    A 2-D a is a set of columns too, and column c of the product is a[:, c] * b[:, c].
+    a's trailing axes broadcast against b's: a 2-D a pairs column c with b[:, c], and a
+    (n, na, 1) a against an (m, na, nc) b gives every pair a[:, i] * b[:, i, j] in one call.
     """
     out = np.zeros((order + 1,) + np.shape(b)[1:], dtype=complex)
     a = np.asarray(a)[: order + 1]

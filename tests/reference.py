@@ -9,6 +9,7 @@ from the paper that the tests check:
   assembly must equal, and the systems (E1)/(E2) built with that assembler;
   the (E0) residual with (A, B) pinned uses the program's rows;
 - the Laurent coefficient c_{j,m}^{0,n} read off one E-table entry;
+- BiSeries products with one series_mul per left column;
 - P_1 in closed form, the pointwise residue route for P_k, and the partial
   derivatives of a correction in X and Y;
 - the term-by-term G_{1,1}^0 display, the metric h*, the genus of the
@@ -21,6 +22,8 @@ from the paper that the tests check:
   pairwise merge per point, which the batched sweep must equal;
 - the dedup's close pairs by testing every pair of rows, and the merge read
   off them through per-row lists of earlier close rows;
+- the Laurent table from the whole moment rectangle, one entry at a time,
+  which the read-set moments and array assembly must equal bit for bit;
 - the Laurent cross-check by sampling: G_lines on the circle grid, an FFT
   along x and an inverse FFT along y, against the closed-form x sums;
 - the boundary JSON parse one number pair at a time, and the generic
@@ -35,7 +38,7 @@ from the paper that the tests check:
 from __future__ import annotations
 
 import json
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -279,6 +282,30 @@ def assemble_E2(h: HData, g1: BiSeries, etab, layout: Layout):
     return assemble_rows(layout, window, nx_rows, tab2, const, [], b_parts)
 
 
+# -- shock: BiSeries products one left column at a time ---------------------------
+
+
+def biseries_mul_per_column(a: BiSeries, b: BiSeries) -> BiSeries:
+    """a * b with one series_mul per column of a, added into the window in order."""
+    mlo = a.mlo + b.mlo
+    if a.exact and b.exact:
+        mhi, exact = a.mhi + b.mhi, True
+    elif a.exact:
+        mhi, exact = a.mlo + b.mhi, False
+    elif b.exact:
+        mhi, exact = b.mlo + a.mhi, False
+    else:
+        mhi, exact = min(a.mhi + b.mlo, b.mhi + a.mlo), False
+    c = np.zeros((a.nx + 1, mhi - mlo + 1), dtype=complex)
+    for i in range(a.c.shape[1]):
+        # column i of a meets columns 0..nb-1 of b at columns i..i+nb-1 of c
+        nb = min(b.c.shape[1], mhi - mlo - i + 1)
+        if nb <= 0:
+            break
+        c[:, i : i + nb] += symmetric.series_mul(a.c[:, i], b.c[:, :nb], a.nx)
+    return BiSeries(c, mlo, mhi, exact)
+
+
 # -- infinity: P_1 in closed form, pointwise residues, partial derivatives -----
 
 
@@ -341,6 +368,52 @@ def deriv_y(p: RationalAffinePoly) -> RationalAffinePoly:
 
 
 # -- indicators, genus, geometry, symmetric, oracles ---------------------------
+
+
+def moment_integrals_full(b: BoundaryData, a_range, b_max):
+    """I1[a,b], I2[a,b] on the whole rectangle a_min..a_max by 0..b_max, [a - a_min, b]."""
+    a_min, a_max = a_range
+    na, nb = a_max - a_min + 1, b_max + 1
+    I1 = np.zeros((na, nb), dtype=complex)
+    I2 = np.zeros((na, nb), dtype=complex)
+    for sign, lp in b.signed_loops():
+        z1, z2 = lp.z1, lp.z2
+        h = lp.t[1] - lp.t[0]
+        w1 = sign * h * lp.dz1 / (2.0j * np.pi)
+        w2 = sign * h * lp.dz2 / (2.0j * np.pi)
+        za = np.empty((na, len(z1)), dtype=complex)     # row ia holds z1^(a_min + ia)
+        za[0] = z1 ** float(a_min)
+        for ia in range(1, na):
+            za[ia] = za[ia - 1] * z1
+        zb = np.ones_like(z2)
+        for bb in range(nb):
+            if bb > 0:
+                zb = zb * z2
+            p = za * zb
+            I1[:, bb] += np.sum(p * w1, axis=-1)
+            I2[:, bb] += np.sum(p * w2, axis=-1)
+    return I1, I2
+
+
+def laurent_coeffs_by_loops(b: BoundaryData, kmax: int, mmax: int):
+    """Laurent table coefficients from the full moment rectangle, one entry at a time."""
+    dlt = indicators.delta(b)
+    a_min = 0 - mmax - 1
+    I1, I2 = moment_integrals_full(b, (a_min, kmax), mmax + 1)
+    binom = np.zeros((mmax + 1, mmax + 1))
+    for m in range(mmax + 1):
+        for n in range(m + 1):
+            binom[m, n] = comb(m, n)
+    coeffs = np.zeros((kmax + 1, mmax + 1, mmax + 1), dtype=complex)
+    for k in range(kmax + 1):
+        if k <= mmax:
+            coeffs[k, k, k] = (-1) ** k * dlt
+        for m in range(1, mmax + 1):
+            for n in range(m):
+                t1 = binom[m, n] * I1[k - m - 1 - a_min, m - n]
+                t2 = binom[m - 1, n] * I2[k - m - a_min, m - n - 1]
+                coeffs[k, m, n] = (-1) ** m * (t1 - t2)
+    return coeffs
 
 
 def sampled_cross_check(b: BoundaryData, table):

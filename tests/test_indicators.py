@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfr import indicators, oracles
 from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, m_of_y, rho
 from cfr.indicators import (DENOM_EPS, G_k, G_lines, NearIncidence, NegativeSheets,
                             TruncationMismatch, delta, laurent_extract, sheet_count)
-from reference import G110_check, sampled_cross_check
+from reference import G110_check, laurent_coeffs_by_loops, sampled_cross_check
 
 
 def test_G1_interior_residue_oracle(interior):
@@ -228,9 +230,49 @@ def test_laurent_reconstructs_Gk(interior, interior_lt):
 
 
 def test_laurent_caps():
+    """Caps outside 0..12 are a ValueError before any work, checked or not."""
     b = oracles.interior_line(n=64)
-    with pytest.raises(ValueError):
-        laurent_extract(b, kmax=13, mmax=4)
+    for kmax, mmax in [(13, 4), (4, 13), (-1, 4), (4, -1), (-3, -2)]:
+        for cross_check in (True, False):
+            with pytest.raises(ValueError, match=r"0 <= kmax, mmax <= 12"):
+                laurent_extract(b, kmax=kmax, mmax=mmax, cross_check=cross_check)
+
+
+LAURENT_CAPS = [(0, 0), (0, 5), (2, 0), (2, 12), (3, 12), (12, 12)]
+
+
+def _same_bits(x, y):
+    """Equal arrays with equal signs of every real and imaginary part, zeros included."""
+    return (np.array_equal(x, y) and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+            and np.array_equal(np.signbit(x.imag), np.signbit(y.imag)))
+
+
+@pytest.mark.parametrize("caps", LAURENT_CAPS)
+@pytest.mark.parametrize("name", ["interior", "exterior", "twoline", "conic"])
+def test_laurent_table_equals_loop_reference(name, caps, request):
+    """The read-set moments and array assembly give the full-rectangle loop's bits."""
+    b = request.getfixturevalue(name)
+    assert _same_bits(laurent_extract(b, *caps, cross_check=False).coeffs,
+                      laurent_coeffs_by_loops(b, *caps))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["interior_line", "exterior_line", "two_line", "conic"]),
+       st.sampled_from(LAURENT_CAPS), st.integers(0, 2 ** 32 - 1), st.floats(1e-12, 1e-3))
+def test_laurent_table_equals_loop_reference_perturbed(name, caps, seed, eps):
+    """Same bits on an oracle whose w2 samples carry a relative perturbation eps."""
+    rng = np.random.default_rng(seed)
+    b = getattr(oracles, name)(n=256)
+    loops = []
+    for lp in b.loops:
+        f = 1.0 + eps * (rng.standard_normal(len(lp)) + 1j * rng.standard_normal(len(lp)))
+        w, dw = lp.w.copy(), lp.dw.copy()
+        w[:, 2] *= f
+        dw[:, 2] *= f
+        loops.append(BoundaryLoop(lp.t, w, dw))
+    b = BoundaryData(loops, b.orientation)
+    assert _same_bits(laurent_extract(b, *caps, cross_check=False).coeffs,
+                      laurent_coeffs_by_loops(b, *caps))
 
 
 def test_sheet_count():

@@ -35,3 +35,12 @@ def test_every_public_name_has_a_caller():
             if not any(word.search(t) for t in elsewhere):
                 uncalled.append(f"{path.stem}.{name}")
     assert not uncalled, f"reached only from tests, move to tests/reference.py: {uncalled}"
+
+
+SOURCE_LINE_CEILING = 2971      # lower it as the package shrinks
+
+
+def test_source_line_budget():
+    """The package's total line count, as `wc -l src/cfr/*.py` reports it, stays in budget."""
+    total = sum(path.read_bytes().count(b"\n") for path in MODULES)
+    assert total <= SOURCE_LINE_CEILING, f"src/cfr has {total} lines, over {SOURCE_LINE_CEILING}"

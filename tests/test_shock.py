@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from cfr import indicators, shock
+from cfr import indicators, linsys, shock
 from cfr.shock import (BInversionDiverged, BiSeries, E_decomposition, GridTooSmall,
                        HData, H_from_laurent, NonFiniteResidual, ResidueObstruction, _fd4,
                        delta_from_expH, eqsym1_residual, exp_H, exp_minus_H, g1_biseries,
                        iterate_E, op_E, rational_tail, s_k_from_mu, system_residual)
+from reference import biseries_mul_per_column
 
 W = -3.0
 
@@ -80,6 +85,60 @@ def test_biseries_mul_matches_column_pairs():
     b = series(6, -1, 4, False)                     # m = -1..2
     c = a * b
     assert (c.mlo, c.mhi, c.exact) == (0, 3, False)
+
+
+@st.composite
+def biseries(draw):
+    """A BiSeries with drawn shape, range and exactness, and rows and columns of zeros."""
+    nx, ncol, mlo = draw(st.integers(0, 7)), draw(st.integers(1, 7)), draw(st.integers(-4, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.standard_normal((nx + 1, ncol)) + 1j * rng.standard_normal((nx + 1, ncol))
+    c[rng.random(c.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    c[list(draw(st.sets(st.integers(0, nx))))] = 0.0
+    c[:, list(draw(st.sets(st.integers(0, ncol - 1))))] = 0.0
+    return BiSeries(c, mlo, mlo + ncol - 1, exact=draw(st.booleans()))
+
+
+def _series(nx, mlo, ncol, exact, seed=0):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((nx + 1, ncol)) + 1j * rng.standard_normal((nx + 1, ncol))
+    return BiSeries(c, mlo, mlo + ncol - 1, exact=exact)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(biseries(), biseries())
+@example(_series(4, 0, 3, True), _series(5, -1, 4, True))           # exact x exact
+@example(_series(4, 1, 3, True), _series(3, -2, 5, False))          # exact x inexact
+@example(_series(6, 1, 4, False), _series(6, -1, 4, False))         # inexact x inexact
+@example(_series(5, 1, 6, False), _series(5, -1, 2, False))         # a wider than the window
+@example(_series(3, 0, 1, False), _series(0, 2, 5, True))           # one column, one element
+def test_biseries_mul_equals_per_column_reference(a, b):
+    """A product over all column pairs at once has the bits of one product per column."""
+    c, ref = a * b, biseries_mul_per_column(a, b)
+    assert (c.mlo, c.mhi, c.exact) == (ref.mlo, ref.mhi, ref.exact)
+    assert np.array_equal(c.c, ref.c)
+
+
+@pytest.mark.parametrize("name", ["interior", "exterior", "twoline", "conic"])
+def test_fit_products_equal_per_column_reference(name, request, monkeypatch):
+    """g1 * e^(-H~) and the E-table products of an oracle's fit, against the reference."""
+    pairs = []
+    mul = BiSeries.__mul__
+
+    def recording(a, b):
+        if not np.isscalar(b):
+            pairs.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(BiSeries, "__mul__", recording)
+    with warnings.catch_warnings():     # the two-line system is rank-deficient
+        warnings.simplefilter("ignore", linsys.RankDeficient)
+        linsys.fit_infinity(request.getfixturevalue(name))
+    assert pairs
+    for a, b in pairs:
+        c, ref = mul(a, b), biseries_mul_per_column(a, b)
+        assert (c.mlo, c.mhi, c.exact) == (ref.mlo, ref.mhi, ref.exact)
+        assert np.array_equal(c.c, ref.c)
 
 
 def test_primitivize_calculus():
