@@ -4,7 +4,7 @@ The library is organized around the stages of the reconstruction pipeline:
 
 - ``geometry``    projective-plane primitives, boundary loops, admissible lines
 - ``indicators``  Cauchy-Fantappie indicators G_k, winding integer, Laurent data
-- ``infinity``    germs at {w0 = 0}, the polynomial B_inf, rational corrections P_k
+- ``infinity``    germs at {w0 = 0}, corrections P_k as residues on stacks of lines
 - ``symmetric``   Newton identities, polynomial assembly, root finding
 - ``shock``       shock-wave verification and the operator calculus (P, D, E, e^H)
 - ``linsys``      assembly/solution of the linear differential system (E0)

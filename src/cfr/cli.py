@@ -126,7 +126,8 @@ def _check_options(args):
              ("angles", ">= 1", lambda v: v >= 1),
              ("step", "finite and > 0", lambda v: 0 < v < np.inf),
              ("gridn", ">= 5", lambda v: v >= 5),
-             ("samples", ">= 16", lambda v: v >= 16))
+             ("samples", ">= 16", lambda v: v >= 16),
+             ("rin", "in (0, 1)", lambda v: 0 < v < 1))      # the annulus's r_out is 1
     for name, rule, ok in rules:
         v = getattr(args, name, None)
         if v is not None and not ok(v):
@@ -291,7 +292,10 @@ def cmd_shock_verify(args):
 
 def _patch(text):
     center, radius = text.split(",")
-    return complex(center), float(radius)
+    center, radius = complex(center), float(radius)
+    if not (np.isfinite(center) and 0 < radius < np.inf):
+        raise ValueError(f"need a finite center and 0 < radius < inf, got {text!r}")
+    return center, radius
 
 
 def _phi(rows):

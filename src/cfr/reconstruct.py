@@ -36,13 +36,13 @@ ALG_FIT_TOL = 1e-8
 def N_Qk(b: BoundaryData, xs, ys, p: int, pk_family):
     """Holomorphic extensions N_{Q,k}(z) = G_k(z) - P_k(x, y), k = 1..p, on the lines (xs, ys).
 
-    Returns a (p, lines) array from one G_lines call.  A P_k whose numerators
-    are all zero (every P_k without germs) is skipped: its value is exactly 0.
+    Returns a (p, lines) array from one G_lines call and one call of each P_k
+    on all the lines.  A P_k without germs is skipped: its value is exactly 0.
     """
     out = indicators.G_lines(b, xs, ys, range(1, p + 1))
     for k in range(1, min(p + 1, len(pk_family))):
-        if any(np.any(c.num) for c in pk_family[k].coeffs):
-            out[k - 1] -= np.array([pk_family[k](x, y) for x, y in zip(xs, ys)], dtype=complex)
+        if pk_family[k].germs:
+            out[k - 1] -= pk_family[k](xs, ys)
     return out
 
 

@@ -49,8 +49,12 @@ def series_mul(a, b, order):
 
 
 def series_inv(a, order):
-    """1/a as a power series truncated after u^order; a[0] must be nonzero."""
-    out = np.zeros(order + 1, dtype=complex)
+    """1/a as a power series truncated after u^order; a[0] must be nonzero.
+
+    a's trailing axes stack series, as in series_mul; a 1-D a runs on numpy scalars.
+    """
+    a = np.asarray(a)
+    out = np.zeros((order + 1,) + a.shape[1:], dtype=complex)
     out[0] = 1.0 / a[0]
     for n in range(1, order + 1):
         s = 0.0 + 0.0j

@@ -10,11 +10,17 @@ from the paper that the tests check:
   the (E0) residual with (A, B) pinned uses the program's rows;
 - the Laurent coefficient c_{j,m}^{0,n} read off one E-table entry;
 - BiSeries products with one series_mul per left column;
-- P_1 in closed form, the pointwise residue route for P_k, and the partial
-  derivatives of a correction in X and Y;
+- the corrections P_k as polynomials in X with coefficients rational in Y
+  over B_inf^k, from the closed form of p_{k,0} and the recursion for the
+  higher X-coefficients, which the program's residue on the line stack
+  must match; P_1 in closed form, the pointwise residue route for P_k one
+  germ and one line at a time, the same residue in 50-digit mpmath
+  arithmetic, and the partial derivatives of a rational correction in X
+  and Y;
 - the term-by-term G_{1,1}^0 display, the metric h*, the genus of the
   double, affine charts, the domain Z, line incidence, the inverse Newton
-  identities and the exterior-line germ;
+  identities, the series inverse one scalar coefficient at a time, and the
+  exterior-line germ;
 - the discriminant as a Sylvester determinant of p and p', and the fiber
   skip rule on it, which the rule read off the roots must equal;
 - the sweep one line at a time: m(y) per y, G_k, and the batch's Newton,
@@ -38,6 +44,7 @@ from the paper that the tests check:
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
@@ -48,8 +55,7 @@ from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
 from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
                           rho, synth_velocities, tiles)
 from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch, _contour_sum
-from cfr.infinity import (RESONANT_EPS, GermAtInfinity, RationalAffinePoly, RationalY,
-                          ResonantY, B_infinity, _ser_pow)
+from cfr.infinity import RESONANT_EPS, GermAtInfinity, ResonantY, _trim
 from cfr.linsys import Layout, assemble_E0, valid_window
 from cfr.reconstruct import PointCloud
 from cfr.shock import BiSeries, HData
@@ -306,7 +312,152 @@ def biseries_mul_per_column(a: BiSeries, b: BiSeries) -> BiSeries:
     return BiSeries(c, mlo, mhi, exact)
 
 
-# -- infinity: P_1 in closed form, pointwise residues, partial derivatives -----
+# -- infinity: the rational family, P_1 in closed form, residues, partial derivatives
+
+
+@dataclass
+class RationalY:
+    """Rational fraction num(Y) / B(Y)^j with a shared base polynomial B."""
+
+    num: np.ndarray
+    j: int
+    base: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=complex))
+
+    def __post_init__(self):
+        self.num = _trim(self.num)
+        self.base = _trim(self.base)
+
+    def with_power(self, j):
+        """Rewrite with denominator B^j (j >= self.j)."""
+        if j < self.j:
+            raise ValueError("cannot lower denominator power")
+        num = self.num
+        for _ in range(j - self.j):
+            num = P.polymul(num, self.base)
+        return RationalY(num, j, self.base)
+
+    def __add__(self, other):
+        j = max(self.j, other.j)
+        a, b = self.with_power(j), other.with_power(j)
+        return RationalY(P.polyadd(a.num, b.num), j, self.base)
+
+    def scale(self, c):
+        return RationalY(self.num * c, self.j, self.base)
+
+    def deriv(self):
+        """d/dY: (N/B^j)' = (N'B - j N B') / B^(j+1)."""
+        if self.j == 0:
+            return RationalY(P.polyder(self.num), 0, self.base)
+        t = P.polysub(
+            P.polymul(P.polyder(self.num), self.base),
+            self.j * P.polymul(self.num, P.polyder(self.base)),
+        )
+        return RationalY(t, self.j + 1, self.base)
+
+    def __call__(self, y):
+        den = P.polyval(y, self.base) ** self.j
+        if np.min(np.abs(den)) < RESONANT_EPS:
+            raise ResonantY("evaluation at a root of B_inf")
+        return P.polyval(y, self.num) / den
+
+
+@dataclass
+class RationalAffinePoly:
+    """Polynomial in X with RationalY coefficients: element of C_k[X, Y)."""
+
+    coeffs: list  # ascending powers X^0, X^1, ...
+
+    def __call__(self, x, y):
+        tot = 0.0 + 0.0j
+        for m, c in enumerate(self.coeffs):
+            tot = tot + c(y) * np.asarray(x) ** m
+        return tot
+
+
+def _ser_pow(a, p, order):
+    out = np.zeros(order + 1, dtype=complex)
+    out[0] = 1.0
+    for _ in range(p):
+        out = symmetric.series_mul(out, a, order)
+    return out
+
+
+def B_infinity(germs) -> np.ndarray:
+    """Ascending coefficients of B_inf(Y) = prod (1 + Y b_q)."""
+    out = np.ones(1, dtype=complex)
+    for g in germs:
+        out = P.polymul(out, np.array([1.0, g.b], dtype=complex))
+    return _trim(out)
+
+
+def _bracket(germ, k, n):
+    """<g' g^(k-1) (g - g0)^(n-1), u^(k-1)> for the p_{k,0} closed form."""
+    order = k - 1
+    g = germ.series(k)
+    gp = P.polyder(g)[: order + 1]
+    gm = g.copy()
+    gm[0] = 0.0
+    term = symmetric.series_mul(gp, _ser_pow(g, k - 1, order), order)
+    term = symmetric.series_mul(term, _ser_pow(gm, n - 1, order), order)
+    return complex(term[order])
+
+
+def _pk0_germ(germ, k) -> RationalY:
+    """p_{k,0} contribution of one germ, with denominator (1 + Y b)^k.
+
+    Uses the expansion of the residue in powers of 1/(1 + Y b):
+
+        p_{k,0}^q = sum_{n=1..k} (-1)^n Y^(n-1) <g' g^(k-1) (g-g0)^(n-1), u^(k-1)>
+                    / (1 + Y b)^n
+    """
+    lin = np.array([1.0, germ.b], dtype=complex)
+    num = np.zeros(1, dtype=complex)
+    for n in range(1, k + 1):
+        c = (-1) ** n * _bracket(germ, k, n)
+        t = np.concatenate((np.zeros(n - 1, dtype=complex), [c]))  # c * Y^(n-1)
+        for _ in range(k - n):
+            t = P.polymul(t, lin)
+        num = P.polyadd(num, t)
+    return RationalY(num, k, lin)
+
+
+def Pk_family_rational(germs, kmax: int):
+    """P_1..P_kmax (entry 0 unused) as polynomials in X with coefficients rational in Y.
+
+    The coefficients share the denominator B_inf^k (germs not empty).  p_{k,0}
+    comes from the series residue of each germ; the higher X-coefficients
+    follow the recursion p_{k,m} = (k/(m!(k-m))) p_{k-m,0}^{(m)} and
+    p_{k,k} = p_{1,1}^{(k-1)}/(k-1)!.
+    """
+    base = B_infinity(germs)
+    pk0 = {}
+    for k in range(1, kmax + 1):
+        acc = RationalY(np.zeros(1), k, base)
+        for q in germs:
+            rest = np.ones(1, dtype=complex)
+            for other in germs:
+                if other is not q:
+                    rest = P.polymul(rest, np.array([1.0, other.b], dtype=complex))
+            lift = _pk0_germ(q, k).num
+            for _ in range(k):
+                lift = P.polymul(lift, rest)
+            acc = acc + RationalY(lift, k, base)
+        pk0[k] = acc
+    p11 = RationalY(P.polyder(base), 1, base)
+    out = [None]
+    for k in range(1, kmax + 1):
+        coeffs = [pk0[k]]
+        for m in range(1, k):
+            d = pk0[k - m]
+            for _ in range(m):
+                d = d.deriv()
+            coeffs.append(d.scale(k / (factorial(m) * (k - m))))
+        top = p11
+        for _ in range(k - 1):
+            top = top.deriv()
+        coeffs.append(top.scale(1.0 / factorial(k - 1)))
+        out.append(RationalAffinePoly(coeffs))
+    return out
 
 
 def P1(germs) -> RationalAffinePoly:
@@ -352,6 +503,35 @@ def Pk_residue(germ: GermAtInfinity, k: int, z) -> complex:
         den[1] += x
     q = symmetric.series_mul(num, symmetric.series_inv(den, order), order)
     return complex(q[order])
+
+
+def Pk_mp(germs, k: int, x, y, dps=50) -> complex:
+    """P_k(x, y) from the residue formula of Pk_residue in dps-digit mpmath arithmetic."""
+    import mpmath
+
+    def mul(a, b):
+        return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(k)]
+
+    if k == 0:
+        return complex(-len(germs))
+    with mpmath.workdps(dps):
+        x, y = mpmath.mpc(complex(x)), mpmath.mpc(complex(y))
+        tot = mpmath.mpc(0)
+        for q in germs:
+            g = [mpmath.mpc(complex(c)) for c in q.series(k)]
+            num = [x * (1 - j) * g[j] - (j + 1) * g[j + 1] for j in range(k)]
+            power = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (k - 1)
+            for _ in range(k - 1):
+                power = mul(power, g)
+            den = [y * c for c in g[:k]]
+            den[0] += 1
+            if k > 1:
+                den[1] += x
+            inv = [1 / den[0]]
+            for m in range(1, k):
+                inv.append(-sum(den[i] * inv[m - i] for i in range(1, m + 1)) / den[0])
+            tot += mul(mul(num, power), inv)[k - 1]
+        return complex(tot)
 
 
 def deriv_x(p: RationalAffinePoly) -> RationalAffinePoly:
@@ -564,6 +744,18 @@ def elementary_to_power(S):
             acc += (-1) ** (j - 1) * S[j - 1] * N[k - j - 1]
         N.append(acc)
     return np.array(N, dtype=complex)
+
+
+def series_inv_loop(a, order):
+    """1/a as a power series truncated after u^order, one scalar coefficient at a time."""
+    out = np.zeros(order + 1, dtype=complex)
+    out[0] = 1.0 / a[0]
+    for n in range(1, order + 1):
+        s = 0.0 + 0.0j
+        for i in range(1, min(n, len(a) - 1) + 1):
+            s += a[i] * out[n - i]
+        out[n] = -s * out[0]
+    return out
 
 
 def discriminant(coeffs):

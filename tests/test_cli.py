@@ -80,8 +80,18 @@ MALFORMED = {
     "germs-without-germs": (["reconstruct", "--boundary", "line.json", "--p", "1",
                              "--germs", "bad-germs.json"], {"bad-germs.json": "{}"}),
     "omega-exponent": (["genus", "--omega", "z^xdz"], {}),
+    "rin-above-one": (["genus", "--model", "annulus", "--rin", "2.0"], {}),
+    "rin-negative": (["genus", "--model", "annulus", "--rin", "-0.5"], {}),
+    "rin-zero": (["genus", "--model", "annulus", "--rin", "0"], {}),
+    "rin-nan": (["genus", "--model", "annulus", "--rin", "nan"], {}),
     "patch-one-field": (["green", "--phi", "ok-phi.json", "--patch", "0",
                          "--targets", "ok-targets.json"], {}),
+    "patch-radius-negative": (["green", "--phi", "ok-phi.json", "--patch", "0,-1",
+                               "--targets", "ok-targets.json"], {}),
+    "patch-radius-zero": (["green", "--phi", "ok-phi.json", "--patch", "0,0",
+                           "--targets", "ok-targets.json"], {}),
+    "patch-radius-nan": (["green", "--phi", "ok-phi.json", "--patch", "0,nan",
+                          "--targets", "ok-targets.json"], {}),
     "phi-not-json": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
                      {"bad-phi.json": "[[[0, 0], [1, 0]]"}),
     "targets-without-q-star": (["green", "--phi", "ok-phi.json",
@@ -386,8 +396,8 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
                         counted("line kernel", indicators._loop_line_sums))
     monkeypatch.setattr(indicators, "_circle_cross_check",
                         counted("cross-check", indicators._circle_cross_check))
-    monkeypatch.setattr(infinity.RationalAffinePoly, "__call__",
-                        counted("P_k", infinity.RationalAffinePoly.__call__))
+    monkeypatch.setattr(infinity.Correction, "__call__",
+                        counted("P_k", infinity.Correction.__call__))
     monkeypatch.setattr(symmetric, "roots", counted("batched roots", symmetric.roots,
                                                     lambda c: np.ndim(c) == 2))
     code, _, _ = run_cli(["pipeline", "--boundary", "twoline.json", "--out", "once.json"],
@@ -397,3 +407,22 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
     assert loops == 2
     assert calls == {"moments": 1, "line kernel": loops, "cross-check": 1, "batched roots": 1,
                      "P_k": 0}
+
+
+def test_germs_run_evaluates_each_Pk_once(workdir, monkeypatch):
+    """With germs and --p 2, the sweep evaluates P_1 and P_2 once each, on every line at once."""
+    from cfr import infinity
+    calls = []
+    call = infinity.Correction.__call__
+
+    def counted(self, x, y):
+        calls.append((self.k, np.shape(x)))
+        return call(self, x, y)
+
+    monkeypatch.setattr(infinity.Correction, "__call__", counted)
+    (workdir / "far-germ.json").write_text(
+        '{"germs": [{"b": [0.1, 0.0], "taylor": [[0.2, 0.0], [0.0, 0.1], [0.0, 0.0]]}]}')
+    code, out, err = run_cli(["reconstruct", "--boundary", "twoline.json", "--p", "2",
+                              "--germs", "far-germ.json", "--out", "germs-cloud.json"], workdir)
+    assert code == 0, err
+    assert calls == [(1, (144,)), (2, (144,))]

@@ -1,11 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as P
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cfr import indicators, infinity
+from cfr import indicators, infinity, oracles, reconstruct
 from cfr.geometry import LineParam
-from cfr.infinity import B_infinity, GermAtInfinity, Pk_family, ResonantY, check_confinement
-from reference import P1, Pk_residue, deriv_x, deriv_y, exterior_line_germ
+from cfr.infinity import GermAtInfinity, Pk_family, ResonantY, check_confinement
+from reference import (P1, B_infinity, Pk_family_rational, Pk_mp, Pk_residue, deriv_x, deriv_y,
+                       exterior_line_germ)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,19 @@ def test_P1_two_germs():
     assert abs(p1.coeffs[1](y) - (2 / (1 + 2 * y) + 3 / (1 + 3 * y))) < 1e-13
 
 
+def test_P1_closed_form_matches_program():
+    """The program's P_1 is p_{1,0} + p_{1,1} X with p_{1,1} = B'/B, p_{1,0} = -sum g_1/(1+Y b)."""
+    rng = np.random.default_rng(11)
+    germs = [GermAtInfinity(1.5 + 0.2j, [0.3]), GermAtInfinity(-0.8, [0.1j]),
+             GermAtInfinity(0.4j, [-1.0])]
+    x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    y = 6.0 * np.exp(2j * np.pi * rng.uniform(size=9))
+    for n in (1, 2, 3):
+        closed = P1(germs[:n])
+        got = Pk_family(germs[:n], 1)[1](x, y)
+        assert np.max(np.abs(got - np.array([closed(a, c) for a, c in zip(x, y)]))) < 1e-13
+
+
 def test_Pk_residue_basics(line_germ):
     z = LineParam(0.0, 10.0)
     assert Pk_residue(line_germ, 0, z) == -1.0
@@ -63,6 +80,31 @@ def test_Pk_family_no_germs():
         assert abs(fam[k](0.1, 3.0)) == 0
 
 
+def test_Pk_scalar_and_stacked_calls(line_germ):
+    """A scalar call gives a Python complex; arrays broadcast, one value per line."""
+    germs = [line_germ, GermAtInfinity(-0.8, [0.1j, 0.2, 0.0, 0.0, 0.0])]
+    fam = Pk_family(germs, 4)
+    assert type(fam[2](0.1, 3.0)) is complex and fam[0](0.1, 3.0) == -2
+    x = np.array([0.1, -0.2 + 0.1j, 0.05j])
+    y = np.array([[3.0], [-2.5 + 1.0j]])
+    for k in range(5):
+        got = fam[k](x, y)
+        assert got.shape == (2, 3)
+        each = np.array([[fam[k](a, c) for a in x] for c in y[:, 0]])
+        assert np.max(np.abs(got - each)) < 1e-14 * (1 + np.max(np.abs(each)))
+    assert fam[3](x, 3.0).shape == (3,)
+
+
+def test_Pk_resonant_rule():
+    """ResonantY is raised exactly when some |1 + y b_q| < RESONANT_EPS."""
+    fam = Pk_family([GermAtInfinity(2.0, [1.0, 0.0]), GermAtInfinity(-1.0, [0.5, 0.0])], 2)
+    for y in (-0.5, 1.0, np.array([3.0, 1.0])):
+        with pytest.raises(ResonantY):
+            fam[2](0.1, y)
+    near = -0.5 + infinity.RESONANT_EPS     # |1 + 2 y| = 2 RESONANT_EPS
+    assert np.isfinite(fam[1](0.1, near))
+
+
 def test_exterior_G_matches_P(exterior, line_germ):
     """Quadrature route equals germ route on a 5x5 grid (p = 0 sheets)."""
     fam = Pk_family([line_germ], 2)
@@ -75,9 +117,52 @@ def test_exterior_G_matches_P(exterior, line_germ):
                 assert abs(g - fam[k](z.x, z.y)) < 1e-10
 
 
+@pytest.mark.parametrize("a", [0.5, -0.3 + 0.2j, 0.8j])
+def test_exterior_line_power_sums_vanish_on_sweep_grid(a):
+    """An exterior line has no sheets: G_k = P_k for k = 1..5 on the default sweep grid."""
+    b = oracles.exterior_line(a=a)
+    bq, tay = exterior_line_germ(a)
+    fam = Pk_family([GermAtInfinity(bq, tay + [0.0] * 4)], 5)
+    params = inspect.signature(reconstruct.sweep).parameters
+    xs, ys = reconstruct._default_grid(b, *(params[k].default for k in
+                                            ("radii", "angles", "xfracs", "angle_offset")))
+    G = indicators.G_lines(b, xs, ys, range(1, 6))
+    worst = max(np.max(np.abs(G[k - 1] - fam[k](xs, ys))) for k in range(1, 6))
+    assert worst <= 1e-12
+
+
+def test_program_matches_rational_family():
+    rng = np.random.default_rng(12)
+    germs = [GermAtInfinity(1.5 + 0.2j, [0.3, -0.1, 0.05, 0.2, 0.0]),
+             GermAtInfinity(-0.8, [0.1j, 0.2, 0.0, -0.3j, 0.1]),
+             GermAtInfinity(0.5j, [1.0, 0.0, 0.4, 0.0, 0.0])]
+    x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    y = 6.0 * np.exp(2j * np.pi * rng.uniform(size=12))
+    for n in (1, 2, 3):
+        fam, rational = Pk_family(germs[:n], 5), Pk_family_rational(germs[:n], 5)
+        for k in range(1, 6):
+            want = np.array([rational[k](a, c) for a, c in zip(x, y)])
+            assert np.max(np.abs(fam[k](x, y) - want)) < 1e-10
+
+
+_COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_COEFF, st.lists(_COEFF, min_size=5, max_size=5)),
+                min_size=1, max_size=3),
+       _COEFF, st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False),
+       st.integers(1, 5))
+def test_Pk_matches_50_digit_residue(germs, x, y, k):
+    germs = [GermAtInfinity(b, tay) for b, tay in germs]
+    assume(min(abs(1.0 + y * q.b) for q in germs) >= 0.1)
+    got = Pk_family(germs, 5)[k](x, y)
+    assert abs(got - Pk_mp(germs, k, x, y)) <= 1e-13 * (1 + abs(got))
+
+
 def test_p22_is_p11_derivative():
     germ = GermAtInfinity(2.0, [0.0, 0.0])
-    fam = Pk_family([germ], 2)
+    fam = Pk_family_rational([germ], 2)
     p11 = P1([germ]).coeffs[1]
     y = 3.3
     assert abs(fam[2].coeffs[2](y) - p11.deriv()(y)) < 1e-13
@@ -85,7 +170,7 @@ def test_p22_is_p11_derivative():
 
 def test_mixed_partial_identity(line_germ):
     """dP_k/dY = (k/(k+1)) dP_{k+1}/dX at 20 random points with |y| > rho."""
-    fam = Pk_family([line_germ], 5)
+    fam = Pk_family_rational([line_germ], 5)
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.standard_normal() + 1j * rng.standard_normal()
@@ -112,6 +197,8 @@ def test_germ_depth_guard():
     g = GermAtInfinity(2.0, [1.0])
     with pytest.raises(ValueError):
         Pk_residue(g, 3, LineParam(0.0, 10.0))
+    with pytest.raises(ValueError, match="depth 1 < required order 3"):
+        Pk_family([g], 3)
 
 
 def test_confinement():

@@ -9,8 +9,8 @@ from cfr import geometry, indicators, infinity, oracles, reconstruct, symmetric
 from cfr.geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, chordal
 from cfr.reconstruct import (DegenerateFiber, N_Qk, close_pairs, detect_algebraic, fiber,
                              merge_rows, sweep)
-from reference import (close_pairs_all, exterior_line_germ, fiber_rows, line_eval,
-                       merge_first_match, sweep_per_line, sylvester_skips)
+from reference import (Pk_family_rational, close_pairs_all, exterior_line_germ, fiber_rows,
+                       line_eval, merge_first_match, sweep_per_line, sylvester_skips)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,21 @@ def test_NQk_interior(interior, no_germs):
 def test_NQk_two_line(twoline, no_germs):
     expect = -(1.0 / 10.5 + 1.0 / (10.0 - 1.0 / 3.0))
     assert abs(N_Qk(twoline, [0.0], [10.0], 1, no_germs)[0, 0] - expect) < 1e-12
+
+
+def test_NQk_with_germs_equals_per_line_route(twoline):
+    """N_Qk on the line stack is G_k - P_k line by line, P_k from the rational family.
+
+    |P_3| reaches 1.9e3 on this grid, so the 1e-12 bound is relative to 1 + |N|."""
+    germs = [infinity.GermAtInfinity(0.1, [0.2, 0.1j, 0.0]),
+             infinity.GermAtInfinity(-0.2 + 0.1j, [0.5, 0.0, -0.3])]
+    xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    N = N_Qk(twoline, xs, ys, 3, infinity.Pk_family(germs, 3))
+    rational = Pk_family_rational(germs, 3)
+    for i, z in enumerate(map(LineParam, xs, ys)):
+        for k in (1, 2, 3):
+            want = indicators.G_k(twoline, z, k) - rational[k](z.x, z.y)
+            assert abs(N[k - 1, i] - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_fiber_interior(interior, no_germs):

@@ -3,8 +3,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from cfr.symmetric import (NoConvergence, monic_from_elementary, power_to_elementary, roots,
-                           series_mul)
-from reference import discriminant, elementary_to_power
+                           series_inv, series_mul)
+from reference import discriminant, elementary_to_power, series_inv_loop
 
 
 def brute_elementary(rts):
@@ -126,6 +126,25 @@ def test_series_mul_columns(rng):
     b = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     pairs = np.stack([series_mul(A[:, j], b[:, j], 6) for j in range(3)], axis=1)
     assert np.array_equal(series_mul(A, b, 6), pairs)
+
+
+def test_series_inv_one_dimensional_and_stacked():
+    """A 1-D series keeps the scalar loop's bits; a stack inverts each column."""
+    rng = np.random.default_rng(5)
+    for rows in (1, 3, 6):
+        a = rng.standard_normal((rows, 2, 4)) + 1j * rng.standard_normal((rows, 2, 4))
+        a[0] += 3.0
+        for order in (0, 2, 7):
+            for j in range(4):
+                assert np.array_equal(series_inv(a[:, 0, j], order),
+                                      series_inv_loop(a[:, 0, j], order))
+            inv = series_inv(a, order)
+            assert inv.shape == (order + 1, 2, 4)
+            cols = np.moveaxis(np.array([[series_inv_loop(a[:, i, j], order) for j in range(4)]
+                                         for i in range(2)]), -1, 0)
+            assert np.max(np.abs(inv - cols)) <= 1e-14 * np.max(np.abs(cols))
+            unit = series_mul(a, inv, order)
+            assert np.max(np.abs(unit[0] - 1.0)) < 1e-14 and np.max(np.abs(unit[1:]), initial=0) < 1e-12
 
 
 def test_roots_examples():
