@@ -50,6 +50,3 @@ print("  G_{1,1}^0      =", lt.coeffs[1, 1, 0], " expect -1")
 print("  G_{1,1}^1      =", lt.coeffs[1, 1, 1], " expect -delta")
 print("  G_{2,2}^2      =", lt.coeffs[2, 2, 2], " expect +delta")
 print("  max |G_{0,m}|  =", np.max(np.abs(lt.coeffs[0, 1:, :])), " (vanishes)")
-
-err = abs(lt.evaluate(1, 0.3, 4.0) - indicators.G_k(b, LineParam(0.3, 4.0), 1))
-print("  partial-sum error at (0.3, 4):", err)

@@ -41,16 +41,11 @@ worst = max(min(abs(pt.w2 / pt.w0 - 1 - 0.5 * pt.w1 / pt.w0),
             for pt in cloud.points)
 print(f"  swept {len(cloud)} points; worst line-membership residual = {worst:.2e}")
 
-ok, model = reconstruct.detect_algebraic(b2)
-print("  rational-affine extension of G_1 detected:", ok,
-      "(fit residual %.1e)" % model["residual"])
-
 # -- the conic: a genuinely transcendental indicator ------------------------------
 
+# The line of z = (0.1, 10) meets the conic (1 : t : t^2) where
+# t^2 + 10 t + 0.1 = 0; the sheet is the root inside the unit disc.
 bc = oracles.conic()
-ok, model = reconstruct.detect_algebraic(bc)
-print("\nconic piece: detect_algebraic ->", ok,
-      "(best rational fit residual %.1e)" % model["residual"])
 hc = reconstruct.fiber(bc, LineParam(0.1, 10.0), 1, infinity.Pk_family([], 1))
-print("  fiber root:", hc[0], " vs quadratic formula:",
-      oracles.conic_small_root(0.1, 10.0))
+small = min(np.roots([1.0, 10.0, 0.1]), key=abs)
+print("\nconic piece: fiber root:", hc[0], " vs np.roots:", small)

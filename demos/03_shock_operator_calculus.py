@@ -21,9 +21,6 @@ print("H~ coefficients (analytic: (-1)^m / (m 2^m)):")
 for m in range(1, 5):
     print(f"  m={m}:", h.Htilde.coeff(0, m), " vs", (-1) ** m / (m * 2 ** m))
 
-print("\ndelta from the large-|y| slope of ln|e^-H|:",
-      shock.delta_from_expH(h))
-
 # e^H factors into an exact monomial and an entire tail: no branch cut ever
 # materializes in the numerics.
 eh = shock.exp_H(h)
@@ -33,7 +30,9 @@ print("e^H(0, 6) =", eh(0.0, y), " exact:", omega / (y + 0.5))
 # The E-table decomposes iterates: E^k(f x 1) = sum_j f^(j) E_{k,j}.
 tab = shock.E_decomposition(3, h)
 f = np.array([0.0, 2.0, 0.0, 1.0])  # x^3 + 2x
-lhs = shock.iterate_E(f, 3, h)
+lhs = shock.BiSeries.from_x_poly(f, h.Htilde.nx)
+for _ in range(3):
+    lhs = shock.op_E(lhs, h)
 rhs = None
 fj = f.copy()
 for j in range(4):
@@ -44,16 +43,10 @@ lo, hi = max(lhs.mlo, rhs.mlo), min(lhs.mhi, rhs.mhi)
 print("\nE^3 decomposition identity, max coefficient error:",
       np.max(np.abs((lhs - rhs)._window(lo, hi))))
 
-# Random (mu, B) always satisfies the symmetric-function chain with
-# dN/dx = dG_1/dx - B'/B; that is the content of the construction.
-rng = np.random.default_rng(0)
-B = np.array([1.0, 0.5])
-g1 = shock.g1_biseries(lt, h.Htilde.nx)
-dNx = g1.dx() - shock.rational_tail(np.polynomial.polynomial.polyder(B), B,
-                                    h.Htilde.nx, lt.mmax + 2)
-mu = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)]
-s = shock.s_k_from_mu(mu, B, h)
-print("chain residual for random (mu, B):", shock.eqsym1_residual(s, dNx))
+# Free data (mu, B) generate the sheets: on the interior line d = 1, B = 1 and
+# mu_1 = (x + 1) / omega give s_1 = -h for the sheet h = -(x + 1)/(y + 1/2).
+s = shock.s_k_from_mu([np.array([1.0, 1.0]) / omega], [1.0], h)
+print("s_1(0.25, 5) =", s[0](0.25, 5.0), " exact:", (0.25 + 1.0) / 5.5)
 
 # Finite-difference verification of the shock equation on a fiber field: the
 # symmetric-function system with the single sheet S_1 = h is h_y = h h_x.

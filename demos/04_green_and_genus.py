@@ -2,8 +2,7 @@
 """Green functions on plane-curve patches and genus bookkeeping.
 
 The Green kernel pairs two Cauchy-Fantappie style kernels over a curve patch;
-the result is symmetric, carries a 1/(2 pi) logarithmic singularity, and a
-Fredholm boundary equation upgrades any Green function to the principal one.
+the result is symmetric and carries a 1/(2 pi) logarithmic singularity.
 Boundary Chern-connection integrals then count zeros against the topology.
 """
 
@@ -21,25 +20,6 @@ print("  g(q1, q2)            =", g12)
 print("  symmetry defect      =", abs(g12 - green.green_value(q2, q1, model)))
 coef = green.fit_log_coefficient(model, 0.2 + 0.1j)
 print("  fitted log coefficient =", coef, " (1/2pi =", 1 / (2 * np.pi), ")")
-
-# -- harmonic extension and the Fredholm correction -------------------------------
-
-grid = green.BoundaryGrid(256)
-zeta = grid.zeta
-q = 0.3 + 0.2j
-tv = green.harmonic_extension_T(np.real(zeta), green.disc_principal_dbar(q, zeta), grid)
-print("\nPoisson reproduction: T(Re zeta)(q) =", tv, " exact:", q.real)
-
-# a non-principal Green = principal + smooth symmetric harmonic part
-c = 0.37
-pg = green.principal_green(
-    lambda q, z: green.disc_principal_green(q, z) + c * np.real(q * np.conj(z)),
-    lambda q, z: green.disc_principal_dbar(q, z) + c * q / 2 * np.ones_like(z),
-    lambda qb, z: c * qb / 2 * np.ones_like(z),
-    grid,
-)
-worst = max(abs(pg.value(q, np.exp(1j * a))) for a in np.linspace(0.05, 6.2, 13))
-print("principal Green boundary values after the Fredholm solve:", worst)
 
 # -- genus side --------------------------------------------------------------------
 

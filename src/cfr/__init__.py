@@ -8,8 +8,8 @@ The library is organized around the stages of the reconstruction pipeline:
 - ``symmetric``   Newton identities, polynomial assembly, root finding
 - ``shock``       shock-wave verification and the operator calculus (P, D, E, e^H)
 - ``linsys``      assembly/solution of the linear differential system (E0)
-- ``reconstruct`` per-line fibers, curve sweep, algebraicity detection
-- ``green``       Green-function kernel/quadrature and the Fredholm boundary solve
+- ``reconstruct`` per-line fibers and the curve sweep
+- ``green``       Green-function kernel and quadrature on curve patches
 - ``genus``       Chern-connection boundary integrals and genus bookkeeping
 - ``oracles``     analytic boundary-data fixtures used by tests and the CLI
 """

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import genus, green, indicators, infinity, linsys, oracles, reconstruct, shock, symmetric
-from .geometry import boundary_to_json, load_boundary, rho
+from .geometry import boundary_to_json, load_boundary, m_of_y, rho
 
 
 class ValidationError(Exception):
@@ -127,11 +127,14 @@ def _check_options(args):
              ("step", "finite and > 0", lambda v: 0 < v < np.inf),
              ("gridn", ">= 5", lambda v: v >= 5),
              ("samples", ">= 16", lambda v: v >= 16),
-             ("rin", "in (0, 1)", lambda v: 0 < v < 1))      # the annulus's r_out is 1
+             ("rin", "in (0, 1)", lambda v: 0 < v < 1),      # the annulus's r_out is 1
+             ("a", "finite", np.isfinite),
+             ("b", "finite", np.isfinite),
+             ("genus_known", ">= 0", lambda v: v >= 0))
     for name, rule, ok in rules:
         v = getattr(args, name, None)
         if v is not None and not ok(v):
-            raise ValidationError(f"--{name} must be {rule}, got {v}")
+            raise ValidationError(f"--{name.replace('_', '-')} must be {rule}, got {v}")
 
 
 def _sheets(text):
@@ -276,13 +279,15 @@ def cmd_pipeline(args):
 def cmd_shock_verify(args):
     b = _boundary(args.boundary)
     y0 = _finite("--y0", _parse("--y0", complex, args.y0)) if args.y0 else 2.5 * rho(b)
-    p, fam = _sheets_and_family(b, args)
-    if p < 1:
-        raise ValidationError("shock-verify needs p >= 1")
     hx = hy = args.step
     n = args.gridn
     xs = (np.arange(n) - n // 2) * hx
     ys = y0 + (np.arange(n) - n // 2) * hy
+    if not (np.min(np.abs(ys)) > rho(b) and np.max(np.abs(xs)) < np.min(m_of_y(b, ys))):
+        raise ValidationError(f"need |y| > rho = {rho(b):g} and |x| < m(y) at every grid node")
+    p, fam = _sheets_and_family(b, args)
+    if p < 1:
+        raise ValidationError("shock-verify needs p >= 1")
     N = reconstruct.N_Qk(b, np.repeat(xs, n), np.tile(ys, n), p, fam)
     S = symmetric.power_to_elementary(N).reshape(p, n, n)      # S[k - 1][i, j] at (xs[i], ys[j])
     res = shock.system_residual(S, hx, hy)
@@ -299,7 +304,10 @@ def _patch(text):
 
 
 def _phi(rows):
-    return np.array([[_pair(p) for p in row] for row in rows])
+    phi = np.array([[_pair(p) for p in row] for row in rows])
+    if phi.ndim != 2 or 0 in phi.shape:
+        raise ValueError(f"need a 2-D table with a row and a column, got shape {phi.shape}")
+    return phi
 
 
 def _targets(spec):

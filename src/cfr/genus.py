@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TANGENCY_TOL = 1e-6
-
 
 class ZeroOnBoundary(ValueError):
     """The form vanishes on a boundary ring; ln h* is singular there."""

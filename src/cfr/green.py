@@ -46,10 +46,6 @@ class MeshTooCoarse(RuntimeError):
     """Self-refinement estimate exceeded the requested tolerance."""
 
 
-class SingularFredholm(RuntimeError):
-    """Discretized I + S is numerically singular."""
-
-
 COINCIDENT_EPS = 1e-12
 DPHI_EPS = 1e-9         # |dPhi/dz2| below this (or NaN) on a node: MeshTooCoarse
 
@@ -391,109 +387,3 @@ def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
     vals = _green_values(qs, targets, model, **quad_kw)
     means = [np.mean(vals[i:i + n_dir]) for i in range(0, len(vals), n_dir)]
     return float((means[1] - means[0]) / (np.log(radii[1]) - np.log(radii[0])))
-
-
-# -- boundary operators on the unit circle ---------------------------------------
-
-
-@dataclass
-class BoundaryGrid:
-    """Uniform grid on a boundary circle |zeta - center| = radius."""
-
-    n: int
-    center: complex = 0.0 + 0.0j
-    radius: float = 1.0
-
-    @property
-    def theta(self):
-        return 2.0 * np.pi * np.arange(self.n) / self.n
-
-    @property
-    def zeta(self):
-        return self.center + self.radius * np.exp(1j * self.theta)
-
-    @property
-    def dzeta(self):
-        """d zeta / d theta along the circle."""
-        return 1j * self.radius * np.exp(1j * self.theta)
-
-
-def harmonic_extension_T(v, dbar_g, grid: BoundaryGrid):
-    """Tv(q): contour integral of v against the conjugate differential of g_q.
-
-    dbar_g holds the coefficient of d(conj zeta) of dbar g_q at the grid
-    nodes; v the boundary samples.  Spectral trapezoid quadrature.
-
-    With the Green function pinned to log coefficient 1/(2 pi), the operator
-    that restores boundary values of harmonic extensions is
-    Tv = int v * (*d g_q) = 2i int v dbar g_q  (the conjugate differential
-    reduces to 2i dbar g on the level set g = 0); a bare (i/2) prefactor
-    would reproduce v/4.
-    """
-    v = np.asarray(v)
-    h = 2.0 * np.pi / grid.n
-    return complex(2.0j * h * np.sum(v * dbar_g * np.conj(grid.dzeta))).real
-
-
-def disc_principal_green(q, zeta):
-    """Principal Green of the unit disc, (1/2 pi) ln |(zeta-q)/(1 - conj(q) zeta)|."""
-    return np.log(np.abs((zeta - q) / (1.0 - np.conj(q) * zeta))) / (2.0 * np.pi)
-
-
-def disc_principal_dbar(q, zeta):
-    """Coefficient of d(conj zeta) in dbar_zeta of the principal disc Green."""
-    return np.conj(1.0 / (zeta - q) + np.conj(q) / (1.0 - np.conj(q) * zeta)) / (4.0 * np.pi)
-
-
-def fredholm_solve_R(v, S):
-    """Solve v = w + Sw for the boundary density w (Nystrom matrix S)."""
-    S = np.asarray(S)
-    A = np.eye(S.shape[0]) + S
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularFredholm(f"condition number {cond:.3e}")
-    return np.linalg.solve(A, np.asarray(v, dtype=complex))
-
-
-def smooth_S_matrix(dbar_e, grid: BoundaryGrid):
-    """Nystrom matrix of the boundary trace of the smooth part of T.
-
-    dbar_e(q, zeta) is the d(conj zeta)-coefficient of dbar of e = g - g_P
-    (smooth on the closed domain), so S = T_e|_b needs no principal value:
-    with the principal part contributing the identity trace, the Sohotsky
-    relation leaves S w = (i/2) contour-int w dbar(e_q), q on the boundary.
-    """
-    h = 2.0 * np.pi / grid.n
-    zb = grid.zeta
-    S = np.zeros((grid.n, grid.n), dtype=complex)
-    for j in range(grid.n):
-        S[j, :] = 2.0j * h * dbar_e(zb[j], zb) * np.conj(grid.dzeta)
-    return S
-
-
-@dataclass
-class PrincipalGreen:
-    """Principal Green assembled from a non-principal g by the Fredholm solve."""
-
-    grid: BoundaryGrid
-    g: callable
-    dbar_g: callable
-    S: np.ndarray
-
-    def extend(self, v):
-        """Harmonic extension Ev = T R v; returns a callable of interior q."""
-        w = fredholm_solve_R(v, self.S)
-
-        def ev(q):
-            return harmonic_extension_T(w, self.dbar_g(q, self.grid.zeta), self.grid)
-
-        return ev
-
-    def value(self, q, z):
-        """G_M(q, z) = g(q, z) - E(g_z|_b)(q)."""
-        vb = self.g(z, self.grid.zeta)
-        return float(np.real(self.g(q, z))) - self.extend(vb)(q)
-
-
-def principal_green(g, dbar_g, dbar_e, grid: BoundaryGrid) -> PrincipalGreen:
-    return PrincipalGreen(grid, g, dbar_g, smooth_S_matrix(dbar_e, grid))

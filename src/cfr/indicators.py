@@ -143,13 +143,6 @@ class LaurentTable:
         """x-Taylor vector of the polynomial G_{k,m}."""
         return self.coeffs[k, m, : m + 1].copy()
 
-    def evaluate(self, k, x, y):
-        """Partial sum of the Laurent series of G_k at (x, y)."""
-        tot = 0.0 + 0.0j
-        for m in range(self.mmax + 1):
-            tot += np.polynomial.polynomial.polyval(x, self.coeffs[k, m, : m + 1]) * y ** (-m)
-        return tot
-
 
 def _moment_integrals(b: BoundaryData, kmax: int, mmax: int):
     """I1[a,b], I2[a,b] = (1/2 pi i) contour integrals of z1^a z2^b dz1, dz2.

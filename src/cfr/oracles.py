@@ -62,14 +62,6 @@ def conic(n=1024) -> BoundaryData:
     return BoundaryData([lp], [1])
 
 
-def conic_small_root(x, y):
-    """Root of t^2 + y t + x that lies inside the unit disc for z in Z."""
-    r = np.sqrt(y * y - 4.0 * x + 0j)
-    t1 = (-y + r) / 2.0
-    t2 = (-y - r) / 2.0
-    return np.where(np.abs(t1) < np.abs(t2), t1, t2)
-
-
 ORACLES = {
     "interior-line": interior_line,
     "exterior-line": exterior_line,

@@ -1,4 +1,4 @@
-"""End-to-end reconstruction: per-line fibers, curve sweep, algebraicity test.
+"""End-to-end reconstruction: per-line fibers and the curve sweep.
 
 For each admissible line L_z the holomorphic extensions N_{Q,k} = G_k - P_k
 are the power sums of the fiber ordinates h_j(z); Newton's identities turn
@@ -23,14 +23,6 @@ class DegenerateFiber(ValueError):
 
 DISC_SINGULAR_TOL = 1e-12     # relative discriminant below which a line counts as non-transverse
 MERGE_EPS = 1e-6
-
-# detect_algebraic samples G_1 at x in ALG_XS on ALG_ANGLES points of each
-# circle |y| = ALG_RADII * rho, and fits denominators up to degree ALG_DEG_MAX.
-ALG_RADII = (2.0, 3.0)
-ALG_ANGLES = 16
-ALG_XS = (0.0, 0.25, -0.25, 0.2j, -0.2j)
-ALG_DEG_MAX = 6
-ALG_FIT_TOL = 1e-8
 
 
 def N_Qk(b: BoundaryData, xs, ys, p: int, pk_family):
@@ -165,43 +157,3 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     cloud.points = [ProjPoint(*a) for a in A[kept].tolist()]
     cloud.source = list(map(LineParam, x[kept // p, 0], y[kept // p, 0]))
     return cloud
-
-
-def detect_algebraic(b: BoundaryData):
-    """Least-squares test of G_1(x, y) = (A0(y) + x A1(y)) / B(y) on the ALG_* grid.
-
-    Scans denominator degrees up to ALG_DEG_MAX with B monic in its top
-    coefficient; returns (True, model) when some degree fits with relative
-    residual below ALG_FIT_TOL, else (False, best_model).
-    """
-    r = rho(b)
-    ys = [mult * r * np.exp(2j * np.pi * (j + 0.17) / ALG_ANGLES)
-          for mult in ALG_RADII for j in range(ALG_ANGLES)]
-    # x runs fastest: sample i is at (ALG_XS[i % len(ALG_XS)], ys[i // len(ALG_XS)])
-    xv = np.tile(np.array(ALG_XS, dtype=complex), len(ys))
-    yv = np.repeat(np.array(ys), len(ALG_XS))
-    gv = indicators.G_lines(b, xv, yv, [1])[0]
-
-    if np.max(np.abs(gv)) < 1e-13:
-        return True, {"A0": np.zeros(1), "A1": np.zeros(1), "B": np.ones(1),
-                      "residual": 0.0, "degree": 0}
-
-    best = None
-    for dB in range(1, ALG_DEG_MAX + 1):
-        # unknowns: A0 (deg dB-1), A1 (deg dB-1), low coefficients of monic B
-        # columns y^i for A0, x y^i for x A1, -G_1 y^i for -G_1 * beta_i, i < dB
-        M = np.stack([f * yv ** i for f in (1.0, xv, -gv) for i in range(dB)], axis=1)
-        rhs = gv * yv ** dB
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        A0, A1, Blow = sol[:dB], sol[dB : 2 * dB], sol[2 * dB :]
-        B = np.concatenate([Blow, [1.0]])
-        Bv = np.polynomial.polynomial.polyval(yv, B)
-        model_vals = (np.polynomial.polynomial.polyval(yv, A0)
-                      + xv * np.polynomial.polynomial.polyval(yv, A1)) / Bv
-        rel = float(np.linalg.norm(model_vals - gv) / np.linalg.norm(gv))
-        entry = {"A0": A0, "A1": A1, "B": B, "residual": rel, "degree": dB}
-        if best is None or rel < best["residual"]:
-            best = entry
-        if rel < ALG_FIT_TOL:
-            return True, entry
-    return False, best

@@ -27,8 +27,6 @@ from . import symmetric
 
 RESIDUE_EPS = 1e-12
 E_KMAX = 8                          # largest k of the E-table E_{k,j}
-DELTA_FIT_X = 0.0                   # x of the slope fit in delta_from_expH
-DELTA_FIT_RADII = (1e2, 1e3, 1e4)   # |y| of its sample points
 
 
 class ResidueObstruction(ValueError):
@@ -77,15 +75,6 @@ class BiSeries:
         coeffs = np.asarray(coeffs, dtype=complex)
         c[: min(len(coeffs), nx + 1), 0] = coeffs[: nx + 1]
         return BiSeries(c, 0, 0, exact=True)
-
-    @staticmethod
-    def from_y_poly(coeffs, nx):
-        """Embed a y-polynomial sum b_j y^j: exponent j sits at m = -j."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        deg = len(coeffs) - 1
-        c = np.zeros((nx + 1, deg + 1), dtype=complex)
-        c[0, :] = coeffs[::-1]  # m = -deg .. 0 maps to y^deg .. y^0
-        return BiSeries(c, -deg, 0, exact=True)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -169,11 +158,6 @@ class BiSeries:
         n = np.arange(1, self.nx + 1)
         c[:-1, :] = self.c[1:, :] * n[:, None]
         return replace(self, c=c)
-
-    def dy(self):
-        """d/dy: c x^n y^-m -> -m c x^n y^-(m+1)."""
-        ms = np.arange(self.mlo, self.mhi + 1)
-        return BiSeries(self.c * (-ms)[None, :], self.mlo + 1, self.mhi + 1, self.exact)
 
     def primitivize(self, w):
         """Antiderivative in y vanishing at the anchor w: c y^-m -> c (y^(1-m) - w^(1-m))/(1-m).
@@ -292,24 +276,6 @@ def exp_H(h: HData) -> ExpH:
     return ExpH(h.omega ** h.delta, h.delta, h.Htilde.exp())
 
 
-def exp_minus_H(h: HData) -> ExpH:
-    return ExpH(h.omega ** (-h.delta), -h.delta, h.Htilde.scale(-1.0).exp())
-
-
-def delta_from_expH(h: HData) -> float:
-    """Slope fit of ln|e^-H| against ln|y| over large radii; converges to delta.
-
-    ln|e^-H| = delta ln|y| + const + O(1/y), so the fit basis includes the
-    known first-order 1/y correction; the slope is then exact to O(1/y^2).
-    """
-    em = exp_minus_H(h)
-    r = np.asarray(DELTA_FIT_RADII, dtype=float)
-    logs = np.array([np.log(abs(em(DELTA_FIT_X, ri))) for ri in r])
-    A = np.stack([np.log(r), np.ones_like(r), 1.0 / r], axis=1)
-    sol, *_ = np.linalg.lstsq(A, logs, rcond=None)
-    return float(sol[0])
-
-
 # -- operators ---------------------------------------------------------------
 
 
@@ -342,14 +308,6 @@ def E_decomposition(kmax: int, h: HData):
         else:
             tab[(k + 1, 0)] = op_E(tab[(k, 0)], h)
     return tab
-
-
-def iterate_E(f_coeffs, k: int, h: HData) -> BiSeries:
-    """E^k applied to f ⊗ 1 by direct iteration (independent check route)."""
-    s = BiSeries.from_x_poly(f_coeffs, h.Htilde.nx)
-    for _ in range(k):
-        s = op_E(s, h)
-    return s
 
 
 def s_k_from_mu(mu, B, h: HData):
@@ -425,36 +383,6 @@ def _inverse_y_poly(den, nx, mcap) -> BiSeries:
     unit = np.zeros((nx + 1, mcap + 1), dtype=complex)
     unit[0, : r + 1] = den[::-1]
     return BiSeries(unit, 0, mcap).invert_tail().shift_y(-r)
-
-
-def rational_tail(num, den, nx, mhi) -> BiSeries:
-    """num(y)/den(y) expanded in powers of 1/y, valid to order y^-mhi."""
-    num = np.atleast_1d(np.asarray(num, dtype=complex))
-    inv = _inverse_y_poly(den, nx, mhi + np.size(den) - 1)
-    return BiSeries.from_y_poly(num, nx) * inv
-
-
-def eqsym1_residual(s_list, dNx=None):
-    """Residual of the chain -s_k dN/dx + ds_k/dy = ds_{k+1}/dx (zero at k=d).
-
-    dNx is the series of dN/dx with N = G_1 - P; by the equivalence behind the
-    construction it equals dG_1/dx - B'/B (independent of A).  When omitted,
-    N := -s_1 is used, which is only appropriate for fitted solutions where
-    -s_1 reproduces G_1 - P.  The residual series is formed with exact series
-    derivatives and measured by its largest coefficient on the range where
-    every participating series is valid.
-    """
-    d = len(s_list)
-    if dNx is None:
-        dNx = s_list[0].dx().scale(-1.0)
-    worst = []
-    for k in range(1, d + 1):
-        sk = s_list[k - 1]
-        term = sk.scale(-1.0) * dNx + sk.dy()
-        if k < d:
-            term = term - s_list[k].dx()
-        worst.append(np.max(np.abs(term.c)))
-    return float(np.max(worst, initial=0.0))    # np.max keeps a NaN that max() would drop
 
 
 def g1_biseries(lt, nx) -> BiSeries:

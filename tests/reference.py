@@ -1,8 +1,9 @@
 """Reference routes that the tests compare the program against.
 
 Nothing in ``cfr`` calls these; each one is an independent or more literal
-route to a quantity the program computes another way, or a small identity
-from the paper that the tests check:
+route to a quantity the program computes another way, a part of the paper's
+construction that no ``cfr`` command runs, or a small identity from the
+paper that the tests check:
 
 - (E0) assembled one Laurent order at a time from per-order copies of its
   series and a table-driven row assembler, which the program's one-read
@@ -10,6 +11,10 @@ from the paper that the tests check:
   the (E0) residual with (A, B) pinned uses the program's rows;
 - the Laurent coefficient c_{j,m}^{0,n} read off one E-table entry;
 - BiSeries products with one series_mul per left column;
+- y-polynomials as series, d/dy of a series, E^k applied by iteration, a
+  rational function of y expanded in 1/y, the residual of the
+  symmetric-function chain that the s_k of (mu, B) satisfy, and delta from
+  the large-|y| slope of ln|e^-H|;
 - the corrections P_k as polynomials in X with coefficients rational in Y
   over B_inf^k, from the closed form of p_{k,0} and the recursion for the
   higher X-coefficients, which the program's residue on the line stack
@@ -21,6 +26,11 @@ from the paper that the tests check:
   double, affine charts, the domain Z, line incidence, the inverse Newton
   identities, the series inverse one scalar coefficient at a time, and the
   exterior-line germ;
+- the Laurent partial sum of G_k, and the conic's small root by the
+  quadratic formula;
+- the rational-affine test of G_1 = (A0(y) + x A1(y)) / B(y) by least
+  squares over the denominator degree, which tells line unions from the
+  conic;
 - the discriminant as a Sylvester determinant of p and p', and the fiber
   skip rule on it, which the rule read off the roots must equal;
 - the sweep one line at a time: m(y) per y, G_k, and the batch's Newton,
@@ -38,7 +48,10 @@ from the paper that the tests check:
 - Green values term by term: Psi summed over its nonzero (z1', z2', z1, z2)
   monomials, the q*-side kernel on every node of every target's grids, the
   cut by the bump on the whole full grid, and sub-patch z2 by the Newton
-  continuation from the patch center.
+  continuation from the patch center;
+- the principal Green function of the unit disc from a non-principal one:
+  the harmonic extension T on a boundary grid, the Nystrom matrix of the
+  smooth part, and the Fredholm solve of v = w + Sw.
 """
 
 from __future__ import annotations
@@ -310,6 +323,84 @@ def biseries_mul_per_column(a: BiSeries, b: BiSeries) -> BiSeries:
             break
         c[:, i : i + nb] += symmetric.series_mul(a.c[:, i], b.c[:, :nb], a.nx)
     return BiSeries(c, mlo, mhi, exact)
+
+
+# -- shock: y-polynomials, d/dy, E^k by iteration, 1/y tails, the chain residual, delta
+
+
+DELTA_FIT_X = 0.0                   # x of the slope fit in delta_from_expH
+DELTA_FIT_RADII = (1e2, 1e3, 1e4)   # |y| of its sample points
+
+
+def biseries_from_y_poly(coeffs, nx) -> BiSeries:
+    """Embed a y-polynomial sum b_j y^j: exponent j sits at m = -j."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    deg = len(coeffs) - 1
+    c = np.zeros((nx + 1, deg + 1), dtype=complex)
+    c[0, :] = coeffs[::-1]  # m = -deg .. 0 maps to y^deg .. y^0
+    return BiSeries(c, -deg, 0, exact=True)
+
+
+def biseries_dy(s: BiSeries) -> BiSeries:
+    """d/dy: c x^n y^-m -> -m c x^n y^-(m+1)."""
+    ms = np.arange(s.mlo, s.mhi + 1)
+    return BiSeries(s.c * (-ms)[None, :], s.mlo + 1, s.mhi + 1, s.exact)
+
+
+def exp_minus_H(h: HData) -> shock.ExpH:
+    return shock.ExpH(h.omega ** (-h.delta), -h.delta, h.Htilde.scale(-1.0).exp())
+
+
+def delta_from_expH(h: HData) -> float:
+    """Slope fit of ln|e^-H| against ln|y| over large radii; converges to delta.
+
+    ln|e^-H| = delta ln|y| + const + O(1/y), so the fit basis includes the
+    known first-order 1/y correction; the slope is then exact to O(1/y^2).
+    """
+    em = exp_minus_H(h)
+    r = np.asarray(DELTA_FIT_RADII, dtype=float)
+    logs = np.array([np.log(abs(em(DELTA_FIT_X, ri))) for ri in r])
+    A = np.stack([np.log(r), np.ones_like(r), 1.0 / r], axis=1)
+    sol, *_ = np.linalg.lstsq(A, logs, rcond=None)
+    return float(sol[0])
+
+
+def iterate_E(f_coeffs, k: int, h: HData) -> BiSeries:
+    """E^k applied to f ⊗ 1 by direct iteration (independent check route)."""
+    s = BiSeries.from_x_poly(f_coeffs, h.Htilde.nx)
+    for _ in range(k):
+        s = shock.op_E(s, h)
+    return s
+
+
+def rational_tail(num, den, nx, mhi) -> BiSeries:
+    """num(y)/den(y) expanded in powers of 1/y, valid to order y^-mhi."""
+    num = np.atleast_1d(np.asarray(num, dtype=complex))
+    inv = shock._inverse_y_poly(den, nx, mhi + np.size(den) - 1)
+    return biseries_from_y_poly(num, nx) * inv
+
+
+def eqsym1_residual(s_list, dNx=None):
+    """Residual of the chain -s_k dN/dx + ds_k/dy = ds_{k+1}/dx (zero at k=d).
+
+    dNx is the series of dN/dx with N = G_1 - P; by the equivalence behind the
+    construction it equals dG_1/dx - B'/B (independent of A).  When omitted,
+    N := -s_1 is used, which is only appropriate for fitted solutions where
+    -s_1 reproduces G_1 - P.  The residual series is formed with exact series
+    derivatives and measured by its largest coefficient on the range where
+    every participating series is valid.
+    """
+    d = len(s_list)
+    if dNx is None:
+        dNx = s_list[0].dx().scale(-1.0)
+    worst = []
+    for k in range(1, d + 1):
+        sk = s_list[k - 1]
+        term = sk.scale(-1.0) * dNx + biseries_dy(sk)
+        if k < d:
+            term = term - s_list[k].dx()
+        worst.append(np.max(np.abs(term.c)))
+    return float(np.max(worst, initial=0.0))    # np.max keeps a NaN that max() would drop
 
 
 # -- infinity: the rational family, P_1 in closed form, residues, partial derivatives
@@ -795,6 +886,22 @@ def exterior_line_germ(a=0.5):
     return complex(1.0 / a), [complex(-1.0 / a)]
 
 
+def laurent_evaluate(lt, k, x, y):
+    """Partial sum of the Laurent series of G_k at (x, y) from a LaurentTable."""
+    tot = 0.0 + 0.0j
+    for m in range(lt.mmax + 1):
+        tot += np.polynomial.polynomial.polyval(x, lt.coeffs[k, m, : m + 1]) * y ** (-m)
+    return tot
+
+
+def conic_small_root(x, y):
+    """Root of t^2 + y t + x that lies inside the unit disc for z in Z."""
+    r = np.sqrt(y * y - 4.0 * x + 0j)
+    t1 = (-y + r) / 2.0
+    t2 = (-y - r) / 2.0
+    return np.where(np.abs(t1) < np.abs(t2), t1, t2)
+
+
 # -- reconstruct: the sweep one line at a time -------------------------------------
 
 
@@ -883,6 +990,58 @@ def merge_first_match(n, pairs):
     return np.array(kept, dtype=int), mult
 
 
+# -- reconstruct: the rational-affine test of G_1 ----------------------------------
+
+
+# detect_algebraic samples G_1 at x in ALG_XS on ALG_ANGLES points of each
+# circle |y| = ALG_RADII * rho, and fits denominators up to degree ALG_DEG_MAX.
+ALG_RADII = (2.0, 3.0)
+ALG_ANGLES = 16
+ALG_XS = (0.0, 0.25, -0.25, 0.2j, -0.2j)
+ALG_DEG_MAX = 6
+ALG_FIT_TOL = 1e-8
+
+
+def detect_algebraic(b: BoundaryData):
+    """Least-squares test of G_1(x, y) = (A0(y) + x A1(y)) / B(y) on the ALG_* grid.
+
+    Scans denominator degrees up to ALG_DEG_MAX with B monic in its top
+    coefficient; returns (True, model) when some degree fits with relative
+    residual below ALG_FIT_TOL, else (False, best_model).
+    """
+    r = rho(b)
+    ys = [mult * r * np.exp(2j * np.pi * (j + 0.17) / ALG_ANGLES)
+          for mult in ALG_RADII for j in range(ALG_ANGLES)]
+    # x runs fastest: sample i is at (ALG_XS[i % len(ALG_XS)], ys[i // len(ALG_XS)])
+    xv = np.tile(np.array(ALG_XS, dtype=complex), len(ys))
+    yv = np.repeat(np.array(ys), len(ALG_XS))
+    gv = indicators.G_lines(b, xv, yv, [1])[0]
+
+    if np.max(np.abs(gv)) < 1e-13:
+        return True, {"A0": np.zeros(1), "A1": np.zeros(1), "B": np.ones(1),
+                      "residual": 0.0, "degree": 0}
+
+    best = None
+    for dB in range(1, ALG_DEG_MAX + 1):
+        # unknowns: A0 (deg dB-1), A1 (deg dB-1), low coefficients of monic B
+        # columns y^i for A0, x y^i for x A1, -G_1 y^i for -G_1 * beta_i, i < dB
+        M = np.stack([f * yv ** i for f in (1.0, xv, -gv) for i in range(dB)], axis=1)
+        rhs = gv * yv ** dB
+        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        A0, A1, Blow = sol[:dB], sol[dB : 2 * dB], sol[2 * dB :]
+        B = np.concatenate([Blow, [1.0]])
+        Bv = np.polynomial.polynomial.polyval(yv, B)
+        model_vals = (np.polynomial.polynomial.polyval(yv, A0)
+                      + xv * np.polynomial.polynomial.polyval(yv, A1)) / Bv
+        rel = float(np.linalg.norm(model_vals - gv) / np.linalg.norm(gv))
+        entry = {"A0": A0, "A1": A1, "B": B, "residual": rel, "degree": dB}
+        if best is None or rel < best["residual"]:
+            best = entry
+        if rel < ALG_FIT_TOL:
+            return True, entry
+    return False, best
+
+
 # -- green: term-by-term kernel and per-target quadrature ----------------------
 
 
@@ -946,3 +1105,113 @@ def green_values_per_target(q_star, targets, model, nr=256, nt=256, sub_nr=128, 
         total += np.sum(f * cut * w)
         vals.append(float(np.real(total)) / (4.0 * np.pi ** 2))
     return vals
+
+
+# -- green: the principal Green function by a Fredholm boundary solve ----------
+
+
+class SingularFredholm(RuntimeError):
+    """Discretized I + S is numerically singular."""
+
+
+@dataclass
+class BoundaryGrid:
+    """Uniform grid on a boundary circle |zeta - center| = radius."""
+
+    n: int
+    center: complex = 0.0 + 0.0j
+    radius: float = 1.0
+
+    @property
+    def theta(self):
+        return 2.0 * np.pi * np.arange(self.n) / self.n
+
+    @property
+    def zeta(self):
+        return self.center + self.radius * np.exp(1j * self.theta)
+
+    @property
+    def dzeta(self):
+        """d zeta / d theta along the circle."""
+        return 1j * self.radius * np.exp(1j * self.theta)
+
+
+def harmonic_extension_T(v, dbar_g, grid: BoundaryGrid):
+    """Tv(q): contour integral of v against the conjugate differential of g_q.
+
+    dbar_g holds the coefficient of d(conj zeta) of dbar g_q at the grid
+    nodes; v the boundary samples.  Spectral trapezoid quadrature.
+
+    With the Green function pinned to log coefficient 1/(2 pi), the operator
+    that restores boundary values of harmonic extensions is
+    Tv = int v * (*d g_q) = 2i int v dbar g_q  (the conjugate differential
+    reduces to 2i dbar g on the level set g = 0); a bare (i/2) prefactor
+    would reproduce v/4.
+    """
+    v = np.asarray(v)
+    h = 2.0 * np.pi / grid.n
+    return complex(2.0j * h * np.sum(v * dbar_g * np.conj(grid.dzeta))).real
+
+
+def disc_principal_green(q, zeta):
+    """Principal Green of the unit disc, (1/2 pi) ln |(zeta-q)/(1 - conj(q) zeta)|."""
+    return np.log(np.abs((zeta - q) / (1.0 - np.conj(q) * zeta))) / (2.0 * np.pi)
+
+
+def disc_principal_dbar(q, zeta):
+    """Coefficient of d(conj zeta) in dbar_zeta of the principal disc Green."""
+    return np.conj(1.0 / (zeta - q) + np.conj(q) / (1.0 - np.conj(q) * zeta)) / (4.0 * np.pi)
+
+
+def fredholm_solve_R(v, S):
+    """Solve v = w + Sw for the boundary density w (Nystrom matrix S)."""
+    S = np.asarray(S)
+    A = np.eye(S.shape[0]) + S
+    cond = np.linalg.cond(A)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularFredholm(f"condition number {cond:.3e}")
+    return np.linalg.solve(A, np.asarray(v, dtype=complex))
+
+
+def smooth_S_matrix(dbar_e, grid: BoundaryGrid):
+    """Nystrom matrix of the boundary trace of the smooth part of T.
+
+    dbar_e(q, zeta) is the d(conj zeta)-coefficient of dbar of e = g - g_P
+    (smooth on the closed domain), so S = T_e|_b needs no principal value:
+    with the principal part contributing the identity trace, the Sohotsky
+    relation leaves S w = (i/2) contour-int w dbar(e_q), q on the boundary.
+    """
+    h = 2.0 * np.pi / grid.n
+    zb = grid.zeta
+    S = np.zeros((grid.n, grid.n), dtype=complex)
+    for j in range(grid.n):
+        S[j, :] = 2.0j * h * dbar_e(zb[j], zb) * np.conj(grid.dzeta)
+    return S
+
+
+@dataclass
+class PrincipalGreen:
+    """Principal Green assembled from a non-principal g by the Fredholm solve."""
+
+    grid: BoundaryGrid
+    g: callable
+    dbar_g: callable
+    S: np.ndarray
+
+    def extend(self, v):
+        """Harmonic extension Ev = T R v; returns a callable of interior q."""
+        w = fredholm_solve_R(v, self.S)
+
+        def ev(q):
+            return harmonic_extension_T(w, self.dbar_g(q, self.grid.zeta), self.grid)
+
+        return ev
+
+    def value(self, q, z):
+        """G_M(q, z) = g(q, z) - E(g_z|_b)(q)."""
+        vb = self.g(z, self.grid.zeta)
+        return float(np.real(self.g(q, z))) - self.extend(vb)(q)
+
+
+def principal_green(g, dbar_g, dbar_e, grid: BoundaryGrid) -> PrincipalGreen:
+    return PrincipalGreen(grid, g, dbar_g, smooth_S_matrix(dbar_e, grid))

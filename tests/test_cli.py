@@ -115,6 +115,18 @@ MALFORMED = {
     "step-zero": (["shock-verify", "--boundary", "conic.json", "--p", "1", "--step", "0"], {}),
     "gridn-below-5": (["shock-verify", "--boundary", "conic.json", "--p", "1",
                        "--gridn", "4"], {}),
+    "shock-grid-inside-rho": (["shock-verify", "--boundary", "conic.json", "--p", "1",
+                               "--y0", "0.1"], {}),
+    "shock-grid-outside-m": (["shock-verify", "--boundary", "conic.json", "--p", "1",
+                              "--step", "0.5"], {}),
+    "oracle-a-nan": (["make-oracle", "--name", "interior-line", "--a", "nan"], {}),
+    "oracle-a-inf": (["make-oracle", "--name", "interior-line", "--a", "inf"], {}),
+    "oracle-b-nan": (["make-oracle", "--name", "two-line", "--b", "nan"], {}),
+    "phi-empty-row": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
+                      {"bad-phi.json": "[[]]"}),
+    "phi-empty": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
+                  {"bad-phi.json": "[]"}),
+    "genus-known-negative": (["genus", "--genus-known", "-3"], {}),
 }
 # Boundary files whose loops, samples or number pairs have the wrong JSON type.
 _BAD_BOUNDARIES = {

@@ -3,12 +3,12 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from cfr import green
-from cfr.green import (BoundaryGrid, Coincident, CurveModel, MeshTooCoarse,
-                       SingularFredholm, _bump, _cut, _leggauss, _polar_nodes_gl,
-                       disc_principal_dbar, disc_principal_green, fit_log_coefficient,
-                       flat_disc_model, fredholm_solve_R, green_value, harmonic_extension_T,
-                       kernel_k, principal_green, psi_of, smooth_S_matrix)
-from reference import _eval4, green_values_per_target, kernel_k_terms, psi_terms
+from cfr.green import (Coincident, CurveModel, MeshTooCoarse, _bump, _cut, _leggauss,
+                       _polar_nodes_gl, fit_log_coefficient, flat_disc_model, green_value,
+                       kernel_k, psi_of)
+from reference import (BoundaryGrid, SingularFredholm, _eval4, disc_principal_dbar,
+                       disc_principal_green, fredholm_solve_R, green_values_per_target,
+                       harmonic_extension_T, kernel_k_terms, principal_green, psi_terms)
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 

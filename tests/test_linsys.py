@@ -6,8 +6,9 @@ import pytest
 from cfr import indicators, linsys, oracles, shock
 from cfr.geometry import BoundaryData, rho
 from cfr.linsys import Layout, RankDeficient, assemble_E0, fit_infinity, valid_window
-from reference import (E2Degenerate, assemble_E0_by_order, assemble_E1, assemble_E2, coeff_c0,
-                       fixed_AB_residual, invert_gxx, mu_columns)
+from reference import (E2Degenerate, assemble_E0_by_order, assemble_E1, assemble_E2,
+                       biseries_from_y_poly, coeff_c0, fixed_AB_residual, invert_gxx,
+                       mu_columns)
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +259,7 @@ def test_K1_vanishes_for_large_n(ext_parts):
     """K_n^1(B) = 0 for n >= d on the exterior-line oracle."""
     fit, h, g1, etab = ext_parts
     em = h.Htilde.scale(-1.0).exp()
-    B = shock.BiSeries.from_y_poly([1.0, 2.0], h.Htilde.nx)
+    B = biseries_from_y_poly([1.0, 2.0], h.Htilde.nx)
     Bp = shock.BiSeries.from_x_poly([2.0], h.Htilde.nx)
     g1x = g1.dx()
     k1 = (Bp - B * g1x) * em

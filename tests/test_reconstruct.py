@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from cfr import geometry, indicators, infinity, oracles, reconstruct, symmetric
 from cfr.geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, chordal
-from cfr.reconstruct import (DegenerateFiber, N_Qk, close_pairs, detect_algebraic, fiber,
-                             merge_rows, sweep)
-from reference import (Pk_family_rational, close_pairs_all, exterior_line_germ, fiber_rows,
-                       line_eval, merge_first_match, sweep_per_line, sylvester_skips)
+from cfr.reconstruct import DegenerateFiber, N_Qk, close_pairs, fiber, merge_rows, sweep
+from reference import (Pk_family_rational, close_pairs_all, conic_small_root, detect_algebraic,
+                       exterior_line_germ, fiber_rows, line_eval, merge_first_match,
+                       sweep_per_line, sylvester_skips)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_fiber_two_line(twoline, no_germs):
 def test_fiber_conic_quadratic_oracle(conic, no_germs):
     for (x, y) in [(0.1, 10.0), (0.3, -8.0), (0.2j, 6.0 + 2.0j)]:
         h = fiber(conic, LineParam(x, y), 1, no_germs)
-        assert abs(h[0] - oracles.conic_small_root(x, y)) < 1e-9
+        assert abs(h[0] - conic_small_root(x, y)) < 1e-9
 
 
 def test_fiber_newton_route_equals_direct(twoline, no_germs):
