@@ -89,7 +89,7 @@ def _boundary(path):
         raise IOValidationError(f"boundary file not found: {path}")
     try:
         return load_boundary(path)
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"malformed boundary file: {e}") from e
 
 
@@ -305,8 +305,8 @@ def _patch(text):
 
 def _phi(rows):
     phi = np.array([[_pair(p) for p in row] for row in rows])
-    if phi.ndim != 2 or 0 in phi.shape:
-        raise ValueError(f"need a 2-D table with a row and a column, got shape {phi.shape}")
+    if phi.ndim != 2 or 0 in phi.shape or not phi[:, 1:].any():
+        raise ValueError("not a graph over the z1 chart: need a 2-D table with a z2 term")
     return phi
 
 

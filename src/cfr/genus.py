@@ -27,6 +27,10 @@ class RoundingGuard(ValueError):
     """Integer-valued combination landed too far from an integer."""
 
 
+class NegativeCount(ValueError):
+    """The estimated number of points at infinity came out negative."""
+
+
 def lambda_flat(zeta):
     return np.ones_like(np.real(zeta))
 
@@ -123,9 +127,11 @@ def winding_difference(omega1, omega2, lam, model: SurfaceModel) -> float:
 
 
 def q_infinity_estimate(chern_integral: float, g: int, c: int) -> int:
-    """q_inf = chern integral + 2g - 2 + c, rounded with a 1e-3 guard."""
+    """q_inf = chern integral + 2g - 2 + c, rounded with a 1e-3 guard; a count, so >= 0."""
     val = chern_integral + 2 * g - 2 + c
     n = round(val)
     if abs(val - n) > 1e-3:
         raise RoundingGuard(f"q_inf estimate {val} is not close to an integer")
+    if n < 0:
+        raise NegativeCount(f"q_inf estimate {val} rounds to {n} < 0")
     return int(n)

@@ -19,15 +19,20 @@ import numpy as np
 # max-modulus normalization).
 CHART_EPS = 1e-12
 
-# Largest (lines x samples) block, or dedup chunk of point pairs, one array operation
-# over a loop holds, so peak memory does not grow with the sweep.  A complex temporary is
-# 128 KiB and stays on glibc's heap: a pipeline op takes ~700 minor faults, ~3460 at 2^15.
+# Largest (lines x samples) block, or dedup chunk of point pairs, one array operation over a loop
+# holds (at least one item: a y row of G_lines' grid), so peak memory does not grow with the sweep.
+# A 128 KiB temporary stays on glibc's heap: a pipeline op has ~700 minor faults, ~3460 at 2^15.
 TILE_ENTRIES = 2 ** 13
 
 
+def tile_rows(samples: int) -> int:
+    """Items per tile when an item spans `samples` entries: TILE_ENTRIES // samples, at least 1."""
+    return max(1, TILE_ENTRIES // samples)
+
+
 def tiles(count: int, samples: int):
-    """Slices of range(count) with at most TILE_ENTRIES // samples items each."""
-    step = max(1, TILE_ENTRIES // samples)
+    """Slices of range(count) with tile_rows(samples) items each (the last may hold fewer)."""
+    step = tile_rows(samples)
     return (slice(i, i + step) for i in range(0, count, step))
 
 
@@ -235,8 +240,8 @@ def boundary_to_json(b: BoundaryData) -> dict:
 def _pairs(samples, key):
     """samples[i][key], three [re, im] number pairs per sample, as one (N, 3) complex array."""
     a = np.array([s[key] for s in samples])
-    if a.dtype.kind not in "biuf" or a.shape != (len(samples), 3, 2):
-        raise ValueError(f"'{key}' must hold three [re, im] number pairs per sample")
+    if a.dtype.kind not in "biuf" or a.shape != (len(samples), 3, 2) or not np.isfinite(a).all():
+        raise ValueError(f"'{key}' must hold three finite [re, im] number pairs per sample")
     return a.astype(float).view(complex)[..., 0]
 
 
@@ -246,6 +251,8 @@ def boundary_from_json(obj: dict) -> BoundaryData:
         signs.append(int(entry["orientation"]))
         samples = entry["samples"]
         ts = np.array([float(s["t"]) for s in samples])
+        if not np.isfinite(ts).all():
+            raise ValueError("'t' must be finite in every sample")
         ws = _pairs(samples, "w")
         if all("dw" in s for s in samples):
             dws = _pairs(samples, "dw")

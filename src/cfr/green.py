@@ -170,9 +170,6 @@ class CurveModel:
         self.psi = psi_of(self.phi)
         self._phi_z2 = P.polyder(self.phi, axis=1)
 
-    def _pv(self, c, z1, z2):
-        return P.polyval2d(z1, z2, c)
-
     def z2_of(self, z1):
         """Track the branch through (center, z2_center) by Newton continuation."""
         z1 = np.asarray(z1, dtype=complex)
@@ -207,8 +204,8 @@ class CurveModel:
     def _newton(self, z1, z2):
         """Newton on Phi(z1, .) = 0 from z2, at most 30 steps, stopping below 1e-14."""
         for _ in range(30):
-            f = self._pv(self.phi, z1, z2)
-            fw = self._pv(self._phi_z2, z1, z2)
+            f = P.polyval2d(z1, z2, self.phi)
+            fw = P.polyval2d(z1, z2, self._phi_z2)
             if not np.min(np.abs(fw)) >= DPHI_EPS:
                 raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
             step = f / fw
@@ -222,7 +219,7 @@ class CurveModel:
 
     def form_density(self, z1, z2):
         """|1/ (dPhi/dz2)|^2, the density of (i/2) w ^ conj(w) against dA(z1)."""
-        fz2 = self._pv(self._phi_z2, z1, z2)
+        fz2 = P.polyval2d(z1, z2, self._phi_z2)
         if not np.min(np.abs(fz2)) >= DPHI_EPS:
             raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
         return 1.0 / np.abs(fz2) ** 2
@@ -281,9 +278,8 @@ def _polar_nodes_gl(center, radius, nr, nt):
     wr = wr * radius / 2.0
     th = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
     R, T = np.meshgrid(r, th, indexing="ij")
-    WR, _ = np.meshgrid(wr, th, indexing="ij")
     z = center + R * np.exp(1j * T)
-    w = WR * R * (2.0 * np.pi / nt)
+    w = wr[:, None] * R * (2.0 * np.pi / nt)
     return z.ravel(), w.ravel()
 
 

@@ -13,7 +13,7 @@ from math import comb as _comb
 
 import numpy as np
 
-from .geometry import BoundaryData, LineParam, rho, tiles
+from .geometry import BoundaryData, LineParam, rho, tile_rows, tiles
 
 DENOM_EPS = 1e-9
 DELTA_ROUND_TOL = 1e-6
@@ -47,54 +47,44 @@ class NegativeSheets(ValueError):
     """delta + q_inf came out negative."""
 
 
-def _contour_sum(b: BoundaryData, values_per_loop):
-    """Orientation-signed trapezoid sum of per-loop integrand arrays / (2 pi i)."""
-    total = 0.0 + 0.0j
-    for (sign, lp), vals in zip(b.signed_loops(), values_per_loop):
-        h = lp.t[1] - lp.t[0]
-        total += sign * h * np.sum(vals)
-    return total / (2.0j * np.pi)
-
-
-def _row_sums(num, den, z1k):
-    """Sums of z1^k num/den over one loop's samples, one row per line, for each k."""
-    if np.min(np.abs(den)) <= DENOM_EPS:
-        raise NearIncidence("line parameter too close to the boundary image")
-    base = num / den
-    return np.array([np.sum(zk * base, axis=-1) for zk in z1k])
-
-
-def _loop_line_sums(lp, xs, ys, ks):
-    """Sums over one loop's samples of z1^k (y dz1 + dz2)/(x + y z1 + z2), per line.
-
-    Shape (len(ks), len(xs)); lines run in tiles (geometry.tiles), and each
-    line's sum is one row sum, so an entry does not depend on the other lines.
-    """
-    z1, z2, dz1, dz2 = lp.z1, lp.z2, lp.dz1, lp.dz2
-    z1k = [z1 ** k for k in ks]
-    out = np.empty((len(ks), len(xs)), dtype=complex)
-    for sl in tiles(len(xs), len(z1)):
-        yb = ys[sl, None]
-        den = xs[sl, None] + yb * z1
-        den += z2
-        out[:, sl] = _row_sums(yb * dz1 + dz2, den, z1k)
-    return out
-
-
 def G_lines(b: BoundaryData, xs, ys, ks):
-    """Indicators G_k on the lines (xs[j], ys[j]), shape (len(ks), len(xs)).
+    """Indicators G_k on a (y, x) grid of lines, shape (len(ks),) + xs.shape.
 
-    Entry [i, j] equals G_lines(b, [xs[j]], [ys[j]], ks)[i, 0] bit for bit.
+    Entry [i, a, c] is G_{ks[i]} on the line (xs[a, c], ys[a]) for xs of shape
+    (n_y, n_x) and ys of shape (n_y,); a 1-D xs pairs xs[j] with ys[j] (n_x = 1).
+    Per loop, tiles of whole y rows (geometry.tiles, at least one row) form y z1
+    and y dz1 + dz2 once per y, then (x + y z1) + z2, the DENOM_EPS check, the
+    division and one np.add.reduce row (as np.sum) per line and k, into buffers
+    made once per call, so an entry equals G_lines(b, [x], [y], ks)[:, 0] bit for bit.
     """
-    xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
+    xs = np.asarray(xs, dtype=complex)
+    grid = xs if xs.ndim == 2 else xs[:, None]
+    if len(grid) != len(ys):
+        raise ValueError(f"{len(grid)} rows of x for {len(ys)} values of y")
     ks = [int(k) for k in np.atleast_1d(ks)]
-    acc = np.zeros((len(ks), len(xs)), dtype=complex)
+    n_x = grid.shape[1]
+    size = max(tile_rows(n_x * len(lp)) * n_x * len(lp) for lp in b.loops)
+    bufs, mod = np.empty((4, size), dtype=complex), np.empty(size)
+    acc = np.zeros((len(ks),) + grid.shape, dtype=complex)
+    sums = np.empty_like(acc)
     for sign, lp in b.signed_loops():
-        h = lp.t[1] - lp.t[0]
-        acc += sign * h * _loop_line_sums(lp, xs, ys, ks)
+        z1, z2, dz1, dz2, n = lp.z1, lp.z2, lp.dz1, lp.dz2, len(lp)
+        z1k = [z1 ** k for k in ks]
+        for sl in tiles(len(ys), n_x * n):
+            y = ys[sl, None, None]
+            yz1, num, den, prod, dmod = (f[: len(y) * w].reshape(len(y), -1, n)   # 1 or n_x per y
+                                         for f, w in zip([*bufs, mod], (n, n) + (n_x * n,) * 3))
+            np.add(grid[sl, :, None], np.multiply(y, z1, out=yz1), out=den)
+            den += z2
+            if np.minimum.reduce(np.abs(den, out=dmod), axis=None) <= DENOM_EPS:
+                raise NearIncidence("line parameter too close to the boundary image")
+            np.divide(np.add(np.multiply(y, dz1, out=num), dz2, out=num), den, out=den)
+            for i, zk in enumerate(z1k):
+                np.add.reduce(np.multiply(zk, den, out=prod), axis=-1, out=sums[i, sl])
+        acc += sign * (lp.t[1] - lp.t[0]) * sums
     acc /= 2.0j * np.pi
-    return acc
+    return acc.reshape((len(ks),) + xs.shape)
 
 
 def G_k(b: BoundaryData, z: LineParam, k: int):
@@ -109,8 +99,11 @@ def G_k(b: BoundaryData, z: LineParam, k: int):
 
 
 def delta(b: BoundaryData) -> int:
-    """Winding integer (1/2 pi i) * contour integral of d(w1/w0)/(w1/w0)."""
-    val = _contour_sum(b, (lp.dz1 / lp.z1 for lp in b.loops))
+    """Winding integer (1/2 pi i) * contour integral of d(w1/w0)/(w1/w0), by trapezoid sums."""
+    val = 0.0 + 0.0j
+    for sign, lp in b.signed_loops():
+        val += sign * (lp.t[1] - lp.t[0]) * np.sum(lp.dz1 / lp.z1)
+    val /= 2.0j * np.pi
     n = round(val.real)
     if abs(val - n) > DELTA_ROUND_TOL:
         raise RoundingGuard(f"winding integral {val} is not close to an integer")

@@ -109,10 +109,6 @@ def check_confinement(Binf, rho: float) -> bool:
 
 
 def germs_from_json(obj) -> list:
-    return [
-        GermAtInfinity(
-            complex(g["b"][0], g["b"][1]),
-            [complex(p[0], p[1]) for p in g.get("taylor", [])],
-        )
-        for g in obj["germs"]
-    ]
+    return [GermAtInfinity(complex(g["b"][0], g["b"][1]),
+                           [complex(p[0], p[1]) for p in g.get("taylor", [])])
+            for g in obj["germs"]]

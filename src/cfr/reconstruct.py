@@ -25,16 +25,24 @@ DISC_SINGULAR_TOL = 1e-12     # relative discriminant below which a line counts 
 MERGE_EPS = 1e-6
 
 
+def _flat(xs, ys):
+    """Per-line arrays (x, y) of a (y, x) grid or of a flat list of lines, row-major."""
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    return xs.ravel(), np.repeat(ys, xs.shape[1] if xs.ndim == 2 else 1)
+
+
 def N_Qk(b: BoundaryData, xs, ys, p: int, pk_family):
     """Holomorphic extensions N_{Q,k}(z) = G_k(z) - P_k(x, y), k = 1..p, on the lines (xs, ys).
 
-    Returns a (p, lines) array from one G_lines call and one call of each P_k
-    on all the lines.  A P_k without germs is skipped: its value is exactly 0.
+    Returns a (p, lines) array, lines row-major (_flat), from one G_lines call on
+    the grid and one call of each P_k on the flat lines.  A P_k without germs is
+    skipped: its value is exactly 0.
     """
-    out = indicators.G_lines(b, xs, ys, range(1, p + 1))
+    out = indicators.G_lines(b, xs, ys, range(1, p + 1)).reshape(p, -1)
+    xf, yf = _flat(xs, ys)
     for k in range(1, min(p + 1, len(pk_family))):
         if pk_family[k].germs:
-            out[k - 1] -= pk_family[k](xs, ys)
+            out[k - 1] -= pk_family[k](xf, yf)
     return out
 
 
@@ -50,7 +58,7 @@ class PointCloud:
 
 
 def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
-    """Fibers over the lines (xs, ys) as one batch: (keep, roots, skipped).
+    """Fibers over the lines (xs, ys), a grid or a flat list, as one batch: (keep, roots, skipped).
 
     One G_lines call gives the power sums N_{Q,1..p} of every line, and
     Newton's identities, the monic assembly and the companion-eigenvalue solve
@@ -64,6 +72,7 @@ def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
     if p < 1:
         raise ValueError("fiber needs p >= 1")
     N = N_Qk(b, xs, ys, p, pk_family)
+    xs, ys = _flat(xs, ys)
     C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N)).T
     h = symmetric.roots(C)
     i, j = np.triu_indices(p, 1)
@@ -88,15 +97,14 @@ def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> np.ndarray:
 
 
 def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):
-    """The sweep's lines as arrays (xs, ys): x = f m(y) for each f in xfracs, x fastest."""
+    """The sweep's lines as a (y, x) grid: ys of shape (n_y,) and xs[a, c] = xfracs[c] m(ys[a])."""
     if np.any(np.abs(xfracs) >= 1):     # |x| < m(y) in Z
         raise OutsideDomain(f"|x| / m(y) = {np.max(np.abs(xfracs)):g} >= 1")
     r = rho(b)
-    ys = [rad_mult * r * np.exp(2j * np.pi * (j + angle_offset) / angles)
-          for rad_mult in radii for j in range(angles)]
-    ms = m_of_y(b, ys)
-    xs = np.array([f * m for m in ms.tolist() for f in xfracs], dtype=complex)
-    return xs, np.repeat(np.array(ys, dtype=complex), len(xfracs))
+    ys = np.array([rad_mult * r * np.exp(2j * np.pi * (j + angle_offset) / angles)
+                   for rad_mult in radii for j in range(angles)], dtype=complex)
+    xs = np.array([[f * m for f in xfracs] for m in m_of_y(b, ys).tolist()], dtype=complex)
+    return xs.reshape(len(ys), len(xfracs)), ys
 
 
 def close_pairs(A, merge_eps):
@@ -147,6 +155,7 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
         return cloud
     xs, ys = _default_grid(b, radii, angles, xfracs, angle_offset)
     keep, rts, cloud.skipped = fibers(b, xs, ys, p, pk_family)
+    xs, ys = _flat(xs, ys)
     # row i is the point (1 : h : -x - y h) of root i % p over accepted line i // p,
     # scaled to max modulus 1 as ProjPoint scales it
     x, y = xs[keep, None], ys[keep, None]

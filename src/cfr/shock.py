@@ -317,7 +317,6 @@ def s_k_from_mu(mu, B, h: HData):
     polynomial with B(0) = 1 and roots confined well inside |y| < |omega|/1.5.
     Returns the list [s_1 .. s_d].
     """
-    d = len(mu)
     B = np.atleast_1d(np.asarray(B, dtype=complex))
     nx = h.Htilde.nx
     if len(B) > 1:
@@ -331,17 +330,11 @@ def s_k_from_mu(mu, B, h: HData):
     eH = exp_H(h)
     pref = (eH.series * invB).shift_y(-eH.mono_pow).scale(eH.mono_coef)
 
-    terms = [BiSeries.from_x_poly(mj, nx) for mj in mu]
-    out = []
-    # E_k(mu) built backwards: acc_k = mu_k + E(acc_{k+1})
-    acc = None
-    eks = [None] * (d + 1)
-    for k in range(d, 0, -1):
-        acc = terms[k - 1] if acc is None else terms[k - 1] + op_E(acc, h)
-        eks[k] = acc
-    for k in range(1, d + 1):
-        out.append(pref * eks[k])
-    return out
+    eks = []            # E_k(mu) built backwards: eks[0] = mu_k + E(E_{k+1}(mu))
+    for mj in reversed(mu):
+        term = BiSeries.from_x_poly(mj, nx)
+        eks.insert(0, term + op_E(eks[0], h) if eks else term)
+    return [pref * e for e in eks]
 
 
 # -- finite-difference verification -------------------------------------------

@@ -67,7 +67,7 @@ from cfr import indicators, reconstruct, shock, symmetric
 from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
 from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
                           rho, synth_velocities, tiles)
-from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch, _contour_sum
+from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch
 from cfr.infinity import RESONANT_EPS, GermAtInfinity, ResonantY, _trim
 from cfr.linsys import Layout, assemble_E0, valid_window
 from cfr.reconstruct import PointCloud
@@ -759,6 +759,14 @@ def fmt_generic(v) -> str:
     if v is None:
         return "null"
     raise TypeError(f"cannot serialize {type(v)}")
+
+
+def _contour_sum(b: BoundaryData, values_per_loop):
+    """Orientation-signed trapezoid sum of per-loop integrand arrays / (2 pi i)."""
+    total = 0.0 + 0.0j
+    for (sign, lp), vals in zip(b.signed_loops(), values_per_loop):
+        total += sign * (lp.t[1] - lp.t[0]) * np.sum(vals)
+    return total / (2.0j * np.pi)
 
 
 def G110_check(b: BoundaryData, tol=1e-9):

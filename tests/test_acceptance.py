@@ -5,10 +5,7 @@ criterion; each test additionally prints an ACCEPTANCE summary line with the
 measured worst-case numbers (visible with -s or on failure).
 """
 
-import json
-
 import numpy as np
-import pytest
 from numpy.polynomial import polynomial as P
 
 from cfr import (genus, green, indicators, infinity, linsys, oracles,

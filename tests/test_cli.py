@@ -127,12 +127,17 @@ MALFORMED = {
     "phi-empty": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
                   {"bad-phi.json": "[]"}),
     "genus-known-negative": (["genus", "--genus-known", "-3"], {}),
+    "phi-no-z2": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
+                  {"bad-phi.json": "[[[1, 0]]]"}),
+    "phi-z1-only": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
+                    {"bad-phi.json": "[[[0, 0]], [[1, 0]]]"}),
 }
 # Boundary files whose loops, samples or number pairs have the wrong JSON type.
 _BAD_BOUNDARIES = {
     "loops-a-number": '{"loops": 5}',
     "top-level-list": "[1, 2]",
     "orientation-null": '{"loops": [{"orientation": null, "samples": []}]}',
+    "orientation-infinity": '{"loops": [{"orientation": Infinity, "samples": []}]}',
     "w-null": '{"loops": [{"orientation": 1, "samples": [{"t": 0.0, "w": null}]}]}',
     "pair-one-element": ('{"loops": [{"orientation": 1, "samples": '
                          '[{"t": 0.0, "w": [[1.0], [0.5, 0.5], [1.5, 0.0]]}]}]}'),
@@ -155,6 +160,33 @@ def test_malformed_input_is_a_validation_error(workdir, argv, files):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert json.loads(err)["error"] in ("E_VALIDATION", "E_IO")
+
+
+@pytest.mark.parametrize("key, where", [("t", ()), ("w", (1, 0)), ("dw", (2, 1))])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_sample_is_a_validation_error(workdir, key, where, value):
+    """A NaN or +-inf in a sample's t, w or dw exits 1 before normalization, with no warning."""
+    obj = json.loads((workdir / "line.json").read_text())
+    sample = obj["loops"][0]["samples"][5]
+    if where:
+        sample[key][where[0]][where[1]] = value
+    else:
+        sample[key] = value
+    (workdir / "non-finite.json").write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["indicators", "--boundary", "non-finite.json"], workdir)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "E_VALIDATION" and f"'{key}'" in err
+
+
+def test_negative_q_inf_is_a_numeric_error(workdir):
+    """--genus-known 0 on the flat disc estimates q_inf = -1: a typed error, not a count."""
+    code, out, err = run_cli(["genus", "--genus-known", "0"], workdir)
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "E_NUMERIC" and obj["type"] == "NegativeCount"
+    assert "-1 < 0" in obj["detail"]
 
 
 _LEAVES = st.one_of(
@@ -300,8 +332,8 @@ def test_green_cli_matches_per_target_reference(workdir, name):
     assert max(abs(v - r) for v, r in zip(json.loads(out)["values"], refs)) <= 1e-13
 
 
-def test_green_cli_phi_without_z2_is_a_numeric_error(workdir):
-    """Phi = z1 has dPhi/dz2 = 0 everywhere: exit 2, not NaN values."""
+def test_green_cli_phi_without_z2_is_a_validation_error(workdir):
+    """Phi = z1 has no z2 term, so it is not a graph over the z1 chart: exit 1, not NaN values."""
     (workdir / "phi-z1.json").write_text(json.dumps([[[0, 0], [0, 0]], [[1, 0], [0, 0]]]))
     (workdir / "targets-z1.json").write_text(
         json.dumps({"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]}))
@@ -309,9 +341,9 @@ def test_green_cli_phi_without_z2_is_a_numeric_error(workdir):
         warnings.simplefilter("error")
         code, out, err = run_cli(["green", "--phi", "phi-z1.json",
                                   "--targets", "targets-z1.json"], workdir)
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "E_NUMERIC"
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "not a graph over the z1 chart" in err
+    assert json.loads(err)["error"] == "E_VALIDATION"
 
 
 def test_genus_cli(workdir):
@@ -393,7 +425,6 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
     zero and is never evaluated.
     """
     from cfr import indicators, infinity, symmetric
-    from cfr.geometry import load_boundary
     calls = {"moments": 0, "line kernel": 0, "cross-check": 0, "batched roots": 0, "P_k": 0}
 
     def counted(key, fn, when=lambda *a: True):
@@ -404,8 +435,7 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
 
     monkeypatch.setattr(indicators, "_moment_integrals",
                         counted("moments", indicators._moment_integrals))
-    monkeypatch.setattr(indicators, "_loop_line_sums",
-                        counted("line kernel", indicators._loop_line_sums))
+    monkeypatch.setattr(indicators, "G_lines", counted("line kernel", indicators.G_lines))
     monkeypatch.setattr(indicators, "_circle_cross_check",
                         counted("cross-check", indicators._circle_cross_check))
     monkeypatch.setattr(infinity.Correction, "__call__",
@@ -415,9 +445,7 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
     code, _, _ = run_cli(["pipeline", "--boundary", "twoline.json", "--out", "once.json"],
                          workdir)
     assert code == 0
-    loops = len(load_boundary(workdir / "twoline.json").loops)
-    assert loops == 2
-    assert calls == {"moments": 1, "line kernel": loops, "cross-check": 1, "batched roots": 1,
+    assert calls == {"moments": 1, "line kernel": 1, "cross-check": 1, "batched roots": 1,
                      "P_k": 0}
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cfr import genus
-from cfr.genus import (RoundingGuard, SurfaceModel, ZeroOnBoundary,
+from cfr.genus import (NegativeCount, RoundingGuard, SurfaceModel, ZeroOnBoundary,
                        chern_boundary_integral, lambda_flat, lambda_fubini_study,
                        q_infinity_estimate, winding_difference)
 from reference import genus_of_double, hstar
@@ -110,6 +109,13 @@ def test_q_infinity(disc):
     assert q_infinity_estimate(integral, 0, 1) == 1
     with pytest.raises(RoundingGuard):
         q_infinity_estimate(0.4, 0, 1)
+
+
+def test_q_infinity_negative_is_typed():
+    """A count of points at infinity is >= 0: -1 raises NegativeCount, 0 is returned."""
+    assert q_infinity_estimate(-1.0, 0, 3) == 0
+    with pytest.raises(NegativeCount, match="-1 < 0"):
+        q_infinity_estimate(0.0, 0, 1)
 
 
 def test_bad_model_kind():

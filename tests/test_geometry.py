@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from cfr import geometry, oracles
 from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, OutsideDomain, ProjPoint,
                           boundary_from_json, boundary_to_json, m_of_y, rho,
                           synth_velocities)

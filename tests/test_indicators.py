@@ -59,18 +59,60 @@ def _G_per_line(b, x, y, ks):
 
 @pytest.mark.parametrize("name", ["interior", "twoline", "conic"])
 def test_G_grid_matches_per_line_sums(name, request, rng):
-    """G_lines on the xs x ys grid of lines equals the per-line sums bit for bit."""
+    """G_lines on the (y, x) grid of lines equals the per-line sums bit for bit."""
     b = request.getfixturevalue(name)
     ks = [0, 1, 2, 3]
     ys = 3.0 * rho(b) * np.exp(2j * np.pi * rng.random(35))
     xs = [f * m_of_y(b, ys[0]) for f in (0.3 * rng.random(3) - 0.15)]
-    X, Y = np.meshgrid(xs, ys, indexing="ij")             # 105 lines: four tiles, one partial
-    grid = G_lines(b, X.ravel(), Y.ravel(), ks).reshape(4, 3, 35)
+    X = np.tile(np.array(xs), (35, 1))                  # 35 y rows: 18 tiles, one partial
+    grid = G_lines(b, X, ys, ks)
+    assert grid.shape == (4, 35, 3)
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
             ref = _G_per_line(b, x, y, ks)
             assert np.array_equal(G_lines(b, [x], [y], ks)[:, 0], ref)
-            assert np.array_equal(grid[:, ix, iy], ref)
+            assert np.array_equal(grid[:, iy, ix], ref)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("n_x", [1, 3, 16])
+@pytest.mark.parametrize("n_y", [2, 9])
+def test_G_lines_grid_equals_per_line(n, n_x, n_y, rng):
+    """Each entry of an (n_y, n_x) grid is the per-line sum, bit for bit, as is the flat list.
+
+    A tile holds max(1, TILE_ENTRIES // (n_x n)) y rows: 8, 2 and 1 at 1024
+    samples, 2, 1 and 1 at 4096, so 9 rows cross tile edges.
+    """
+    b = oracles.two_line(n=n)
+    ks = [0, 1, 2]
+    ys = rho(b) * (2.0 + rng.random(n_y)) * np.exp(2j * np.pi * rng.random(n_y))
+    xs = (0.6 * rng.random((n_y, n_x)) - 0.3) * m_of_y(b, ys)[:, None]
+    got = G_lines(b, xs, ys, ks)
+    assert got.shape == (3, n_y, n_x)
+    assert np.array_equal(G_lines(b, xs.ravel(), np.repeat(ys, n_x), ks), got.reshape(3, -1))
+    for a in range(n_y):
+        for c in range(n_x):
+            assert np.array_equal(got[:, a, c], _G_per_line(b, xs[a, c], ys[a], ks))
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (3, 1), (6, 2)])
+def test_G_lines_grid_near_incidence(interior, row, col, monkeypatch):
+    """One incident line anywhere in a (7, 3) grid of one-row tiles raises NearIncidence."""
+    from cfr import geometry
+    monkeypatch.setattr(geometry, "TILE_ENTRIES", 2 ** 8)
+    ys = np.full(7, 5.0, dtype=complex)
+    xs = np.full((7, 3), 0.1, dtype=complex)
+    ys[row], xs[row, col] = 3.0, -(3.0 * 1.0 + 1.5)    # through the boundary point z1 = 1
+    with pytest.raises(NearIncidence):
+        G_lines(interior, xs, ys, [1])
+
+
+@pytest.mark.parametrize("xs, ys", [([0.1, 0.2, 0.3], [5.0]), ([0.1], [5.0, 6.0]),
+                                    ([[0.1, 0.2]], [5.0, 6.0])])
+def test_G_lines_rows_must_match_ys(interior, xs, ys):
+    """Each row of xs needs its own y: a length mismatch is an error, not a broadcast."""
+    with pytest.raises(ValueError, match="rows of x for"):
+        G_lines(interior, xs, ys, [1])
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -78,7 +120,7 @@ def test_G_grid_matches_per_line_sums(name, request, rng):
 def test_G_lines_rows_equal_G_k(n, count, rng):
     """A G_lines column is G_k of its line and the per-line sum, bit for bit.
 
-    Tiles hold 32 lines at 1024 samples and 8 at 4096, so the counts cross
+    Tiles hold 8 lines at 1024 samples and 2 at 4096, so the counts cross
     tile edges.
     """
     b = oracles.two_line(n=n)

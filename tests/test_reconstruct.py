@@ -48,7 +48,7 @@ def test_NQk_with_germs_equals_per_line_route(twoline):
     xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
     N = N_Qk(twoline, xs, ys, 3, infinity.Pk_family(germs, 3))
     rational = Pk_family_rational(germs, 3)
-    for i, z in enumerate(map(LineParam, xs, ys)):
+    for i, z in enumerate(map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1]))):
         for k in (1, 2, 3):
             want = indicators.G_k(twoline, z, k) - rational[k](z.x, z.y)
             assert abs(N[k - 1, i] - want) <= 1e-12 * (1 + abs(want))
@@ -148,7 +148,7 @@ def test_sweep_dedup_first_match(twoline, no_germs, eps):
     cloud = sweep(twoline, 2, no_germs, angles=8, merge_eps=eps)
     points, mult, source = [], [], []
     xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35), 0.31)
-    for z in map(LineParam, xs, ys):
+    for z in map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1])):
         try:
             h = fiber(twoline, z, 2, no_germs)
         except DegenerateFiber:
@@ -201,7 +201,7 @@ def test_dedup_radius_respected(interior, no_germs):
 def test_G0_consistency_on_sweep(twoline, no_germs):
     """Rounded G_0 equals p - q_inf at every swept line."""
     xs, ys = reconstruct._default_grid(twoline, (2.0, 3.0), 6, (0.0, 0.2), 0.31)
-    for g0 in indicators.G_lines(twoline, xs, ys, [0])[0]:
+    for g0 in indicators.G_lines(twoline, xs, ys, [0])[0].ravel():
         assert round(g0.real) == 2 and abs(g0 - 2.0) < 1e-8
 
 
@@ -235,6 +235,7 @@ def test_fibers_match_closed_form_roots(name, slopes, no_germs, request):
     keep, rts, _ = reconstruct.fibers(b, xs, ys, len(slopes), no_germs)
     assert keep.any()
     assert rts.shape == (keep.sum(), len(slopes))
+    xs, ys = xs.ravel(), np.repeat(ys, xs.shape[1])
     for x, y, h in zip(xs[keep], ys[keep], rts):
         exact = np.array([-(x + 1.0) / (y + a) for a in slopes])
         assert np.array_equal(h, np.sort_complex(h))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from cfr import indicators, linsys, shock
+from cfr import indicators, linsys
 from cfr.shock import (BInversionDiverged, BiSeries, E_decomposition, GridTooSmall,
                        HData, H_from_laurent, NonFiniteResidual, ResidueObstruction, _fd4,
                        exp_H, g1_biseries, op_E, s_k_from_mu, system_residual)
