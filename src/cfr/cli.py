@@ -9,7 +9,9 @@ machine-readable error object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -28,23 +30,33 @@ class IOValidationError(ValidationError):
     code = "E_IO"
 
 
+class FitNotAccepted(ValueError):
+    """--p auto found no fit under --tol with B confined; its p would be a guess."""
+
+
 # -- deterministic JSON ---------------------------------------------------------
+
+
+def _real(x) -> str:
+    if not math.isfinite(x):        # JSON has no inf or nan
+        raise ValueError(f"non-finite number {x} in the output")
+    return format(x, ".17g")
 
 
 def _fmt(v) -> str:
     t = type(v)         # exact types first: they make up nearly all of a report
     if t is float:
-        return format(v, ".17g")
+        return _real(v)
     if t is list or t is tuple:
         return "[" + ",".join(map(_fmt, v)) + "]"
     if t is complex:
-        return f"[{format(v.real, '.17g')},{format(v.imag, '.17g')}]"
+        return f"[{_real(v.real)},{_real(v.imag)}]"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
+        return _real(float(v))
     if isinstance(v, (complex, np.complexfloating)):
         return _fmt([float(v.real), float(v.imag)])
     if isinstance(v, str):
@@ -191,7 +203,7 @@ def _fit_report(fit, h):
         "residual": fit.residual,
         "confined": fit.confined,
         "delta": h.delta,
-        "cond": fit.cond,
+        "cond": fit.cond if math.isfinite(fit.cond) else None,     # inf: lstsq had no rows
     }
 
 
@@ -227,11 +239,15 @@ def _write_cloud(cloud, path):
 
 
 def _sheets_and_family(b, args, fit=None, h=None):
-    """--p, from a fit of b when it is 'auto', and the P_k family of --germs."""
+    """--p (from a fit of b accepted under --tol when 'auto') and the P_k family of --germs."""
     p = _sheets(args.p)
     if p == "auto":
         if fit is None:
             fit, h, _ = _fit(b, args)
+        if not (fit.residual < args.tol and fit.confined):
+            raise FitNotAccepted(f"no fit accepted for --p auto: the best, r = {fit.r}, has "
+                                 f"residual {fit.residual:.3e} (--tol {args.tol:g}) and "
+                                 f"confined = {str(fit.confined).lower()}")
         p = indicators.sheet_count(h.delta, fit.r)
     germs = []
     if args.germs:
@@ -378,6 +394,7 @@ def cmd_genus(args):
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="cfr",
@@ -411,7 +428,8 @@ def build_parser():
     p.set_defaults(fn=cmd_fit_infinity)
 
     def recon_opts(p):
-        p.add_argument("--p", default="auto", help="sheet count or 'auto'")
+        p.add_argument("--p", default="auto", help="sheet count, or 'auto' from the fit; a "
+                       "number assumes no points at infinity unless --germs is given")
         p.add_argument("--radii", default="2.0,2.5,3.0", help="y radii / rho")
         p.add_argument("--angles", type=int, default=16)
         p.add_argument("--xfrac", default="0.0,0.2,-0.35", help="x as fractions of m(y)")

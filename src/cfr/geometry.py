@@ -206,13 +206,11 @@ _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5,
 def synth_velocities(t, w):
     """Differentiate periodic samples w(t) with 8th-order centered differences."""
     w = np.asarray(w, dtype=complex)
-    n = len(t)
-    h = (t[1] - t[0]) if n > 1 else 1.0
+    h = (t[1] - t[0]) if len(t) > 1 else 1.0
     dw = np.zeros_like(w)
-    for k, c in enumerate(_FD8):
-        off = k - 4
+    for k, c in enumerate(_FD8):        # c multiplies the sample k - 4 steps ahead
         if c != 0.0:
-            dw += c * np.roll(w, -off, axis=0)
+            dw += c * np.roll(w, 4 - k, axis=0)
     return dw / h
 
 
@@ -226,13 +224,8 @@ def _c2pair(c):
 def boundary_to_json(b: BoundaryData) -> dict:
     loops = []
     for sign, lp in b.signed_loops():
-        samples = []
-        for i in range(len(lp)):
-            samples.append({
-                "t": float(lp.t[i]),
-                "w": [_c2pair(c) for c in lp.w[i]],
-                "dw": [_c2pair(c) for c in lp.dw[i]],
-            })
+        samples = [{"t": float(t), "w": [_c2pair(c) for c in w], "dw": [_c2pair(c) for c in dw]}
+                   for t, w, dw in zip(lp.t, lp.w, lp.dw)]
         loops.append({"orientation": int(sign), "samples": samples})
     return {"loops": loops}
 

@@ -13,21 +13,16 @@ from math import comb as _comb
 
 import numpy as np
 
-from .geometry import BoundaryData, LineParam, rho, tile_rows, tiles
+from .geometry import BoundaryData, LineParam, tile_rows, tiles
 
 DENOM_EPS = 1e-9
 DELTA_ROUND_TOL = 1e-6
 LAURENT_XCHECK_TOL = 1e-6
 
-# Circle grid of the Laurent cross-check, sized by the aliasing bound of the
-# trapezoid rule (Trefethen & Weideman, SIAM Rev. 56, 2014).  A DFT of n
-# samples folds the coefficient of order j + n onto order j.  In 1/y the
-# series converges for |y| > rho (up to the small |x|), so on |y| = 2 rho the
-# fold is damped by 2^-n_y: 64 samples give 5e-20.  In x it converges for
-# |x| < m(y), so on |x| = 0.3 min m the fold is damped by 0.3^n_x: 16 samples
-# give 4e-9, far under LAURENT_XCHECK_TOL, and n_x > 12 >= mmax keeps every
-# n <= m of the table in the check.  n_x is a power of two (q^n_x by squaring).
-XCHECK_NY = 64
+# x-points of the Laurent cross-check.  Per sample, the y^-m coefficient of
+# G_k is a polynomial of degree m in x (see _circle_coeffs).  A DFT of n_x
+# points on |x| = r folds the order n + n_x onto n, and m <= mmax <= 12 < 16,
+# so 16 points recover every coefficient of the table with no aliasing.
 XCHECK_NX = 16
 
 
@@ -40,7 +35,7 @@ class RoundingGuard(ValueError):
 
 
 class TruncationMismatch(ValueError):
-    """Closed-form and circle-sampled Laurent coefficients disagree."""
+    """The moment table and the per-sample 1/y expansion of G_k disagree."""
 
 
 class NegativeSheets(ValueError):
@@ -140,9 +135,10 @@ class LaurentTable:
 def _moment_integrals(b: BoundaryData, kmax: int, mmax: int):
     """I1[a,b], I2[a,b] = (1/2 pi i) contour integrals of z1^a z2^b dz1, dz2.
 
-    Only laurent_extract's read set a >= -mmax - 1, b <= mmax, a + b <= kmax - 1
-    is formed, indexed [a + mmax + 1, b] with zeros elsewhere.  Each entry is its
-    own row's np.sum over the samples, so its bits do not depend on the rows formed.
+    Only laurent_extract's read set is formed: a + b <= kmax - 1, I1 at
+    a >= -mmax - 1, 1 <= b <= mmax and I2 at a >= -mmax, b <= mmax - 1, indexed
+    [a + mmax + 1, b] with zeros elsewhere.  Each entry is its own row's np.sum
+    over the samples, so its bits do not depend on the rows formed.
     """
     na = kmax + mmax + 1                                # rows a = -mmax-1 .. kmax-1
     I1 = np.zeros((na, mmax + 1), dtype=complex)
@@ -161,8 +157,10 @@ def _moment_integrals(b: BoundaryData, kmax: int, mmax: int):
             if bb > 0:
                 zb = zb * z2
             p = za[: na - bb] * zb                      # rows a <= kmax - 1 - bb
-            I1[: na - bb, bb] += np.sum(p * w1, axis=-1)
-            I2[: na - bb, bb] += np.sum(p * w2, axis=-1)
+            if bb > 0:                                  # I1 is read at b >= 1
+                I1[: na - bb, bb] += np.sum(p * w1, axis=-1)
+            if bb < mmax:                               # I2 at a >= -mmax, b <= mmax - 1
+                I2[1 : na - bb, bb] += np.sum(p[1:] * w2, axis=-1)
     return I1, I2
 
 
@@ -178,7 +176,7 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
     and b <= m <= mmax: the set _moment_integrals forms.  All entries are taken
     in one array pass; the multipliers are real integers, so each rounds as its
     scalar formula does.  When cross_check is set the table is validated against
-    the 2-D DFT of G_k on two circles, in x summed in closed form (_circle_coeffs).
+    the exact 1/y expansion of G_k per sample and a DFT in x (_circle_coeffs).
     `cfr pipeline` builds one checked table per run and hands it to
     linsys.fit_infinity.
     """
@@ -201,51 +199,41 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
 
 
 def _circle_coeffs(b: BoundaryData, kmax: int, mmax: int):
-    """Laurent coefficients [k, m, n <= min(mmax, XCHECK_NX - 1)] read off two circles.
+    """Laurent coefficients [k, m, n <= mmax] from the exact 1/y expansion per sample.
 
-    The grid is XCHECK_NY points of |y| = R = 2 rho by XCHECK_NX points of
-    |x| = r_x = 0.3 min m(y).  Per sample, with c = y z1 + z2, u = -1/c and
-    q = r_x u (|q| <= 0.3), the x-DFT of the Cauchy kernel is exact, aliasing
-    included: (1/n_x) sum_l w^(-ln) / (r_x w^l + c) = q^n / (c (1 - q^n_x)),
-    so x^n has the coefficient -u^(n+1) / (1 - q^n_x), with no division by
-    r_x^n.  An inverse FFT over y gives the orders y^-m.  |x + c| >= 0.7 m(y)
-    on the grid, so NearIncidence is raised when 0.7 min m(y) <= DENOM_EPS.
+    With t = -(x + z2)/z1, 1/(x + y z1 + z2) = sum_j t^j / (y z1 y^j), so
+
+        G_{k,m}(x) = (1/2 pi i) sum sign h z1^(k-1) [t^m dz1 + t^(m-1) dz2]
+
+    (the second term for m >= 1), a polynomial of degree m in x, taken at
+    x_l = r e^(2 pi i l / n_x), r = max |z2| (> 0 as |w2| > CHART_EPS), by one
+    (x rows, N) @ (N, 2 (kmax + 1)) product per power t^m; an FFT over l divided
+    by n_x r^n gives x^n.  Only z1 is divided by; no moment or C(m, n) is read.
     """
-    R = 2.0 * rho(b)
-    n_y, n_x = XCHECK_NY, XCHECK_NX
-    ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
-    # c = y z1 + z2 per loop and y tile; the least |c| is min m(y) on the grid
-    cs = [[ys[sl, None] * lp.z1 + lp.z2 for sl in tiles(n_y, len(lp.z1))] for lp in b.loops]
-    m_min = min(float(np.min(np.abs(c))) for row in cs for c in row)
-    if 0.7 * m_min <= DENOM_EPS:
-        raise NearIncidence("cross-check circle too close to the boundary image")
-    r_x = 0.3 * m_min
-    nn = min(mmax, n_x - 1) + 1
-    cx = np.zeros((kmax + 1, nn, n_y), dtype=complex)     # [k, n, y sample]
-    for (sign, lp), row in zip(b.signed_loops(), cs):
-        z1, dz1, dz2 = lp.z1, lp.dz1, lp.dz2
-        wz = sign * (lp.t[1] - lp.t[0]) * z1[:, None] ** np.arange(kmax + 1)   # (N, k)
-        for sl, c in zip(tiles(n_y, len(z1)), row):
-            yb = ys[sl, None]
-            u = -1.0 / c
-            qn = r_x * u
-            for _ in range(n_x.bit_length() - 1):        # q^n_x by squaring
-                qn *= qn
-            term = -u * (yb * dz1 + dz2) / (1.0 - qn)
-            for n in range(nn):
-                cx[:, n, sl] += (term @ wz).T
-                term *= u
-    # The 1/y Laurent tail lives at negative frequencies, hence ifft along y.
-    cxy = np.fft.ifft(cx / (2.0j * np.pi), axis=2)[:, :, : mmax + 1]
-    return (cxy * R ** np.arange(mmax + 1)).transpose(0, 2, 1)
+    r = max(float(np.max(np.abs(lp.z2))) for lp in b.loops)
+    xs = r * np.exp(2j * np.pi * np.arange(XCHECK_NX) / XCHECK_NX)
+    kk = np.arange(kmax + 1) - 1.0
+    s = np.zeros((mmax + 1, XCHECK_NX, 2 * (kmax + 1)), dtype=complex)   # [m, l, dz1 | dz2 by k]
+    for sign, lp in b.signed_loops():
+        z1, z2 = lp.z1, lp.z2
+        hz = sign * (lp.t[1] - lp.t[0]) * z1[:, None] ** kk
+        W = np.concatenate([hz * lp.dz1[:, None], hz * lp.dz2[:, None]], axis=1)
+        for sl in tiles(XCHECK_NX, len(z1)):
+            t = -(xs[sl, None] + z2) / z1
+            tm = np.ones_like(t)
+            for m in range(mmax + 1):
+                s[m, sl] += tm @ W
+                tm *= t
+    g = s[:, :, : kmax + 1]
+    g[1:] += s[:-1, :, kmax + 1 :]
+    c = np.fft.fft(g, axis=1) / (2.0j * np.pi * XCHECK_NX * r ** np.arange(XCHECK_NX)[:, None])
+    return c[:, : mmax + 1].transpose(2, 0, 1)
 
 
 def _circle_cross_check(b: BoundaryData, table: LaurentTable):
     """Largest gap to _circle_coeffs; TruncationMismatch above LAURENT_XCHECK_TOL."""
-    got = _circle_coeffs(b, table.kmax, table.mmax)
-    nn = got.shape[2]
-    n_le_m = np.arange(nn) <= np.arange(table.mmax + 1)[:, None]
-    bad = float(np.max(np.abs(got - table.coeffs[:, :, :nn])[:, n_le_m]))
+    n_le_m = np.tri(table.mmax + 1, dtype=bool)
+    bad = float(np.max(np.abs(_circle_coeffs(b, table.kmax, table.mmax) - table.coeffs)[:, n_le_m]))
     if bad > LAURENT_XCHECK_TOL:
         raise TruncationMismatch(f"laurent extraction routes disagree by {bad:.3e}")
     return bad

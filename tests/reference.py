@@ -40,8 +40,10 @@ paper that the tests check:
   off them through per-row lists of earlier close rows;
 - the Laurent table from the whole moment rectangle, one entry at a time,
   which the read-set moments and array assembly must equal bit for bit;
-- the Laurent cross-check by sampling: G_lines on the circle grid, an FFT
-  along x and an inverse FFT along y, against the closed-form x sums;
+- the Laurent cross-check on a circle grid in (x, y), |y| = 2 rho: with the
+  x-DFT of each sample's Cauchy kernel in closed form, or by sampling G_lines
+  with an FFT along x and an inverse FFT along y; both against the program's
+  exact 1/y expansion per sample;
 - the boundary JSON parse one number pair at a time, and the generic
   recursive JSON writer, which the array parse and the writer's exact-type
   paths must equal;
@@ -687,10 +689,55 @@ def laurent_coeffs_by_loops(b: BoundaryData, kmax: int, mmax: int):
     return coeffs
 
 
-def sampled_cross_check(b: BoundaryData, table):
-    """The Laurent cross-check with G_k sampled on the whole circle grid.
+def circle_coeffs_y_dft(b: BoundaryData, kmax: int, mmax: int, n_y: int = 64, n_x: int = 16):
+    """Laurent coefficients [k, m, n <= min(mmax, n_x - 1)] read off two circles.
 
-    G_lines gives G_k on the XCHECK_NX x XCHECK_NY points of |x| = r_x,
+    The grid is n_y points of |y| = R = 2 rho by n_x points of |x| = r_x =
+    0.3 min m(y); the fold of a DFT is damped by 2^-n_y in 1/y and 0.3^n_x in
+    x.  Per sample, with c = y z1 + z2, u = -1/c and q = r_x u (|q| <= 0.3),
+    the x-DFT of the Cauchy kernel is exact, aliasing included:
+    (1/n_x) sum_l w^(-ln) / (r_x w^l + c) = q^n / (c (1 - q^n_x)), so x^n has
+    the coefficient -u^(n+1) / (1 - q^n_x).  An inverse FFT over y gives the
+    orders y^-m.  |x + c| >= 0.7 m(y) on the grid, so NearIncidence is raised
+    when 0.7 min m(y) <= DENOM_EPS.  n_x is a power of two (q^n_x by squaring).
+    """
+    R = 2.0 * rho(b)
+    ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
+    cs = [[ys[sl, None] * lp.z1 + lp.z2 for sl in tiles(n_y, len(lp.z1))] for lp in b.loops]
+    m_min = min(float(np.min(np.abs(c))) for row in cs for c in row)
+    if 0.7 * m_min <= indicators.DENOM_EPS:
+        raise indicators.NearIncidence("cross-check circle too close to the boundary image")
+    r_x = 0.3 * m_min
+    nn = min(mmax, n_x - 1) + 1
+    cx = np.zeros((kmax + 1, nn, n_y), dtype=complex)     # [k, n, y sample]
+    for (sign, lp), row in zip(b.signed_loops(), cs):
+        z1, dz1, dz2 = lp.z1, lp.dz1, lp.dz2
+        wz = sign * (lp.t[1] - lp.t[0]) * z1[:, None] ** np.arange(kmax + 1)   # (N, k)
+        for sl, c in zip(tiles(n_y, len(z1)), row):
+            yb = ys[sl, None]
+            u = -1.0 / c
+            qn = r_x * u
+            for _ in range(n_x.bit_length() - 1):
+                qn *= qn
+            term = -u * (yb * dz1 + dz2) / (1.0 - qn)
+            for n in range(nn):
+                cx[:, n, sl] += (term @ wz).T
+                term *= u
+    cxy = np.fft.ifft(cx / (2.0j * np.pi), axis=2)[:, :, : mmax + 1]   # 1/y: negative frequencies
+    return (cxy * R ** np.arange(mmax + 1)).transpose(0, 2, 1)
+
+
+def cross_check_gap(table, coeffs):
+    """Largest |coeffs - table| over k and n <= m <= mmax."""
+    nn = coeffs.shape[2]
+    n_le_m = np.arange(nn) <= np.arange(table.mmax + 1)[:, None]
+    return float(np.max(np.abs(coeffs - table.coeffs[:, :, :nn])[:, n_le_m]))
+
+
+def sampled_cross_check(b: BoundaryData, table, n_y: int = 64):
+    """The Laurent cross-check with G_k sampled on a whole circle grid.
+
+    G_lines gives G_k on the XCHECK_NX x n_y points of |x| = r_x,
     |y| = 2 rho; an FFT along x (divided by r_x^n) and an inverse FFT along
     y (times R^m) give the coefficients.  Returns (gap, coefficients[k, m, n])
     in the layout of indicators._circle_coeffs; raises TruncationMismatch
@@ -699,7 +746,7 @@ def sampled_cross_check(b: BoundaryData, table):
     R = 2.0 * rho(b)
     th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     r_x = 0.3 * float(np.min(m_of_y(b, R * np.exp(1j * th))))
-    n_y, n_x = indicators.XCHECK_NY, indicators.XCHECK_NX
+    n_x = indicators.XCHECK_NX
     ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
     xs = r_x * np.exp(2j * np.pi * np.arange(n_x) / n_x)
     ks = list(range(table.kmax + 1))
@@ -741,12 +788,14 @@ def boundary_from_json_per_element(obj: dict) -> BoundaryData:
 
 
 def fmt_generic(v) -> str:
-    """cli.dumps without its trailing newline, by isinstance tests alone."""
+    """cli.dumps without its trailing newline, by isinstance tests alone; inf or nan: ValueError."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite number {v}")
         return format(float(v), ".17g")
     if isinstance(v, (complex, np.complexfloating)):
         return fmt_generic([float(v.real), float(v.imag)])

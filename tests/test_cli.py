@@ -205,8 +205,16 @@ _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_VALUES)
 def test_dumps_equals_generic_writer(value):
-    """The exact-type paths of the writer give the bytes of the isinstance route."""
-    assert cli.dumps(value) == fmt_generic(value) + "\n"
+    """The exact-type paths of the writer give the bytes of the isinstance route.
+
+    A value holding inf or nan is a ValueError on both routes: JSON has no such number.
+    """
+    def outcome(write):
+        try:
+            return write(value)
+        except ValueError:
+            return ValueError
+    assert outcome(cli.dumps) == outcome(lambda v: fmt_generic(v) + "\n")
 
 
 def test_negative_radius_is_inside_the_domain(workdir):
@@ -215,6 +223,78 @@ def test_negative_radius_is_inside_the_domain(workdir):
                      "--radii", r], workdir) for r in ("-2", "2")]
     assert [code for code, _, _ in runs] == [0, 0]
     assert json.loads(runs[0][1])["points"] and runs[0][1] != runs[1][1]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_after_a_bad_option(workdir):
+    """A bad option (exit 2 with usage) and then a good call give what fresh parsers give."""
+    import contextlib
+    import io
+
+    calls = [["indicators", "--boundary", str(workdir / "line.json"), "--mmax", "x"],
+             ["indicators", "--boundary", str(workdir / "line.json"), "--mmax", "4"]]
+
+    def run_both(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as e:     # argparse's exit on a bad option
+                    code = e.code
+            seen.append((code, out.getvalue(), err.getvalue()))
+        return seen
+
+    cached, fresh = run_both(False), run_both(True)
+    assert cached == fresh
+    (bad_code, _, usage), (good_code, out, _) = cached
+    assert bad_code == 2 and usage.startswith("usage: cfr indicators")
+    assert good_code == 0 and json.loads(out)["delta"] == 1
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [["fit-infinity", "--mmax", "2"], ["pipeline", "--mmax", "0"],
+                                  ["pipeline", "--mmax", "1"]])
+def test_fit_without_singular_values_writes_cond_null(workdir, argv):
+    """lstsq on an (E0) with no rows returns no singular values: cond is null, not inf."""
+    code, out, err = run_cli(argv + ["--boundary", "twoline.json"], workdir)
+    assert code == 0 and err == ""
+    obj = _strict_json(out)
+    fit = obj["fit"] if argv[0] == "pipeline" else obj
+    assert fit["cond"] is None and fit["confined"] and fit["r"] == 0
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"),
+                                   complex(1.0, float("inf")), np.float64("nan")])
+def test_writer_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.dumps({"x": [value]})
+
+
+@pytest.mark.parametrize("cmd", ["pipeline", "reconstruct", "shock-verify"])
+def test_auto_p_needs_an_accepted_fit(workdir, cmd):
+    """--dmu 0 leaves no r under --tol: --p auto is a typed error, fit-infinity reports its best."""
+    code, out, err = run_cli([cmd, "--boundary", "twoline.json", "--dmu", "0"], workdir)
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "E_NUMERIC" and obj["type"] == "FitNotAccepted"
+    assert "r = 6" in obj["detail"] and "residual 2.351e-01" in obj["detail"]
+    assert "confined = false" in obj["detail"]
+    code, out, _ = run_cli(["fit-infinity", "--boundary", "twoline.json", "--dmu", "0"], workdir)
+    fit = _strict_json(out)
+    assert code == 0 and fit["r"] == 6 and fit["residual"] > 0.2 and not fit["confined"]
 
 
 def test_missing_input_exit_code(workdir):

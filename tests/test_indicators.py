@@ -1,13 +1,21 @@
+import contextlib
+import importlib.util
+import io
+import json
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfr import indicators, oracles
-from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, m_of_y, rho
+from cfr import cli, indicators, oracles
+from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, boundary_to_json, m_of_y, rho
 from cfr.indicators import (DENOM_EPS, G_k, G_lines, NearIncidence, NegativeSheets,
                             TruncationMismatch, delta, laurent_extract, sheet_count)
-from reference import G110_check, laurent_coeffs_by_loops, laurent_evaluate, sampled_cross_check
+from reference import (G110_check, circle_coeffs_y_dft, cross_check_gap, laurent_coeffs_by_loops,
+                       laurent_evaluate, sampled_cross_check)
 
 
 def test_G1_interior_residue_oracle(interior):
@@ -197,13 +205,13 @@ def test_laurent_cross_check_fires(name, request):
 
 @pytest.mark.parametrize("name", ["interior", "exterior", "twoline", "conic"])
 def test_laurent_cross_check_gap(name, request):
-    """The 64 x 16 circle grid agrees with the moment table to 1e-9.
+    """The 16-point x-DFT of the 1/y expansion agrees with the moment table to 1e-9.
 
     A 2e-6 change to one coefficient, twice LAURENT_XCHECK_TOL, is caught.
     """
     b = request.getfixturevalue(name)
     t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    assert (indicators.XCHECK_NY, indicators.XCHECK_NX) == (64, 16)
+    assert indicators.XCHECK_NX == 16
     assert indicators._circle_cross_check(b, t) <= 1e-9
     t.coeffs[2, 5, 3] += 2e-6
     with pytest.raises(TruncationMismatch):
@@ -241,22 +249,68 @@ def _small_interior_line(s, n=256):
     return BoundaryData([BoundaryLoop(t, w, dw)], [1])
 
 
-def test_closed_form_cross_check_near_incidence(monkeypatch):
-    """min m(y) at or below DENOM_EPS on |y| = 2 rho raises NearIncidence."""
+def test_closed_form_cross_check_near_incidence(tmp_path):
+    """A loop with every m(y) under DENOM_EPS on |y| = 2 rho: only the y circle is near incidence.
+
+    The sampled route raises NearIncidence there.  The program's check divides
+    only by z1 and agrees with the table; `cfr pipeline` still exits 2 with
+    NearIncidence, raised by the sweep's line kernel.
+    """
     b = _small_interior_line(1e-10)                # m(y) <= 4.5e-10 on |y| = 2 rho
     t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
     assert np.max(m_of_y(b, 2 * rho(b) * np.exp(1j * np.arange(8)))) < DENOM_EPS
     with pytest.raises(NearIncidence):
-        indicators._circle_cross_check(b, t)
-    with pytest.raises(NearIncidence):
         sampled_cross_check(b, t)
-    b = oracles.interior_line(n=256)
+    assert indicators._circle_cross_check(b, t) <= 1e-12
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(boundary_to_json(b)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["pipeline", "--boundary", str(path)]) == 2
+    assert json.loads(err.getvalue())["type"] == "NearIncidence"
+
+
+@pytest.fixture(scope="module")
+def perfbench_families():
+    """perfbench/families.py, loaded from its file (perfbench is not a package on the path)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+# Under this gap both routes sit at the rounding of the table's O(1) entries
+# (the conic at N = 128: 2.9e-13 here, 2.2e-13 on the y circle), so a ratio
+# of the two compares rounding noise.
+GAP_RATIO_FLOOR = 5e-13
+
+
+@pytest.mark.parametrize("n", [128, 1024, 4096])
+def test_cross_check_gap_on_perfbench_families(n, perfbench_families):
+    """On every perfbench family the gap is <= 1e-10 and <= 1.1 x the y-circle route's."""
+    for name in perfbench_families.FAMILIES:
+        for seed in range(1 if name == "conic" else 3):
+            b = perfbench_families.draw(np.random.default_rng(seed), name, n).boundary()
+            t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+            gap = indicators._circle_cross_check(b, t)
+            ref = cross_check_gap(t, circle_coeffs_y_dft(b, 2, 12))
+            assert gap <= 1e-10, (name, seed, gap)
+            assert gap <= 1.1 * max(ref, GAP_RATIO_FLOOR), (name, seed, gap, ref)
+
+
+@pytest.mark.parametrize("name", ["two_line", "conic"])
+def test_cross_check_catches_any_entry(name):
+    """A 2e-6 change to any single entry k <= 2, n <= m <= 12 raises TruncationMismatch."""
+    b = getattr(oracles, name)(n=256)
     t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    n_y = indicators.XCHECK_NY
-    ys = 2.0 * rho(b) * np.exp(2j * np.pi * np.arange(n_y) / n_y)  # the cross-check's y circle
-    monkeypatch.setattr(indicators, "DENOM_EPS", 0.7 * float(np.min(m_of_y(b, ys))))
-    with pytest.raises(NearIncidence):
-        indicators._circle_cross_check(b, t)
+    indicators._circle_cross_check(b, t)
+    for k, m, n in np.ndindex(t.coeffs.shape):
+        if n <= m:
+            t.coeffs[k, m, n] += 2e-6
+            with pytest.raises(TruncationMismatch):
+                indicators._circle_cross_check(b, t)
+            t.coeffs[k, m, n] -= 2e-6
 
 
 def test_laurent_reconstructs_Gk(interior, interior_lt):
