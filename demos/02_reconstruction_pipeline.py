@@ -10,7 +10,6 @@ point cloud.  Everything below starts from samples alone.
 import numpy as np
 
 from cfr import indicators, infinity, linsys, oracles, reconstruct
-from cfr.geometry import LineParam
 
 # -- recover the curve's data at infinity from the boundary ----------------------
 
@@ -31,7 +30,7 @@ p = indicators.sheet_count(h2.delta, fit2.r)
 print("\ntwo-line nodal curve: delta =", h2.delta, " q_inf =", fit2.r, " p =", p)
 
 fam = infinity.Pk_family([], p)
-h = reconstruct.fiber(b2, LineParam(0.0, 10.0), p, fam)
+_, (h,), _ = reconstruct.fibers(b2, [0.0], [10.0], p, fam)      # one line, one row of roots
 print("  fiber roots over z=(0,10):", np.round(sorted(h, key=lambda c: c.real), 8))
 print("  exact:", sorted([-1.0 / 10.5, -1.0 / (10 - 1.0 / 3.0)]))
 
@@ -46,6 +45,6 @@ print(f"  swept {len(cloud)} points; worst line-membership residual = {worst:.2e
 # The line of z = (0.1, 10) meets the conic (1 : t : t^2) where
 # t^2 + 10 t + 0.1 = 0; the sheet is the root inside the unit disc.
 bc = oracles.conic()
-hc = reconstruct.fiber(bc, LineParam(0.1, 10.0), 1, infinity.Pk_family([], 1))
+_, (hc,), _ = reconstruct.fibers(bc, [0.1], [10.0], 1, infinity.Pk_family([], 1))
 small = min(np.roots([1.0, 10.0, 0.1]), key=abs)
 print("\nconic piece: fiber root:", hc[0], " vs np.roots:", small)

@@ -17,6 +17,7 @@ import sys
 import warnings
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import genus, green, indicators, infinity, linsys, oracles, reconstruct, shock, symmetric
 from .geometry import boundary_to_json, load_boundary, m_of_y, rho
@@ -32,6 +33,10 @@ class IOValidationError(ValidationError):
 
 class FitNotAccepted(ValueError):
     """--p auto found no fit under --tol with B confined; its p would be a guess."""
+
+
+class GermsRequired(ValueError):
+    """--p auto found points at infinity and p >= 2: P_k for k >= 2 needs --germs."""
 
 
 # -- deterministic JSON ---------------------------------------------------------
@@ -239,9 +244,14 @@ def _write_cloud(cloud, path):
 
 
 def _sheets_and_family(b, args, fit=None, h=None):
-    """--p (from a fit of b accepted under --tol when 'auto') and the P_k family of --germs."""
+    """--p (from a fit of b accepted under --tol when 'auto') and the P_k family of --germs.
+
+    With 'auto', r > 0 and no germs, P_1 is the fit's rational part R = (A + x B') / B, the
+    k = 1 residue sum over one germ per root of B; P_k for k >= 2 needs the germs' jets.
+    """
+    auto = args.p == "auto"
     p = _sheets(args.p)
-    if p == "auto":
+    if auto:
         if fit is None:
             fit, h, _ = _fit(b, args)
         if not (fit.residual < args.tol and fit.confined):
@@ -252,7 +262,14 @@ def _sheets_and_family(b, args, fit=None, h=None):
     germs = []
     if args.germs:
         germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
-    return p, infinity.Pk_family(germs, max(p, 1))
+    fam = infinity.Pk_family(germs, max(p, 1))
+    if auto and fit.r > 0 and p >= 1 and not germs:
+        if p >= 2:
+            raise GermsRequired(f"the fit has r = {fit.r} points at infinity and p = {p} "
+                                "sheets; P_k for k >= 2 needs --germs")
+        dB = P.polyder(fit.B)
+        fam[1] = lambda x, y: (P.polyval(y, fit.A) + x * P.polyval(y, dB)) / P.polyval(y, fit.B)
+    return p, fam
 
 
 def _do_reconstruct(b, args, fit=None, h=None):

@@ -2,10 +2,11 @@
 
 Boundary data is the only physical input of the pipeline: oriented closed
 loops sampled uniformly in a parameter t in [0, 2pi), given in homogeneous
-coordinates w = (w0, w1, w2) together with the parameter derivative dw/dt in
+coordinates w = (w0, w1, w2), optionally with the parameter derivative dw/dt in
 the same gauge.  All downstream contour quadratures only use the gauge
-invariant combinations (w1/w0, w2/w0) and their differentials, so the stored
-per-sample normalization never enters the results.
+invariant combinations (w1/w0, w2/w0) and their differentials, taken without
+dw as spectral t-derivatives of that chart, so the stored per-sample
+normalization never enters the results.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ def _normalize_rows(w):
     if np.any(s == 0.0):
         raise ValueError("zero homogeneous coordinate triple")
     return w / s[:, None], s
+
+
+def _chart_velocities(w, dt):
+    """w0 * (0, dz1, dz2), dz1 and dz2 the FFT t-derivatives of z1 = w1/w0, z2 = w2/w0 at step dt.
+
+    Exact up to rounding on trigonometric polynomials of degree below N/2; an
+    even N's Nyquist mode has no odd derivative and is set to 0.
+    """
+    n = len(w)
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)        # the period is n dt
+    if n % 2 == 0:
+        omega[n // 2] = 0.0
+    dz = np.fft.ifft(1j * omega[:, None] * np.fft.fft(w[:, 1:] / w[:, :1], axis=0), axis=0)
+    return w[:, :1] * np.concatenate([np.zeros((n, 1)), dz], axis=1)
 
 
 def chordal(a, b) -> float:
@@ -91,17 +106,18 @@ class BoundaryLoop:
 
     t  : (N,) real parameters, uniform on [0, 2pi)
     w  : (N, 3) complex homogeneous coordinates, max-modulus normalized
-    dw : (N, 3) complex parameter derivatives in the same per-sample gauge
+    dw : (N, 3) complex parameter derivatives in the same per-sample gauge;
+         when omitted, taken from the chart by _chart_velocities
     """
 
     t: np.ndarray
     w: np.ndarray
-    dw: np.ndarray
+    dw: np.ndarray | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.w = np.asarray(self.w, dtype=complex)
-        self.dw = np.asarray(self.dw, dtype=complex)
+        self.dw = None if self.dw is None else np.asarray(self.dw, dtype=complex)
         # accept the duplicated-endpoint layout: drop the final sample when it
         # reproduces the first one (closure must then be exact to 1e-10)
         if len(self.t) > 2 and abs(self.t[-1] - self.t[0] - 2.0 * np.pi) < 1e-9:
@@ -109,7 +125,7 @@ class BoundaryLoop:
                 raise ValueError("duplicated-endpoint loop fails closure")
             self.t = self.t[:-1]
             self.w = self.w[:-1]
-            self.dw = self.dw[:-1]
+            self.dw = None if self.dw is None else self.dw[:-1]
         n = len(self.t)
         if n < 16:
             raise ValueError("loop needs at least 16 samples")
@@ -117,9 +133,9 @@ class BoundaryLoop:
         if not np.allclose(dt, dt[0], rtol=0, atol=1e-9 * (1 + abs(dt[0]))):
             raise ValueError("loop samples are not uniformly spaced")
         self.w, scale = _normalize_rows(self.w)
-        self.dw = self.dw / scale[:, None]
         if np.min(np.abs(self.w)) <= CHART_EPS:
             raise ValueError("boundary sample with w0*w1*w2 = 0")
+        self.dw = _chart_velocities(self.w, dt[0]) if self.dw is None else self.dw / scale[:, None]
 
     def __len__(self):
         return len(self.t)
@@ -195,25 +211,6 @@ def m_of_y(b: BoundaryData, y):
     return float(m[0]) if np.ndim(y) == 0 else m
 
 
-# -- velocity synthesis -------------------------------------------------------
-
-# 8th-order centered first-derivative stencil on a uniform periodic grid.
-_FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5,
-                 0.0,
-                 4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
-
-
-def synth_velocities(t, w):
-    """Differentiate periodic samples w(t) with 8th-order centered differences."""
-    w = np.asarray(w, dtype=complex)
-    h = (t[1] - t[0]) if len(t) > 1 else 1.0
-    dw = np.zeros_like(w)
-    for k, c in enumerate(_FD8):        # c multiplies the sample k - 4 steps ahead
-        if c != 0.0:
-            dw += c * np.roll(w, 4 - k, axis=0)
-    return dw / h
-
-
 # -- boundary JSON i/o --------------------------------------------------------
 
 
@@ -247,10 +244,7 @@ def boundary_from_json(obj: dict) -> BoundaryData:
         if not np.isfinite(ts).all():
             raise ValueError("'t' must be finite in every sample")
         ws = _pairs(samples, "w")
-        if all("dw" in s for s in samples):
-            dws = _pairs(samples, "dw")
-        else:
-            dws = synth_velocities(ts, ws)
+        dws = _pairs(samples, "dw") if all("dw" in s for s in samples) else None
         loops.append(BoundaryLoop(ts, ws, dws))
     return BoundaryData(loops, signs)
 

@@ -2,8 +2,8 @@
 
 All contour integrals are composite trapezoid sums over the uniform periodic
 sample grids, which is spectrally accurate for the analytic integrands at
-hand.  Differentials are taken from the stored velocities, never from finite
-differences of samples.
+hand.  Differentials are read from each loop's velocities: the given dw, or
+without it the spectral derivative of the loop's chart (geometry).
 """
 
 from __future__ import annotations

@@ -71,6 +71,9 @@ class Correction:
         for _ in range(k - 1):
             self.gpow = symmetric.series_mul(self.g, self.gpow, k - 1)
 
+    def __bool__(self):
+        return bool(self.germs)         # no germs: P_k is exactly 0
+
     def __call__(self, x, y):
         k = self.k
         x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))

@@ -17,10 +17,6 @@ from . import indicators, symmetric
 from .geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, m_of_y, rho, tiles
 
 
-class DegenerateFiber(ValueError):
-    """Discriminant vanished: the line is treated as non-transverse and skipped."""
-
-
 DISC_SINGULAR_TOL = 1e-12     # relative discriminant below which a line counts as non-transverse
 MERGE_EPS = 1e-6
 
@@ -35,13 +31,13 @@ def N_Qk(b: BoundaryData, xs, ys, p: int, pk_family):
     """Holomorphic extensions N_{Q,k}(z) = G_k(z) - P_k(x, y), k = 1..p, on the lines (xs, ys).
 
     Returns a (p, lines) array, lines row-major (_flat), from one G_lines call on
-    the grid and one call of each P_k on the flat lines.  A P_k without germs is
-    skipped: its value is exactly 0.
+    the grid and one call of each P_k on the flat lines.  A false P_k (a
+    Correction without germs) is skipped: its value is exactly 0.
     """
     out = indicators.G_lines(b, xs, ys, range(1, p + 1)).reshape(p, -1)
     xf, yf = _flat(xs, ys)
     for k in range(1, min(p + 1, len(pk_family))):
-        if pk_family[k].germs:
+        if pk_family[k]:
             out[k - 1] -= pk_family[k](xf, yf)
     return out
 
@@ -82,18 +78,6 @@ def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
     skipped = [(LineParam(xs[k], ys[k]), f"discriminant {disc[k]:.2e} below threshold")
                for k in np.flatnonzero(skip)]
     return ~skip, h[~skip], skipped
-
-
-def fiber(b: BoundaryData, z: LineParam, p: int, pk_family) -> np.ndarray:
-    """Roots of the fiber polynomial over L_z, in np.sort_complex order.
-
-    The one-line case of fibers: p is the sheet count, and a line whose
-    discriminant test fails raises DegenerateFiber.
-    """
-    _, rts, skipped = fibers(b, [z.x], [z.y], p, pk_family)
-    if skipped:
-        raise DegenerateFiber(skipped[0][1])
-    return rts[0]
 
 
 def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):

@@ -68,7 +68,7 @@ from numpy.polynomial import polynomial as P
 from cfr import indicators, reconstruct, shock, symmetric
 from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
 from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
-                          rho, synth_velocities, tiles)
+                          rho, tiles)
 from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch
 from cfr.infinity import RESONANT_EPS, GermAtInfinity, ResonantY, _trim
 from cfr.linsys import Layout, assemble_E0, valid_window
@@ -782,7 +782,7 @@ def boundary_from_json_per_element(obj: dict) -> BoundaryData:
                 dws.append([complex(p[0], p[1]) for p in s["dw"]])
         ts = np.array(ts)
         ws = np.array(ws, dtype=complex)
-        dws = np.array(dws, dtype=complex) if has_dw else synth_velocities(ts, ws)
+        dws = np.array(dws, dtype=complex) if has_dw else None
         loops.append(BoundaryLoop(ts, ws, dws))
     return BoundaryData(loops, signs)
 

@@ -66,7 +66,7 @@ def test_criterion_03_two_line_fibers_and_cloud(twoline):
     fam = infinity.Pk_family([], 2)
     worst_root = 0.0
     for z in zgrid_5x5(twoline):
-        h = reconstruct.fiber(twoline, z, 2, fam)
+        _, (h,), _ = reconstruct.fibers(twoline, [z.x], [z.y], 2, fam)
         expect = sorted([-(z.x + 1) / (z.y + 0.5), -(z.x + 1) / (z.y - 1.0 / 3.0)],
                         key=lambda c: (c.real, c.imag))
         got = sorted(h, key=lambda c: (c.real, c.imag))
@@ -87,16 +87,14 @@ def test_criterion_04_conic_fiber_and_shock(conic):
     fam = infinity.Pk_family([], 1)
     worst = 0.0
     for z in zgrid_5x5(conic):
-        h = reconstruct.fiber(conic, z, 1, fam)
+        _, (h,), _ = reconstruct.fibers(conic, [z.x], [z.y], 1, fam)
         worst = max(worst, abs(h[0] - conic_small_root(z.x, z.y)))
     # shock residual of the fiber field around (0, 2.5 rho)
     n, step = 9, 0.05
     y0 = 2.5 * rho(conic)
-    vals = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            z = LineParam((i - n // 2) * step, y0 + (j - n // 2) * step)
-            vals[i, j] = reconstruct.fiber(conic, z, 1, fam)[0]
+    xs, ys = (np.arange(n) - n // 2) * step, y0 + (np.arange(n) - n // 2) * step
+    _, rts, _ = reconstruct.fibers(conic, np.repeat(xs, n), np.tile(ys, n), 1, fam)
+    vals = rts[:, 0].reshape(n, n)          # vals[i, j] at (xs[i], ys[j])
     res = shock.system_residual([vals], step, step)
     algebraic, model = detect_algebraic(conic)
     report(4, worst < 1e-7 and res < 1e-5 and not algebraic,

@@ -352,7 +352,7 @@ def test_shock_verify_cli(workdir):
 
 
 def test_shock_verify_through_a_node(workdir):
-    """A grid line through the node of the two lines gives a residual, not DegenerateFiber.
+    """A grid line through the node of the two lines gives a residual, with no line skipped.
 
     With --step 0.25 the first grid column is x = -1, whose line passes through
     the node (z1, z2) = (0, 1); S_k come from the power sums, so no fiber is
@@ -371,6 +371,51 @@ def test_shock_verify_through_a_node(workdir):
     ha, hb = (-(xs[:, None] + 1.0) / (ys[None, :] + a) for a in (0.5, -1.0 / 3.0))
     expect = shock.system_residual([ha + hb, ha * hb], step, step)
     assert abs(json.loads(out)["residual"] - expect) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def infinity_unions(workdir):
+    """Unions with points at infinity: interior lines (orientation 1) and exterior ones (-1).
+
+    int-ext.json: the line of slope 0.5 inside, -1/3 outside; delta = 0, r = 1, p = 1.
+    int-int-ext.json: 0.5 and -1/3 inside, 0.25j outside; delta = 1, r = 1, p = 2.
+    Every loop is the unit circle on z2 = 1 + a z1, so the sheets are -(x + 1) / (y + a)
+    over the interior slopes a.
+    """
+    from cfr import oracles
+    from cfr.geometry import BoundaryData, boundary_to_json
+    for fname, spec in [("int-ext.json", [(0.5, 1), (-1.0 / 3.0, -1)]),
+                        ("int-int-ext.json", [(0.5, 1), (-1.0 / 3.0, 1), (0.25j, -1)])]:
+        b = BoundaryData([oracles._line_loop(a, 1024) for a, _ in spec], [s for _, s in spec])
+        (workdir / fname).write_text(json.dumps(boundary_to_json(b)))
+    return workdir
+
+
+def test_pipeline_auto_subtracts_the_fit_rational_part(infinity_unions):
+    """--p auto with r = 1, p = 1 and no --germs takes P_1 = R = A/B + x B'/B: every point
+    lies on the interior line's sheet -(x + 1) / (y + 1/2)."""
+    code, _, err = run_cli(["pipeline", "--boundary", "int-ext.json", "--out", "ie.json"],
+                           infinity_unions)
+    assert code == 0, err
+    rep = json.loads((infinity_unions / "ie.json").read_text())
+    assert (rep["delta"], rep["fit"]["r"], rep["p"], rep["skipped"]) == (0, 1, 1, 0)
+    assert np.allclose([complex(*c) for c in rep["fit"]["B"]], [1, -3], atol=1e-12)
+    points = json.loads((infinity_unions / "ie.cloud.json").read_text())["points"]
+    assert len(points) == rep["points"] == 144
+    for pt in points:
+        (w0, w1, _), (x, y) = ([complex(*c) for c in pt[k]] for k in ("w", "src"))
+        assert abs(w1 / w0 + (x + 1) / (y + 0.5)) < 1e-12
+
+
+def test_pipeline_auto_with_points_at_infinity_and_two_sheets_is_typed(infinity_unions):
+    """r = 1 and p = 2 with no --germs: P_2 needs the germs' jets, so the run is E_NUMERIC
+    GermsRequired, naming r and p, and prints no points."""
+    for cmd in ("pipeline", "reconstruct"):
+        code, out, err = run_cli([cmd, "--boundary", "int-int-ext.json"], infinity_unions)
+        assert (code, out) == (2, "")
+        e = json.loads(err)
+        assert (e["error"], e["type"]) == ("E_NUMERIC", "GermsRequired")
+        assert "r = 1" in e["detail"] and "p = 2" in e["detail"]
 
 
 def test_green_cli(workdir):

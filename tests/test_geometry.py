@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, OutsideDomain, ProjPoint,
-                          boundary_from_json, boundary_to_json, m_of_y, rho,
-                          synth_velocities)
+                          boundary_from_json, boundary_to_json, m_of_y, rho)
 from reference import (ChartUndefined, affine_chart, boundary_from_json_per_element, in_Z,
                        line_eval)
 
@@ -45,7 +44,7 @@ def test_rho_constant_modulus_loop():
     th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     w = np.stack([np.ones_like(th, dtype=complex),
                   np.exp(1j * th), 0.7 * np.exp(2j * th)], axis=1)
-    lp = BoundaryLoop(th, w, synth_velocities(th, w))
+    lp = BoundaryLoop(th, w)
     assert abs(rho(BoundaryData([lp], [1])) - 0.7) < 1e-12
 
 
@@ -131,11 +130,33 @@ def test_duplicated_endpoint_layout():
     assert len(lp) == 64
 
 
+def test_chart_velocities_with_duplicated_endpoint():
+    """A file without dw that repeats its first sample at t = 2pi: the repeat is dropped first.
+
+    The stored w is scaled to max modulus 1, as make-oracle writes it; that scale has a
+    kink where |1 + 0.5 e^(it)| crosses 1, and the chart z1 = e^(it), z2 = 1 + 0.5 e^(it)
+    does not see it.
+    """
+    th = np.linspace(0, 2 * np.pi, 65)
+    w = np.stack([np.ones_like(th, dtype=complex),
+                  np.exp(1j * th), 1 + 0.5 * np.exp(1j * th)], axis=1)
+    w /= np.max(np.abs(w), axis=1, keepdims=True)
+    samples = [{"t": float(t), "w": [[c.real, c.imag] for c in row.tolist()]}
+               for t, row in zip(th, w)]
+    b = boundary_from_json({"loops": [{"orientation": 1, "samples": samples}]})
+    lp = b.loops[0]
+    assert len(lp) == 64
+    e = np.exp(1j * lp.t)
+    assert np.max(np.abs(lp.dz1 - 1j * e)) < 1e-12
+    assert np.max(np.abs(lp.dz2 - 0.5j * e)) < 1e-12
+
+
 def test_synth_velocities_accuracy():
+    """A loop given without dw takes w0 * (0, dz1, dz2) from the FFT derivative of its chart."""
     th = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     w = np.stack([np.ones_like(th, dtype=complex),
                   np.exp(1j * th), np.exp(2j * th)], axis=1)
-    dw = synth_velocities(th, w)
+    dw = BoundaryLoop(th, w).dw
     exact = np.stack([np.zeros_like(th, dtype=complex),
                       1j * np.exp(1j * th), 2j * np.exp(2j * th)], axis=1)
     assert np.max(np.abs(dw - exact)) < 1e-12
@@ -151,7 +172,7 @@ def test_json_roundtrip(interior):
 
 
 def test_velocity_synthesis_from_smooth_gauge():
-    """Velocities absent from the file are synthesized before normalization."""
+    """Velocities absent from the file come from the chart, which no gauge changes."""
     n = 1024
     th = np.linspace(0, 2 * np.pi, n, endpoint=False)
     samples = [{"t": float(t),

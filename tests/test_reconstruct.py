@@ -1,13 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfr import geometry, indicators, infinity, oracles, reconstruct, symmetric
+from cfr import geometry, indicators, infinity, linsys, oracles, reconstruct, symmetric
 from cfr.geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, chordal
-from cfr.reconstruct import DegenerateFiber, N_Qk, close_pairs, fiber, merge_rows, sweep
+from cfr.reconstruct import N_Qk, close_pairs, fibers, merge_rows, sweep
 from reference import (Pk_family_rational, close_pairs_all, conic_small_root, detect_algebraic,
                        exterior_line_germ, fiber_rows, line_eval, merge_first_match,
                        sweep_per_line, sylvester_skips)
@@ -56,7 +57,7 @@ def test_NQk_with_germs_equals_per_line_route(twoline):
 
 def test_fiber_interior(interior, no_germs):
     z = LineParam(0.0, 10.0)
-    h = fiber(interior, z, 1, no_germs)
+    _, (h,), _ = fibers(interior, [z.x], [z.y], 1, no_germs)
     assert abs(h[0] + 2.0 / 21.0) < 1e-12
     p = ProjPoint(*fiber_rows(z, h)[0])
     assert abs(p.w2 / p.w0 - 20.0 / 21.0) < 1e-12
@@ -65,7 +66,7 @@ def test_fiber_interior(interior, no_germs):
 
 def test_fiber_two_line(twoline, no_germs):
     z = LineParam(0.0, 10.0)
-    h = fiber(twoline, z, 2, no_germs)
+    _, (h,), _ = fibers(twoline, [z.x], [z.y], 2, no_germs)
     got = sorted(h, key=lambda r: r.real)
     expect = sorted([-1.0 / 10.5, -1.0 / (10.0 - 1.0 / 3.0)])
     assert max(abs(g - e) for g, e in zip(got, expect)) < 1e-9
@@ -75,7 +76,7 @@ def test_fiber_two_line(twoline, no_germs):
 
 def test_fiber_conic_quadratic_oracle(conic, no_germs):
     for (x, y) in [(0.1, 10.0), (0.3, -8.0), (0.2j, 6.0 + 2.0j)]:
-        h = fiber(conic, LineParam(x, y), 1, no_germs)
+        _, (h,), _ = fibers(conic, [x], [y], 1, no_germs)
         assert abs(h[0] - conic_small_root(x, y)) < 1e-9
 
 
@@ -84,7 +85,7 @@ def test_fiber_newton_route_equals_direct(twoline, no_germs):
     for a in np.linspace(0, 2 * np.pi, 5, endpoint=False):
         y = 6.0 * np.exp(1j * a)
         x = 0.3
-        h = fiber(twoline, LineParam(x, y), 2, no_germs)
+        _, (h,), _ = fibers(twoline, [x], [y], 2, no_germs)
         direct = [-(x + 1) / (y + 0.5), -(x + 1) / (y - 1.0 / 3.0)]
         got = sorted(h, key=lambda r: (r.real, r.imag))
         want = sorted(direct, key=lambda r: (r.real, r.imag))
@@ -92,10 +93,12 @@ def test_fiber_newton_route_equals_direct(twoline, no_germs):
 
 
 def test_degenerate_fiber_detection(twoline, no_germs):
-    """Lines through the node z1=0, z2=1 collide the two roots."""
+    """Lines through the node z1=0, z2=1 collide the two roots: the line is skipped, with a reason."""
     # x*1 + y*0 + ... line through (1:0:1): x + z2 = 0 with z2 = 1: x = -1
-    with pytest.raises(DegenerateFiber):
-        fiber(twoline, LineParam(-1.0, 8.0), 2, no_germs)
+    keep, rts, skipped = fibers(twoline, [-1.0, 0.0], [8.0, 8.0], 2, no_germs)
+    assert keep.tolist() == [False, True] and rts.shape == (1, 2)
+    [(z, reason)] = skipped
+    assert z == LineParam(-1.0, 8.0) and reason.startswith("discriminant")
 
 
 def test_sweep_interior_membership(interior, no_germs):
@@ -149,11 +152,10 @@ def test_sweep_dedup_first_match(twoline, no_germs, eps):
     points, mult, source = [], [], []
     xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35), 0.31)
     for z in map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1])):
-        try:
-            h = fiber(twoline, z, 2, no_germs)
-        except DegenerateFiber:
+        keep, rts, _ = fibers(twoline, [z.x], [z.y], 2, no_germs)
+        if not keep[0]:
             continue
-        for pt in (ProjPoint(*row.tolist()) for row in fiber_rows(z, h)):
+        for pt in (ProjPoint(*row.tolist()) for row in fiber_rows(z, rts[0])):
             for i, q in enumerate(points):
                 if chordal(pt.w, q.w) < eps:
                     mult[i] += 1
@@ -206,6 +208,8 @@ def test_G0_consistency_on_sweep(twoline, no_germs):
 
 
 SLOPES = (0.5, -1.0 / 3.0, 0.25j, -0.6 + 0.1j, 0.8j, -0.9 - 0.2j, 0.35 + 0.6j, 1.2)
+GENERIC_3 = ((0.5, -1.0 / 3.0, 0.25j), (1.0, 1.5, -1.2))         # (slopes, intercepts)
+CONCURRENT_3 = ((0.5, -1.0 / 3.0, 0.25j), (1.0, 1.0, 1.0))
 
 
 def union_of_lines(p, n=1024):
@@ -241,6 +245,75 @@ def test_fibers_match_closed_form_roots(name, slopes, no_germs, request):
         assert np.array_equal(h, np.sort_complex(h))
         assert np.max(np.min(np.abs(h[:, None] - exact), axis=0)) < 1e-12
         assert np.max(np.min(np.abs(h[:, None] - exact), axis=1)) < 1e-12
+
+
+def _lines(slopes, intercepts, n):
+    """Positively oriented unit circles on the lines z2 = c + a z1, one per (a, c), with dw."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    e = np.exp(1j * t)
+    loops = [geometry.BoundaryLoop(t, np.stack([np.ones_like(e), e, c + a * e], axis=1),
+                                   np.stack([0.0 * e, 1j * e, 1j * a * e], axis=1))
+             for a, c in zip(slopes, intercepts)]
+    return BoundaryData(loops, [1] * len(loops))
+
+
+# name: (boundary at n samples, (slopes, intercepts) of its lines; None for the conic)
+NO_DW_CASES = {
+    "interior-line": (lambda n: oracles.interior_line(n=n), ((0.5,), (1.0,))),
+    "exterior-line": (lambda n: oracles.exterior_line(n=n), ((0.5,), (1.0,))),
+    "two-line": (lambda n: oracles.two_line(n=n), ((0.5, -1.0 / 3.0), (1.0, 1.0))),
+    "conic": (lambda n: oracles.conic(n=n), None),
+    "generic-3-line": (lambda n: _lines(*GENERIC_3, n), GENERIC_3),
+    "concurrent-3-line": (lambda n: _lines(*CONCURRENT_3, n), CONCURRENT_3),
+}
+
+
+def _strip_dw(b):
+    """b written to its JSON form and read back with every sample's "dw" deleted."""
+    obj = geometry.boundary_to_json(b)
+    for loop in obj["loops"]:
+        for sample in loop["samples"]:
+            del sample["dw"]
+    return geometry.boundary_from_json(obj)
+
+
+def _fit_and_fiber_error(b, lines):
+    """Worst distance of the default grid's fibers, at the fit's p, from the exact sheets.
+
+    The sheets are -(x + c) / (y + a) on lines, the conic's small root otherwise.  On
+    exterior-line (p = 0) it is the distance of the fit's (B, A) from (1 + 2y, 2).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linsys.RankDeficient)     # (E0) on unions of lines
+        fit, h, _ = linsys.fit_infinity(b)
+    p = indicators.sheet_count(h.delta, fit.r)
+    if p == 0:
+        assert fit.r == 1
+        return np.max(np.abs(np.concatenate([fit.B - [1, 2], fit.A - [2]])))
+    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    keep, rts, _ = fibers(b, xs, ys, p, infinity.Pk_family([], p))
+    assert keep.any()
+    x, y = xs.ravel()[keep, None], np.repeat(ys, xs.shape[1])[keep, None]
+    if lines is None:
+        exact = conic_small_root(x, y)
+    else:
+        exact = -(x + np.array(lines[1])) / (y + np.array(lines[0]))
+    assert exact.shape == rts.shape
+    dist = np.abs(rts[:, :, None] - exact[:, None, :])
+    return max(np.max(np.min(dist, axis=1)), np.max(np.min(dist, axis=2)))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 1024])
+@pytest.mark.parametrize("name", list(NO_DW_CASES))
+def test_fibers_without_dw_match_fibers_with_dw(name, n):
+    """Without dw the loops take velocities from their chart: every fit completes (no
+    RoundingGuard or ResidueObstruction), and the fibers are within max(10 x the
+    dw-given error, 1e-13) of the exact sheets.  The stored w is scaled to max modulus 1,
+    which has kinks the chart does not see."""
+    build, lines = NO_DW_CASES[name]
+    b = build(n)
+    given = _fit_and_fiber_error(b, lines)
+    assert _fit_and_fiber_error(_strip_dw(b), lines) <= max(10 * given, 1e-13)
 
 
 @pytest.mark.parametrize("name, p, angles", [("twoline", 2, 16), ("conic", 1, 16),
