@@ -11,7 +11,7 @@ and the Laurent data that the rest of the pipeline consumes.
 import numpy as np
 
 from cfr import indicators, oracles
-from cfr.geometry import LineParam, m_of_y, rho
+from cfr.geometry import m_of_y, rho
 
 # -- the admissible domain -----------------------------------------------------
 
@@ -21,17 +21,19 @@ print("  rho            =", rho(b))
 print("  m(10)          =", m_of_y(b, 10.0))
 
 # Lines L_z with |y| > rho and |x| < m(y) avoid the boundary; on them the
-# indicators are spectrally accurate trapezoid sums.
-z = LineParam(0.0, 10.0)
-print("  G_0(z)         =", indicators.G_k(b, z, 0), " (sheet count minus q_inf)")
-print("  G_1(z)         =", indicators.G_k(b, z, 1), " exact:", -1.0 / 10.5)
+# indicators are spectrally accurate trapezoid sums.  G_lines takes a batch of
+# lines z = (x, y) and of k; here one line, z = (0, 10), and k = 0, 1.
+g = indicators.G_lines(b, [0.0], [10.0], [0, 1])[:, 0]
+print("  G_0(z)         =", g[0], " (sheet count minus q_inf)")
+print("  G_1(z)         =", g[1], " exact:", -1.0 / 10.5)
 print("  delta          =", indicators.delta(b))
 
 # -- the exterior piece reverses the orientation ---------------------------------
 
 bx = oracles.exterior_line()
 print("\nexterior piece of the same line (orientation -1)")
-print("  G_1(z)         =", indicators.G_k(bx, z, 1), " exact:", 1.0 / 10.5)
+print("  G_1(z)         =", indicators.G_lines(bx, [0.0], [10.0], [1])[0, 0],
+      " exact:", 1.0 / 10.5)
 print("  delta          =", indicators.delta(bx), " (p = delta + q_inf = 0)")
 
 # -- two loops, two sheets --------------------------------------------------------

@@ -208,7 +208,7 @@ def _fit_report(fit, h):
         "residual": fit.residual,
         "confined": fit.confined,
         "delta": h.delta,
-        "cond": fit.cond if math.isfinite(fit.cond) else None,     # inf: lstsq had no rows
+        "cond": fit.cond if math.isfinite(fit.cond) else None,     # inf: a singular value is 0
     }
 
 
@@ -246,15 +246,17 @@ def _write_cloud(cloud, path):
 def _sheets_and_family(b, args, fit=None, h=None):
     """--p (from a fit of b accepted under --tol when 'auto') and the P_k family of --germs.
 
-    With 'auto', r > 0 and no germs, P_1 is the fit's rational part R = (A + x B') / B, the
-    k = 1 residue sum over one germ per root of B; P_k for k >= 2 needs the germs' jets.
+    With an accepted fit at hand (always for 'auto', and for any --p in pipeline), r > 0 and no
+    germs, P_1 is the fit's rational part R = (A + x B') / B, the k = 1 residue sum over one
+    germ per root of B; P_k for k >= 2 needs the germs' jets.
     """
     auto = args.p == "auto"
     p = _sheets(args.p)
+    if auto and fit is None:
+        fit, h, _ = _fit(b, args)
+    accepted = fit is not None and fit.residual < args.tol and fit.confined
     if auto:
-        if fit is None:
-            fit, h, _ = _fit(b, args)
-        if not (fit.residual < args.tol and fit.confined):
+        if not accepted:
             raise FitNotAccepted(f"no fit accepted for --p auto: the best, r = {fit.r}, has "
                                  f"residual {fit.residual:.3e} (--tol {args.tol:g}) and "
                                  f"confined = {str(fit.confined).lower()}")
@@ -263,7 +265,7 @@ def _sheets_and_family(b, args, fit=None, h=None):
     if args.germs:
         germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
     fam = infinity.Pk_family(germs, max(p, 1))
-    if auto and fit.r > 0 and p >= 1 and not germs:
+    if accepted and fit.r > 0 and p >= 1 and not germs:
         if p >= 2:
             raise GermsRequired(f"the fit has r = {fit.r} points at infinity and p = {p} "
                                 "sheets; P_k for k >= 2 needs --germs")
@@ -446,7 +448,7 @@ def build_parser():
 
     def recon_opts(p):
         p.add_argument("--p", default="auto", help="sheet count, or 'auto' from the fit; a "
-                       "number assumes no points at infinity unless --germs is given")
+                       "number takes points at infinity from --germs, or from pipeline's fit")
         p.add_argument("--radii", default="2.0,2.5,3.0", help="y radii / rho")
         p.add_argument("--angles", type=int, default=16)
         p.add_argument("--xfrac", default="0.0,0.2,-0.35", help="x as fractions of m(y)")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+RING_H = 1e-3           # spacing of the interior sample rings, relative to the radius
+
 
 class ZeroOnBoundary(ValueError):
     """The form vanishes on a boundary ring; ln h* is singular there."""
@@ -55,7 +57,6 @@ class SurfaceModel:
     r_out: float = 1.0
     r_in: float = 0.5
     n_nodes: int = 256
-    ring_h: float = 1e-3
 
     def circles(self):
         """(radius, orientation sign, inward radial direction) per component."""
@@ -71,17 +72,17 @@ class SurfaceModel:
 
     def tangency_certificate(self, lam) -> float:
         """max |d lambda / d rho| over the boundary circles (radial FD); NaN if any is."""
-        worst = []
-        for R, _, dirn in self.circles():
-            th = 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
-            ring = lambda r: (r * np.exp(1j * th))
-            h = self.ring_h * R
-            f0 = lam(ring(R))
-            f1 = lam(ring(R + dirn * h))
-            f2 = lam(ring(R + dirn * 2 * h))
-            dr = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * dirn * h)
-            worst.append(np.max(np.abs(dr)))
+        th = 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
+        worst = [np.max(np.abs(_radial_fd(lam, R, dirn, th)[1])) for R, _, dirn in self.circles()]
         return float(np.max(worst))     # np.max keeps a NaN that max() would drop
+
+
+def _radial_fd(f, R, dirn, th):
+    """f at the angles th on the circle |zeta| = R, and its one-sided radial derivative
+    (-3 f0 + 4 f1 - f2) / (2 dirn h) from the rings R + k dirn h, k = 0, 1, 2, h = RING_H R."""
+    h = RING_H * R
+    f0, f1, f2 = (f((R + dirn * k * h) * np.exp(1j * th)) for k in range(3))
+    return f0, (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * dirn * h)
 
 
 def chern_boundary_integral(omega, lam, model: SurfaceModel) -> float:
@@ -93,22 +94,18 @@ def chern_boundary_integral(omega, lam, model: SurfaceModel) -> float:
 
         (dF)_(1,0) = (1/2) e^(-i theta) (F_r - i F_theta / R) dzeta.
     """
+    def F(zeta):
+        fv = omega(zeta)
+        if np.min(np.abs(fv)) < 1e-9:
+            raise ZeroOnBoundary("omega vanishes near the boundary ring")
+        return 2.0 * np.log(np.abs(fv)) - np.log(lam(zeta))
+
     total = 0.0 + 0.0j
     n = model.n_nodes
     th = 2.0 * np.pi * np.arange(n) / n
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     for R, sign, dirn in model.circles():
-        h = model.ring_h * R
-        Fs = []
-        for k in range(3):
-            r = R + dirn * k * h
-            zeta = r * np.exp(1j * th)
-            fv = omega(zeta)
-            if np.min(np.abs(fv)) < 1e-9:
-                raise ZeroOnBoundary("omega vanishes near the boundary ring")
-            Fs.append(2.0 * np.log(np.abs(fv)) - np.log(lam(zeta)))
-        F0, F1, F2 = Fs
-        Fr = (-3.0 * F0 + 4.0 * F1 - F2) / (2.0 * dirn * h)
+        F0, Fr = _radial_fd(F, R, dirn, th)
         Fth = np.real(np.fft.ifft(1j * freqs * np.fft.fft(F0)))
         Fz = 0.5 * np.exp(-1j * th) * (Fr - 1j * Fth / R)
         dzeta = 1j * R * np.exp(1j * th)

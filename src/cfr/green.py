@@ -292,12 +292,12 @@ def green_value(q_star, q, model: CurveModel, **quad_kw) -> float:
 
 
 def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128,
-                  sub_nt=64, sub_radius=None, check=False, check_tol=1e-5) -> list:
+                  sub_nt=64, check=False, check_tol=1e-5) -> list:
     """Green values g_{q*}(q) for every q in targets, in order.
 
     nr x nt is the full-patch mesh and sub_nr x sub_nt the polar mesh of the
-    sub-patch of radius sub_radius (default radius / 10, at most 0.4 |q* - q|,
-    taken to 12 significant digits) around each singular point.  check=True
+    sub-patch around each singular point, of radius model.radius / 10 capped
+    at 0.4 |q* - q| and taken to 12 significant digits.  check=True
     recomputes on meshes twice as fine and raises MeshTooCoarse when a value
     moves by more than check_tol.
     """
@@ -305,17 +305,16 @@ def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128
     targets = [complex(q) for q in targets]
     if any(abs(qs - qq) < COINCIDENT_EPS for qq in targets):
         raise Coincident("green_value on the diagonal")
-    vals = _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt, sub_radius)
+    vals = _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt)
     if check:
-        refs = _green_quad(qs, targets, model, 2 * nr, 2 * nt, 2 * sub_nr, 2 * sub_nt,
-                           sub_radius)
+        refs = _green_quad(qs, targets, model, 2 * nr, 2 * nt, 2 * sub_nr, 2 * sub_nt)
         for val, ref in zip(vals, refs):
             if not abs(ref - val) <= check_tol:
                 raise MeshTooCoarse(f"refinement changed g by {abs(ref - val):.2e}")
     return vals
 
 
-def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt, sub_radius):
+def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt):
     pqs = model.point(qs)
     z, w, z2, dens = model.full_grid(nr, nt)
     weight = _star_weight(model, pqs, z, z2, dens * w)
@@ -323,7 +322,7 @@ def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt, sub_radius):
     vals = []
     for qq in targets:
         # to 12 digits, so targets on one circle around q* share the q*-side sub-patch
-        r0 = float(f"{min(sub_radius or 0.1 * model.radius, 0.4 * abs(qs - qq)):.12g}")
+        r0 = float(f"{min(0.1 * model.radius, 0.4 * abs(qs - qq)):.12g}")
         pq = model.point(qq)
         if r0 not in star:
             star[r0] = _sub_patch(model, pqs, pqs, r0, sub_nr, sub_nt)

@@ -13,7 +13,7 @@ from math import comb as _comb
 
 import numpy as np
 
-from .geometry import BoundaryData, LineParam, tile_rows, tiles
+from .geometry import BoundaryData, tile_rows, tiles
 
 DENOM_EPS = 1e-9
 DELTA_ROUND_TOL = 1e-6
@@ -80,17 +80,6 @@ def G_lines(b: BoundaryData, xs, ys, ks):
         acc += sign * (lp.t[1] - lp.t[0]) * sums
     acc /= 2.0j * np.pi
     return acc.reshape((len(ks),) + xs.shape)
-
-
-def G_k(b: BoundaryData, z: LineParam, k: int):
-    """Indicator G_k(z): contour integral of z1^k d(x + y z1 + z2)/(x + y z1 + z2).
-
-    k may be an int or a sequence of ints; a sequence returns an array (the
-    denominators are shared, so batching is essentially free).  This is the
-    one-line case of G_lines.
-    """
-    acc = G_lines(b, [z.x], [z.y], k)[:, 0]
-    return acc[0] if np.ndim(k) == 0 else acc
 
 
 def delta(b: BoundaryData) -> int:

@@ -41,6 +41,10 @@ class RankDeficient(Warning):
     """Joint system had a nullspace; the smallest-norm solution was returned."""
 
 
+class Underdetermined(ValueError):
+    """(E0) leaves the columns of A and beta below rank 2r: they are not determined."""
+
+
 def valid_window(h: HData, g1: BiSeries, r: int, d: int):
     """Laurent orders n on which every (E0) ingredient is exactly valid."""
     depth = min(h.Htilde.mhi, g1.mhi) - (r + max(d, 1)) - 2
@@ -174,10 +178,11 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     accepts the first candidate whose joint (E0) residual is below accept_tol
     and whose B has all roots confined in the rho-disc.  The minimal-degree
     acceptance mirrors the minimality available from the uniqueness theory.
-    An r whose E-table hits shock.ResidueObstruction is skipped, and r stops
+    An r whose E-table hits shock.ResidueObstruction is skipped, and so is an
+    r whose (E0) leaves A and beta below rank 2r (Underdetermined); r stops
     where d - 1 would pass the E-table cap shock.E_KMAX.  When no candidate
     is accepted the one with the smallest residual is returned; when every r
-    hit the obstruction it is raised, and when there is no r, ValueError.
+    is skipped the last reason is raised, and when there is no r, ValueError.
 
     table is a Laurent table of b with kmax = 2 that the caller already has
     (its mmax then stands for mmax); without one, a table is built here with
@@ -192,17 +197,21 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     nx = h.Htilde.nx
     g1 = shock.g1_biseries(lt, nx)
 
-    best = obstruction = None
+    best = skipped = None
     r_lo, r_hi = max(0, -lt.delta), min(r_max, shock.E_KMAX + 1 - lt.delta)
     for r in range(r_lo, r_hi + 1):
         d = r + lt.delta
         try:
             etab = shock.E_decomposition(max(d - 1, 0), h)
         except shock.ResidueObstruction as e:
-            obstruction = e     # this r would need the log term J; try the next
+            skipped = e         # this r would need the log term J; try the next
             continue
         layout = Layout(d=d, r=r, dmu=dmu)
         M, rhs = assemble_E0(h, g1, etab, layout)
+        if r and (rank := np.linalg.matrix_rank(M[:, layout.n_mu:])) < 2 * r:
+            skipped = Underdetermined(f"(E0) at mmax = {lt.mmax} gives A and B of r = {r} "
+                                      f"rank {rank} of {2 * r}")    # try the next r
+            continue
         fit = solve_joint(M, rhs, layout)
         fit.r = r
         fit.confined = infinity.check_confinement(fit.B, rh)
@@ -211,5 +220,5 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
         if best is None or fit.residual < best.residual:
             best = fit
     if best is None:
-        raise obstruction or ValueError(f"no candidate r in {r_lo}..{r_hi}")
+        raise skipped or ValueError(f"no candidate r in {r_lo}..{r_hi}")
     return best, h, g1

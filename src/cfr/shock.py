@@ -6,9 +6,9 @@ All operator algebra runs on BiSeries values: truncated sums
 
 where negative m carries positive powers of y (used by the polynomial parts
 (Y - omega)^k of the E-table).  The log-bearing term J never materializes:
-the factor y^(-delta) of e^H is kept as an exact monomial, so no branch cut
-enters the numerics.  Products run on the shared kernel symmetric.series_mul;
-the anchor omega lives in HData and is handed to the primitivization P.
+s_k_from_mu forms e^H = omega^delta y^(-delta) exp(H~) by an exact y-shift, so
+no branch cut enters the numerics.  Products run on the shared kernel
+symmetric.series_mul; the anchor omega lives in HData and is handed to P.
 
 Each series tracks the m-range on which its coefficients are exact.  The
 primitivization P and multiplications by positive y-powers move information
@@ -77,17 +77,6 @@ class BiSeries:
         return BiSeries(c, 0, 0, exact=True)
 
     # -- bookkeeping -----------------------------------------------------
-
-    def coeff(self, n, m):
-        if n < 0 or n > self.nx or m < self.mlo or m > self.mhi:
-            return 0.0 + 0.0j
-        return self.c[n, m - self.mlo]
-
-    def x_poly(self, m):
-        """x-Taylor vector of the coefficient of y^-m."""
-        if m < self.mlo or m > self.mhi:
-            return np.zeros(self.nx + 1, dtype=complex)
-        return self.c[:, m - self.mlo].copy()
 
     def _window(self, mlo, mhi):
         out = np.zeros((self.nx + 1, mhi - mlo + 1), dtype=complex)
@@ -215,18 +204,6 @@ class BiSeries:
             out[:, m] = -symmetric.series_mul(inv0, np.cumsum(terms, axis=1)[:, -1], nx)
         return BiSeries(out, 0, M)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        tot = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        xp = np.polynomial.polynomial.polyval
-        for i in range(self.c.shape[1]):
-            m = self.mlo + i
-            tot = tot + xp(x, self.c[:, i]) * y ** (-float(m))
-        return tot if tot.shape else complex(tot)
-
 
 # -- H data -------------------------------------------------------------------
 
@@ -244,19 +221,6 @@ class HData:
         return self.Htilde.dx()
 
 
-@dataclass
-class ExpH:
-    """e^H = mono_coef * y^(-mono_pow) * series, with the monomial kept exact."""
-
-    mono_coef: complex
-    mono_pow: int
-    series: BiSeries
-
-    def __call__(self, x, y):
-        return self.mono_coef * np.asarray(y, dtype=complex) ** (-float(self.mono_pow)) \
-            * self.series(x, y)
-
-
 def H_from_laurent(lt, delta: int, omega) -> HData:
     """H~ = -sum_{m>=1} G'_{1,m+1}(x)/m * y^-m from a LaurentTable."""
     nx = max(lt.mmax + 1, 12)
@@ -269,11 +233,6 @@ def H_from_laurent(lt, delta: int, omega) -> HData:
         dg = np.polynomial.polynomial.polyder(g)
         c[: len(dg), m - 1] = -dg / m
     return HData(delta, BiSeries(c, 1, M), omega)
-
-
-def exp_H(h: HData) -> ExpH:
-    """e^H as (exact monomial omega^delta y^-delta) * exp(H~)."""
-    return ExpH(h.omega ** h.delta, h.delta, h.Htilde.exp())
 
 
 # -- operators ---------------------------------------------------------------
@@ -327,8 +286,7 @@ def s_k_from_mu(mu, B, h: HData):
             )
     invB = _inverse_y_poly(B, nx, h.Htilde.mhi + 2)
 
-    eH = exp_H(h)
-    pref = (eH.series * invB).shift_y(-eH.mono_pow).scale(eH.mono_coef)
+    pref = (h.Htilde.exp() * invB).shift_y(-h.delta).scale(h.omega ** h.delta)
 
     eks = []            # E_k(mu) built backwards: eks[0] = mu_k + E(E_{k+1}(mu))
     for mj in reversed(mu):

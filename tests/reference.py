@@ -26,8 +26,11 @@ paper that the tests check:
   double, affine charts, the domain Z, line incidence, the inverse Newton
   identities, the series inverse one scalar coefficient at a time, and the
   exterior-line germ;
-- the Laurent partial sum of G_k, and the conic's small root by the
-  quadratic formula;
+- G_k on one line, the one-line case of G_lines; the Laurent partial sum
+  of G_k, and the conic's small root by the quadratic formula;
+- a BiSeries coefficient, x-polynomial and value at a point, and e^H as its
+  exact monomial times a series, which the program forms only inside
+  s_k_from_mu;
 - the rational-affine test of G_1 = (A0(y) + x A1(y)) / B(y) by least
   squares over the denominator degree, which tells line unions from the
   conic;
@@ -95,7 +98,7 @@ def shifted_coeffs(series: BiSeries, shift: int, window, nx_rows: int):
             if not sh.exact:
                 out[i, 0] = np.nan
             continue
-        v = sh.x_poly(m)
+        v = biseries_x_poly(sh, m)
         out[i, :] = v[: nx_rows + 1]
     return out
 
@@ -210,7 +213,7 @@ def coeff_c0(j: int, m: int, n: int, etab) -> np.ndarray:
         return np.zeros(s.nx + 1, dtype=complex)
     if -n > s.mhi and not s.exact:
         raise TruncationExceeded(f"order y^{n} beyond validated range of E_{j-1},{m}")
-    return s.x_poly(-n)
+    return biseries_x_poly(s, -n)
 
 
 def fixed_AB_residual(h, g1, etab, layout: Layout, A, B, extra_blocks=()):
@@ -285,7 +288,7 @@ def invert_gxx(g1: BiSeries):
     if not len(nz):
         raise E2Degenerate("d^2 G_1/dx^2 vanishes within tolerance")
     m0 = gxx.mlo + nz[0]
-    lead = gxx.x_poly(m0)
+    lead = biseries_x_poly(gxx, m0)
     if abs(lead[0]) < 1e-10:
         raise E2Degenerate("leading coefficient of d^2 G_1/dx^2 has no constant term")
     u = gxx.shift_y(m0)  # unit series with mlo = 0
@@ -327,6 +330,42 @@ def biseries_mul_per_column(a: BiSeries, b: BiSeries) -> BiSeries:
     return BiSeries(c, mlo, mhi, exact)
 
 
+# -- shock: BiSeries coefficients and values, e^H as a monomial times a series
+
+
+def biseries_coeff(s: BiSeries, n: int, m: int) -> complex:
+    """The x^n y^-m coefficient of s; zero outside its index ranges."""
+    if n < 0 or n > s.nx or m < s.mlo or m > s.mhi:
+        return 0.0 + 0.0j
+    return s.c[n, m - s.mlo]
+
+
+def biseries_x_poly(s: BiSeries, m: int) -> np.ndarray:
+    """x-Taylor vector of the coefficient of y^-m in s; zeros outside its m range."""
+    if m < s.mlo or m > s.mhi:
+        return np.zeros(s.nx + 1, dtype=complex)
+    return s.c[:, m - s.mlo].copy()
+
+
+def biseries_eval(s: BiSeries, x, y):
+    """The truncated sum of s at (x, y), one x-polynomial per column in ascending m."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    tot = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    for i in range(s.c.shape[1]):
+        tot = tot + P.polyval(x, s.c[:, i]) * y ** (-float(s.mlo + i))
+    return tot if tot.shape else complex(tot)
+
+
+def exp_H(h: HData, sign: int = 1):
+    """e^(sign H) = c y^-j S with the monomial kept exact, as the triple (c, j, S).
+
+    c = omega^(sign delta), j = sign delta and S = exp(sign H~); shock.s_k_from_mu
+    forms its prefactor from the same three for sign = 1.
+    """
+    return h.omega ** (sign * h.delta), sign * h.delta, h.Htilde.scale(float(sign)).exp()
+
+
 # -- shock: y-polynomials, d/dy, E^k by iteration, 1/y tails, the chain residual, delta
 
 
@@ -349,19 +388,15 @@ def biseries_dy(s: BiSeries) -> BiSeries:
     return BiSeries(s.c * (-ms)[None, :], s.mlo + 1, s.mhi + 1, s.exact)
 
 
-def exp_minus_H(h: HData) -> shock.ExpH:
-    return shock.ExpH(h.omega ** (-h.delta), -h.delta, h.Htilde.scale(-1.0).exp())
-
-
 def delta_from_expH(h: HData) -> float:
     """Slope fit of ln|e^-H| against ln|y| over large radii; converges to delta.
 
     ln|e^-H| = delta ln|y| + const + O(1/y), so the fit basis includes the
     known first-order 1/y correction; the slope is then exact to O(1/y^2).
     """
-    em = exp_minus_H(h)
+    c, j, series = exp_H(h, -1)                 # e^-H = c y^-j exp(-H~)
     r = np.asarray(DELTA_FIT_RADII, dtype=float)
-    logs = np.array([np.log(abs(em(DELTA_FIT_X, ri))) for ri in r])
+    logs = np.log(np.abs(c * r ** -float(j) * biseries_eval(series, DELTA_FIT_X, r)))
     A = np.stack([np.log(r), np.ones_like(r), 1.0 / r], axis=1)
     sol, *_ = np.linalg.lstsq(A, logs, rcond=None)
     return float(sol[0])
@@ -641,6 +676,16 @@ def deriv_y(p: RationalAffinePoly) -> RationalAffinePoly:
 
 
 # -- indicators, genus, geometry, symmetric, oracles ---------------------------
+
+
+def G_k(b: BoundaryData, z: LineParam, k):
+    """Indicator G_k on one line z: contour integral of z1^k d(x + y z1 + z2)/(x + y z1 + z2).
+
+    The one-line case of indicators.G_lines.  k may be an int or a sequence of
+    ints; a sequence returns an array.
+    """
+    acc = indicators.G_lines(b, [z.x], [z.y], k)[:, 0]
+    return acc[0] if np.ndim(k) == 0 else acc
 
 
 def moment_integrals_full(b: BoundaryData, a_range, b_max):
@@ -977,7 +1022,7 @@ def sweep_per_line(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0), an
     W = np.empty((p * len(zs), 3), dtype=complex)
     norms = np.empty(p * len(zs))
     for z in zs:
-        g = indicators.G_k(b, z, list(range(1, p + 1)))
+        g = G_k(b, z, list(range(1, p + 1)))
         N = np.array([g[i] - (pk_family[k](z.x, z.y) if k < len(pk_family) else 0.0)
                       for i, k in enumerate(range(1, p + 1))], dtype=complex)
         C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N[:, None])).T

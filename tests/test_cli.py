@@ -268,7 +268,7 @@ def _strict_json(text):
 @pytest.mark.parametrize("argv", [["fit-infinity", "--mmax", "2"], ["pipeline", "--mmax", "0"],
                                   ["pipeline", "--mmax", "1"]])
 def test_fit_without_singular_values_writes_cond_null(workdir, argv):
-    """lstsq on an (E0) with no rows returns no singular values: cond is null, not inf."""
+    """Two-line's r = 0 (E0) at these --mmax has a singular value 0: cond is null, not inf."""
     code, out, err = run_cli(argv + ["--boundary", "twoline.json"], workdir)
     assert code == 0 and err == ""
     obj = _strict_json(out)
@@ -309,6 +309,28 @@ def test_fit_infinity_cli(workdir):
     obj = json.loads(out)
     assert obj["r"] == 1 and obj["confined"]
     assert abs(obj["B"][1][0] - 2.0) < 1e-3
+
+
+@pytest.mark.parametrize("mmax", [0, 1, 2])
+def test_fit_that_E0_does_not_determine_is_typed(workdir, mmax):
+    """At --mmax 0..2 the exterior line's (E0) leaves A and B below rank 2r at every r: the
+    run is E_NUMERIC Underdetermined naming mmax, not r = 1, B = 1, A = 0 with residual 0."""
+    for cmd in ("fit-infinity", "pipeline"):
+        code, out, err = run_cli([cmd, "--boundary", "ext.json", "--mmax", str(mmax)], workdir)
+        assert (code, out) == (2, "")
+        e = json.loads(err)
+        assert (e["error"], e["type"]) == ("E_NUMERIC", "Underdetermined")
+        assert f"mmax = {mmax}" in e["detail"]
+
+
+def test_fit_at_mmax_3_finds_the_exterior_line(workdir):
+    """--mmax 3 is enough for the exterior line: r = 1, B = 1 + 2y and A = 2 within 1e-12."""
+    code, out, _ = run_cli(["fit-infinity", "--boundary", "ext.json", "--mmax", "3"], workdir)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["r"] == 1
+    assert np.allclose([complex(*c) for c in obj["B"]], [1, 2], rtol=0, atol=1e-12)
+    assert np.allclose([complex(*c) for c in obj["A"]], [2], rtol=0, atol=1e-12)
 
 
 def test_pipeline_line_membership(workdir):
@@ -392,26 +414,30 @@ def infinity_unions(workdir):
 
 
 def test_pipeline_auto_subtracts_the_fit_rational_part(infinity_unions):
-    """--p auto with r = 1, p = 1 and no --germs takes P_1 = R = A/B + x B'/B: every point
-    lies on the interior line's sheet -(x + 1) / (y + 1/2)."""
-    code, _, err = run_cli(["pipeline", "--boundary", "int-ext.json", "--out", "ie.json"],
-                           infinity_unions)
-    assert code == 0, err
-    rep = json.loads((infinity_unions / "ie.json").read_text())
-    assert (rep["delta"], rep["fit"]["r"], rep["p"], rep["skipped"]) == (0, 1, 1, 0)
-    assert np.allclose([complex(*c) for c in rep["fit"]["B"]], [1, -3], atol=1e-12)
-    points = json.loads((infinity_unions / "ie.cloud.json").read_text())["points"]
-    assert len(points) == rep["points"] == 144
-    for pt in points:
-        (w0, w1, _), (x, y) = ([complex(*c) for c in pt[k]] for k in ("w", "src"))
-        assert abs(w1 / w0 + (x + 1) / (y + 0.5)) < 1e-12
+    """--p auto or 1 with r = 1, p = 1 and no --germs takes P_1 = R = A/B + x B'/B: every
+    point lies on the interior line's sheet -(x + 1) / (y + 1/2)."""
+    for p in ("auto", "1"):
+        code, _, err = run_cli(["pipeline", "--boundary", "int-ext.json", "--out", "ie.json",
+                                "--p", p], infinity_unions)
+        assert code == 0, err
+        rep = json.loads((infinity_unions / "ie.json").read_text())
+        assert (rep["delta"], rep["fit"]["r"], rep["p"], rep["skipped"]) == (0, 1, 1, 0)
+        assert np.allclose([complex(*c) for c in rep["fit"]["B"]], [1, -3], atol=1e-12)
+        points = json.loads((infinity_unions / "ie.cloud.json").read_text())["points"]
+        assert len(points) == rep["points"] == 144
+        for pt in points:
+            (w0, w1, _), (x, y) = ([complex(*c) for c in pt[k]] for k in ("w", "src"))
+            assert abs(w1 / w0 + (x + 1) / (y + 0.5)) < 1e-12
 
 
 def test_pipeline_auto_with_points_at_infinity_and_two_sheets_is_typed(infinity_unions):
     """r = 1 and p = 2 with no --germs: P_2 needs the germs' jets, so the run is E_NUMERIC
-    GermsRequired, naming r and p, and prints no points."""
-    for cmd in ("pipeline", "reconstruct"):
-        code, out, err = run_cli([cmd, "--boundary", "int-int-ext.json"], infinity_unions)
+    GermsRequired, naming r and p, and prints no points.  pipeline has its fit at hand, so
+    an explicit --p 2 is held to the same rule, also on the p = 1 union."""
+    runs = [("pipeline", "auto", "int-int-ext.json"), ("reconstruct", "auto", "int-int-ext.json"),
+            ("pipeline", "2", "int-int-ext.json"), ("pipeline", "2", "int-ext.json")]
+    for cmd, p, union in runs:
+        code, out, err = run_cli([cmd, "--boundary", union, "--p", p], infinity_unions)
         assert (code, out) == (2, "")
         e = json.loads(err)
         assert (e["error"], e["type"]) == ("E_NUMERIC", "GermsRequired")

@@ -167,7 +167,7 @@ def test_json_roundtrip(interior):
     b2 = boundary_from_json(obj)
     assert abs(rho(b2) - rho(interior)) < 1e-14
     z = LineParam(0.2, 5.0)
-    from cfr.indicators import G_k
+    from reference import G_k
     assert abs(G_k(b2, z, 1) - G_k(interior, z, 1)) < 1e-12
 
 
@@ -181,7 +181,7 @@ def test_velocity_synthesis_from_smooth_gauge():
                       [1 + 0.5 * float(np.cos(t)), 0.5 * float(np.sin(t))]]}
                for t in th]
     b = boundary_from_json({"loops": [{"orientation": 1, "samples": samples}]})
-    from cfr.indicators import G_k
+    from reference import G_k
     z = LineParam(0.1, 6.0)
     assert abs(G_k(b, z, 1) - (-(0.1 + 1) / 6.5)) < 1e-9
 

