@@ -15,12 +15,13 @@ import math
 import os
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import genus, green, indicators, infinity, linsys, oracles, reconstruct, shock, symmetric
-from .geometry import boundary_to_json, load_boundary, m_of_y, rho
+from .geometry import boundary_to_json, load_boundary, m_of_y, read_json, rho
 
 
 class ValidationError(Exception):
@@ -79,11 +80,7 @@ def dumps(obj) -> str:
     return _fmt(obj) + "\n"
 
 
-def _write(obj, path):
-    _write_text(dumps(obj), path)
-
-
-def _write_text(text, path):
+def _write(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -95,8 +92,7 @@ def _load(path):
     if not os.path.exists(path):
         raise IOValidationError(f"input file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(path)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValidationError(f"malformed JSON in {path}: {e}") from e
 
@@ -169,16 +165,15 @@ def _sheets(text):
 
 def cmd_make_oracle(args):
     if args.name not in oracles.ORACLES:
-        raise ValidationError(
-            f"unknown oracle {args.name!r}; choose from {sorted(oracles.ORACLES)}"
-        )
+        raise ValidationError(f"unknown oracle {args.name!r}; "
+                              f"choose from {sorted(oracles.ORACLES)}")
     kw = {"n": args.samples}
     if args.name in ("interior-line", "exterior-line"):
         kw["a"] = args.a
     if args.name == "two-line":
         kw["a"], kw["b"] = args.a, args.b
     b = oracles.ORACLES[args.name](**kw)
-    _write(boundary_to_json(b), args.out)
+    _write(dumps(boundary_to_json(b)), args.out)
     return 0
 
 
@@ -190,14 +185,13 @@ def cmd_indicators(args):
                for k in range(lt.kmax + 1) for m in range(lt.mmax + 1) for n in range(m + 1)
                if abs(lt.coeffs[k, m, n]) > 1e-14}
     out = {"delta": lt.delta, "G0": complex(g0), "laurent": laurent}
-    _write(out, args.out)
+    _write(dumps(out), args.out)
     return 0
 
 
 def _fit(b, args, table=None):
-    return linsys.fit_infinity(
-        b, dmu=args.dmu, r_max=args.rmax, accept_tol=args.tol, mmax=args.mmax, table=table
-    )
+    return linsys.fit_infinity(b, dmu=args.dmu, r_max=args.rmax, accept_tol=args.tol,
+                               mmax=args.mmax, table=table)
 
 
 def _fit_report(fit, h):
@@ -215,32 +209,27 @@ def _fit_report(fit, h):
 def cmd_fit_infinity(args):
     b = _boundary(args.boundary)
     fit, h, _ = _fit(b, args)
-    _write(_fit_report(fit, h), args.out)
+    _write(dumps(_fit_report(fit, h)), args.out)
     return 0
 
 
-def _cloud_rows(cloud):
-    """Per cloud point: w0, w1, w2 and the source x, y as real and imaginary parts, '.17g' text."""
-    rows = []
-    for p, src in zip(cloud.points, cloud.source):
-        vals = (p.w0, p.w1, p.w2, complex(src.x), complex(src.y))
-        rows.append([format(f, ".17g") for v in vals for f in (v.real, v.imag)])
-    return rows
-
-
 CSV_HEADER = "w0_re,w0_im,w1_re,w1_im,w2_re,w2_im,src_x_re,src_x_im,src_y_re,src_y_im"
-POINT_JSON = '{{"w":[[{},{}],[{},{}],[{},{}]],"src":[[{},{}],[{},{}]],"multiplicity":{}}}'
+CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
+POINT_JSON = ('{"w":[[%.17g,%.17g],[%.17g,%.17g],[%.17g,%.17g]],'
+              '"src":[[%.17g,%.17g],[%.17g,%.17g]],"multiplicity":%d}')
 
 
 def _write_cloud(cloud, path):
-    rows = _cloud_rows(cloud)
+    """Per point w0, w1, w2 and the source x, y, as '.17g' real and imaginary parts, in one pass."""
+    rows = np.array([(p.w0, p.w1, p.w2, z.x, z.y) for p, z in zip(cloud.points, cloud.source)],
+                    dtype=complex).reshape(-1, 5).view(float).tolist()
     if path and path.endswith(".csv"):
-        _write_text("\n".join([CSV_HEADER] + [",".join(r) for r in rows]) + "\n", path)
+        _write(CSV_HEADER + "\n" + CSV_ROW * len(rows) % tuple(chain.from_iterable(rows)), path)
         return
-    points = ",".join(POINT_JSON.format(*r, m) for r, m in zip(rows, cloud.multiplicity))
-    skipped = _fmt([{"z": [complex(z.x), complex(z.y)], "reason": msg}
-                    for z, msg in cloud.skipped])
-    _write_text(f'{{"points":[{points}],"skipped":{skipped}}}\n', path)
+    points = ",".join([POINT_JSON] * len(rows)) % tuple(
+        chain.from_iterable(r + [m] for r, m in zip(rows, cloud.multiplicity)))
+    skipped = _fmt([{"z": [complex(z.x), complex(z.y)], "reason": m} for z, m in cloud.skipped])
+    _write(f'{{"points":[{points}],"skipped":{skipped}}}\n', path)
 
 
 def _sheets_and_family(b, args, fit=None, h=None):
@@ -280,8 +269,7 @@ def _do_reconstruct(b, args, fit=None, h=None):
     if np.any(np.abs(radii) <= 1) or np.any(np.abs(xfracs) >= 1):   # the line is outside Z
         raise ValidationError(f"need |--radii| > 1 and |--xfrac| < 1, got {radii}, {xfracs}")
     p, fam = _sheets_and_family(b, args, fit, h)
-    cloud = reconstruct.sweep(b, p, fam, radii=radii, angles=args.angles,
-                              xfracs=xfracs)
+    cloud = reconstruct.sweep(b, p, fam, radii=radii, angles=args.angles, xfracs=xfracs)
     return cloud, p
 
 
@@ -307,7 +295,7 @@ def cmd_pipeline(args):
     if args.out and args.out not in ("-",):
         base, _ = os.path.splitext(args.out)
         _write_cloud(cloud, base + ".cloud" + (".csv" if args.csv else ".json"))
-    _write(report, args.out)
+    _write(dumps(report), args.out)
     return 0
 
 
@@ -326,7 +314,7 @@ def cmd_shock_verify(args):
     N = reconstruct.N_Qk(b, np.repeat(xs, n), np.tile(ys, n), p, fam)
     S = symmetric.power_to_elementary(N).reshape(p, n, n)      # S[k - 1][i, j] at (xs[i], ys[j])
     res = shock.system_residual(S, hx, hy)
-    _write({"p": p, "grid": n, "step": args.step, "residual": res}, args.out)
+    _write(dumps({"p": p, "grid": n, "step": args.step, "residual": res}), args.out)
     return 0
 
 
@@ -355,7 +343,7 @@ def cmd_green(args):
     qs, pts = _parse("targets file", _targets, _load(args.targets))
     model = green.CurveModel(phi, center=center, radius=radius)
     vals = green._green_values(qs, pts, model)
-    _write({"q_star": qs, "values": vals}, args.out)
+    _write(dumps({"q_star": qs, "values": vals}), args.out)
     return 0
 
 
@@ -403,10 +391,8 @@ def cmd_genus(args):
         raise ValueError(f"non-finite integral {integral}, tangency defect {defect}")
     out = {"model": args.model, "integral": integral, "tangency_defect": defect}
     if args.genus_known is not None:
-        out["q_inf"] = genus.q_infinity_estimate(
-            integral, args.genus_known, model.n_components
-        )
-    _write(out, args.out)
+        out["q_inf"] = genus.q_infinity_estimate(integral, args.genus_known, model.n_components)
+    _write(dumps(out), args.out)
     return 0
 
 

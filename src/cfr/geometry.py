@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -41,14 +42,6 @@ class OutsideDomain(ValueError):
     """Line parameter lies outside the admissible domain Z (|y| <= rho or |x| >= m(y))."""
 
 
-def _normalize_rows(w):
-    """Scale each row of an (N,3) complex array to max-modulus 1."""
-    s = np.max(np.abs(w), axis=1)
-    if np.any(s == 0.0):
-        raise ValueError("zero homogeneous coordinate triple")
-    return w / s[:, None], s
-
-
 def _chart_velocities(w, dt):
     """w0 * (0, dz1, dz2), dz1 and dz2 the FFT t-derivatives of z1 = w1/w0, z2 = w2/w0 at step dt.
 
@@ -65,8 +58,7 @@ def _chart_velocities(w, dt):
 
 def chordal(a, b) -> float:
     """Gauge-independent chordal distance |a ^ b| / (|a| |b|) on CP2."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return float(np.linalg.norm(np.cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
@@ -132,7 +124,10 @@ class BoundaryLoop:
         dt = np.diff(self.t)
         if not np.allclose(dt, dt[0], rtol=0, atol=1e-9 * (1 + abs(dt[0]))):
             raise ValueError("loop samples are not uniformly spaced")
-        self.w, scale = _normalize_rows(self.w)
+        scale = np.max(np.abs(self.w), axis=1)        # each row to max modulus 1
+        if np.any(scale == 0.0):
+            raise ValueError("zero homogeneous coordinate triple")
+        self.w = self.w / scale[:, None]
         if np.min(np.abs(self.w)) <= CHART_EPS:
             raise ValueError("boundary sample with w0*w1*w2 = 0")
         self.dw = _chart_velocities(self.w, dt[0]) if self.dw is None else self.dw / scale[:, None]
@@ -213,34 +208,45 @@ def m_of_y(b: BoundaryData, y):
 
 # -- boundary JSON i/o --------------------------------------------------------
 
-
-def _c2pair(c):
-    return [float(np.real(c)), float(np.imag(c))]
+_NUMBER = {int, float}          # JSON numbers as decoded; bool, str and None are not
 
 
 def boundary_to_json(b: BoundaryData) -> dict:
     loops = []
     for sign, lp in b.signed_loops():
-        samples = [{"t": float(t), "w": [_c2pair(c) for c in w], "dw": [_c2pair(c) for c in dw]}
-                   for t, w, dw in zip(lp.t, lp.w, lp.dw)]
+        w, dw = (np.stack([a.real, a.imag], -1).tolist() for a in (lp.w, lp.dw))
+        samples = [{"t": t, "w": wi, "dw": dwi} for t, wi, dwi in zip(lp.t.tolist(), w, dw)]
         loops.append({"orientation": int(sign), "samples": samples})
     return {"loops": loops}
 
 
 def _pairs(samples, key):
     """samples[i][key], three [re, im] number pairs per sample, as one (N, 3) complex array."""
-    a = np.array([s[key] for s in samples])
-    if a.dtype.kind not in "biuf" or a.shape != (len(samples), 3, 2) or not np.isfinite(a).all():
+    rows = [s[key] for s in samples]
+    try:                                # TypeError: a row or a pair that is not a list
+        pairs = list(chain.from_iterable(rows))
+        flat = list(chain.from_iterable(pairs))
+        ok = set(map(len, rows)) == {3} and set(map(len, pairs)) == {2}
+        a = np.array(flat, dtype=float) if ok and set(map(type, flat)) <= _NUMBER else None
+    except (TypeError, OverflowError):  # OverflowError: an integer past the float range
+        a = None
+    if a is None or not np.isfinite(a).all():
         raise ValueError(f"'{key}' must hold three finite [re, im] number pairs per sample")
-    return a.astype(float).view(complex)[..., 0]
+    return a.view(complex).reshape(-1, 3)
 
 
 def boundary_from_json(obj: dict) -> BoundaryData:
     loops, signs = [], []
     for entry in obj["loops"]:
-        signs.append(int(entry["orientation"]))
+        sign = entry["orientation"]
+        if int(sign) != sign or type(sign) not in _NUMBER:     # int() raises on null, inf, nan
+            raise ValueError(f"'orientation' must be the number 1 or -1, got {sign!r}")
+        signs.append(int(sign))
         samples = entry["samples"]
-        ts = np.array([float(s["t"]) for s in samples])
+        ts = [s["t"] for s in samples]
+        if not set(map(type, ts)) <= _NUMBER:
+            raise ValueError("'t' must be a number in every sample")
+        ts = np.array(ts, dtype=float)
         if not np.isfinite(ts).all():
             raise ValueError("'t' must be finite in every sample")
         ws = _pairs(samples, "w")
@@ -249,6 +255,23 @@ def boundary_from_json(obj: dict) -> BoundaryData:
     return BoundaryData(loops, signs)
 
 
-def load_boundary(path) -> BoundaryData:
+def read_json(path):
+    """The JSON value in the file at path, decoded by orjson.
+
+    Texts orjson refuses go to json.load, which reads NaN, Infinity, 1e400 and lone surrogates
+    and gives its own message for malformed text.  The two differ only on integers past 64
+    bits: orjson gives the nearest float, json the int.
+    """
+    import orjson       # here, not at the top: runs that read no file do not load it (0.5 MB)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
     with open(path, "r", encoding="utf-8") as fh:
-        return boundary_from_json(json.load(fh))
+        return json.load(fh)
+
+
+def load_boundary(path) -> BoundaryData:
+    return boundary_from_json(read_json(path))

@@ -42,9 +42,7 @@ class GermAtInfinity:
         stored tail must reach that far.
         """
         if order > len(self.taylor):
-            raise ValueError(
-                f"germ Taylor depth {len(self.taylor)} < required order {order}"
-            )
+            raise ValueError(f"germ Taylor depth {len(self.taylor)} < required order {order}")
         return np.concatenate(([self.b], np.asarray(self.taylor[:order], dtype=complex)))
 
 

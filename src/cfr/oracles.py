@@ -20,12 +20,8 @@ import numpy as np
 from .geometry import BoundaryData, BoundaryLoop
 
 
-def _theta(n):
-    return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-
-
 def _loop_from_maps(n, wfun, dwfun):
-    t = _theta(n)
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     w = np.stack(wfun(t), axis=1)
     dw = np.stack(dwfun(t), axis=1)
     return BoundaryLoop(t, w, dw)

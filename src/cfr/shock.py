@@ -157,9 +157,7 @@ class BiSeries:
         if self.mlo <= 1 <= self.mhi:
             res = self.c[:, 1 - self.mlo]
             if np.max(np.abs(res)) > RESIDUE_EPS:
-                raise ResidueObstruction(
-                    f"y^-1 coefficient of size {np.max(np.abs(res)):.2e}"
-                )
+                raise ResidueObstruction(f"y^-1 coefficient of size {np.max(np.abs(res)):.2e}")
         mlo = min(self.mlo - 1, 0)
         mhi = max(self.mhi - 1, 0)
         c = np.zeros((self.nx + 1, mhi - mlo + 1), dtype=complex)
@@ -281,9 +279,7 @@ def s_k_from_mu(mu, B, h: HData):
     if len(B) > 1:
         rts = symmetric.roots(B[::-1])
         if 1.5 * float(np.max(np.abs(rts))) > abs(h.omega):
-            raise BInversionDiverged(
-                "roots of B too close to the series anchor |omega|"
-            )
+            raise BInversionDiverged("roots of B too close to the series anchor |omega|")
     invB = _inverse_y_poly(B, nx, h.Htilde.mhi + 2)
 
     pref = (h.Htilde.exp() * invB).shift_y(-h.delta).scale(h.omega ** h.delta)

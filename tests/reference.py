@@ -50,6 +50,11 @@ paper that the tests check:
 - the boundary JSON parse one number pair at a time, and the generic
   recursive JSON writer, which the array parse and the writer's exact-type
   paths must equal;
+- the boundary file read by the json module and parsed by numpy's discovery
+  of nested lists, whose arrays and errors the orjson read and the flat-list
+  parse must repeat (it refuses a [re, im] part spelled as an integer past
+  64 bits, which they read as a float); the boundary dict one float() per
+  part, which the array build must equal;
 - Green values term by term: Psi summed over its nonzero (z1', z2', z1, z2)
   monomials, the q*-side kernel on every node of every target's grids, the
   cut by the bump on the whole full grid, and sub-patch z2 by the Newton
@@ -828,6 +833,42 @@ def boundary_from_json_per_element(obj: dict) -> BoundaryData:
         ts = np.array(ts)
         ws = np.array(ws, dtype=complex)
         dws = np.array(dws, dtype=complex) if has_dw else None
+        loops.append(BoundaryLoop(ts, ws, dws))
+    return BoundaryData(loops, signs)
+
+
+def boundary_to_json_per_element(b: BoundaryData) -> dict:
+    """geometry.boundary_to_json with one float() per real and imaginary part."""
+    loops = []
+    for sign, lp in b.signed_loops():
+        samples = [{"t": float(t), "w": [[float(np.real(c)), float(np.imag(c))] for c in w],
+                    "dw": [[float(np.real(c)), float(np.imag(c))] for c in dw]}
+                   for t, w, dw in zip(lp.t, lp.w, lp.dw)]
+        loops.append({"orientation": int(sign), "samples": samples})
+    return {"loops": loops}
+
+
+def _pairs_nested(samples, key):
+    """samples[i][key] as an (N, 3) complex array by np.array on the nested lists."""
+    a = np.array([s[key] for s in samples])
+    if a.dtype.kind not in "biuf" or a.shape != (len(samples), 3, 2) or not np.isfinite(a).all():
+        raise ValueError(f"'{key}' must hold three finite [re, im] number pairs per sample")
+    return a.astype(float).view(complex)[..., 0]
+
+
+def load_boundary_json(path) -> BoundaryData:
+    """geometry.load_boundary by json.load, float() per t and np.array on the nested pairs."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    loops, signs = [], []
+    for entry in obj["loops"]:
+        signs.append(int(entry["orientation"]))
+        samples = entry["samples"]
+        ts = np.array([float(s["t"]) for s in samples])
+        if not np.isfinite(ts).all():
+            raise ValueError("'t' must be finite in every sample")
+        ws = _pairs_nested(samples, "w")
+        dws = _pairs_nested(samples, "dw") if all("dw" in s for s in samples) else None
         loops.append(BoundaryLoop(ts, ws, dws))
     return BoundaryData(loops, signs)
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfr import cli
+from cfr import cli, oracles
+from cfr.geometry import LineParam, ProjPoint, boundary_to_json
+from cfr.reconstruct import PointCloud
 from reference import fmt_generic
 
 
@@ -144,6 +146,30 @@ _BAD_BOUNDARIES = {
     "pair-string": ('{"loops": [{"orientation": 1, "samples": '
                     '[{"t": 0.0, "w": [["x", 1.0], [0.5, 0.5], [1.5, 0.0]]}]}]}'),
 }
+
+
+def _interior_with(path, value):
+    """The interior line at 32 samples as JSON text, its entry at path (from the loop) = value."""
+    obj = boundary_to_json(oracles.interior_line(n=32))
+    node = obj["loops"][0]
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return json.dumps(obj)
+
+
+# Entries that are not JSON numbers in an otherwise valid file, each read as a number before:
+# name -> (the key the error names, text).
+_NOT_NUMBERS = {
+    "t-string": ("t", _interior_with(("samples", 1, "t"), repr(2 * np.pi / 32))),
+    "t-false": ("t", _interior_with(("samples", 0, "t"), False)),
+    "w-pair-bools": ("w", _interior_with(("samples", 3, "w", 0), [True, False])),
+    "dw-pair-bools": ("dw", _interior_with(("samples", 3, "dw", 0), [False, False])),
+    "orientation-true": ("orientation", _interior_with(("orientation",), True)),
+    "orientation-string": ("orientation", _interior_with(("orientation",), "1")),
+    "orientation-fraction": ("orientation", _interior_with(("orientation",), 1.7)),
+}
+_BAD_BOUNDARIES.update((name, text) for name, (_, text) in _NOT_NUMBERS.items())
 for _name, _text in _BAD_BOUNDARIES.items():
     MALFORMED["boundary-" + _name] = (["indicators", "--boundary", "bad.json"],
                                       {"bad.json": _text})
@@ -160,6 +186,16 @@ def test_malformed_input_is_a_validation_error(workdir, argv, files):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert json.loads(err)["error"] in ("E_VALIDATION", "E_IO")
+
+
+@pytest.mark.parametrize("name", _NOT_NUMBERS)
+def test_non_number_entry_names_its_key(workdir, name):
+    """A bool, a string or a fraction where the file needs a number exits 1 naming the key."""
+    key, text = _NOT_NUMBERS[name]
+    (workdir / "not-number.json").write_text(text)
+    code, out, err = run_cli(["indicators", "--boundary", "not-number.json"], workdir)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "E_VALIDATION" and f"'{key}'" in err
 
 
 @pytest.mark.parametrize("key, where", [("t", ()), ("w", (1, 0)), ("dw", (2, 1))])
@@ -353,6 +389,62 @@ def test_reconstruct_csv_columns(workdir):
     lines = (workdir / "cloud.csv").read_text().strip().splitlines()
     assert lines[0] == cli.CSV_HEADER
     assert all(len(row.split(",")) == 10 for row in lines[1:])
+
+
+def _cloud_json_reference(cloud):
+    """The JSON cloud by the generic writer, one value at a time."""
+    points = [{"w": [complex(p.w0), complex(p.w1), complex(p.w2)],
+               "src": [complex(z.x), complex(z.y)], "multiplicity": m}
+              for p, z, m in zip(cloud.points, cloud.source, cloud.multiplicity)]
+    skipped = [{"z": [complex(z.x), complex(z.y)], "reason": msg} for z, msg in cloud.skipped]
+    return fmt_generic({"points": points, "skipped": skipped}) + "\n"
+
+
+def _cloud_csv_reference(cloud):
+    """The CSV cloud with one format(x, '.17g') per number."""
+    rows = [",".join(format(f, ".17g") for v in (p.w0, p.w1, p.w2, z.x, z.y)
+                     for f in (complex(v).real, complex(v).imag))
+            for p, z in zip(cloud.points, cloud.source)]
+    return "\n".join([cli.CSV_HEADER] + rows) + "\n"
+
+
+@pytest.mark.parametrize("fname", ["line.json", "ext.json", "twoline.json", "conic.json"])
+def test_pipeline_cloud_bytes(workdir, monkeypatch, fname):
+    """The pipeline's JSON and CSV clouds hold the bytes of the per-value writers."""
+    seen = []
+    write = cli._write_cloud
+    monkeypatch.setattr(cli, "_write_cloud", lambda c, path: (seen.append(c), write(c, path)))
+    for csv in ([], ["--csv"]):
+        code, _, _ = run_cli(["pipeline", "--boundary", fname, "--out", "bytes.json"] + csv,
+                             workdir)
+        assert code == 0
+    json_cloud, csv_cloud = seen
+    assert (workdir / "bytes.cloud.json").read_text() == _cloud_json_reference(json_cloud)
+    assert (workdir / "bytes.cloud.csv").read_text() == _cloud_csv_reference(csv_cloud)
+    assert len(json_cloud) == len(csv_cloud) and (len(csv_cloud) == 0) == (fname == "ext.json")
+
+
+_Z = LineParam(np.complex128(1e22 + 0.1j), np.complex128(complex(-0.0, 5e-324)))
+_SYNTHETIC_CLOUDS = {
+    "extremes": PointCloud(
+        points=[ProjPoint(1.0, complex(-0.0, 5e-324), complex(0.1, -0.0)),
+                ProjPoint(complex(0.5, 1e-300), -1.0, 0.25)],
+        multiplicity=[1, 12],
+        source=[_Z, LineParam(complex(0.1, -0.0), complex(5e-324, 1e22))],
+        skipped=[(_Z, "discriminant 1.00e-20 below threshold")]),
+    "empty": PointCloud(),
+    "skipped-only": PointCloud(skipped=[(_Z, "a"), (LineParam(0.1j, -3.0 + 0j), "b")]),
+}
+
+
+@pytest.mark.parametrize("name", _SYNTHETIC_CLOUDS)
+def test_cloud_writer_bytes(tmp_path, name):
+    """-0.0, 5e-324, 1e22, 0.1, multiplicities 1 and 12, no points, only skipped lines."""
+    cloud = _SYNTHETIC_CLOUDS[name]
+    cli._write_cloud(cloud, str(tmp_path / "c.json"))
+    cli._write_cloud(cloud, str(tmp_path / "c.csv"))
+    assert (tmp_path / "c.json").read_text() == _cloud_json_reference(cloud)
+    assert (tmp_path / "c.csv").read_text() == _cloud_csv_reference(cloud)
 
 
 def test_byte_identical_runs(workdir):

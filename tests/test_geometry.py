@@ -1,12 +1,15 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from cfr import cli, oracles
 from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, OutsideDomain, ProjPoint,
-                          boundary_from_json, boundary_to_json, m_of_y, rho)
-from reference import (ChartUndefined, affine_chart, boundary_from_json_per_element, in_Z,
-                       line_eval)
+                          boundary_from_json, boundary_to_json, load_boundary, m_of_y, read_json,
+                          rho)
+from reference import (ChartUndefined, affine_chart, boundary_from_json_per_element,
+                       boundary_to_json_per_element, in_Z, line_eval, load_boundary_json)
 
 
 def dense_theta_oracle(fn, n=200000):
@@ -212,3 +215,159 @@ def test_boundary_from_json_equals_per_element_parse(twoline):
             for name in ("t", "w", "dw"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     assert np.signbit(got.loops[0].w[1, 0].imag)       # a -0.0 part survives the parse
+
+
+def test_boundary_to_json_equals_per_element_build(twoline):
+    """The array build gives the dict, and so the text, of one float() per part."""
+    loops = [_hand_written_loop(64, True)]
+    hand = boundary_from_json({"loops": loops})
+    for b in [hand, twoline] + [make() for make in oracles.ORACLES.values()]:
+        got, ref = boundary_to_json(b), boundary_to_json_per_element(b)
+        assert got == ref
+        assert cli.dumps(got) == cli.dumps(ref) and json.dumps(got) == json.dumps(ref)
+    assert "-0.0" in json.dumps(boundary_to_json(hand))
+
+
+# -- the boundary file: orjson and the flat-list parse against json.load and np.array ---------
+
+BIG = "123456789012345678901234567890"          # past 64 bits: orjson reads a float, json an int
+
+
+def _interior_text(*edits):
+    """The interior line at 32 samples as json.dumps text after each (path, value) edit, a
+    path holding the keys and indices from the loop to the entry."""
+    obj = boundary_to_json(oracles.interior_line(n=32))
+    for path, value in edits:
+        node = obj["loops"][0]
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+    return json.dumps(obj)
+
+
+def _edge_texts():
+    """name -> bytes of boundary files at the edges of what json and orjson accept."""
+    base = _interior_text()
+    sentinel = _interior_text((("samples", 5, "w", 1, 0), 1234.5))
+    texts = {
+        "nan-t": _interior_text((("samples", 5, "t"), float("nan"))),
+        "nan-w": _interior_text((("samples", 5, "w", 1, 0), float("nan"))),
+        "infinity-dw": _interior_text((("samples", 5, "dw", 2, 1), float("inf"))),
+        "minus-infinity-t": _interior_text((("samples", 5, "t"), -float("inf"))),
+        "1e400-w": sentinel.replace("1234.5", "1e400"),
+        "minus-1e-400-w": sentinel.replace("1234.5", "-1e-400"),
+        "big-int-t": _interior_text((("samples", 5, "t"), int(BIG))),
+        "big-int-every-t": _interior_text(*((("samples", i, "t"), int(BIG)) for i in range(32))),
+        "big-int-orientation": _interior_text((("orientation",), int(BIG))),
+        "duplicate-key": base.replace('"t": ', '"t": 9.5, "t": ', 1),
+        "bom": "\ufeff" + base,
+        "lone-surrogate": base[:-1] + ', "note": "\\ud800"}',
+        "trailing-garbage": base + " x",
+        "crlf-truncated": json.dumps(json.loads(base), indent=1).replace("\n", "\r\n")[:5000],
+        "empty": "",
+    }
+    out = {name: text.encode("utf-8") for name, text in texts.items()}
+    out["invalid-utf8"] = base.encode("utf-8")[:-1] + b', "x": "\xff"}'
+    for name, make in oracles.ORACLES.items():
+        obj = boundary_to_json(make())
+        out[f"oracle-{name}-cli"] = cli.dumps(obj).encode("utf-8")
+        out[f"oracle-{name}-json"] = json.dumps(obj).encode("utf-8")
+    return out
+
+
+EDGE_TEXTS = _edge_texts()
+ACCEPTED = {"minus-1e-400-w", "big-int-every-t", "duplicate-key", "lone-surrogate"}
+
+
+def _outcome(load, path):
+    """orientation and the bytes of t, w and dw per loop; or the exception's type and text."""
+    try:
+        b = load(path)
+    except Exception as e:          # the two routes must raise alike
+        return type(e), str(e)
+    return b.orientation, [(lp.t.tobytes(), lp.w.tobytes(), lp.dw.tobytes()) for lp in b.loops]
+
+
+def _bits(v):
+    """v with every leaf as (type name, value) and every float as its bytes."""
+    if type(v) is list:
+        return [_bits(x) for x in v]
+    if type(v) is dict:
+        return [(k, _bits(x)) for k, x in v.items()]
+    return type(v).__name__, struct.pack("<d", v) if type(v) is float else v
+
+
+@pytest.mark.parametrize("name", EDGE_TEXTS)
+def test_load_boundary_equals_json_module_route(tmp_path, name):
+    """load_boundary gives the arrays of json.load and np.array on the nested pairs bit for
+    bit, or raises the same exception with the same message."""
+    path = tmp_path / "b.json"
+    path.write_bytes(EDGE_TEXTS[name])
+    got = _outcome(load_boundary, path)
+    assert got == _outcome(load_boundary_json, path)
+    assert isinstance(got[0], list) == (name in ACCEPTED or name.startswith("oracle"))
+
+
+@pytest.mark.parametrize("name", EDGE_TEXTS)
+def test_read_json_equals_json_load(tmp_path, name):
+    """read_json gives json.load's value, leaf types and float bits included, or its exception
+    and message; an integer past 64 bits comes back as the float nearest to it."""
+    path = tmp_path / "b.json"
+    path.write_bytes(EDGE_TEXTS[name])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            want = json.load(fh)
+    except ValueError as e:
+        with pytest.raises(type(e)) as info:
+            read_json(path)
+        assert str(info.value) == str(e)
+        return
+    if "big-int" in name:
+        want = json.loads(json.dumps(want).replace(BIG, repr(float(BIG))))
+    assert _bits(read_json(path)) == _bits(want)
+
+
+def test_integer_past_64_bits_in_w_reads_as_its_float(tmp_path):
+    """A [re, im] part spelled as an integer past 64 bits reads as the double nearest to it,
+    as its float spelling does; json.load and np.array made it an object array and refused.
+
+    Sample 5's w and dw are scaled by one real factor, a gauge change, to put the integer
+    into w0's real part.
+    """
+    for sign in (1, -1):
+        obj = json.loads(_interior_text())
+        sample = obj["loops"][0]["samples"][5]
+        k = sign * float(BIG) / sample["w"][0][0]
+        for key in ("w", "dw"):
+            sample[key] = [[re * k, im * k] for re, im in sample[key]]
+        sample["w"][0][0] = sign * int(BIG)
+        text = json.dumps(obj)
+        (tmp_path / "int.json").write_text(text)
+        (tmp_path / "float.json").write_text(text.replace(str(sign * int(BIG)),
+                                                          repr(sign * float(BIG))))
+        got = _outcome(load_boundary, tmp_path / "int.json")
+        assert got == _outcome(load_boundary, tmp_path / "float.json")
+        assert isinstance(got[0], list)
+        assert _outcome(load_boundary_json, tmp_path / "int.json")[0] is ValueError
+
+
+@pytest.mark.parametrize("key", ["w", "dw"])
+@pytest.mark.parametrize("value", [
+    None, 1.0, "abc", {"a": 1, "b": 2, "c": 3}, [], [[1.0, 0.0]] * 2, [[1.0, 0.0]] * 4,
+    [[1.0], [0.5, 0.5], [1.5, 0.0]], [[1.0, 0.0, 0.0], [0.5, 0.5], [1.5, 0.0]],
+    [[1.0], [0.5, 0.5, 0.5], [1.5, 0.0]], [[1.0, 0.0], "ab", [1.5, 0.0]],
+    [[1.0, 0.0], {"a": 1, "b": 2}, [1.5, 0.0]], [[1.0, 0.0], [[0.5], [0.5]], [1.5, 0.0]],
+    [[1.0, 0.0], [0.5, None], [1.5, 0.0]], [[1.0, 0.0], [0.5, 10 ** 400], [1.5, 0.0]],
+])
+def test_malformed_pairs_name_their_key(key, value):
+    """Every shape but three [re, im] number pairs per sample gives the one message."""
+    sample = {"t": 0.0, "w": [[1.0, 0.0], [0.5, 0.5], [1.5, 0.0]], "dw": [[0.0, 0.0]] * 3}
+    sample[key] = value
+    with pytest.raises(ValueError) as info:
+        boundary_from_json({"loops": [{"orientation": 1, "samples": [sample]}]})
+    assert str(info.value) == f"'{key}' must hold three finite [re, im] number pairs per sample"
+
+
+def test_no_samples_is_a_pairs_error():
+    with pytest.raises(ValueError, match="'w' must hold"):
+        boundary_from_json({"loops": [{"orientation": -1, "samples": []}]})

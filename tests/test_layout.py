@@ -53,7 +53,7 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, f"reached only from tests, move to tests/reference.py: {uncalled}"
 
 
-SOURCE_LINE_CEILING = 2573      # lower it as the package shrinks
+SOURCE_LINE_CEILING = 2572      # lower it as the package shrinks
 
 
 def test_source_line_budget():
