@@ -7,9 +7,11 @@ count p = delta + deg B -> per-line Newton-identity root recovery -> swept
 point cloud.  Everything below starts from samples alone.
 """
 
+import warnings
+
 import numpy as np
 
-from cfr import indicators, infinity, linsys, oracles, reconstruct
+from cfr import infinity, linsys, oracles, reconstruct
 
 # -- recover the curve's data at infinity from the boundary ----------------------
 
@@ -25,9 +27,12 @@ print("  root confined    =", fit.confined)
 # -- two-line nodal curve: two sheets, full sweep ---------------------------------
 
 b2 = oracles.two_line()
-fit2, h2, _ = linsys.fit_infinity(b2)
-p = indicators.sheet_count(h2.delta, fit2.r)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", linsys.RankDeficient)      # its rank is printed below
+    fit2, h2, _ = linsys.fit_infinity(b2)
+p = h2.delta + fit2.r
 print("\ntwo-line nodal curve: delta =", h2.delta, " q_inf =", fit2.r, " p =", p)
+print("  (E0) rank =", fit2.rank, " rank-deficient:", fit2.rank_deficient)
 
 fam = infinity.Pk_family([], p)
 _, (h,), _ = reconstruct.fibers(b2, [0.0], [10.0], p, fam)      # one line, one row of roots

@@ -249,7 +249,7 @@ def _sheets_and_family(b, args, fit=None, h=None):
             raise FitNotAccepted(f"no fit accepted for --p auto: the best, r = {fit.r}, has "
                                  f"residual {fit.residual:.3e} (--tol {args.tol:g}) and "
                                  f"confined = {str(fit.confined).lower()}")
-        p = indicators.sheet_count(h.delta, fit.r)
+        p = h.delta + fit.r         # >= 0: fit_infinity scans r >= max(0, -delta)
     germs = []
     if args.germs:
         germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))

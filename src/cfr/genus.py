@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 RING_H = 1e-3           # spacing of the interior sample rings, relative to the radius
+N_NODES = 256           # samples per boundary circle
 
 
 class ZeroOnBoundary(ValueError):
@@ -56,7 +57,6 @@ class SurfaceModel:
     kind: str = "disc"
     r_out: float = 1.0
     r_in: float = 0.5
-    n_nodes: int = 256
 
     def circles(self):
         """(radius, orientation sign, inward radial direction) per component."""
@@ -72,7 +72,7 @@ class SurfaceModel:
 
     def tangency_certificate(self, lam) -> float:
         """max |d lambda / d rho| over the boundary circles (radial FD); NaN if any is."""
-        th = 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
+        th = 2.0 * np.pi * np.arange(N_NODES) / N_NODES
         worst = [np.max(np.abs(_radial_fd(lam, R, dirn, th)[1])) for R, _, dirn in self.circles()]
         return float(np.max(worst))     # np.max keeps a NaN that max() would drop
 
@@ -101,7 +101,7 @@ def chern_boundary_integral(omega, lam, model: SurfaceModel) -> float:
         return 2.0 * np.log(np.abs(fv)) - np.log(lam(zeta))
 
     total = 0.0 + 0.0j
-    n = model.n_nodes
+    n = N_NODES
     th = 2.0 * np.pi * np.arange(n) / n
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     for R, sign, dirn in model.circles():

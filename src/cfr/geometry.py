@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,30 +63,15 @@ def chordal(a, b) -> float:
     return float(np.linalg.norm(np.cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Point of CP2 in max-modulus-normalized homogeneous coordinates."""
+class ProjPoint(NamedTuple):
+    """Point of CP2 in homogeneous coordinates (the sweep writes them max-modulus normalized)."""
 
     w0: complex
     w1: complex
     w2: complex
 
-    def __post_init__(self):
-        s = max(abs(self.w0), abs(self.w1), abs(self.w2))
-        if s == 0.0:
-            raise ValueError("all homogeneous coordinates vanish")
-        if abs(s - 1.0) > 1e-9:
-            object.__setattr__(self, "w0", self.w0 / s)
-            object.__setattr__(self, "w1", self.w1 / s)
-            object.__setattr__(self, "w2", self.w2 / s)
 
-    @property
-    def w(self):
-        return np.array([self.w0, self.w1, self.w2], dtype=complex)
-
-
-@dataclass(frozen=True)
-class LineParam:
+class LineParam(NamedTuple):
     """Parameters (x, y) of the line L_z = {x w0 + y w1 + w2 = 0}."""
 
     x: complex
@@ -239,15 +225,18 @@ def boundary_from_json(obj: dict) -> BoundaryData:
     loops, signs = [], []
     for entry in obj["loops"]:
         sign = entry["orientation"]
-        if int(sign) != sign or type(sign) not in _NUMBER:     # int() raises on null, inf, nan
+        if type(sign) not in _NUMBER or sign % 1 != 0:         # nan and inf give nan % 1
             raise ValueError(f"'orientation' must be the number 1 or -1, got {sign!r}")
         signs.append(int(sign))
         samples = entry["samples"]
         ts = [s["t"] for s in samples]
         if not set(map(type, ts)) <= _NUMBER:
             raise ValueError("'t' must be a number in every sample")
-        ts = np.array(ts, dtype=float)
-        if not np.isfinite(ts).all():
+        try:
+            ts = np.array(ts, dtype=float)
+        except OverflowError:           # an integer past the float range
+            ts = None
+        if ts is None or not np.isfinite(ts).all():
             raise ValueError("'t' must be finite in every sample")
         ws = _pairs(samples, "w")
         dws = _pairs(samples, "dw") if all("dw" in s for s in samples) else None

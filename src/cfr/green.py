@@ -43,7 +43,7 @@ class Coincident(ValueError):
 
 
 class MeshTooCoarse(RuntimeError):
-    """Self-refinement estimate exceeded the requested tolerance."""
+    """dPhi/dz2 vanished (or is NaN) on a quadrature node."""
 
 
 COINCIDENT_EPS = 1e-12
@@ -162,7 +162,6 @@ class CurveModel:
     phi: np.ndarray
     center: complex = 0.0 + 0.0j
     radius: float = 1.0
-    z2_center: complex = 0.0 + 0.0j
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -171,13 +170,13 @@ class CurveModel:
         self._phi_z2 = P.polyder(self.phi, axis=1)
 
     def z2_of(self, z1):
-        """Track the branch through (center, z2_center) by Newton continuation."""
+        """Track the branch through (center, 0) by Newton continuation."""
         z1 = np.asarray(z1, dtype=complex)
         scalar = z1.ndim == 0
         flat = np.atleast_1d(z1).ravel()
         out = self._graph_z2(flat)
         if out is None:
-            out = np.full(flat.shape, self.z2_center, dtype=complex)
+            out = np.zeros(flat.shape, dtype=complex)
             # continuation along straight segments keeps Newton in the branch basin
             for s in np.linspace(0.15, 1.0, 7):
                 out = self._newton(self.center + s * (flat - self.center), out)
@@ -240,11 +239,11 @@ class CurveModel:
         return self._grids[nr, nt]
 
 
-def flat_disc_model(radius=1.0, center=0.0):
-    """The Phi = z2 reference model (curve = the z1 disc itself)."""
+def flat_disc_model(radius=1.0):
+    """The Phi = z2 reference model (curve = the z1 disc itself, centred at 0)."""
     phi = np.zeros((1, 2), dtype=complex)
     phi[0, 1] = 1.0
-    return CurveModel(phi, center=center, radius=radius)
+    return CurveModel(phi, radius=radius)
 
 
 # -- quadrature -----------------------------------------------------------------
@@ -258,9 +257,9 @@ def _smooth_step(u):
     return a / (a + b)
 
 
-def _bump(t, plateau=0.35):
-    """C-infinity cutoff: 1 for t <= plateau, 0 for t >= 1."""
-    return 1.0 - _smooth_step((t - plateau) / (1.0 - plateau))
+def _bump(t):
+    """C-infinity cutoff: 1 for t <= 0.35, 0 for t >= 1."""
+    return 1.0 - _smooth_step((t - 0.35) / 0.65)
 
 
 @functools.cache
@@ -283,35 +282,24 @@ def _polar_nodes_gl(center, radius, nr, nt):
     return z.ravel(), w.ravel()
 
 
-def green_value(q_star, q, model: CurveModel, **quad_kw) -> float:
-    """Green value g_{q*}(q) of the patch; q_star, q are z1-chart parameters.
-
-    quad_kw are the mesh sizes and the refinement check of _green_values.
-    """
-    return _green_values(q_star, [q], model, **quad_kw)[0]
+def green_value(q_star, q, model: CurveModel) -> float:
+    """Green value g_{q*}(q) of the patch; q_star, q are z1-chart parameters."""
+    return _green_values(q_star, [q], model)[0]
 
 
 def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128,
-                  sub_nt=64, check=False, check_tol=1e-5) -> list:
+                  sub_nt=64) -> list:
     """Green values g_{q*}(q) for every q in targets, in order.
 
     nr x nt is the full-patch mesh and sub_nr x sub_nt the polar mesh of the
     sub-patch around each singular point, of radius model.radius / 10 capped
-    at 0.4 |q* - q| and taken to 12 significant digits.  check=True
-    recomputes on meshes twice as fine and raises MeshTooCoarse when a value
-    moves by more than check_tol.
+    at 0.4 |q* - q| and taken to 12 significant digits.
     """
     qs = complex(q_star)
     targets = [complex(q) for q in targets]
     if any(abs(qs - qq) < COINCIDENT_EPS for qq in targets):
         raise Coincident("green_value on the diagonal")
-    vals = _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt)
-    if check:
-        refs = _green_quad(qs, targets, model, 2 * nr, 2 * nt, 2 * sub_nr, 2 * sub_nt)
-        for val, ref in zip(vals, refs):
-            if not abs(ref - val) <= check_tol:
-                raise MeshTooCoarse(f"refinement changed g by {abs(ref - val):.2e}")
-    return vals
+    return _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt)
 
 
 def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt):
@@ -365,8 +353,7 @@ def _cut(z, points, r0):
     return cut
 
 
-def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
-                        **quad_kw) -> float:
+def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8) -> float:
     """Radial regression of g_{q*} against ln r near q_star.
 
     The directional average over a full circle of the harmonic background is
@@ -379,6 +366,6 @@ def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8,
     qs = complex(q_star)
     targets = [qs + r * np.exp(2j * np.pi * (a + 0.13) / n_dir)
                for r in radii for a in range(n_dir)]
-    vals = _green_values(qs, targets, model, **quad_kw)
+    vals = _green_values(qs, targets, model)
     means = [np.mean(vals[i:i + n_dir]) for i in range(0, len(vals), n_dir)]
     return float((means[1] - means[0]) / (np.log(radii[1]) - np.log(radii[0])))

@@ -38,10 +38,6 @@ class TruncationMismatch(ValueError):
     """The moment table and the per-sample 1/y expansion of G_k disagree."""
 
 
-class NegativeSheets(ValueError):
-    """delta + q_inf came out negative."""
-
-
 def G_lines(b: BoundaryData, xs, ys, ks):
     """Indicators G_k on a (y, x) grid of lines, shape (len(ks),) + xs.shape.
 
@@ -94,14 +90,6 @@ def delta(b: BoundaryData) -> int:
     return int(n)
 
 
-def sheet_count(delta_: int, q_inf: int) -> int:
-    """Number of sheets p = delta + q_inf."""
-    p = delta_ + q_inf
-    if p < 0:
-        raise NegativeSheets(f"delta + q_inf = {p} < 0")
-    return p
-
-
 @dataclass
 class LaurentTable:
     """Coefficients G_{k,m}^n of G_k(x,y) = sum_m (sum_n G_{k,m}^n x^n) / y^m.
@@ -115,10 +103,6 @@ class LaurentTable:
     mmax: int
     delta: int
     coeffs: np.ndarray
-
-    def poly_Gkm(self, k, m):
-        """x-Taylor vector of the polynomial G_{k,m}."""
-        return self.coeffs[k, m, : m + 1].copy()
 
 
 def _moment_integrals(b: BoundaryData, kmax: int, mmax: int):

@@ -18,7 +18,8 @@ from .geometry import BoundaryData, LineParam, OutsideDomain, ProjPoint, m_of_y,
 
 
 DISC_SINGULAR_TOL = 1e-12     # relative discriminant below which a line counts as non-transverse
-MERGE_EPS = 1e-6
+MERGE_EPS = 1e-6              # chordal distance below which two cloud points merge
+ANGLE_OFFSET = 0.31           # the sweep's y angles are (j + ANGLE_OFFSET) / angles turns
 
 
 def _flat(xs, ys):
@@ -80,12 +81,12 @@ def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
     return ~skip, h[~skip], skipped
 
 
-def _default_grid(b: BoundaryData, radii, angles, xfracs, angle_offset):
+def _default_grid(b: BoundaryData, radii, angles, xfracs):
     """The sweep's lines as a (y, x) grid: ys of shape (n_y,) and xs[a, c] = xfracs[c] m(ys[a])."""
     if np.any(np.abs(xfracs) >= 1):     # |x| < m(y) in Z
         raise OutsideDomain(f"|x| / m(y) = {np.max(np.abs(xfracs)):g} >= 1")
     r = rho(b)
-    ys = np.array([rad_mult * r * np.exp(2j * np.pi * (j + angle_offset) / angles)
+    ys = np.array([rad_mult * r * np.exp(2j * np.pi * (j + ANGLE_OFFSET) / angles)
                    for rad_mult in radii for j in range(angles)], dtype=complex)
     xs = np.array([[f * m for f in xfracs] for m in m_of_y(b, ys).tolist()], dtype=complex)
     return xs.reshape(len(ys), len(xfracs)), ys
@@ -124,29 +125,28 @@ def merge_rows(A, merge_eps):
 
 
 def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
-          angles=16, xfracs=(0.0, 0.2, -0.35), merge_eps=MERGE_EPS,
-          angle_offset=0.31) -> PointCloud:
+          angles=16, xfracs=(0.0, 0.2, -0.35)) -> PointCloud:
     """Union of fibers over a z-grid, deduplicated in the chordal metric.
 
     radii are multiples of rho; xfracs are fractions of m(y) (complex values
     allowed).  All lines go through one fibers batch.  Degenerate lines are
-    recorded in cloud.skipped, not raised.  A point within merge_eps of a kept
+    recorded in cloud.skipped, not raised.  A point within MERGE_EPS of a kept
     point counts toward the first such point (merge_rows); only pairs whose
-    keys |w0| / |w| lie within about arcsin(merge_eps) are tested (close_pairs).
+    keys |w0| / |w| lie within about arcsin(MERGE_EPS) are tested (close_pairs).
     """
     cloud = PointCloud()
     if p < 1:
         return cloud
-    xs, ys = _default_grid(b, radii, angles, xfracs, angle_offset)
+    xs, ys = _default_grid(b, radii, angles, xfracs)
     keep, rts, cloud.skipped = fibers(b, xs, ys, p, pk_family)
     xs, ys = _flat(xs, ys)
     # row i is the point (1 : h : -x - y h) of root i % p over accepted line i // p,
-    # scaled to max modulus 1 as ProjPoint scales it
+    # scaled to max modulus 1 unless within 1e-9 of it
     x, y = xs[keep, None], ys[keep, None]
     A = np.stack([np.ones_like(rts), rts, -x - y * rts], axis=-1).reshape(-1, 3)
     s = np.max(np.abs(A), axis=1, keepdims=True)
     A = np.where(np.abs(s - 1.0) > 1e-9, A / s, A)
-    kept, cloud.multiplicity = merge_rows(A, merge_eps)
+    kept, cloud.multiplicity = merge_rows(A, MERGE_EPS)
     cloud.points = [ProjPoint(*a) for a in A[kept].tolist()]
     cloud.source = list(map(LineParam, x[kept // p, 0], y[kept // p, 0]))
     return cloud

@@ -19,6 +19,7 @@ validity never shrinks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,8 +90,6 @@ class BiSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if np.isscalar(other):
-            other = BiSeries.from_x_poly([other], self.nx)
         mlo = min(self.mlo, other.mlo)
         if self.exact and other.exact:
             mhi, exact = max(self.mhi, other.mhi), True
@@ -104,16 +103,12 @@ class BiSeries:
         return BiSeries(c, mlo, mhi, exact)
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            other = BiSeries.from_x_poly([other], self.nx)
         return self + other.scale(-1.0)
 
     def scale(self, a):
         return replace(self, c=self.c * a)
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return self.scale(other)
         a, b = self, other
         mlo = a.mlo + b.mlo
         if a.exact and b.exact:
@@ -214,7 +209,7 @@ class HData:
     Htilde: BiSeries
     omega: complex
 
-    @property
+    @functools.cached_property
     def dHx(self):
         return self.Htilde.dx()
 
@@ -226,10 +221,8 @@ def H_from_laurent(lt, delta: int, omega) -> HData:
     if M < 1:
         return HData(delta, BiSeries.zero(nx), omega)
     c = np.zeros((nx + 1, M), dtype=complex)
-    for m in range(1, M + 1):
-        g = lt.poly_Gkm(1, m + 1)            # degree <= m+1
-        dg = np.polynomial.polynomial.polyder(g)
-        c[: len(dg), m - 1] = -dg / m
+    i, n = np.tril_indices(M, 1, M + 1)     # column i holds y^-m, m = i + 1, and n <= m
+    c[n, i] = -((n + 1) * lt.coeffs[1, i + 2, n + 1]) / (i + 1)
     return HData(delta, BiSeries(c, 1, M), omega)
 
 
@@ -336,7 +329,5 @@ def g1_biseries(lt, nx) -> BiSeries:
     """G_1 as a BiSeries, straight from a LaurentTable."""
     M = lt.mmax
     c = np.zeros((nx + 1, M + 1), dtype=complex)
-    for m in range(M + 1):
-        g = lt.poly_Gkm(1, m)
-        c[: len(g), m] = g[: nx + 1]
+    c[: M + 1] = np.triu(lt.coeffs[1, :, : nx + 1].T)       # c[n, m] = G_{1,m}^n, n <= m
     return BiSeries(c, 0, M)

@@ -22,8 +22,6 @@ def power_to_elementary(N):
     an independent problem.
     """
     N = np.asarray(N, dtype=complex)
-    if N.ndim == 1:     # as one column: numpy scalar arithmetic can round apart from arrays
-        return power_to_elementary(N[:, None])[:, 0]
     S = np.ones((len(N) + 1,) + N.shape[1:], dtype=complex)
     for k in range(1, len(N) + 1):
         acc = S[k - 1] * N[0]

@@ -946,7 +946,7 @@ class ChartUndefined(ValueError):
 
 def affine_chart(p: ProjPoint, chart: int):
     """Affine coordinates of p in the given chart, remaining pair in cyclic order."""
-    w = p.w
+    w = np.array(p, dtype=complex)
     d = w[chart]
     if abs(d) <= CHART_EPS:
         raise ChartUndefined(f"coordinate w{chart} vanishes")

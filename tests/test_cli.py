@@ -138,8 +138,6 @@ MALFORMED = {
 _BAD_BOUNDARIES = {
     "loops-a-number": '{"loops": 5}',
     "top-level-list": "[1, 2]",
-    "orientation-null": '{"loops": [{"orientation": null, "samples": []}]}',
-    "orientation-infinity": '{"loops": [{"orientation": Infinity, "samples": []}]}',
     "w-null": '{"loops": [{"orientation": 1, "samples": [{"t": 0.0, "w": null}]}]}',
     "pair-one-element": ('{"loops": [{"orientation": 1, "samples": '
                          '[{"t": 0.0, "w": [[1.0], [0.5, 0.5], [1.5, 0.0]]}]}]}'),
@@ -158,16 +156,21 @@ def _interior_with(path, value):
     return json.dumps(obj)
 
 
-# Entries that are not JSON numbers in an otherwise valid file, each read as a number before:
-# name -> (the key the error names, text).
+# Entries that are not JSON numbers, or not finite ones, in an otherwise valid file, each read
+# as a number before: name -> (the key the error names, text).
 _NOT_NUMBERS = {
     "t-string": ("t", _interior_with(("samples", 1, "t"), repr(2 * np.pi / 32))),
     "t-false": ("t", _interior_with(("samples", 0, "t"), False)),
+    "t-400-digits": ("t", _interior_with(("samples", 2, "t"), 10 ** 400)),
     "w-pair-bools": ("w", _interior_with(("samples", 3, "w", 0), [True, False])),
     "dw-pair-bools": ("dw", _interior_with(("samples", 3, "dw", 0), [False, False])),
     "orientation-true": ("orientation", _interior_with(("orientation",), True)),
     "orientation-string": ("orientation", _interior_with(("orientation",), "1")),
     "orientation-fraction": ("orientation", _interior_with(("orientation",), 1.7)),
+    "orientation-null": ("orientation", _interior_with(("orientation",), None)),
+    "orientation-nan": ("orientation", _interior_with(("orientation",), float("nan"))),
+    "orientation-infinity": ("orientation", _interior_with(("orientation",), float("inf"))),
+    "orientation-minus-infinity": ("orientation", _interior_with(("orientation",), -float("inf"))),
 }
 _BAD_BOUNDARIES.update((name, text) for name, (_, text) in _NOT_NUMBERS.items())
 for _name, _text in _BAD_BOUNDARIES.items():
@@ -190,7 +193,8 @@ def test_malformed_input_is_a_validation_error(workdir, argv, files):
 
 @pytest.mark.parametrize("name", _NOT_NUMBERS)
 def test_non_number_entry_names_its_key(workdir, name):
-    """A bool, a string or a fraction where the file needs a number exits 1 naming the key."""
+    """A bool, a string, a fraction, null, NaN, +-Infinity or a number past the float range
+    where the file needs a number exits 1 naming the key."""
     key, text = _NOT_NUMBERS[name]
     (workdir / "not-number.json").write_text(text)
     code, out, err = run_cli(["indicators", "--boundary", "not-number.json"], workdir)

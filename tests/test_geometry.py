@@ -17,15 +17,6 @@ def dense_theta_oracle(fn, n=200000):
     return fn(np.exp(1j * th))
 
 
-def test_projpoint_normalization():
-    p = ProjPoint(2.0, 4.0, 6.0)
-    assert abs(max(abs(p.w0), abs(p.w1), abs(p.w2)) - 1.0) < 1e-14
-    # ratios preserved
-    assert abs(p.w1 / p.w0 - 2.0) < 1e-14
-    with pytest.raises(ValueError):
-        ProjPoint(0.0, 0.0, 0.0)
-
-
 def test_affine_chart_examples():
     assert np.allclose(affine_chart(ProjPoint(1, 2, 3), 0), (2, 3))
     assert np.allclose(affine_chart(ProjPoint(0, 1, 0.5), 2), (0, 2))

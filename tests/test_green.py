@@ -167,11 +167,10 @@ def test_green_curved_model_smoke():
     phi[2, 0] = -0.25
     model = CurveModel(phi, center=0.0, radius=0.8)
     q1, q2 = 0.2 + 0.05j, -0.25 + 0.2j
-    g12 = green_value(q1, q2, model, nr=128, nt=128, sub_nr=64, sub_nt=32)
-    g21 = green_value(q2, q1, model, nr=128, nt=128, sub_nr=64, sub_nt=32)
+    [g12] = green._green_values(q1, [q2], model, nr=128, nt=128, sub_nr=64, sub_nt=32)
+    [g21] = green._green_values(q2, [q1], model, nr=128, nt=128, sub_nr=64, sub_nt=32)
     assert abs(g12 - g21) < 1e-6
-    coef = fit_log_coefficient(model, 0.1 + 0.05j, radii=(0.06, 0.12),
-                               nr=128, nt=128, sub_nr=64, sub_nt=32)
+    coef = fit_log_coefficient(model, 0.1 + 0.05j, radii=(0.06, 0.12))
     assert abs(coef - TWO_PI_INV) < 5e-3
 
 
@@ -181,10 +180,11 @@ def test_log_coefficient_needs_two_distinct_positive_radii(disc):
             fit_log_coefficient(disc, 0.2 + 0.1j, radii=radii)
 
 
-def test_mesh_too_coarse(disc):
-    with pytest.raises(MeshTooCoarse):
-        green_value(0.25 + 0.1j, -0.3 + 0.35j, disc, nr=8, nt=8, sub_nr=4,
-                    sub_nt=4, check=True, check_tol=1e-9)
+def test_mesh_too_coarse():
+    """dPhi/dz2 below DPHI_EPS on the patch raises MeshTooCoarse, in closed form and in Newton."""
+    for phi in ([[0.0, 1e-12]], [[0.0, 0.0, 1.0]]):     # Phi = 1e-12 z2, and z2^2 from z2 = 0
+        with pytest.raises(MeshTooCoarse, match="dPhi/dz2 vanished"):
+            green_value(0.25 + 0.1j, -0.3 + 0.35j, CurveModel(np.array(phi)))
 
 
 # -- cached quadrature grids -------------------------------------------------------
@@ -215,19 +215,9 @@ def test_warm_values_equal_cold(name):
     pairs = [(0.1 + 0.05j, -0.2 + 0.1j), (-0.15j, 0.2), (0.1 + 0.05j, 0.25j)]
     for kw in (SMALL_MESH, dict(SMALL_MESH, nr=32)):
         for qs, q in pairs:
-            assert green_value(qs, q, warm, **kw) == green_value(qs, q, PATCHES[name](), **kw)
+            assert (green._green_values(qs, [q], warm, **kw)
+                    == green._green_values(qs, [q], PATCHES[name](), **kw))
     assert set(warm._grids) == {(48, 48), (32, 48)}
-
-
-def test_check_refines_under_its_own_key():
-    model = PATCHES["implicit"]()
-    kw = dict(nr=16, nt=12, sub_nr=8, sub_nt=6)
-    val = green_value(0.1, -0.2j, model, check=True, check_tol=1.0, **kw)
-    assert set(model._grids) == {(16, 12), (32, 24)}
-    assert val == green_value(0.1, -0.2j, PATCHES["implicit"](), **kw)
-    fine = dict(nr=32, nt=24, sub_nr=16, sub_nt=12)
-    assert green_value(0.1, -0.2j, model, **fine) == green_value(
-        0.1, -0.2j, PATCHES["implicit"](), **fine)
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
@@ -253,7 +243,7 @@ def test_cut_near_nodes_equals_full_product():
 def test_log_coefficient_builds_one_q_star_sub_patch_per_radius(monkeypatch):
     """16 targets at 2 radii: 16 target-side sub-patches and 2 on the q* side."""
     model = flat_disc_model()
-    model.full_grid(SMALL_MESH["nr"], SMALL_MESH["nt"])
+    model.full_grid(256, 256)                   # the default mesh, built before counting
     calls = []
 
     def counted(*args):
@@ -261,7 +251,7 @@ def test_log_coefficient_builds_one_q_star_sub_patch_per_radius(monkeypatch):
         return _polar_nodes_gl(*args)
 
     monkeypatch.setattr(green, "_polar_nodes_gl", counted)
-    fit_log_coefficient(model, 0.2 + 0.1j, radii=(0.1, 0.2), n_dir=8, **SMALL_MESH)
+    fit_log_coefficient(model, 0.2 + 0.1j, radii=(0.1, 0.2), n_dir=8)
     assert len(calls) == 18
     assert sum(complex(c[0]) == 0.2 + 0.1j for c in calls) == 2
 
@@ -288,7 +278,7 @@ def test_grid_failure_leaves_no_entry(monkeypatch):
     monkeypatch.setattr(model, "z2_of", z2_of)
     for _ in range(2):
         with pytest.raises(MeshTooCoarse):
-            green_value(0.1, -0.2j, model, nr=16, nt=16, sub_nr=8, sub_nt=4)
+            green._green_values(0.1, [-0.2j], model, nr=16, nt=16, sub_nr=8, sub_nt=4)
         assert model._grids == {}
     assert sizes.count(16 * 16) == 2
 

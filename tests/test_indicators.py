@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from cfr import cli, indicators, oracles
 from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, boundary_to_json, m_of_y, rho
-from cfr.indicators import (DENOM_EPS, G_lines, NearIncidence, NegativeSheets,
-                            TruncationMismatch, delta, laurent_extract, sheet_count)
+from cfr.indicators import (DENOM_EPS, G_lines, NearIncidence, TruncationMismatch, delta,
+                            laurent_extract)
 from reference import (G110_check, G_k, circle_coeffs_y_dft, cross_check_gap,
                        laurent_coeffs_by_loops, laurent_evaluate, sampled_cross_check)
 
@@ -369,14 +369,6 @@ def test_laurent_table_equals_loop_reference_perturbed(name, caps, seed, eps):
     b = BoundaryData(loops, b.orientation)
     assert _same_bits(laurent_extract(b, *caps, cross_check=False).coeffs,
                       laurent_coeffs_by_loops(b, *caps))
-
-
-def test_sheet_count():
-    assert sheet_count(1, 0) == 1
-    assert sheet_count(-1, 1) == 0
-    assert sheet_count(2, 0) == 2
-    with pytest.raises(NegativeSheets):
-        sheet_count(-2, 1)
 
 
 def test_G110_first_order_display(interior, interior_lt):

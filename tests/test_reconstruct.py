@@ -46,7 +46,7 @@ def test_NQk_with_germs_equals_per_line_route(twoline):
     |P_3| reaches 1.9e3 on this grid, so the 1e-12 bound is relative to 1 + |N|."""
     germs = [infinity.GermAtInfinity(0.1, [0.2, 0.1j, 0.0]),
              infinity.GermAtInfinity(-0.2 + 0.1j, [0.5, 0.0, -0.3])]
-    xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35))
     N = N_Qk(twoline, xs, ys, 3, infinity.Pk_family(germs, 3))
     rational = Pk_family_rational(germs, 3)
     for i, z in enumerate(map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1]))):
@@ -122,10 +122,11 @@ def test_sweep_empty_for_p0(exterior, line_germs):
     assert len(cloud) == 0
 
 
-def test_sweep_offset_invariance(interior, no_germs):
+def test_sweep_offset_invariance(interior, no_germs, monkeypatch):
     """The swept point set is stable under re-randomized angular offsets."""
-    c1 = sweep(interior, 1, no_germs, angles=32, angle_offset=0.31)
-    c2 = sweep(interior, 1, no_germs, angles=32, angle_offset=0.77)
+    c1 = sweep(interior, 1, no_germs, angles=32)
+    monkeypatch.setattr(reconstruct, "ANGLE_OFFSET", 0.77)
+    c2 = sweep(interior, 1, no_germs, angles=32)
     # same curve: every point of c2 lies on the c1 model curve; compare
     # against the line equation instead of pointwise pairing
     for p in c2.points:
@@ -142,22 +143,23 @@ def test_sweep_dedup(interior, no_germs):
 
 
 @pytest.mark.parametrize("eps", [1e-2, 3e-2])
-def test_sweep_dedup_first_match(twoline, no_germs, eps):
+def test_sweep_dedup_first_match(twoline, no_germs, eps, monkeypatch):
     """The array merge equals a pairwise first-match merge in sighting order.
 
     At 3e-2 some sightings lie within eps of two accepted points, so the
     order of the match matters.
     """
-    cloud = sweep(twoline, 2, no_germs, angles=8, merge_eps=eps)
+    monkeypatch.setattr(reconstruct, "MERGE_EPS", eps)
+    cloud = sweep(twoline, 2, no_germs, angles=8)
     points, mult, source = [], [], []
-    xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35), 0.31)
+    xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35))
     for z in map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1])):
         keep, rts, _ = fibers(twoline, [z.x], [z.y], 2, no_germs)
         if not keep[0]:
             continue
         for pt in (ProjPoint(*row.tolist()) for row in fiber_rows(z, rts[0])):
             for i, q in enumerate(points):
-                if chordal(pt.w, q.w) < eps:
+                if chordal(pt, q) < eps:
                     mult[i] += 1
                     break
             else:
@@ -197,12 +199,12 @@ def test_dedup_radius_respected(interior, no_germs):
     pts = cloud.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert chordal(pts[i].w, pts[j].w) >= reconstruct.MERGE_EPS
+            assert chordal(pts[i], pts[j]) >= reconstruct.MERGE_EPS
 
 
 def test_G0_consistency_on_sweep(twoline, no_germs):
     """Rounded G_0 equals p - q_inf at every swept line."""
-    xs, ys = reconstruct._default_grid(twoline, (2.0, 3.0), 6, (0.0, 0.2), 0.31)
+    xs, ys = reconstruct._default_grid(twoline, (2.0, 3.0), 6, (0.0, 0.2))
     for g0 in indicators.G_lines(twoline, xs, ys, [0])[0].ravel():
         assert round(g0.real) == 2 and abs(g0 - 2.0) < 1e-8
 
@@ -235,7 +237,7 @@ def test_fibers_match_closed_form_roots(name, slopes, no_germs, request):
     The loops are the lines z2 = 1 + a z1, so the fiber over L_z is exact.
     """
     b = request.getfixturevalue(name)
-    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35))
     keep, rts, _ = reconstruct.fibers(b, xs, ys, len(slopes), no_germs)
     assert keep.any()
     assert rts.shape == (keep.sum(), len(slopes))
@@ -286,11 +288,11 @@ def _fit_and_fiber_error(b, lines):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", linsys.RankDeficient)     # (E0) on unions of lines
         fit, h, _ = linsys.fit_infinity(b)
-    p = indicators.sheet_count(h.delta, fit.r)
+    p = h.delta + fit.r
     if p == 0:
         assert fit.r == 1
         return np.max(np.abs(np.concatenate([fit.B - [1, 2], fit.A - [2]])))
-    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35))
     keep, rts, _ = fibers(b, xs, ys, p, infinity.Pk_family([], p))
     assert keep.any()
     x, y = xs.ravel()[keep, None], np.repeat(ys, xs.shape[1])[keep, None]
@@ -341,7 +343,8 @@ def test_sweep_in_small_tiles_equals_per_line_loop(name, p, eps, no_germs, reque
     from cfr import geometry
     b = request.getfixturevalue(name)
     monkeypatch.setattr(geometry, "TILE_ENTRIES", 2 ** 8)
-    cloud = sweep(b, p, no_germs, angles=32, merge_eps=eps)
+    monkeypatch.setattr(reconstruct, "MERGE_EPS", eps)
+    cloud = sweep(b, p, no_germs, angles=32)
     assert cloud == sweep_per_line(b, p, no_germs, angles=32, merge_eps=eps)
     if eps > reconstruct.MERGE_EPS:
         assert len(cloud) < sum(cloud.multiplicity)
@@ -479,7 +482,7 @@ def test_skips_equal_sylvester_rule(p, n, no_germs):
     Grid of 288 lines, N samples per loop.
     """
     b = union_of_lines(p, n)
-    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 32, (0.0, 0.2, -0.35), 0.31)
+    xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 32, (0.0, 0.2, -0.35))
     keep, _, skipped = reconstruct.fibers(b, xs, ys, p, no_germs)
     C = symmetric.monic_from_elementary(
         symmetric.power_to_elementary(N_Qk(b, xs, ys, p, no_germs))).T
@@ -491,7 +494,7 @@ def test_skips_equal_sylvester_rule(p, n, no_germs):
 
 def test_skips_equal_sylvester_rule_too_many_sheets(interior, no_germs):
     """With p = 3 on the one-sheet interior line every fiber has a double root at 0."""
-    xs, ys = reconstruct._default_grid(interior, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35), 0.31)
+    xs, ys = reconstruct._default_grid(interior, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35))
     keep, _, _ = reconstruct.fibers(interior, xs, ys, 3, no_germs)
     C = symmetric.monic_from_elementary(
         symmetric.power_to_elementary(N_Qk(interior, xs, ys, 3, no_germs))).T

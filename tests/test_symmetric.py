@@ -64,16 +64,6 @@ def test_power_to_elementary_columns():
         assert np.array_equal(C[1:], S * (-1.0) ** np.arange(1, p + 1)[:, None])
 
 
-def test_power_to_elementary_one_dimensional():
-    """A 1-D call gives its (p, 1) stacked column bit for bit."""
-    rng = np.random.default_rng(9)
-    for p in range(2, 9):
-        N = rng.standard_normal((p, 200)) + 1j * rng.standard_normal((p, 200))
-        S = power_to_elementary(N)
-        for j in range(200):
-            assert np.array_equal(power_to_elementary(N[:, j]), S[:, j])
-
-
 def test_discriminant_stack_equals_rows():
     """Stacked reference discriminants equal their one-polynomial calls, bit for bit."""
     rng = np.random.default_rng(8)
