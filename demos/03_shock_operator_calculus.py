@@ -16,7 +16,7 @@ from cfr import indicators, oracles, shock
 b = oracles.interior_line()
 lt = indicators.laurent_extract(b, kmax=2, mmax=12, cross_check=False)
 omega = -4.5
-h = shock.H_from_laurent(lt, lt.delta, omega)
+h = shock.H_from_laurent(lt, omega)
 
 print("H~ coefficients (analytic: (-1)^m / (m 2^m)):")
 for m in range(1, 5):     # column m - mlo of c holds y^-m, row 0 the x^0 coefficient
@@ -30,8 +30,10 @@ eh = omega ** lt.delta * y ** -lt.delta * sum(c * y ** -(tail.mlo + i)
                                               for i, c in enumerate(tail.c[0]))
 print("e^H(0, 6) =", eh, " exact:", omega / (y + 0.5))
 
-# The E-table decomposes iterates: E^k(f x 1) = sum_j f^(j) E_{k,j}.
-tab = shock.E_decomposition(3, h)
+# The E-table decomposes iterates: E^k(f x 1) = sum_j f^(j) E_{k,j}.  Its rows
+# come from an iterator, each built from the one before; row 3 is the fourth.
+rows = shock.E_decomposition(h)
+row3 = [next(rows) for _ in range(4)][-1]
 f = np.array([0.0, 2.0, 0.0, 1.0])  # x^3 + 2x
 lhs = shock.BiSeries.from_x_poly(f, h.Htilde.nx)
 for _ in range(3):
@@ -39,7 +41,7 @@ for _ in range(3):
 rhs = None
 fj = f.copy()
 for j in range(4):
-    t = tab[(3, j)] * shock.BiSeries.from_x_poly(fj, h.Htilde.nx)
+    t = row3[j] * shock.BiSeries.from_x_poly(fj, h.Htilde.nx)
     rhs = t if rhs is None else rhs + t
     fj = np.polynomial.polynomial.polyder(fj)
 lo, hi = max(lhs.mlo, rhs.mlo), min(lhs.mhi, rhs.mhi)

@@ -243,7 +243,7 @@ def _sheets_and_family(b, args, fit=None, h=None):
     p = _sheets(args.p)
     if auto and fit is None:
         fit, h, _ = _fit(b, args)
-    accepted = fit is not None and fit.residual < args.tol and fit.confined
+    accepted = fit is not None and fit.accepted
     if auto:
         if not accepted:
             raise FitNotAccepted(f"no fit accepted for --p auto: the best, r = {fit.r}, has "

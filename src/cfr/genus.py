@@ -18,16 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .indicators import RoundingGuard
+
 RING_H = 1e-3           # spacing of the interior sample rings, relative to the radius
 N_NODES = 256           # samples per boundary circle
 
 
 class ZeroOnBoundary(ValueError):
     """The form vanishes on a boundary ring; ln h* is singular there."""
-
-
-class RoundingGuard(ValueError):
-    """Integer-valued combination landed too far from an integer."""
 
 
 class NegativeCount(ValueError):

@@ -121,7 +121,7 @@ def assemble_E0(h: HData, g1: BiSeries, etab, layout: Layout):
     drop = np.isnan(rhs).any(axis=1) | np.isnan(M).any(axis=(1, 2))
     for j in range(1, d + 1):
         for m in range(j):
-            R = _read(etab[(j - 1, m)], window)
+            R = _read(etab[j - 1][m], window)
             drop |= np.isnan(R).any(axis=1)
             for t in range(m, min(dmu, nx + m) + 1):
                 M[:, t - m :, (j - 1) * (dmu + 1) + t] += (
@@ -151,6 +151,7 @@ def solve_joint(M, rhs, layout: Layout):
         rank=int(rank),
         cond=cond,
         rank_deficient=bool(deficient),
+        r=layout.r,
     )
 
 
@@ -163,8 +164,9 @@ class FitResult:
     rank: int
     cond: float
     rank_deficient: bool
-    r: int = -1
+    r: int
     confined: bool = False
+    accepted: bool = False
 
 
 # -- the outer (A, B) discovery loop -------------------------------------------
@@ -176,13 +178,15 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
 
     Scans r upward (starting at the smallest r with d = r + delta >= 0) and
     accepts the first candidate whose joint (E0) residual is below accept_tol
-    and whose B has all roots confined in the rho-disc.  The minimal-degree
-    acceptance mirrors the minimality available from the uniqueness theory.
-    An r whose E-table hits shock.ResidueObstruction is skipped, and so is an
-    r whose (E0) leaves A and beta below rank 2r (Underdetermined); r stops
-    where d - 1 would pass the E-table cap shock.E_KMAX.  When no candidate
-    is accepted the one with the smallest residual is returned; when every r
-    is skipped the last reason is raised, and when there is no r, ValueError.
+    and whose B has all roots confined in the rho-disc (fit.accepted).  The
+    minimal-degree acceptance mirrors the minimality available from the
+    uniqueness theory.  Each E-table row is built once, when d first needs it.
+    An r whose (E0) leaves A and beta below rank 2r (Underdetermined) is
+    skipped; the scan ends at the first r whose new row hits
+    shock.ResidueObstruction, which every larger r needs, or where d - 1 would
+    pass the E-table cap shock.E_KMAX.  When no candidate is accepted the one
+    with the smallest residual is returned; when every r is skipped the last
+    reason is raised, and when there is no r, ValueError.
 
     table is a Laurent table of b with kmax = 2 that the caller already has
     (its mmax then stands for mmax); without one, a table is built here with
@@ -193,19 +197,20 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
         lt = indicators.laurent_extract(b, kmax=2, mmax=mmax, cross_check=False)
     rh = rho(b)
     omega = -2.0 * rh
-    h = shock.H_from_laurent(lt, lt.delta, omega)
+    h = shock.H_from_laurent(lt, omega)
     nx = h.Htilde.nx
     g1 = shock.g1_biseries(lt, nx)
 
     best = skipped = None
+    rows, etab = shock.E_decomposition(h), []
     r_lo, r_hi = max(0, -lt.delta), min(r_max, shock.E_KMAX + 1 - lt.delta)
     for r in range(r_lo, r_hi + 1):
         d = r + lt.delta
         try:
-            etab = shock.E_decomposition(max(d - 1, 0), h)
+            etab += [next(rows) for _ in range(len(etab), d)]       # rows 0..d-1
         except shock.ResidueObstruction as e:
-            skipped = e         # this r would need the log term J; try the next
-            continue
+            skipped = e         # this and every larger r would need the log term J
+            break
         layout = Layout(d=d, r=r, dmu=dmu)
         M, rhs = assemble_E0(h, g1, etab, layout)
         if r and (rank := np.linalg.matrix_rank(M[:, layout.n_mu:])) < 2 * r:
@@ -213,9 +218,9 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
                                       f"rank {rank} of {2 * r}")    # try the next r
             continue
         fit = solve_joint(M, rhs, layout)
-        fit.r = r
         fit.confined = infinity.check_confinement(fit.B, rh)
-        if fit.residual < accept_tol and fit.confined:
+        fit.accepted = fit.residual < accept_tol and fit.confined
+        if fit.accepted:
             return fit, h, g1
         if best is None or fit.residual < best.residual:
             best = fit

@@ -92,15 +92,15 @@ def _default_grid(b: BoundaryData, radii, angles, xfracs):
     return xs.reshape(len(ys), len(xfracs)), ys
 
 
-def close_pairs(A, merge_eps):
-    """Row pairs (i, j), j < i, of A with |a_i ^ a_j| / (|a_i| |a_j|) < merge_eps, by i then j.
+def close_pairs(A):
+    """Row pairs (i, j), j < i, of A with |a_i ^ a_j| / (|a_i| |a_j|) < MERGE_EPS, by i then j.
 
     Unit rows at chordal distance sin(phi) differ in the key |a_0| / |a| by at most 2 sin(phi/2)
-    <= phi, so only keys within 1.01 arcsin(min(merge_eps, 1)) + 1e-12 are paired and tested."""
-    norms = np.linalg.norm(A, axis=1)   # an ulp off moves a merge only at dist ~ merge_eps
+    <= phi, so only keys within 1.01 arcsin(MERGE_EPS) + 1e-12 are paired and tested."""
+    norms = np.linalg.norm(A, axis=1)   # an ulp off moves a merge only at dist ~ MERGE_EPS
     order = np.argsort(np.abs(A[:, 0]) / norms)
     key = np.abs(A[order, 0]) / norms[order]
-    w = 1.01 * np.arcsin(np.clip(merge_eps, 0.0, 1.0)) + 1e-12
+    w = 1.01 * np.arcsin(MERGE_EPS) + 1e-12
     # sorted row s has the candidates s + 1 .. s + cnt[s], pairs ends[s] - cnt[s] .. ends[s] - 1
     cnt = np.searchsorted(key, key + w, side="right") - np.arange(1, len(A) + 1)
     ends = np.cumsum(cnt)
@@ -110,14 +110,14 @@ def close_pairs(A, merge_eps):
         s = np.searchsorted(ends, k, side="right")
         i, j = np.sort([order[s], order[k - ends[s] + cnt[s] + s + 1]], axis=0)[::-1]   # j < i
         dist = np.linalg.norm(np.cross(A[i], A[j]), axis=-1) / (norms[i] * norms[j])
-        hits += (i * len(A) + j)[dist < merge_eps].tolist()
+        hits += (i * len(A) + j)[dist < MERGE_EPS].tolist()
     return np.divmod(np.sort(np.array(hits, dtype=int)), len(A))
 
 
-def merge_rows(A, merge_eps):
-    """(kept, multiplicity): in row order, a row joins the first kept row within merge_eps."""
+def merge_rows(A):
+    """(kept, multiplicity): in row order, a row joins the first kept row within MERGE_EPS."""
     root = list(range(len(A)))          # root[i]: the kept row that row i counts toward
-    for r, c in zip(*(v.tolist() for v in close_pairs(A, merge_eps))):
+    for r, c in zip(*(v.tolist() for v in close_pairs(A))):
         if root[r] == r and root[c] == c:
             root[r] = c
     kept = np.flatnonzero(np.array(root) == np.arange(len(A)))
@@ -146,7 +146,7 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
     A = np.stack([np.ones_like(rts), rts, -x - y * rts], axis=-1).reshape(-1, 3)
     s = np.max(np.abs(A), axis=1, keepdims=True)
     A = np.where(np.abs(s - 1.0) > 1e-9, A / s, A)
-    kept, cloud.multiplicity = merge_rows(A, MERGE_EPS)
+    kept, cloud.multiplicity = merge_rows(A)
     cloud.points = [ProjPoint(*a) for a in A[kept].tolist()]
     cloud.source = list(map(LineParam, x[kept // p, 0], y[kept // p, 0]))
     return cloud

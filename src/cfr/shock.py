@@ -14,7 +14,9 @@ Each series tracks the m-range on which its coefficients are exact.  The
 primitivization P and multiplications by positive y-powers move information
 downward in m, so validity shrinks by a bounded amount per operator
 application; `exact=True` marks series that are finite (polynomials), whose
-validity never shrinks.
+validity never shrinks.  E_decomposition yields the E-table row by row, each
+from the one before, so a scan over r builds each row once and ends at the
+first row whose primitivization meets a y^-1 term.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from . import symmetric
 
 RESIDUE_EPS = 1e-12
-E_KMAX = 8                          # largest k of the E-table E_{k,j}
+E_KMAX = 8                          # largest E-table row k that the r scan reads
 
 
 class ResidueObstruction(ValueError):
@@ -91,14 +93,9 @@ class BiSeries:
 
     def __add__(self, other):
         mlo = min(self.mlo, other.mlo)
-        if self.exact and other.exact:
-            mhi, exact = max(self.mhi, other.mhi), True
-        elif self.exact:
-            mhi, exact = other.mhi, False
-        elif other.exact:
-            mhi, exact = self.mhi, False
-        else:
-            mhi, exact = min(self.mhi, other.mhi), False
+        exact = self.exact and other.exact      # an inexact term is valid to its top
+        mhi = max(self.mhi, other.mhi) if exact else min(s.mhi for s in (self, other)
+                                                         if not s.exact)
         c = self._window(mlo, mhi) + other._window(mlo, mhi)
         return BiSeries(c, mlo, mhi, exact)
 
@@ -111,14 +108,10 @@ class BiSeries:
     def __mul__(self, other):
         a, b = self, other
         mlo = a.mlo + b.mlo
-        if a.exact and b.exact:
-            mhi, exact = a.mhi + b.mhi, True
-        elif a.exact:
-            mhi, exact = a.mlo + b.mhi, False
-        elif b.exact:
-            mhi, exact = b.mlo + a.mhi, False
-        else:
-            mhi, exact = min(a.mhi + b.mlo, b.mhi + a.mlo), False
+        exact = a.exact and b.exact
+        # an inexact factor is valid to its top, reached with the other factor's lowest order
+        mhi = a.mhi + b.mhi if exact else min(s.mhi + t.mlo for s, t in ((a, b), (b, a))
+                                              if not s.exact)
         # column i of a meets column j of b at column i + j of c: stack[:, i, i + j] = b.c[:, j]
         nc = mhi - mlo + 1
         na = min(a.c.shape[1], nc)
@@ -214,16 +207,16 @@ class HData:
         return self.Htilde.dx()
 
 
-def H_from_laurent(lt, delta: int, omega) -> HData:
-    """H~ = -sum_{m>=1} G'_{1,m+1}(x)/m * y^-m from a LaurentTable."""
+def H_from_laurent(lt, omega) -> HData:
+    """H~ = -sum_{m>=1} G'_{1,m+1}(x)/m * y^-m and delta from a LaurentTable."""
     nx = max(lt.mmax + 1, 12)
     M = lt.mmax - 1
     if M < 1:
-        return HData(delta, BiSeries.zero(nx), omega)
+        return HData(lt.delta, BiSeries.zero(nx), omega)
     c = np.zeros((nx + 1, M), dtype=complex)
     i, n = np.tril_indices(M, 1, M + 1)     # column i holds y^-m, m = i + 1, and n <= m
     c[n, i] = -((n + 1) * lt.coeffs[1, i + 2, n + 1]) / (i + 1)
-    return HData(delta, BiSeries(c, 1, M), omega)
+    return HData(lt.delta, BiSeries(c, 1, M), omega)
 
 
 # -- operators ---------------------------------------------------------------
@@ -239,25 +232,21 @@ def op_E(s: BiSeries, h: HData) -> BiSeries:
     return op_D(s, h).primitivize(h.omega)
 
 
-def E_decomposition(kmax: int, h: HData):
-    """Triangular table E_{k,j}, 0 <= j <= k <= kmax.
+def E_decomposition(h: HData):
+    """Rows [E_{k,0} .. E_{k,k}] of the triangular E-table, k = 0, 1, 2, ...
 
     E_{k,k} = (Y-omega)^k / k!,  E_{k+1,0} = E^k P(dH/dx),
-    E_{k+1,j} = P E_{k,j-1} + E E_{k,j}.
+    E_{k+1,j} = P E_{k,j-1} + E E_{k,j}.  Row k + 1 is built from row k alone,
+    E_{k+1,k+1} first, then j = 1..k, then E_{k+1,0}; the first row that meets
+    a y^-1 term raises ResidueObstruction and ends the iteration.
     """
-    if kmax > E_KMAX:
-        raise ValueError(f"E-table capped at kmax <= {E_KMAX}")
     w = h.omega
-    tab = {(0, 0): BiSeries.from_x_poly([1.0], h.Htilde.nx)}
-    for k in range(kmax):
-        tab[(k + 1, k + 1)] = tab[(k, k)].primitivize(w)
-        for j in range(1, k + 1):
-            tab[(k + 1, j)] = tab[(k, j - 1)].primitivize(w) + op_E(tab[(k, j)], h)
-        if k == 0:
-            tab[(1, 0)] = h.dHx.primitivize(w)
-        else:
-            tab[(k + 1, 0)] = op_E(tab[(k, 0)], h)
-    return tab
+    row = [BiSeries.from_x_poly([1.0], h.Htilde.nx)]
+    while True:
+        yield row
+        top = row[-1].primitivize(w)
+        mid = [row[j - 1].primitivize(w) + op_E(row[j], h) for j in range(1, len(row))]
+        row = [op_E(row[0], h) if mid else h.dHx.primitivize(w)] + mid + [top]
 
 
 def s_k_from_mu(mu, B, h: HData):

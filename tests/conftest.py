@@ -31,7 +31,7 @@ def interior_lt(interior):
 
 @pytest.fixture(scope="session")
 def interior_h(interior_lt):
-    return shock.H_from_laurent(interior_lt, interior_lt.delta, -3.0)
+    return shock.H_from_laurent(interior_lt, -3.0)
 
 
 @pytest.fixture(scope="session")

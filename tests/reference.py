@@ -9,7 +9,8 @@ paper that the tests check:
   series and a table-driven row assembler, which the program's one-read
   assembly must equal, and the systems (E1)/(E2) built with that assembler;
   the (E0) residual with (A, B) pinned uses the program's rows;
-- the Laurent coefficient c_{j,m}^{0,n} read off one E-table entry;
+- the E-table rows 0..kmax as a list, and the Laurent coefficient
+  c_{j,m}^{0,n} read off one E-table entry;
 - BiSeries products with one series_mul per left column;
 - y-polynomials as series, d/dy of a series, E^k applied by iteration, a
   rational function of y expanded in 1/y, the residual of the
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb, factorial
 
 import numpy as np
@@ -199,7 +201,7 @@ def assemble_E0_by_order(h: HData, g1: BiSeries, etab, layout: Layout):
     nx_rows = h.Htilde.nx
     window = valid_window(h, g1, layout.r, layout.d)
     const, a_parts, b_parts = k0_components(h, g1, layout.r, window, nx_rows)
-    terms = {(j, m): etab[(j - 1, m)] for j in range(1, layout.d + 1) for m in range(j)}
+    terms = {(j, m): etab[j - 1][m] for j in range(1, layout.d + 1) for m in range(j)}
     return assemble_rows(layout, window, nx_rows, terms, const, a_parts, b_parts)
 
 
@@ -211,9 +213,14 @@ class E2Degenerate(ValueError):
     """d^2 G_1 / dx^2 vanishes: system (E2) is unavailable."""
 
 
+def e_rows(h: HData, kmax: int):
+    """Rows 0..kmax of the E-table, etab[k][j] = E_{k,j}, from shock.E_decomposition."""
+    return list(islice(shock.E_decomposition(h), kmax + 1))
+
+
 def coeff_c0(j: int, m: int, n: int, etab) -> np.ndarray:
     """x-Taylor vector c_{j,m}^{0,n}: the coefficient of y^n in E_{j-1,m}."""
-    s = etab[(j - 1, m)]
+    s = etab[j - 1][m]
     if -n < s.mlo:
         return np.zeros(s.nx + 1, dtype=complex)
     if -n > s.mhi and not s.exact:
@@ -248,10 +255,10 @@ def e1_table(etab, h: HData, d: int):
     """E^1_{j,m} for 1 <= j <= d, 0 <= m <= j (x-derivative system)."""
     out = {}
     for j in range(1, d + 1):
-        out[(j, 0)] = shock.op_D(etab[(j - 1, 0)], h)
+        out[(j, 0)] = shock.op_D(etab[j - 1][0], h)
         for m in range(1, j):
-            out[(j, m)] = etab[(j - 1, m - 1)] + shock.op_D(etab[(j - 1, m)], h)
-        out[(j, j)] = etab[(j - 1, j - 1)]
+            out[(j, m)] = etab[j - 1][m - 1] + shock.op_D(etab[j - 1][m], h)
+        out[(j, j)] = etab[j - 1][j - 1]
     return out
 
 
@@ -273,12 +280,12 @@ def e2_table(etab, h: HData, d: int, gxx_inv: BiSeries):
     for j in range(1, d + 1):
         # E_{j-1,m-2} + 2 D E_{j-1,m-1} + D^2 E_{j-1,m}, over the indices that exist
         for m in range(j + 2):
-            acc = etab[(j - 1, m - 2)] if m >= 2 else None
+            acc = etab[j - 1][m - 2] if m >= 2 else None
             if 1 <= m <= j:
-                dd = shock.op_D(etab[(j - 1, m - 1)], h).scale(2.0)
+                dd = shock.op_D(etab[j - 1][m - 1], h).scale(2.0)
                 acc = dd if acc is None else acc + dd
             if m < j:
-                t = etab[(j - 1, m)]
+                t = etab[j - 1][m]
                 dd = t.dx().dx() + (t.dx() * hx).scale(2.0) + t * (hx * hx + hxx)
                 acc = dd if acc is None else acc + dd
             out[(j, m)] = acc * gxx_inv

@@ -540,6 +540,20 @@ def test_pipeline_auto_with_points_at_infinity_and_two_sheets_is_typed(infinity_
         assert "r = 1" in e["detail"] and "p = 2" in e["detail"]
 
 
+def test_pipeline_on_conic_and_two_lines_is_the_obstruction(workdir):
+    """Conic + 2 lines (delta = 3): the E-table row every r needs meets a y^-1 term, so
+    pipeline exits 2 with that ResidueObstruction and prints nothing."""
+    from cfr.geometry import BoundaryData
+    con = oracles.conic(n=1024)
+    b = BoundaryData(con.loops + [oracles._line_loop(a, 1024) for a in (0.5, -1.0 / 3.0)],
+                     [1, 1, 1])
+    (workdir / "conic-2-lines.json").write_text(json.dumps(boundary_to_json(b)))
+    code, out, err = run_cli(["pipeline", "--boundary", "conic-2-lines.json"], workdir)
+    assert (code, out) == (2, "")
+    assert err == ('{"error":"E_NUMERIC","type":"ResidueObstruction",'
+                   '"detail":"y^-1 coefficient of size 1.00e+00"}\n')
+
+
 def test_green_cli(workdir):
     from cfr import green
     (workdir / "phi.json").write_text(json.dumps([[[0.0, 0.0], [1.0, 0.0]]]))

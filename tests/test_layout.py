@@ -87,7 +87,7 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, f"defaults that only tests set, make them module constants: {unset}"
 
 
-SOURCE_LINE_CEILING = 2521      # lower it as the package shrinks
+SOURCE_LINE_CEILING = 2513      # lower it as the package shrinks
 
 
 def test_source_line_budget():

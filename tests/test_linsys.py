@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import warnings
 
 import numpy as np
@@ -7,19 +9,19 @@ from cfr import indicators, linsys, oracles, shock
 from cfr.geometry import BoundaryData, rho
 from cfr.linsys import Layout, RankDeficient, assemble_E0, fit_infinity, valid_window
 from reference import (E2Degenerate, G_k, assemble_E0_by_order, assemble_E1, assemble_E2,
-                       biseries_eval, biseries_from_y_poly, biseries_x_poly, coeff_c0,
+                       biseries_eval, biseries_from_y_poly, biseries_x_poly, coeff_c0, e_rows,
                        fixed_AB_residual, invert_gxx, mu_columns)
 
 
 @pytest.fixture(scope="module")
 def ext_parts(exterior_fit):
     fit, h, g1 = exterior_fit
-    etab = shock.E_decomposition(0, h)
+    etab = e_rows(h, 0)
     return fit, h, g1, etab
 
 
 def test_coeff_c0_constant(interior_h):
-    etab = shock.E_decomposition(1, interior_h)
+    etab = e_rows(interior_h, 1)
     v0 = coeff_c0(1, 0, 0, etab)   # E_{0,0} = 1
     assert abs(v0[0] - 1.0) < 1e-14 and np.max(np.abs(v0[1:])) == 0
     assert np.max(np.abs(coeff_c0(1, 0, 3, etab))) == 0
@@ -27,7 +29,7 @@ def test_coeff_c0_constant(interior_h):
 
 
 def test_coeff_c0_E11(interior_h):
-    etab = shock.E_decomposition(1, interior_h)
+    etab = e_rows(interior_h, 1)
     # E_{1,1} = Y - omega: coefficient of y^1 is 1, of y^0 is -omega
     assert abs(coeff_c0(2, 1, 1, etab)[0] - 1.0) < 1e-14
     assert abs(coeff_c0(2, 1, 0, etab)[0] - (-interior_h.omega)) < 1e-14
@@ -39,7 +41,7 @@ def test_coeff_c0_dual_route(interior_h):
     The quadrature route is (1/2 pi i) * contour integral of E_{j-1,m}(x, y)
     dy / y^(n+1) over |y| = 4 at a few x points.
     """
-    etab = shock.E_decomposition(3, interior_h)
+    etab = e_rows(interior_h, 3)
     nodes = 128
     y = 4.0 * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     dy = 1j * y * (2.0 * np.pi / nodes)
@@ -47,7 +49,7 @@ def test_coeff_c0_dual_route(interior_h):
         for n in (-2, -1, 0, 1):
             series_vec = coeff_c0(j, m, n, etab)
             for x in (0.0, 0.37, 0.11 + 0.23j):
-                f = biseries_eval(etab[(j - 1, m)], np.full_like(y, x), y)
+                f = biseries_eval(etab[j - 1][m], np.full_like(y, x), y)
                 v = np.sum(f * dy / y ** (n + 1)) / (2.0j * np.pi)
                 direct = np.polynomial.polynomial.polyval(x, series_vec)
                 assert abs(direct - v) < 1e-9
@@ -87,9 +89,9 @@ def test_assemble_E0_equals_order_by_order_route(name):
     """The one-read assembly equals the per-order route bit for bit, dmu < m included."""
     b = getattr(oracles, name)(n=256)
     lt = indicators.laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    h = shock.H_from_laurent(lt, lt.delta, -2.0 * rho(b))
+    h = shock.H_from_laurent(lt, -2.0 * rho(b))
     g1 = shock.g1_biseries(lt, h.Htilde.nx)
-    etab = shock.E_decomposition(3, h)
+    etab = e_rows(h, 3)
     for d in range(5):
         for r in range(4):
             for dmu in (0, 3, 10):
@@ -102,9 +104,9 @@ def test_assemble_E0_equals_order_by_order_route(name):
 
 def test_assemble_E0_drops_orders_of_a_term_no_mu_column_reaches(interior_h):
     """With dmu = 0 no column carries E_{1,1}, yet its validity still drops orders."""
-    etab = dict(shock.E_decomposition(1, interior_h))
-    e11 = etab[(1, 1)]
-    etab[(1, 1)] = shock.BiSeries(e11.c, e11.mlo, e11.mhi, exact=False)   # y^1, y^0 only
+    etab = e_rows(interior_h, 1)
+    e11 = etab[1][1]
+    etab[1][1] = shock.BiSeries(e11.c, e11.mlo, e11.mhi, exact=False)   # y^1, y^0 only
     g1 = shock.BiSeries(np.zeros((interior_h.Htilde.nx + 1, 9), dtype=complex), 0, 8)
     lay = Layout(d=2, r=0, dmu=0)
     orders, _, _ = e0_blocks(interior_h, g1, etab, lay)
@@ -130,7 +132,7 @@ def test_read_rows_zero_above_the_top_nan_past_a_series():
 def test_k0_vanishes_for_large_n(interior_fit):
     """Interior line (B=1, A=0, d=1): the right side K_n^0 of (E0) is 0 for n >= 1."""
     fit, h, g1 = interior_fit
-    orders, _, rhs = e0_blocks(h, g1, shock.E_decomposition(0, h), Layout(d=1, r=0, dmu=10))
+    orders, _, rhs = e0_blocks(h, g1, e_rows(h, 0), Layout(d=1, r=0, dmu=10))
     assert orders[-1] >= 1
     for n, row in zip(orders, rhs):
         if n >= 1:
@@ -164,7 +166,7 @@ def test_k0_linearity(interior_fit):
     """
     fit, h, g1 = interior_fit
     lay = Layout(d=2, r=1, dmu=10)
-    M, const = assemble_E0(h, g1, shock.E_decomposition(1, h), lay)
+    M, const = assemble_E0(h, g1, e_rows(h, 1), lay)
 
     def K_of(a0, b1):
         return const - a0 * M[:, lay.n_mu] - b1 * M[:, lay.n_mu + 1]
@@ -225,7 +227,7 @@ def test_E0_wrong_root_displacement(interior_fit):
     """Displacing the (here trivial) B by a 0.1-root change raises the residual."""
     fit, h, g1 = interior_fit
     lay = Layout(d=2, r=1, dmu=10)
-    etab = shock.E_decomposition(1, h)
+    etab = e_rows(h, 1)
     res_true = fixed_AB_residual(h, g1, etab, lay, [0.0], [1.0, 0.0])
     assert res_true < 1e-7
 
@@ -247,7 +249,7 @@ def test_E1_rows_leave_rank_unchanged(twoline):
     with pytest.warns(RankDeficient):
         fit, h, g1 = fit_infinity(twoline)
     lay = Layout(d=fit.r + h.delta, r=fit.r, dmu=10)
-    etab = shock.E_decomposition(lay.d - 1, h)
+    etab = e_rows(h, lay.d - 1)
     M0, _ = assemble_E0(h, g1, etab, lay)
     M1, _ = assemble_E1(h, g1, etab, lay)
     assert M0.shape[1] == 22
@@ -286,7 +288,7 @@ def test_E2_discrimination_conic(conic):
     fit, h, g1 = fit_infinity(conic)
     assert fit.r == 0 and fit.residual < 1e-8
     lay = Layout(d=1, r=1, dmu=10)
-    etab = shock.E_decomposition(0, h)
+    etab = e_rows(h, 0)
     M2, rhs2 = assemble_E2(h, g1, etab, lay)
     res_true = fixed_AB_residual(h, g1, etab, lay, [0.0], [1.0, 0.0],
                                  extra_blocks=[(M2, rhs2)])
@@ -297,23 +299,65 @@ def test_E2_discrimination_conic(conic):
     assert res_wrong > 1e-4
 
 
-def test_fit_scan_skips_residue_obstruction(conic, monkeypatch):
-    """An r whose E-table needs the log term J is skipped, not fatal.
+def test_fit_scan_stops_at_residue_obstruction(conic, monkeypatch):
+    """The scan ends at the first E-table row that needs the log term J.
 
     At accept_tol = 0 no candidate is accepted, so the conic scan reaches
-    r = 2..6, where E_decomposition meets a y^-1 coefficient; the best of
-    r = 0, 1 comes back.  With every r obstructed the obstruction is raised.
+    r = 2, whose row 2 meets a y^-1 coefficient; every larger r needs that
+    row, so the best of r = 0, 1 comes back.  With row 0 obstructed the
+    obstruction is raised.
     """
     with pytest.warns(RankDeficient):
         fit, _, _ = fit_infinity(oracles.conic(n=1024), accept_tol=0.0)
-    assert fit.r in (0, 1) and fit.residual < 1e-12
+    assert fit.r in (0, 1) and fit.residual < 1e-12 and not fit.accepted
 
-    def obstructed(dmax, h):
+    def obstructed(h):
         raise shock.ResidueObstruction("y^-1 coefficient")
+        yield       # a generator, so the first row raises
 
     monkeypatch.setattr(shock, "E_decomposition", obstructed)
     with pytest.raises(shock.ResidueObstruction):
         fit_infinity(conic)
+
+
+@pytest.mark.parametrize("name", ["conic", "interior"])
+def test_forced_scan_builds_each_E_row_once(name, request, monkeypatch):
+    """At accept_tol = 0 the scan runs r = 0..6, d = 1..7, up to the conic's obstructed row 2.
+
+    It calls op_E and primitivize as often as pulling rows 0..6 once from a fresh
+    iterator does, not once per row per r.
+    """
+    calls = collections.Counter()
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(shock, "op_E", counted(shock.op_E, "op_E"))
+    monkeypatch.setattr(shock.BiSeries, "primitivize", counted(shock.BiSeries.primitivize, "P"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficient)
+        fit, h, _ = fit_infinity(request.getfixturevalue(name), accept_tol=0.0)
+    scan = dict(calls)
+    calls.clear()
+    with contextlib.suppress(shock.ResidueObstruction):
+        e_rows(h, 6)
+    assert scan == dict(calls) and calls["P"] > 0 and not fit.accepted
+
+
+def test_conic_and_two_lines_stop_at_the_obstruction():
+    """Conic + 2 lines (delta = 3): row 2 of the E-table meets a y^-1 term that every r
+    needs, so each r_max and mmax >= 3 raises that one obstruction."""
+    con = oracles.conic(n=1024)
+    b = BoundaryData(con.loops + [oracles._line_loop(a, 1024) for a in (0.5, -1.0 / 3.0)],
+                     [1, 1, 1])
+    for r_max in range(7):
+        for mmax in range(3, 13):
+            with pytest.raises(shock.ResidueObstruction) as e:
+                fit_infinity(b, r_max=r_max, mmax=mmax)
+            assert str(e.value) == "y^-1 coefficient of size 1.00e+00"
 
 
 def test_fit_scan_stops_at_the_E_table_cap():

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from cfr import linsys
-from cfr.shock import (BInversionDiverged, BiSeries, E_decomposition, GridTooSmall,
-                       HData, H_from_laurent, NonFiniteResidual, ResidueObstruction, _fd4,
-                       g1_biseries, op_E, s_k_from_mu, system_residual)
+from cfr.shock import (BInversionDiverged, BiSeries, GridTooSmall, HData, H_from_laurent,
+                       NonFiniteResidual, ResidueObstruction, _fd4, g1_biseries, op_E,
+                       s_k_from_mu, system_residual)
 from reference import (G_k, biseries_coeff, biseries_dy, biseries_eval, biseries_from_y_poly,
                        biseries_mul_per_column, delta_from_expH, eqsym1_residual, exp_H,
-                       iterate_E, rational_tail)
+                       e_rows, iterate_E, rational_tail)
 
 W = -3.0
 
@@ -24,6 +24,25 @@ def grid_eval(fn, x0, y0, hx, hy, n=9):
 
 
 # -- plain BiSeries calculus -----------------------------------------------------
+
+
+# (a, b) exactness: (mlo, mhi, exact) of a + b and of a * b, for a on orders 1..5, b on -2..3.
+# An inexact term of a sum is valid to its top; an inexact factor is valid to its top,
+# reached with the other factor's lowest order.
+VALIDITY = [(True, True, (-2, 5, True), (-1, 8, True)),
+            (True, False, (-2, 3, False), (-1, 4, False)),
+            (False, True, (-2, 5, False), (-1, 3, False)),
+            (False, False, (-2, 3, False), (-1, 3, False))]
+
+
+@pytest.mark.parametrize("exact_a, exact_b, total, product", VALIDITY)
+def test_biseries_validity_table(exact_a, exact_b, total, product):
+    a = BiSeries(np.ones((3, 5)), 1, 5, exact_a)
+    b = BiSeries(np.ones((3, 6)), -2, 3, exact_b)
+    for s in (a + b, b + a):
+        assert (s.mlo, s.mhi, s.exact) == total
+    for s in (a * b, b * a):
+        assert (s.mlo, s.mhi, s.exact) == product
 
 
 def test_biseries_mul_and_eval():
@@ -192,8 +211,8 @@ def test_H_coefficients(interior_h):
 
 
 def test_zero_tail_H():
-    lt_zero = type("T", (), {"mmax": 1})()         # mmax = 1 leaves no y^-m term, m >= 1
-    h = H_from_laurent(lt_zero, 0, W)
+    lt_zero = type("T", (), {"mmax": 1, "delta": 0})()   # mmax = 1 leaves no y^-m term, m >= 1
+    h = H_from_laurent(lt_zero, W)
     _, mono_pow, series = exp_H(h)
     assert mono_pow == 0
     assert abs(biseries_eval(series, 0.2, 4.0) - 1.0) < 1e-14
@@ -240,30 +259,28 @@ def test_op_E_single_term():
 
 
 def test_E_table_structure(interior_h):
-    tab = E_decomposition(4, interior_h)
+    tab = e_rows(interior_h, 4)
     # E_{2,2} = (Y - omega)^2/2
-    e22 = tab[(2, 2)]
+    e22 = tab[2][2]
     for y in (4.0, -5.0 + 1.0j):
         assert abs(biseries_eval(e22, 0.3, y) - (y - W) ** 2 / 2.0) < 1e-12
     # E_{1,0} = P(dH/dx)
-    e10 = tab[(1, 0)]
+    e10 = tab[1][0]
     direct = interior_h.dHx.primitivize(interior_h.omega)
     lo, hi = max(e10.mlo, direct.mlo), min(e10.mhi, direct.mhi)
     assert np.max(np.abs((e10 - direct)._window(lo, hi))) < 1e-14
-    with pytest.raises(ValueError):
-        E_decomposition(9, interior_h)
 
 
 def test_operator_identity_Ek(interior_h):
     """E^k(f x 1) = sum_j f^(j) E_{k,j} for f = x^3 + 2x, k = 1..4."""
     f = np.array([0.0, 2.0, 0.0, 1.0])
-    tab = E_decomposition(4, interior_h)
+    tab = e_rows(interior_h, 4)
     for k in range(1, 5):
         lhs = iterate_E(f, k, interior_h)
         rhs = None
         fj = f.copy()
         for j in range(k + 1):
-            t = tab[(k, j)] * BiSeries.from_x_poly(fj, interior_h.Htilde.nx)
+            t = tab[k][j] * BiSeries.from_x_poly(fj, interior_h.Htilde.nx)
             rhs = t if rhs is None else rhs + t
             fj = P.polyder(fj)
         lo, hi = max(lhs.mlo, rhs.mlo), min(lhs.mhi, rhs.mhi)
@@ -288,7 +305,7 @@ def test_s_k_random_mu_chain(interior_lt, rng):
     """(s_1, s_2) from random mu satisfies the chain of Prop-style equations
     with dN/dx = dG_1/dx - B'/B (the A-free closure of the construction)."""
     W2 = -4.5
-    h = H_from_laurent(interior_lt, interior_lt.delta, W2)
+    h = H_from_laurent(interior_lt, W2)
     nx = h.Htilde.nx
     B = np.array([1.0, 0.5])
     g1 = g1_biseries(interior_lt, nx)
@@ -311,7 +328,7 @@ def test_eqsym1_residual_keeps_nan(interior_h):
 def test_systMu_reproduces_inputs(interior_lt, rng):
     """(1 x B) s_k = (sum E^{j-k} mu_j) e^H termwise within validity."""
     W2 = -4.5
-    h = H_from_laurent(interior_lt, interior_lt.delta, W2)
+    h = H_from_laurent(interior_lt, W2)
     B = np.array([1.0, 0.8])
     mu = [rng.standard_normal(4) for _ in range(2)]
     s = s_k_from_mu(mu, B, h)
