@@ -302,10 +302,9 @@ def cmd_pipeline(args):
 def cmd_shock_verify(args):
     b = _boundary(args.boundary)
     y0 = _finite("--y0", _parse("--y0", complex, args.y0)) if args.y0 else 2.5 * rho(b)
-    hx = hy = args.step
-    n = args.gridn
-    xs = (np.arange(n) - n // 2) * hx
-    ys = y0 + (np.arange(n) - n // 2) * hy
+    n, step = args.gridn, args.step
+    xs = (np.arange(n) - n // 2) * step
+    ys = y0 + xs
     if not (np.min(np.abs(ys)) > rho(b) and np.max(np.abs(xs)) < np.min(m_of_y(b, ys))):
         raise ValidationError(f"need |y| > rho = {rho(b):g} and |x| < m(y) at every grid node")
     p, fam = _sheets_and_family(b, args)
@@ -313,7 +312,7 @@ def cmd_shock_verify(args):
         raise ValidationError("shock-verify needs p >= 1")
     N = reconstruct.N_Qk(b, np.repeat(xs, n), np.tile(ys, n), p, fam)
     S = symmetric.power_to_elementary(N).reshape(p, n, n)      # S[k - 1][i, j] at (xs[i], ys[j])
-    res = shock.system_residual(S, hx, hy)
+    res = shock.system_residual(S, step, step)
     _write(dumps({"p": p, "grid": n, "step": args.step, "residual": res}), args.out)
     return 0
 
@@ -366,13 +365,7 @@ def _density(spec):
 def _lambda_from_file(path):
     """Radial rational density: {"num": [...], "den": [...]} in powers of |z|^2."""
     num, den = _parse("lambda file", _density, _load(path))
-
-    def lam(z):
-        r2 = np.abs(z) ** 2
-        return (np.polynomial.polynomial.polyval(r2, num)
-                / np.polynomial.polynomial.polyval(r2, den))
-
-    return lam
+    return lambda z: P.polyval(np.abs(z) ** 2, num) / P.polyval(np.abs(z) ** 2, den)
 
 
 def cmd_genus(args):

@@ -23,19 +23,14 @@ import numpy as np
 CHART_EPS = 1e-12
 
 # Largest (lines x samples) block, or dedup chunk of point pairs, one array operation over a loop
-# holds (at least one item: a y row of G_lines' grid), so peak memory does not grow with the sweep.
+# holds (at least one item: a line of a G_lines stride pass), so peak memory stays flat in a sweep.
 # A 128 KiB temporary stays on glibc's heap: a pipeline op has ~700 minor faults, ~3460 at 2^15.
 TILE_ENTRIES = 2 ** 13
 
 
-def tile_rows(samples: int) -> int:
-    """Items per tile when an item spans `samples` entries: TILE_ENTRIES // samples, at least 1."""
-    return max(1, TILE_ENTRIES // samples)
-
-
 def tiles(count: int, samples: int):
-    """Slices of range(count) with tile_rows(samples) items each (the last may hold fewer)."""
-    step = tile_rows(samples)
+    """Slices of range(count), TILE_ENTRIES // samples items (at least 1) each but the last."""
+    step = max(1, TILE_ENTRIES // samples)
     return (slice(i, i + step) for i in range(0, count, step))
 
 

@@ -2,7 +2,8 @@
 
 All contour integrals are composite trapezoid sums over the uniform periodic
 sample grids, which is spectrally accurate for the analytic integrands at
-hand.  Differentials are read from each loop's velocities: the given dw, or
+hand; G_lines takes each line's sum at a certified stride, the others sum every
+sample.  Differentials are read from each loop's velocities: the given dw, or
 without it the spectral derivative of the loop's chart (geometry).
 """
 
@@ -13,11 +14,13 @@ from math import comb as _comb
 
 import numpy as np
 
-from .geometry import BoundaryData, tile_rows, tiles
+from .geometry import BoundaryData, tiles
 
 DENOM_EPS = 1e-9
 DELTA_ROUND_TOL = 1e-6
 LAURENT_XCHECK_TOL = 1e-6
+STRIDE_MIN = 32                     # fewest samples a certified G_lines sum may take
+STRIDE_TOL = 4 * np.finfo(float).eps    # its largest gap to half as many, over sum |terms|
 
 # x-points of the Laurent cross-check.  Per sample, the y^-m coefficient of
 # G_k is a polynomial of degree m in x (see _circle_coeffs).  A DFT of n_x
@@ -38,44 +41,59 @@ class TruncationMismatch(ValueError):
     """The moment table and the per-sample 1/y expansion of G_k disagree."""
 
 
+def flat_lines(xs, ys):
+    """Per-line arrays (x, y) of a (y, x) grid of lines or of a flat list (1-D xs), row-major."""
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} rows of x for {len(ys)} values of y")
+    return xs.ravel(), np.repeat(ys, xs.shape[1] if xs.ndim == 2 else 1)
+
+
+def _stride_sums(arrs, s, x, y, ks):
+    """S[i, j] = sum z1^k q and size[i, j] = sum |z1^k| |q|, k = ks[i], over every s-th sample.
+
+    q = (y dz1 + dz2) / ((x + y z1) + z2) on line (x[j], y[j]), checked against DENOM_EPS per tile
+    of lines; each sum is its line's own np.add.reduce row, one k at a time (TILE_ENTRIES).
+    """
+    z1, z2, dz1, dz2 = (np.ascontiguousarray(a[::s]) for a in arrs)
+    zk = [z1 ** k for k in ks]
+    S, size = np.empty((len(ks), len(x)), dtype=complex), np.empty((len(ks), len(x)))
+    for sl in tiles(len(x), len(z1)):
+        den = (x[sl, None] + y[sl, None] * z1) + z2
+        if np.min(np.abs(den)) <= DENOM_EPS:
+            raise NearIncidence("line parameter too close to the boundary image")
+        q = (y[sl, None] * dz1 + dz2) / den
+        for i, z in enumerate(zk):
+            np.add.reduce(z * q, axis=-1, out=S[i, sl])
+            np.add.reduce(np.abs(z) * np.abs(q), axis=-1, out=size[i, sl])
+    return S, size
+
+
 def G_lines(b: BoundaryData, xs, ys, ks):
     """Indicators G_k on a (y, x) grid of lines, shape (len(ks),) + xs.shape.
 
     Entry [i, a, c] is G_{ks[i]} on the line (xs[a, c], ys[a]) for xs of shape
     (n_y, n_x) and ys of shape (n_y,); a 1-D xs pairs xs[j] with ys[j] (n_x = 1).
-    Per loop, tiles of whole y rows (geometry.tiles, at least one row) form y z1
-    and y dz1 + dz2 once per y, then (x + y z1) + z2, the DENOM_EPS check, the
-    division and one np.add.reduce row (as np.sum) per line and k, into buffers
-    made once per call, so an entry equals G_lines(b, [x], [y], ks)[:, 0] bit for bit.
+    Per loop of N samples and per line, the trapezoid sum T_s over every s-th
+    sample is taken first at the coarsest power-of-two s dividing N with
+    N/s >= STRIDE_MIN, and accepted once |T_s - T_2s| <= STRIDE_TOL s |h| sum |z1^k q|
+    over its samples for every k; otherwise s halves, down to s = 1, the full sum,
+    which needs no test.  Each line decides and sums alone (_stride_sums), so an
+    entry equals G_lines(b, [x], [y], ks)[:, 0] bit for bit.
     """
-    ys = np.asarray(ys, dtype=complex)
-    xs = np.asarray(xs, dtype=complex)
-    grid = xs if xs.ndim == 2 else xs[:, None]
-    if len(grid) != len(ys):
-        raise ValueError(f"{len(grid)} rows of x for {len(ys)} values of y")
     ks = [int(k) for k in np.atleast_1d(ks)]
-    n_x = grid.shape[1]
-    size = max(tile_rows(n_x * len(lp)) * n_x * len(lp) for lp in b.loops)
-    bufs, mod = np.empty((4, size), dtype=complex), np.empty(size)
-    acc = np.zeros((len(ks),) + grid.shape, dtype=complex)
-    sums = np.empty_like(acc)
+    x, y = flat_lines(xs, ys)
+    acc = np.zeros((len(ks), len(x)), dtype=complex)
     for sign, lp in b.signed_loops():
-        z1, z2, dz1, dz2, n = lp.z1, lp.z2, lp.dz1, lp.dz2, len(lp)
-        z1k = [z1 ** k for k in ks]
-        for sl in tiles(len(ys), n_x * n):
-            y = ys[sl, None, None]
-            yz1, num, den, prod, dmod = (f[: len(y) * w].reshape(len(y), -1, n)   # 1 or n_x per y
-                                         for f, w in zip([*bufs, mod], (n, n) + (n_x * n,) * 3))
-            np.add(grid[sl, :, None], np.multiply(y, z1, out=yz1), out=den)
-            den += z2
-            if np.minimum.reduce(np.abs(den, out=dmod), axis=None) <= DENOM_EPS:
-                raise NearIncidence("line parameter too close to the boundary image")
-            np.divide(np.add(np.multiply(y, dz1, out=num), dz2, out=num), den, out=den)
-            for i, zk in enumerate(z1k):
-                np.add.reduce(np.multiply(zk, den, out=prod), axis=-1, out=sums[i, sl])
-        acc += sign * (lp.t[1] - lp.t[0]) * sums
-    acc /= 2.0j * np.pi
-    return acc.reshape((len(ks),) + xs.shape)
+        arrs, n, h = (lp.z1, lp.z2, lp.dz1, lp.dz2), len(lp), lp.t[1] - lp.t[0]
+        s = min(n & -n, 1 << (max(1, n // STRIDE_MIN).bit_length() - 1))   # coarsest s
+        todo, prev, s = np.arange(len(x)), np.nan, 2 * s if s > 1 else 1    # T_2s, then T_s
+        while len(todo):
+            S, size = _stride_sums(arrs, s, x[todo], y[todo], ks)
+            done = np.all(np.abs(S - 2 * prev) <= STRIDE_TOL * size, axis=0) | (s == 1)
+            acc[:, todo[done]] += sign * (s * h) * S[:, done]
+            todo, prev, s = todo[~done], S[:, ~done], s // 2
+    return (acc / (2.0j * np.pi)).reshape((len(ks),) + np.shape(xs))
 
 
 def delta(b: BoundaryData) -> int:

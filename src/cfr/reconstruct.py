@@ -22,21 +22,15 @@ MERGE_EPS = 1e-6              # chordal distance below which two cloud points me
 ANGLE_OFFSET = 0.31           # the sweep's y angles are (j + ANGLE_OFFSET) / angles turns
 
 
-def _flat(xs, ys):
-    """Per-line arrays (x, y) of a (y, x) grid or of a flat list of lines, row-major."""
-    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
-    return xs.ravel(), np.repeat(ys, xs.shape[1] if xs.ndim == 2 else 1)
-
-
 def N_Qk(b: BoundaryData, xs, ys, p: int, pk_family):
     """Holomorphic extensions N_{Q,k}(z) = G_k(z) - P_k(x, y), k = 1..p, on the lines (xs, ys).
 
-    Returns a (p, lines) array, lines row-major (_flat), from one G_lines call on
-    the grid and one call of each P_k on the flat lines.  A false P_k (a
-    Correction without germs) is skipped: its value is exactly 0.
+    Returns a (p, lines) array, lines in indicators.flat_lines order, from one G_lines
+    call (each line at its certified stride) and one call of each P_k on the flat
+    lines.  A false P_k (a Correction without germs) is exactly 0 and is skipped.
     """
     out = indicators.G_lines(b, xs, ys, range(1, p + 1)).reshape(p, -1)
-    xf, yf = _flat(xs, ys)
+    xf, yf = indicators.flat_lines(xs, ys)
     for k in range(1, min(p + 1, len(pk_family))):
         if pk_family[k]:
             out[k - 1] -= pk_family[k](xf, yf)
@@ -69,7 +63,7 @@ def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
     if p < 1:
         raise ValueError("fiber needs p >= 1")
     N = N_Qk(b, xs, ys, p, pk_family)
-    xs, ys = _flat(xs, ys)
+    xs, ys = indicators.flat_lines(xs, ys)
     C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N)).T
     h = symmetric.roots(C)
     i, j = np.triu_indices(p, 1)
@@ -139,7 +133,7 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
         return cloud
     xs, ys = _default_grid(b, radii, angles, xfracs)
     keep, rts, cloud.skipped = fibers(b, xs, ys, p, pk_family)
-    xs, ys = _flat(xs, ys)
+    xs, ys = indicators.flat_lines(xs, ys)
     # row i is the point (1 : h : -x - y h) of root i % p over accepted line i // p,
     # scaled to max modulus 1 unless within 1e-9 of it
     x, y = xs[keep, None], ys[keep, None]

@@ -5,11 +5,19 @@ on a flat and a graph patch and of `genus` on the disc and the annulus.  A chang
 means to alter an output records the new digest and says why in CHANGES.md.
 
 Regenerate the table with `PYTHONPATH=src python tests/test_cli_bytes.py DIR`, which runs
-every case in the empty directory DIR and prints the digests.
+every case in the empty directory DIR and prints the digests.  With `--compare OLD_SRC` it
+instead runs every case on this tree's `src` and on the `src` tree OLD_SRC, each in its own
+subdirectory of DIR on the input files this tree writes, and prints a table: per case,
+whether the exit codes, stderr and the counts of numbers in stdout and the written files
+are equal, and the largest absolute difference between those numbers.
 """
 
+import argparse
 import hashlib
 import json
+import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -49,33 +57,33 @@ CASES = list(_cases())
 
 DIGESTS = {
     "make-oracle-line": "245d12c4b61be2a4abcc31dc67e04a37ace09a641b5a06ea2fa4692ad17ae49d",
-    "indicators-line": "7f37a39c944a304404111e820adfacd64bbbc74f949ae0c5640a7b3ea7b91762",
+    "indicators-line": "89681a07417df5abe1807d33e1808d60205ee0977867d5edba314b02a5cba28a",
     "fit-infinity-line": "c58d7025007da8a1fd2e8e8c5f63f12666bcabf80a9f02b21af330cb9783eb36",
-    "pipeline-line": "f3f4d068bba32be1ec7f687afd4305171602407f776fa399cc4ab85aa7361b9f",
-    "pipeline-csv-line": "e14e764e7208739137bbb729be9f394b766668c3b6ef03f6be30fa699523274f",
-    "reconstruct-line": "3b0fdc8fb466e61da2dfe8f73fa18f0eaa43a4b4f93ab1393bbdd81c5827d2f1",
-    "shock-verify-line": "4bb3397650442b1c3e87d2c428e560d045a6b7d3440d1fa0971501a94ba16eb5",
+    "pipeline-line": "32550e1f697f903ea2fabb15507cc455983fb1a86441d7f100acc9ea4d35de63",
+    "pipeline-csv-line": "132df8159d00f89902af72bdfdb4c4e22ede91e5ff36361cef1c55cdc73af27a",
+    "reconstruct-line": "d8f9abd5cfee21d6f03e8e58515d7c005f9b99e18c586a6c5c187efcc55a9306",
+    "shock-verify-line": "8a41fea9db354896d7aeec817c96c4cba9cc8c76527822a1aae78d1b674dc73d",
     "make-oracle-ext": "e1fa9f0044b336e77c21791765567f479550a8dd5d0017a9e4b55e158b8f3d2c",
-    "indicators-ext": "3e1bfbf5e456f9e0246d069dede2ebbe05aa069059b39c6d92698a15dc170e3e",
+    "indicators-ext": "857e64c33ab2db1ee1133c882da66cbfa523257996c8dc280bc9b9bd4abadb6d",
     "fit-infinity-ext": "87e1cf8a4c9eb308221217cee972dc5bbd67fad06d8ee0411cc7870bfcc052ea",
     "pipeline-ext": "f2aec10b1d06949e7ae8a08db0896de21a96604d965d3185b02ee16d20ba9b4e",
     "pipeline-csv-ext": "a13958f652e5a0ee3792b3f3e744ce332f02d2f9124f6910b0565c57c44db392",
     "reconstruct-ext": "757bac39d521ffe5a8bc6a901a36c5b6ce85af0f9d2d254612672bf3ebcf029c",
     "shock-verify-ext": "dbe48258217fba224e20d3313b8a8bb1aee8ed5d704007c06aa391579a827ab9",
     "make-oracle-twoline": "9481ef5fad38ea16ec9734f7fd574126f07b5a1e203393c9b4f0f19236cbabe5",
-    "indicators-twoline": "9d9d4dff2853318a19de3ae4b7369b87e82caea1a06142f18df4069cffc5b472",
+    "indicators-twoline": "9fdd1c6bc2776549632a322f1289f6be7f459679f01db6010cc81c20b2b4bc75",
     "fit-infinity-twoline": "eb00310ba5a6b3e5380ea379c6470c7d9d3a54e6aa8e436824d03ae7ab487371",
-    "pipeline-twoline": "714337c8a2abe5a53d48df8cdaba180c84fafc5537c51d8c5e0bf0fe3249aff6",
-    "pipeline-csv-twoline": "c8c162fc72b91e0ff2bd5f5808c4c622c0aa4348ea14f401583c20b3661a2737",
-    "reconstruct-twoline": "8b20a65b9edf4adc2be03404e37e07a9849aabf59cbdc66704db11674b767bd5",
-    "shock-verify-twoline": "8a38d834e5c9cfe96736e3a4a6885fe264a1703b51f76d2baa79a33e4656b04e",
+    "pipeline-twoline": "7754a2b04adb865498e26ead30c92cbda11df2fd7082322991889793196e2f8a",
+    "pipeline-csv-twoline": "3e20e8841fd83389a95fe0cb2ed2955ff80393b9cef0e8f7122b72261f80a5ac",
+    "reconstruct-twoline": "c3390cb10c3d83353c80e3eb165bb2e8d7e5fc8dbb611a2371889c83ecc0a089",
+    "shock-verify-twoline": "01f6ac34e19c46f3c43cdfb63765d0b514767cc1c5779e8517f426955b864ca9",
     "make-oracle-conic": "941625cb2ad84a5c6ad65eea161af7e890fd530b8f3449e8aa320597079fd708",
-    "indicators-conic": "b9cfd577e9f97272f01c600992e1e5e0330cb14a8a55d99d0e8af04351d22926",
+    "indicators-conic": "8e9af6ad6d3816b2ca7c57a1258ed9d328f54d9484696a36f1c13ba5a1ffc552",
     "fit-infinity-conic": "74a10d3a9dd863c57437b700000326c657a0f97c1d2147612832e4a20e006c70",
-    "pipeline-conic": "9806aac36c0f99e6c9046e7b1c785b81d2710b268386c76e7639d413e72b6f0e",
-    "pipeline-csv-conic": "3041a0a710ea8ead9912312f3c98c349bacde7a660bd797c7837ae30c9bb0dca",
-    "reconstruct-conic": "4c3739cdf9722cc17982b2bdca4106fa5ff56bac453d663467b63523ce6de5af",
-    "shock-verify-conic": "afef2b57a1405b40248525df0137af2d44420f63c413dac51e5e2b7ab5aed07c",
+    "pipeline-conic": "7d499b585c9ce87a863f2023dea1312af5070623f04919e8376606bca447ecae",
+    "pipeline-csv-conic": "9ae8cb2722af662880630a6ffa04dcb693e7ff4a72047de43548c7f8a524d979",
+    "reconstruct-conic": "5903709c8e2284ec362d5b6986760530df366b77204f62224a804553ed22d03b",
+    "shock-verify-conic": "577b480fb3858390e94c611ce6b7d68b91403da6989808a60e82147cffe596f7",
     "green-flat": "1d7fd73aa6e1dc30515aef2bedb0aeb2157f271cf0f04445f8887dc591242d57",
     "green-graph": "1d7fd73aa6e1dc30515aef2bedb0aeb2157f271cf0f04445f8887dc591242d57",
     "genus-disc": "1c7af7a2c648d93ad720198612d4cd49438d6d8e42fa8dde8ff1d1c6d79d0244",
@@ -114,8 +122,46 @@ def test_cli_bytes(bytes_dir, name, argv, files):
     assert _digest(argv, files, bytes_dir) == DIGESTS[name]
 
 
-if __name__ == "__main__":
-    cwd = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp()
-    _prepare(cwd)
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _run(src, argv, files, cwd):
+    """(exit code, stderr, numbers in stdout and the written files) of `python -m cfr argv`
+    with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "cfr", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    text = proc.stdout + "".join((Path(cwd) / f).read_text() for f in files if proc.returncode == 0)
+    return proc.returncode, proc.stderr, [float(v) for v in NUMBER.findall(text)]
+
+
+def compare(old_src, root):
+    """Print, per case, how this tree's outputs differ from those of the src tree old_src."""
+    trees = {"new": Path(__file__).resolve().parent.parent / "src", "old": Path(old_src).resolve()}
+    for tag in trees:
+        (Path(root) / tag).mkdir()
+        _prepare(Path(root) / tag)
+    print("| case | exit code | stderr | numbers (new, old) | max abs difference |")
+    print("| --- | --- | --- | --- | --- |")
     for name, argv, files in CASES:
-        print(f'    "{name}": "{_digest(argv, files, cwd)}",')
+        (code, err, nums), (code0, err0, nums0) = (_run(src, argv, files, Path(root) / tag)
+                                                   for tag, src in trees.items())
+        same = len(nums) == len(nums0)
+        gap = max((abs(a - b) for a, b in zip(nums, nums0)), default=0.0) if same else None
+        print(f"| {name} | {'equal' if code == code0 else f'{code0} -> {code}'} | "
+              f"{'equal' if err == err0 else 'differs'} | {len(nums)}, {len(nums0)} | "
+              f"{'n/a' if gap is None else f'{gap:.2g}'} |")
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Print the digest table, or compare with another src.")
+    ap.add_argument("dir", nargs="?", help="empty working directory (default: a new temporary one)")
+    ap.add_argument("--compare", metavar="OLD_SRC", help="src tree to compare the outputs with")
+    args = ap.parse_args()
+    cwd = args.dir or tempfile.mkdtemp()
+    if args.compare:
+        compare(args.compare, cwd)
+    else:
+        _prepare(cwd)
+        for name, argv, files in CASES:
+            print(f'    "{name}": "{_digest(argv, files, cwd)}",')

@@ -55,7 +55,7 @@ def test_near_incidence_guard(interior):
 
 
 def _G_per_line(b, x, y, ks):
-    """Reference: one line at a time, one np.sum per loop and k."""
+    """Reference: one line at a time, one np.sum per loop and k over every sample."""
     acc = np.zeros(len(ks), dtype=complex)
     for sign, lp in b.signed_loops():
         base = (y * lp.dz1 + lp.dz2) / (x + y * lp.z1 + lp.z2)
@@ -65,32 +65,33 @@ def _G_per_line(b, x, y, ks):
     return acc / (2.0j * np.pi)
 
 
+FULL_SUM_TOL = 1e-13        # |G_lines - _G_per_line|: a certified stride against every sample
+
+
 @pytest.mark.parametrize("name", ["interior", "twoline", "conic"])
 def test_G_grid_matches_per_line_sums(name, request, rng):
-    """G_lines on the (y, x) grid of lines equals the per-line sums bit for bit."""
+    """G_lines on the (y, x) grid of lines equals its one-line calls bit for bit, and the
+    per-line full sums within FULL_SUM_TOL."""
     b = request.getfixturevalue(name)
     ks = [0, 1, 2, 3]
     ys = 3.0 * rho(b) * np.exp(2j * np.pi * rng.random(35))
     xs = [f * m_of_y(b, ys[0]) for f in (0.3 * rng.random(3) - 0.15)]
-    X = np.tile(np.array(xs), (35, 1))                  # 35 y rows: 18 tiles, one partial
+    X = np.tile(np.array(xs), (35, 1))                  # 105 lines: tiles of 128 at 64 samples
     grid = G_lines(b, X, ys, ks)
     assert grid.shape == (4, 35, 3)
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
-            ref = _G_per_line(b, x, y, ks)
-            assert np.array_equal(G_lines(b, [x], [y], ks)[:, 0], ref)
-            assert np.array_equal(grid[:, iy, ix], ref)
+            one = G_lines(b, [x], [y], ks)[:, 0]
+            assert np.array_equal(grid[:, iy, ix], one)
+            assert np.max(np.abs(one - _G_per_line(b, x, y, ks))) <= FULL_SUM_TOL
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
 @pytest.mark.parametrize("n_x", [1, 3, 16])
 @pytest.mark.parametrize("n_y", [2, 9])
 def test_G_lines_grid_equals_per_line(n, n_x, n_y, rng):
-    """Each entry of an (n_y, n_x) grid is the per-line sum, bit for bit, as is the flat list.
-
-    A tile holds max(1, TILE_ENTRIES // (n_x n)) y rows: 8, 2 and 1 at 1024
-    samples, 2, 1 and 1 at 4096, so 9 rows cross tile edges.
-    """
+    """An (n_y, n_x) grid equals its flat list bit for bit, and each entry the per-line
+    full sum within FULL_SUM_TOL."""
     b = oracles.two_line(n=n)
     ks = [0, 1, 2]
     ys = rho(b) * (2.0 + rng.random(n_y)) * np.exp(2j * np.pi * rng.random(n_y))
@@ -100,12 +101,12 @@ def test_G_lines_grid_equals_per_line(n, n_x, n_y, rng):
     assert np.array_equal(G_lines(b, xs.ravel(), np.repeat(ys, n_x), ks), got.reshape(3, -1))
     for a in range(n_y):
         for c in range(n_x):
-            assert np.array_equal(got[:, a, c], _G_per_line(b, xs[a, c], ys[a], ks))
+            assert np.max(np.abs(got[:, a, c] - _G_per_line(b, xs[a, c], ys[a], ks))) <= FULL_SUM_TOL
 
 
 @pytest.mark.parametrize("row, col", [(0, 0), (3, 1), (6, 2)])
 def test_G_lines_grid_near_incidence(interior, row, col, monkeypatch):
-    """One incident line anywhere in a (7, 3) grid of one-row tiles raises NearIncidence."""
+    """One incident line anywhere in a (7, 3) grid, in 2^8-entry tiles, raises NearIncidence."""
     from cfr import geometry
     monkeypatch.setattr(geometry, "TILE_ENTRIES", 2 ** 8)
     ys = np.full(7, 5.0, dtype=complex)
@@ -126,11 +127,8 @@ def test_G_lines_rows_must_match_ys(interior, xs, ys):
 @pytest.mark.parametrize("n", [1024, 4096])
 @pytest.mark.parametrize("count", [1, 8, 9, 32, 33])
 def test_G_lines_rows_equal_G_k(n, count, rng):
-    """A G_lines column is G_k of its line and the per-line sum, bit for bit.
-
-    Tiles hold 8 lines at 1024 samples and 2 at 4096, so the counts cross
-    tile edges.
-    """
+    """A G_lines column is G_k of its line bit for bit, and the per-line full sum within
+    FULL_SUM_TOL; the counts cross the tile edges of every stride."""
     b = oracles.two_line(n=n)
     ks = [0, 1, 2]
     ys = rho(b) * (2.0 + rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
@@ -139,13 +137,98 @@ def test_G_lines_rows_equal_G_k(n, count, rng):
     assert got.shape == (3, count)
     for j in range(count):
         assert np.array_equal(got[:, j], G_k(b, LineParam(xs[j], ys[j]), ks))
-        assert np.array_equal(got[:, j], _G_per_line(b, xs[j], ys[j], ks))
+        assert np.max(np.abs(got[:, j] - _G_per_line(b, xs[j], ys[j], ks))) <= FULL_SUM_TOL
 
 
 def test_G_lines_near_incidence(interior):
     x = -(3.0 * 1.0 + 1.5)            # the line through the boundary point z1 = 1
     with pytest.raises(NearIncidence):
         G_lines(interior, [0.1] * 40 + [x], [5.0] * 40 + [3.0], [1])
+
+
+@pytest.fixture
+def strides(monkeypatch):
+    """The (samples per loop, stride) of every pass G_lines makes, in call order."""
+    seen = []
+    inner = indicators._stride_sums
+
+    def spy(arrs, s, x, y, ks):
+        seen.append((len(arrs[0]), s))
+        return inner(arrs, s, x, y, ks)
+
+    monkeypatch.setattr(indicators, "_stride_sums", spy)
+    return seen
+
+
+def test_G_lines_odd_n_sums_every_sample(strides):
+    """N = 1001 has no power-of-two stride: one pass over every sample, the full sum's bits."""
+    b = oracles.two_line(n=1001)
+    ys = rho(b) * np.array([2.0, 2.5j, -3.0])
+    xs = 0.2 * m_of_y(b, ys)
+    got = G_lines(b, xs, ys, [0, 1, 2])
+    assert strides == [(1001, 1)] * 2                   # one pass per loop
+    for j in range(3):
+        assert np.array_equal(got[:, j], _G_per_line(b, xs[j], ys[j], [0, 1, 2]))
+
+
+@pytest.mark.parametrize("j", [1, 3, 513])
+@pytest.mark.parametrize("off", [0.0, 1e-10])
+def test_G_lines_near_incidence_at_odd_sample(interior, j, off):
+    """A line through, or 1e-10 off, a sample only the full sum touches still raises.
+
+    Coarse sums skip odd j, but the pole beside them keeps any two from agreeing,
+    so the line falls to s = 1, whose DENOM_EPS check sees the sample.
+    """
+    lp = interior.loops[0]
+    y = 3.0 * np.exp(0.4j)
+    x = -(y * lp.z1[j] + lp.z2[j]) + off
+    with pytest.raises(NearIncidence):
+        G_lines(interior, [x], [y], [1])
+    with pytest.raises(NearIncidence):
+        G_lines(interior, [0.1] * 40 + [x], [5.0] * 40 + [y], [0, 1])
+
+
+def test_G_lines_uncertified_line_takes_every_sample(interior, strides):
+    """A line 1e-4 off the boundary image certifies at no stride: s halves 64 -> 1 and the
+    result is the full sum's bits, while a line in Z stops at 128 samples (stride 8)."""
+    lp = interior.loops[0]
+    y = 3.0 * np.exp(0.4j)
+    x = -(y * lp.z1[5] + lp.z2[5]) + 1e-4
+    got = G_lines(interior, [x], [y], [1, 2])[:, 0]
+    assert [s for _, s in strides] == [64, 32, 16, 8, 4, 2, 1]
+    assert np.array_equal(got, _G_per_line(interior, x, y, [1, 2]))
+    strides.clear()
+    G_lines(interior, [0.2 * m_of_y(interior, y)], [y], [1, 2])
+    assert [s for _, s in strides][-1] >= 8
+
+
+def _line_loop(a, c, n):
+    """The circle |z1| = 1 on the line z2 = c + a z1."""
+    e = lambda t: np.exp(1j * t)
+    return oracles._loop_from_maps(n, lambda t: (np.ones_like(e(t)), e(t), c + a * e(t)),
+                                   lambda t: (0 * e(t), 1j * e(t), 1j * a * e(t)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.sampled_from([64, 96, 512, 1000, 1024]))
+def test_G_lines_certified_on_line_unions(seed, count, n):
+    """On unions of generic lines and random lines of Z, grid, flat and one-line results agree
+    bit for bit, and each lies within FULL_SUM_TOL of the full sum."""
+    r = np.random.default_rng(seed)
+    polar = lambda lo, hi, k: (lo + (hi - lo) * r.random(k)) * np.exp(2j * np.pi * r.random(k))
+    b = BoundaryData([_line_loop(a, c, n) for a, c in zip(polar(0.1, 1.5, count),
+                                                          polar(0.5, 2.0, count))],
+                     list(r.choice([1, -1], count)))
+    ks = [0, 1, 2, 3]
+    ys = rho(b) * polar(1.5, 4.0, 3)
+    xs = (0.9 * r.random((3, 2)) - 0.45) * m_of_y(b, ys)[:, None]
+    grid = G_lines(b, xs, ys, ks)
+    assert np.array_equal(G_lines(b, xs.ravel(), np.repeat(ys, 2), ks), grid.reshape(4, -1))
+    for a in range(3):
+        for c in range(2):
+            one = G_lines(b, [xs[a, c]], [ys[a]], ks)[:, 0]
+            assert np.array_equal(grid[:, a, c], one)
+            assert np.max(np.abs(one - _G_per_line(b, xs[a, c], ys[a], ks))) <= FULL_SUM_TOL
 
 
 def test_quadrature_doubling(interior):
