@@ -49,23 +49,24 @@ def flat_lines(xs, ys):
     return xs.ravel(), np.repeat(ys, xs.shape[1] if xs.ndim == 2 else 1)
 
 
-def _stride_sums(arrs, s, x, y, ks):
-    """S[i, j] = sum z1^k q and size[i, j] = sum |z1^k| |q|, k = ks[i], over every s-th sample.
+def _stride_sums(arrs, part, x, y, ks):
+    """S[i, j] = sum z1^k q and size[i, j] = sum |z1^k| |q|, k = ks[i], over the samples a[part].
 
     q = (y dz1 + dz2) / ((x + y z1) + z2) on line (x[j], y[j]), checked against DENOM_EPS per tile
-    of lines; each sum is its line's own np.add.reduce row, one k at a time (TILE_ENTRIES).
+    of lines (TILE_ENTRIES); each sum is its line's own np.add.reduce row, one k at a time.
     """
-    z1, z2, dz1, dz2 = (np.ascontiguousarray(a[::s]) for a in arrs)
-    zk = [z1 ** k for k in ks]
+    z1, z2, dz1, dz2 = (np.ascontiguousarray(a[part]) for a in arrs)
+    zk = [(z, np.abs(z)) for z in (z1 ** k for k in ks)]
     S, size = np.empty((len(ks), len(x)), dtype=complex), np.empty((len(ks), len(x)))
     for sl in tiles(len(x), len(z1)):
         den = (x[sl, None] + y[sl, None] * z1) + z2
         if np.min(np.abs(den)) <= DENOM_EPS:
             raise NearIncidence("line parameter too close to the boundary image")
         q = (y[sl, None] * dz1 + dz2) / den
-        for i, z in enumerate(zk):
+        aq = np.abs(q)
+        for i, (z, az) in enumerate(zk):
             np.add.reduce(z * q, axis=-1, out=S[i, sl])
-            np.add.reduce(np.abs(z) * np.abs(q), axis=-1, out=size[i, sl])
+            np.add.reduce(az * aq, axis=-1, out=size[i, sl])
     return S, size
 
 
@@ -74,12 +75,12 @@ def G_lines(b: BoundaryData, xs, ys, ks):
 
     Entry [i, a, c] is G_{ks[i]} on the line (xs[a, c], ys[a]) for xs of shape
     (n_y, n_x) and ys of shape (n_y,); a 1-D xs pairs xs[j] with ys[j] (n_x = 1).
-    Per loop of N samples and per line, the trapezoid sum T_s over every s-th
-    sample is taken first at the coarsest power-of-two s dividing N with
-    N/s >= STRIDE_MIN, and accepted once |T_s - T_2s| <= STRIDE_TOL s |h| sum |z1^k q|
-    over its samples for every k; otherwise s halves, down to s = 1, the full sum,
-    which needs no test.  Each line decides and sums alone (_stride_sums), so an
-    entry equals G_lines(b, [x], [y], ks)[:, 0] bit for bit.
+    Per loop and line, the sum S_2s over every 2s-th sample comes first, s the coarsest
+    power of two dividing N with N/s >= STRIDE_MIN.  S_s = S_2s + U_s adds only U_s over
+    the odd multiples of s, and T_s = s h S_s is accepted once |U_s - S_2s| <= STRIDE_TOL
+    (size_2s + size_U) for every k, i.e. |T_s - T_2s| <= STRIDE_TOL s |h| sum |z1^k q|;
+    else s halves.  s = 1 is one fresh pass over all N samples with no test, the full
+    sum's bits.  Each line decides and sums alone, so an entry is its one-line call's bits.
     """
     ks = [int(k) for k in np.atleast_1d(ks)]
     x, y = flat_lines(xs, ys)
@@ -87,20 +88,22 @@ def G_lines(b: BoundaryData, xs, ys, ks):
     for sign, lp in b.signed_loops():
         arrs, n, h = (lp.z1, lp.z2, lp.dz1, lp.dz2), len(lp), lp.t[1] - lp.t[0]
         s = min(n & -n, 1 << (max(1, n // STRIDE_MIN).bit_length() - 1))   # coarsest s
-        todo, prev, s = np.arange(len(x)), np.nan, 2 * s if s > 1 else 1    # T_2s, then T_s
-        while len(todo):
-            S, size = _stride_sums(arrs, s, x[todo], y[todo], ks)
-            done = np.all(np.abs(S - 2 * prev) <= STRIDE_TOL * size, axis=0) | (s == 1)
+        todo = np.arange(len(x))
+        S, size = _stride_sums(arrs, slice(0, None, 2 * s), x, y, ks) if s > 1 else (0, 0)
+        while s > 1 and len(todo):
+            U, size_u = _stride_sums(arrs, slice(s, None, 2 * s), x[todo], y[todo], ks)
+            done = np.all(np.abs(U - S) <= STRIDE_TOL * (size + size_u), axis=0)
+            S, size = S + U, size + size_u
             acc[:, todo[done]] += sign * (s * h) * S[:, done]
-            todo, prev, s = todo[~done], S[:, ~done], s // 2
+            todo, S, size, s = todo[~done], S[:, ~done], size[:, ~done], s // 2
+        if len(todo):
+            acc[:, todo] += sign * h * _stride_sums(arrs, slice(None), x[todo], y[todo], ks)[0]
     return (acc / (2.0j * np.pi)).reshape((len(ks),) + np.shape(xs))
 
 
 def delta(b: BoundaryData) -> int:
     """Winding integer (1/2 pi i) * contour integral of d(w1/w0)/(w1/w0), by trapezoid sums."""
-    val = 0.0 + 0.0j
-    for sign, lp in b.signed_loops():
-        val += sign * (lp.t[1] - lp.t[0]) * np.sum(lp.dz1 / lp.z1)
+    val = sum(sign * (lp.t[1] - lp.t[0]) * np.sum(lp.dz1 / lp.z1) for sign, lp in b.signed_loops())
     val /= 2.0j * np.pi
     n = round(val.real)
     if abs(val - n) > DELTA_ROUND_TOL:
@@ -132,26 +135,22 @@ def _moment_integrals(b: BoundaryData, kmax: int, mmax: int):
     over the samples, so its bits do not depend on the rows formed.
     """
     na = kmax + mmax + 1                                # rows a = -mmax-1 .. kmax-1
-    I1 = np.zeros((na, mmax + 1), dtype=complex)
-    I2 = np.zeros((na, mmax + 1), dtype=complex)
+    I1, I2 = np.zeros((2, na, mmax + 1), dtype=complex)
     for sign, lp in b.signed_loops():
-        z1, z2 = lp.z1, lp.z2
-        h = lp.t[1] - lp.t[0]
-        w1 = sign * h * lp.dz1 / (2.0j * np.pi)
-        w2 = sign * h * lp.dz2 / (2.0j * np.pi)
+        z1, z2, h = lp.z1, lp.z2, lp.t[1] - lp.t[0]
+        w1, w2 = (sign * h * d / (2.0j * np.pi) for d in (lp.dz1, lp.dz2))
         za = np.empty((na, len(z1)), dtype=complex)     # row ia holds z1^(ia - mmax - 1)
         za[0] = z1 ** float(-mmax - 1)
         for ia in range(1, na):
             za[ia] = za[ia - 1] * z1
         zb = np.ones_like(z2)
         for bb in range(mmax + 1):
-            if bb > 0:
-                zb = zb * z2
             p = za[: na - bb] * zb                      # rows a <= kmax - 1 - bb
             if bb > 0:                                  # I1 is read at b >= 1
                 I1[: na - bb, bb] += np.sum(p * w1, axis=-1)
             if bb < mmax:                               # I2 at a >= -mmax, b <= mmax - 1
                 I2[1 : na - bb, bb] += np.sum(p[1:] * w2, axis=-1)
+            zb = zb * z2
     return I1, I2
 
 

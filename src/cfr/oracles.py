@@ -22,18 +22,14 @@ from .geometry import BoundaryData, BoundaryLoop
 
 def _loop_from_maps(n, wfun, dwfun):
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    w = np.stack(wfun(t), axis=1)
-    dw = np.stack(dwfun(t), axis=1)
-    return BoundaryLoop(t, w, dw)
+    return BoundaryLoop(t, np.stack(wfun(t), axis=1), np.stack(dwfun(t), axis=1))
 
 
 def _line_loop(a, n):
     """Unit circle |z1| = 1 on the line z2 = 1 + a z1."""
     return _loop_from_maps(
-        n,
-        lambda t: (np.ones_like(t, dtype=complex), np.exp(1j * t), 1.0 + a * np.exp(1j * t)),
-        lambda t: (np.zeros_like(t, dtype=complex), 1j * np.exp(1j * t), a * 1j * np.exp(1j * t)),
-    )
+        n, lambda t: (np.ones_like(t), np.exp(1j * t), 1.0 + a * np.exp(1j * t)),
+        lambda t: (np.zeros_like(t), 1j * np.exp(1j * t), a * 1j * np.exp(1j * t)))
 
 
 def interior_line(a=0.5, n=1024) -> BoundaryData:
@@ -41,8 +37,7 @@ def interior_line(a=0.5, n=1024) -> BoundaryData:
 
 
 def exterior_line(a=0.5, n=1024) -> BoundaryData:
-    b = interior_line(a=a, n=n)
-    return BoundaryData(b.loops, [-1])
+    return BoundaryData(interior_line(a=a, n=n).loops, [-1])
 
 
 def two_line(a=0.5, b=-1.0 / 3.0, n=1024) -> BoundaryData:
@@ -50,17 +45,10 @@ def two_line(a=0.5, b=-1.0 / 3.0, n=1024) -> BoundaryData:
 
 
 def conic(n=1024) -> BoundaryData:
-    lp = _loop_from_maps(
-        n,
-        lambda t: (np.ones_like(t, dtype=complex), np.exp(1j * t), np.exp(2j * t)),
-        lambda t: (np.zeros_like(t, dtype=complex), 1j * np.exp(1j * t), 2j * np.exp(2j * t)),
-    )
+    lp = _loop_from_maps(n, lambda t: (np.ones_like(t), np.exp(1j * t), np.exp(2j * t)),
+                         lambda t: (np.zeros_like(t), 1j * np.exp(1j * t), 2j * np.exp(2j * t)))
     return BoundaryData([lp], [1])
 
 
-ORACLES = {
-    "interior-line": interior_line,
-    "exterior-line": exterior_line,
-    "two-line": two_line,
-    "conic": conic,
-}
+ORACLES = {"interior-line": interior_line, "exterior-line": exterior_line, "two-line": two_line,
+           "conic": conic}

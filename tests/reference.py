@@ -27,7 +27,8 @@ paper that the tests check:
   double, affine charts, the domain Z, line incidence, the inverse Newton
   identities, the series inverse one scalar coefficient at a time, and the
   exterior-line germ;
-- G_k on one line, the one-line case of G_lines; the Laurent partial sum
+- G_k on one line, the one-line case of G_lines; m(y) from every sample for
+  every y, which the bounded search must equal bit for bit; the Laurent partial sum
   of G_k, and the conic's small root by the quadratic formula;
 - a BiSeries coefficient, x-polynomial and value at a point, and e^H as its
   exact monomial times a series, which the program forms only inside
@@ -77,8 +78,8 @@ from numpy.polynomial import polynomial as P
 
 from cfr import indicators, reconstruct, shock, symmetric
 from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
-from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, ProjPoint, m_of_y,
-                          rho, tiles)
+from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, OutsideDomain,
+                          ProjPoint, m_of_y, rho, tiles)
 from cfr.indicators import LAURENT_XCHECK_TOL, TruncationMismatch
 from cfr.infinity import RESONANT_EPS, GermAtInfinity, ResonantY, _trim
 from cfr.linsys import Layout, assemble_E0, valid_window
@@ -698,6 +699,21 @@ def G_k(b: BoundaryData, z: LineParam, k):
     """
     acc = indicators.G_lines(b, [z.x], [z.y], k)[:, 0]
     return acc[0] if np.ndim(k) == 0 else acc
+
+
+def m_of_y_full(b: BoundaryData, y):
+    """geometry.m_of_y from every sample for every y: |y z1 + z2| over each loop in
+    TILE_ENTRIES tiles of ys, whose minima the bounded search must equal bit for bit."""
+    r = rho(b)
+    ys = np.atleast_1d(np.asarray(y, dtype=complex))
+    if np.any(np.abs(ys) <= r):
+        raise OutsideDomain(f"|y| = {np.min(np.abs(ys)):g} <= rho = {r:g}")
+    m = np.full(len(ys), np.inf)
+    for lp in b.loops:
+        z1, z2 = lp.z1, lp.z2
+        for sl in tiles(len(ys), len(z1)):
+            np.minimum(m[sl], np.min(np.abs(ys[sl, None] * z1 + z2), axis=1), out=m[sl])
+    return float(m[0]) if np.ndim(y) == 0 else m
 
 
 def moment_integrals_full(b: BoundaryData, a_range, b_max):

@@ -1,6 +1,7 @@
 """CLI bytes: each command's exit code, stdout, stderr and written files hash to a recorded digest.
 
-The digests pin the byte-for-byte output of the commands on the four oracles, of `green`
+The digests pin the byte-for-byte output of the commands on the four oracles (and of `pipeline`
+and `reconstruct` on two-line and conic at N = 1001 and 4096), of `green`
 on a flat and a graph patch and of `genus` on the disc and the annulus.  A change that
 means to alter an output records the new digest and says why in CHANGES.md.
 
@@ -28,6 +29,8 @@ from test_cli import run_cli
 
 ORACLES = {"interior-line": "line.json", "exterior-line": "ext.json",
            "two-line": "twoline.json", "conic": "conic.json"}
+SIZED = {(name, n): f"{f[:-5]}-{n}.json" for name, f in ORACLES.items()
+         if name in ("two-line", "conic") for n in (1001, 4096)}      # odd N and many samples
 INPUTS = {"phi-flat.json": [[[0.0, 0.0], [1.0, 0.0]]],
           "phi-graph.json": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
                              [[-0.5, 0.2], [0.0, 0.0]]],
@@ -47,6 +50,11 @@ def _cases():
                                         f"{stem}.pipe.json"], [f"{stem}.pipe.cloud.csv"])
         yield f"reconstruct-{stem}", ["reconstruct", "--boundary", f, "--angles", "4"], []
         yield f"shock-verify-{stem}", ["shock-verify", "--boundary", f], []
+    for f in SIZED.values():
+        stem = f[:-5]
+        yield (f"pipeline-{stem}", ["pipeline", "--boundary", f, "--out", f"{stem}.pipe.json"],
+               [f"{stem}.pipe.json", f"{stem}.pipe.cloud.json"])
+        yield f"reconstruct-{stem}", ["reconstruct", "--boundary", f, "--angles", "4"], []
     for phi in ("flat", "graph"):
         yield f"green-{phi}", ["green", "--phi", f"phi-{phi}.json", "--targets", "targets.json"], []
     for model in ("disc", "annulus"):
@@ -57,33 +65,41 @@ CASES = list(_cases())
 
 DIGESTS = {
     "make-oracle-line": "245d12c4b61be2a4abcc31dc67e04a37ace09a641b5a06ea2fa4692ad17ae49d",
-    "indicators-line": "89681a07417df5abe1807d33e1808d60205ee0977867d5edba314b02a5cba28a",
+    "indicators-line": "4ce1a3f131136f5a376c4bfd66e553df27b48bdd3d00a01546e5540f006184fd",
     "fit-infinity-line": "c58d7025007da8a1fd2e8e8c5f63f12666bcabf80a9f02b21af330cb9783eb36",
-    "pipeline-line": "32550e1f697f903ea2fabb15507cc455983fb1a86441d7f100acc9ea4d35de63",
-    "pipeline-csv-line": "132df8159d00f89902af72bdfdb4c4e22ede91e5ff36361cef1c55cdc73af27a",
-    "reconstruct-line": "d8f9abd5cfee21d6f03e8e58515d7c005f9b99e18c586a6c5c187efcc55a9306",
-    "shock-verify-line": "8a41fea9db354896d7aeec817c96c4cba9cc8c76527822a1aae78d1b674dc73d",
+    "pipeline-line": "663aad9a6072890bfa93eab8b02c6385adb2d77d2cf5fae99fe0e7f7fafd52b6",
+    "pipeline-csv-line": "72f360b5a64e7abf6521239bd196319451f8c2a4b860e94afd047ceb815dd5d0",
+    "reconstruct-line": "9c2b4a68ebbaa69b72e19ee8e48439f7457e81a4b300aa230e422928441ddb11",
+    "shock-verify-line": "c9bb2bf417af2ba8c2601e2b77484b329ba37c4fc68871e437562fcaaa7b6e4a",
     "make-oracle-ext": "e1fa9f0044b336e77c21791765567f479550a8dd5d0017a9e4b55e158b8f3d2c",
-    "indicators-ext": "857e64c33ab2db1ee1133c882da66cbfa523257996c8dc280bc9b9bd4abadb6d",
+    "indicators-ext": "3d428193409b21746adf936f5f8e79ee5f1ea0f1f3d7deea1311333f6f5f8020",
     "fit-infinity-ext": "87e1cf8a4c9eb308221217cee972dc5bbd67fad06d8ee0411cc7870bfcc052ea",
     "pipeline-ext": "f2aec10b1d06949e7ae8a08db0896de21a96604d965d3185b02ee16d20ba9b4e",
     "pipeline-csv-ext": "a13958f652e5a0ee3792b3f3e744ce332f02d2f9124f6910b0565c57c44db392",
     "reconstruct-ext": "757bac39d521ffe5a8bc6a901a36c5b6ce85af0f9d2d254612672bf3ebcf029c",
     "shock-verify-ext": "dbe48258217fba224e20d3313b8a8bb1aee8ed5d704007c06aa391579a827ab9",
     "make-oracle-twoline": "9481ef5fad38ea16ec9734f7fd574126f07b5a1e203393c9b4f0f19236cbabe5",
-    "indicators-twoline": "9fdd1c6bc2776549632a322f1289f6be7f459679f01db6010cc81c20b2b4bc75",
+    "indicators-twoline": "51149b4a76d79a19831aa04b08b51a4f770a799351860b8a1411cc40e4ea5d21",
     "fit-infinity-twoline": "eb00310ba5a6b3e5380ea379c6470c7d9d3a54e6aa8e436824d03ae7ab487371",
-    "pipeline-twoline": "7754a2b04adb865498e26ead30c92cbda11df2fd7082322991889793196e2f8a",
-    "pipeline-csv-twoline": "3e20e8841fd83389a95fe0cb2ed2955ff80393b9cef0e8f7122b72261f80a5ac",
-    "reconstruct-twoline": "c3390cb10c3d83353c80e3eb165bb2e8d7e5fc8dbb611a2371889c83ecc0a089",
-    "shock-verify-twoline": "01f6ac34e19c46f3c43cdfb63765d0b514767cc1c5779e8517f426955b864ca9",
+    "pipeline-twoline": "e9abe46760c3f0d19647a0f01a63126fad64aa8f1633de9811b4a7480fab1229",
+    "pipeline-csv-twoline": "1d55c3063c69e51c96ff42945a224f16b0628e76f314dbe10830d5a58e6c9a7c",
+    "reconstruct-twoline": "ad8702b7323624af220b2ac54aa56995ae9a93eb2d319d02ccafce95e04a49a1",
+    "shock-verify-twoline": "94ff7422b4d1449a075a766ca1c03364802b959fe9831930fe491ddc84121959",
     "make-oracle-conic": "941625cb2ad84a5c6ad65eea161af7e890fd530b8f3449e8aa320597079fd708",
-    "indicators-conic": "8e9af6ad6d3816b2ca7c57a1258ed9d328f54d9484696a36f1c13ba5a1ffc552",
+    "indicators-conic": "45400143bde1996148ea45193e9d8c26f1382f09e0d5e535f9c1aff86425a59a",
     "fit-infinity-conic": "74a10d3a9dd863c57437b700000326c657a0f97c1d2147612832e4a20e006c70",
-    "pipeline-conic": "7d499b585c9ce87a863f2023dea1312af5070623f04919e8376606bca447ecae",
-    "pipeline-csv-conic": "9ae8cb2722af662880630a6ffa04dcb693e7ff4a72047de43548c7f8a524d979",
-    "reconstruct-conic": "5903709c8e2284ec362d5b6986760530df366b77204f62224a804553ed22d03b",
-    "shock-verify-conic": "577b480fb3858390e94c611ce6b7d68b91403da6989808a60e82147cffe596f7",
+    "pipeline-conic": "5f7ed90969e6237643e033c6f24965a401250bf00082309653caf99512da783f",
+    "pipeline-csv-conic": "bf92cf35a4c3e19ed8e79deec9b9e52e74d875d2b123c6f564c41a988129d2b7",
+    "reconstruct-conic": "9e0194e54bfe1348eaa7a1a00153e5bd63226416f2d38a6ca81d4d51b35995ce",
+    "shock-verify-conic": "d7c1c3710745ad808152f0f6f6bba7b344f169807e1afa56ecf5b7ae1e0dceb8",
+    "pipeline-twoline-1001": "a4589aa823ad7f3cb9b86aaf2103cb58d01ab88256bd41fbee60efc6783f523a",
+    "reconstruct-twoline-1001": "f94744cbce3c4f47fa8719a1e25964e6bb696c4e6aa715c3a1961d4623f1b7da",
+    "pipeline-twoline-4096": "3f9968dfb27cebb3321fd429e80416bef84848c8fcc42a633b288feee3d7b27a",
+    "reconstruct-twoline-4096": "f3729da9c051e6787734a4a817c705a6329e8dd09440e30db32a763aa8698461",
+    "pipeline-conic-1001": "33e894dfa2050191ea2e16a891ec34b1de6ddd15d61eff5fe83cf1a102d0ff0c",
+    "reconstruct-conic-1001": "639faef7c666f423be6f805ec9eff2153f3df7119dcbc2e961d55a07a1f53aa2",
+    "pipeline-conic-4096": "04b4c5fb2c426ed2cef45c3944a4f6af7e57529c8ca17315c720098054024006",
+    "reconstruct-conic-4096": "cd62e2d779aea6783ba78f8b50da950f5ade91f86f30cfdaac1933097df6b484",
     "green-flat": "1d7fd73aa6e1dc30515aef2bedb0aeb2157f271cf0f04445f8887dc591242d57",
     "green-graph": "1d7fd73aa6e1dc30515aef2bedb0aeb2157f271cf0f04445f8887dc591242d57",
     "genus-disc": "1c7af7a2c648d93ad720198612d4cd49438d6d8e42fa8dde8ff1d1c6d79d0244",
@@ -104,6 +120,8 @@ def _prepare(cwd):
         (Path(cwd) / fname).write_text(json.dumps(obj))
     for name, f in ORACLES.items():
         assert run_cli(["make-oracle", "--name", name, "--out", f], cwd)[0] == 0
+    for (name, n), f in SIZED.items():
+        assert run_cli(["make-oracle", "--name", name, "--samples", str(n), "--out", f], cwd)[0] == 0
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfr import cli, oracles
+from cfr import cli, geometry, oracles
 from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, OutsideDomain, ProjPoint,
                           boundary_from_json, boundary_to_json, load_boundary, m_of_y, read_json,
                           rho)
 from reference import (ChartUndefined, affine_chart, boundary_from_json_per_element,
-                       boundary_to_json_per_element, in_Z, line_eval, load_boundary_json)
+                       boundary_to_json_per_element, in_Z, line_eval, load_boundary_json,
+                       m_of_y_full)
 
 
 def dense_theta_oracle(fn, n=200000):
@@ -53,6 +56,97 @@ def test_m_of_y(interior):
     assert abs(m_of_y(interior, 10.0) - expect) < 1e-7
     with pytest.raises(OutsideDomain):
         m_of_y(interior, 1.0)
+
+
+def _random_loop(r, n, plant=None, top=0.0):
+    """A noisy loop on |z1| ~ 1 whose |p|, p = z2/z1, peaks near sample plant; with plant = j,
+    |p_j| is then set to 1.05 times the largest of top and the other |p|, so a y just past
+    -p_j puts m(y) at sample j."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    noise = lambda: 0.05 * (r.standard_normal(n) + 1j * r.standard_normal(n))
+    c = (0.5 + r.random()) * np.exp(2j * np.pi * r.random())
+    z1 = np.exp(1j * t) * (1.0 + noise())
+    p = c * (2.0 + np.cos(t - t[plant or 0]) + np.exp(1j * t)) + noise()
+    if plant is not None:
+        p[plant] *= 1.05 * max(top, np.max(np.abs(np.delete(p, plant)))) / abs(p[plant])
+    return BoundaryLoop(t, np.stack([np.ones(n), z1, z1 * p], axis=1), np.zeros((n, 3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from([16, 257, 999, 1001, 1024, 4096]),
+                                              min_size=1, max_size=3),
+       st.sampled_from(["none", "last", "edge"]))
+def test_m_of_y_equals_every_sample(seed, ns, plant):
+    """The bounded search gives the every-sample minimum bit for bit on random loops, from
+    just above rho to 10 rho, also with the minimum planted at the last sample or at a block
+    edge of the first loop; each entry equals its one-y call, also in 64-entry tiles."""
+    r = np.random.default_rng(seed)
+    edge = geometry.BLOCK * int(r.integers(1, max(2, ns[0] // geometry.BLOCK + 1))) - 1
+    j = {"none": None, "last": ns[0] - 1, "edge": min(edge + int(r.integers(0, 2)), ns[0] - 1)}
+    rest = [_random_loop(r, n) for n in ns[1:]]
+    top = max([np.max(np.abs(lp.z2 / lp.z1)) for lp in rest], default=0.0)
+    loops = [_random_loop(r, ns[0], j[plant], top)] + rest
+    b = BoundaryData(loops, list(r.choice([1, -1], len(loops))))
+    ys = rho(b) * (1.0 + np.array([1e-12, 1e-6, *(9.0 * r.random(6))]))
+    ys = ys * np.exp(2j * np.pi * r.random(8))
+    if plant != "none":                 # just past -p_j, where sample j is the nearest
+        lp, k = loops[0], j[plant]
+        ys[:2] = -(lp.z2[k] / lp.z1[k]) * (1.0 + np.array([1e-12, 1e-6]))
+        assert np.argmin(np.abs(ys[0] * lp.z1 + lp.z2)) == k
+    want = m_of_y_full(b, ys)
+    assert np.array_equal(m_of_y(b, ys), want)
+    assert np.array_equal([m_of_y(b, y) for y in ys], want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "TILE_ENTRIES", 64)
+        assert np.array_equal(m_of_y(b, ys), want)
+        assert np.array_equal([m_of_y(b, y) for y in ys], want)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-12, 1e-9])
+def test_m_of_y_tight_bound(eps):
+    """Block 0 puts p_3 on the segment from p_c to -y, R = |p_3 - p_c| and |z1| = 1, so its
+    lower bound is m(y) = |y + p_3| itself; block 1's centre is a factor 1 + eps above it.
+    Block 0 must still be evaluated: the slack covers the bound's rounding."""
+    r = np.random.default_rng(5)
+    n, c = 2 * geometry.BLOCK, geometry.BLOCK // 2
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    for turn in np.exp(2j * np.pi * r.random(8)):
+        y, dist, rad = 10.0 * turn, 2.0 * turn, 0.5 * turn
+        disc = np.sqrt(r.random(n // 2)) * np.exp(2j * np.pi * r.random(n // 2))
+        p = np.concatenate([-y + dist + rad * disc, np.full(n // 2, -y + 2.0 * dist)])
+        p[c], p[3] = -y + dist, -y + dist - rad
+        p[n // 2 + c] = -y + (dist - rad) * (1.0 + eps)
+        z1 = np.exp(1j * t)
+        lp = BoundaryLoop(t, np.stack([np.ones(n), z1, z1 * p], axis=1), np.zeros((n, 3)))
+        b = BoundaryData([lp], [1])
+        assert eps < 1e-12 or np.argmin(np.abs(y * lp.z1 + lp.z2)) == 3   # else a near-tie
+        assert m_of_y(b, y) == m_of_y_full(b, y)
+
+
+def test_m_of_y_non_finite_y(twoline):
+    """A NaN or infinite y makes every block's bound NaN or infinite, and every block is
+    evaluated: the result is the every-sample one, NaN included."""
+    ys = np.array([np.nan, np.inf, -np.inf, complex(np.inf, 1.0), complex(np.nan, 5.0), 7.0,
+                   1e300, 1e200j])
+    with np.errstate(invalid="ignore", over="ignore"):      # inf * z1 warns on either route
+        assert np.array_equal(m_of_y(twoline, ys), m_of_y_full(twoline, ys), equal_nan=True)
+
+
+def test_m_of_y_lone_last_sample():
+    """A loop of 8 BLOCK + 1 samples with the minimum at its last sample: cut into plain blocks,
+    that sample would be a one-element product, which numpy can round otherwise than the
+    every-sample product.  Its block is completed from the loop's start, and each m(y) keeps
+    the every-sample bits."""
+    r = np.random.default_rng(3)
+    n = 8 * geometry.BLOCK + 1
+    for _ in range(20):
+        lp = _random_loop(r, n, plant=n - 1)
+        b = BoundaryData([lp], [1])
+        ys = -(lp.z2[-1] / lp.z1[-1]) * (1.0 + np.geomspace(1e-12, 1e-3, 150))
+        want = m_of_y_full(b, ys)
+        assert np.all(want == np.abs(ys * lp.z1[-1] + lp.z2[-1]))       # the last sample
+        assert np.array_equal(m_of_y(b, ys), want)
+        assert np.array_equal([m_of_y(b, y) for y in ys[:10]], want[:10])
 
 
 def test_m_monotone_divergence(interior):

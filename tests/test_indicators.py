@@ -148,13 +148,14 @@ def test_G_lines_near_incidence(interior):
 
 @pytest.fixture
 def strides(monkeypatch):
-    """The (samples per loop, stride) of every pass G_lines makes, in call order."""
+    """The (samples per loop, offset, stride) of every pass G_lines makes, in call order:
+    the pass sums the samples offset, offset + stride, ..."""
     seen = []
     inner = indicators._stride_sums
 
-    def spy(arrs, s, x, y, ks):
-        seen.append((len(arrs[0]), s))
-        return inner(arrs, s, x, y, ks)
+    def spy(arrs, part, x, y, ks):
+        seen.append((len(arrs[0]),) + part.indices(len(arrs[0]))[::2])
+        return inner(arrs, part, x, y, ks)
 
     monkeypatch.setattr(indicators, "_stride_sums", spy)
     return seen
@@ -166,9 +167,23 @@ def test_G_lines_odd_n_sums_every_sample(strides):
     ys = rho(b) * np.array([2.0, 2.5j, -3.0])
     xs = 0.2 * m_of_y(b, ys)
     got = G_lines(b, xs, ys, [0, 1, 2])
-    assert strides == [(1001, 1)] * 2                   # one pass per loop
+    assert strides == [(1001, 0, 1)] * 2                # one pass per loop
     for j in range(3):
         assert np.array_equal(got[:, j], _G_per_line(b, xs[j], ys[j], [0, 1, 2]))
+
+
+@pytest.mark.parametrize("n", [512, 1024, 4096])
+def test_G_lines_certified_passes_are_disjoint(strides, n):
+    """The passes of a certified line touch disjoint samples, and together every s-th sample
+    of its final stride s: each sample is summed once."""
+    b = oracles.interior_line(n=n)
+    for y in rho(b) * np.array([2.0, 2.5j, -3.0 + 0.5j]):
+        strides.clear()
+        G_lines(b, [0.2 * m_of_y(b, y)], [y], [0, 1, 2])
+        s = strides[-1][1]
+        assert strides[-1][2] == 2 * s > 2                  # certified: U_s was the last pass
+        seen = np.concatenate([np.arange(n)[off::step] for _, off, step in strides])
+        assert np.array_equal(np.sort(seen), np.arange(0, n, s))
 
 
 @pytest.mark.parametrize("j", [1, 3, 513])
@@ -189,17 +204,19 @@ def test_G_lines_near_incidence_at_odd_sample(interior, j, off):
 
 
 def test_G_lines_uncertified_line_takes_every_sample(interior, strides):
-    """A line 1e-4 off the boundary image certifies at no stride: s halves 64 -> 1 and the
-    result is the full sum's bits, while a line in Z stops at 128 samples (stride 8)."""
+    """A line 1e-4 off the boundary image certifies at no stride: after stride 64 the odd
+    multiples of 32, 16, .., 2 are added, then one fresh pass over every sample gives the
+    full sum's bits; a line in Z stops at 128 samples (stride 8)."""
     lp = interior.loops[0]
     y = 3.0 * np.exp(0.4j)
     x = -(y * lp.z1[5] + lp.z2[5]) + 1e-4
     got = G_lines(interior, [x], [y], [1, 2])[:, 0]
-    assert [s for _, s in strides] == [64, 32, 16, 8, 4, 2, 1]
+    assert strides == ([(1024, 0, 64)] + [(1024, s, 2 * s) for s in (32, 16, 8, 4, 2)]
+                       + [(1024, 0, 1)])
     assert np.array_equal(got, _G_per_line(interior, x, y, [1, 2]))
     strides.clear()
     G_lines(interior, [0.2 * m_of_y(interior, y)], [y], [1, 2])
-    assert [s for _, s in strides][-1] >= 8
+    assert strides[-1][1] >= 8
 
 
 def _line_loop(a, c, n):
