@@ -22,9 +22,10 @@ import numpy as np
 # max-modulus normalization).
 CHART_EPS = 1e-12
 
-# Largest (lines x samples) block, or dedup chunk of point pairs, one array operation over a loop
-# holds (at least one item: a line of a G_lines stride pass), so peak memory stays flat in a sweep.
-# A 128 KiB temporary stays on glibc's heap: a pipeline op has ~700 minor faults, ~3460 at 2^15.
+# Largest (lines x samples) block, (ys x blocks) bound or (candidate blocks x BLOCK) chunk of
+# m_of_y, or dedup chunk of point pairs, one array operation holds (at least one item: a line of a
+# G_lines stride pass), so peak memory stays flat in a sweep.  A 128 KiB temporary stays on
+# glibc's heap: a pipeline op has ~700 minor faults, ~3460 at 2^15.
 TILE_ENTRIES = 2 ** 13
 
 

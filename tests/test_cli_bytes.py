@@ -121,7 +121,8 @@ def _prepare(cwd):
     for name, f in ORACLES.items():
         assert run_cli(["make-oracle", "--name", name, "--out", f], cwd)[0] == 0
     for (name, n), f in SIZED.items():
-        assert run_cli(["make-oracle", "--name", name, "--samples", str(n), "--out", f], cwd)[0] == 0
+        argv = ["make-oracle", "--name", name, "--samples", str(n), "--out", f]
+        assert run_cli(argv, cwd)[0] == 0
 
 
 @pytest.fixture(scope="module")
