@@ -23,9 +23,11 @@ radial x trapezoid angular nodes.  Since k(q*, z) = -k(z, q*), the q* factor
 -conj(k(z, q*)) times the form density and node weight is one weight per
 call on the full grid and on each sub-patch; a target then costs one kernel
 pass k(z, q) against it.  The cut 1 - bump(|z - s| / r0) is exactly 1 at
-distance r0 or more from s, so it is evaluated only on the nodes inside the
-two discs.  The q*-side sub-patch is built once per sub-patch radius within
-a call, and sub-patch z2 comes from Newton started at the known z2(s).
+distance r0 or more from s, so it is evaluated only on the band of grid rows
+that can reach the disc around s, and it scales only the nodes inside.  The
+angular phases of a polar mesh are built once per angle count.  The q*-side
+sub-patch is built once per sub-patch radius within a call, and sub-patch z2
+comes from Newton started at the known z2(s).
 """
 
 from __future__ import annotations
@@ -107,17 +109,14 @@ def psi_of(phi: np.ndarray) -> Psi:
     na, nb = phi.shape
     c1 = np.zeros((na, 1, na, nb), dtype=complex)
     c2 = np.zeros((na, nb, 1, nb), dtype=complex)
-    for a in range(na):
-        for b in range(nb):
-            v = phi[a, b]
-            if v == 0:
-                continue
-            # (z1'^a - z1^a)/(z1'-z1) = sum_i z1'^i z1^(a-1-i); carries z2^b
-            for i in range(a):
-                c1[i, 0, a - 1 - i, b] += v
-            # (z2'^b - z2^b)/(z2'-z2) = sum_j z2'^j z2^(b-1-j); carries z1'^a
-            for j in range(b):
-                c2[a, j, 0, b - 1 - j] += v
+    for a, b in np.argwhere(phi).tolist():          # the nonzero terms, in C order
+        v = phi[a, b]
+        # (z1'^a - z1^a)/(z1'-z1) = sum_i z1'^i z1^(a-1-i); carries z2^b
+        for i in range(a):
+            c1[i, 0, a - 1 - i, b] += v
+        # (z2'^b - z2^b)/(z2'-z2) = sum_j z2'^j z2^(b-1-j); carries z1'^a
+        for j in range(b):
+            c2[a, j, 0, b - 1 - j] += v
     return Psi(_trim(_symmetrize4(c1)), _trim(_symmetrize4(c2)))
 
 
@@ -145,7 +144,8 @@ def kernel_k(zp, z, psi: Psi):
     if np.min(n2) < COINCIDENT_EPS ** 2:
         raise Coincident("kernel points coincide")
     p1, p2 = psi(zp, z)
-    return (np.conj(d1) * p2 - np.conj(d2) * p1) / n2
+    # numpy divides by a real n2 as (a + b * 0) * (1 / n2): the same bits, one reciprocal
+    return (np.conj(d1) * p2 - np.conj(d2) * p1) * (1.0 / n2)
 
 
 # -- curve model ----------------------------------------------------------------
@@ -213,9 +213,6 @@ class CurveModel:
                 break
         return z2
 
-    def point(self, z1):
-        return (np.asarray(z1, dtype=complex), self.z2_of(z1))
-
     def form_density(self, z1, z2):
         """|1/ (dPhi/dz2)|^2, the density of (i/2) w ^ conj(w) against dA(z1)."""
         fz2 = P.polyval2d(z1, z2, self._phi_z2)
@@ -241,9 +238,7 @@ class CurveModel:
 
 def flat_disc_model(radius=1.0):
     """The Phi = z2 reference model (curve = the z1 disc itself, centred at 0)."""
-    phi = np.zeros((1, 2), dtype=complex)
-    phi[0, 1] = 1.0
-    return CurveModel(phi, radius=radius)
+    return CurveModel(np.array([[0.0, 1.0]]), radius=radius)
 
 
 # -- quadrature -----------------------------------------------------------------
@@ -271,15 +266,20 @@ def _leggauss(n):
     return x, w
 
 
+@functools.cache
+def _phases(nt):
+    """e^(i theta) at the nt angles theta = 2 pi (j + 1/2) / nt, built once per nt, read-only."""
+    ph = np.exp(1j * (2.0 * np.pi * (np.arange(nt) + 0.5) / nt))
+    ph.flags.writeable = False
+    return ph
+
+
 def _polar_nodes_gl(center, radius, nr, nt):
+    """Nodes and weights of the nr x nt polar mesh of the disc, row i on |z - center| = r_i."""
     xr, wr = _leggauss(nr)
     r = radius * (xr + 1.0) / 2.0
-    wr = wr * radius / 2.0
-    th = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
-    R, T = np.meshgrid(r, th, indexing="ij")
-    z = center + R * np.exp(1j * T)
-    w = wr[:, None] * R * (2.0 * np.pi / nt)
-    return z.ravel(), w.ravel()
+    z = center + r[:, None] * _phases(nt)
+    return z.ravel(), np.repeat(wr * radius / 2.0 * r * (2.0 * np.pi / nt), nt)
 
 
 def green_value(q_star, q, model: CurveModel) -> float:
@@ -299,11 +299,7 @@ def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128
     targets = [complex(q) for q in targets]
     if any(abs(qs - qq) < COINCIDENT_EPS for qq in targets):
         raise Coincident("green_value on the diagonal")
-    return _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt)
-
-
-def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt):
-    pqs = model.point(qs)
+    pqs = (qs, model.z2_of(qs))
     z, w, z2, dens = model.full_grid(nr, nt)
     weight = _star_weight(model, pqs, z, z2, dens * w)
     star = {}               # sub-patch radius -> q*-side sub-patch
@@ -311,15 +307,18 @@ def _green_quad(qs, targets, model, nr, nt, sub_nr, sub_nt):
     for qq in targets:
         # to 12 digits, so targets on one circle around q* share the q*-side sub-patch
         r0 = float(f"{min(0.1 * model.radius, 0.4 * abs(qs - qq)):.12g}")
-        pq = model.point(qq)
+        pq = (qq, model.z2_of(qq))
         if r0 not in star:
             star[r0] = _sub_patch(model, pqs, pqs, r0, sub_nr, sub_nt)
         total = 0.0 + 0.0j
         # singular sub-patches with the smooth bump
         for zs, zs2, ws in (_sub_patch(model, pqs, pq, r0, sub_nr, sub_nt), star[r0]):
             total += np.sum(kernel_k((zs, zs2), pq, model.psi) * ws)
-        # smooth remainder over the full patch
-        total += np.sum(kernel_k((z, z2), pq, model.psi) * weight * _cut(z, (qq, qs), r0))
+        # smooth remainder over the full patch, the cut applied where it differs from 1
+        v = kernel_k((z, z2), pq, model.psi) * weight
+        for near, factor in _cut(model, nr, nt, (qq, qs), r0):
+            v[near] *= factor
+        total += np.sum(v)
         vals.append(float(np.real(total)) / (4.0 * np.pi ** 2))
     return vals
 
@@ -332,25 +331,25 @@ def _star_weight(model, pqs, z1, z2, w):
 
 def _sub_patch(model, pqs, ps, r0, sub_nr, sub_nt):
     """Nodes, z2 and q*-side weight of the polar sub-patch of radius r0 around ps."""
-    s = complex(ps[0])
-    zs, ws = _polar_nodes_gl(s, r0, sub_nr, sub_nt)
+    zs, ws = _polar_nodes_gl(ps[0], r0, sub_nr, sub_nt)
     zs2 = model._z2_near(zs, ps[1])
-    w = model.form_density(zs, zs2) * _bump(np.abs(zs - s) / r0) * ws
+    w = model.form_density(zs, zs2) * _bump(np.abs(zs - ps[0]) / r0) * ws
     return zs, zs2, _star_weight(model, pqs, zs, zs2, w)
 
 
-def _cut(z, points, r0):
-    """prod over s in points of 1 - bump(|z - s| / r0) on the nodes z.
-
-    Each factor is exactly 1.0 at |z - s| >= r0, so the bump is evaluated
-    only on the nodes inside the discs.
-    """
-    cut = np.ones(len(z))
+def _cut(model, nr, nt, points, r0):
+    """Per s in points, the full-grid nodes with |z - s| < r0 and 1 - bump(|z - s| / r0) on them
+    (elsewhere the factor is exactly 1.0).  Row i lies on |z - center| = r_i, so they sit in the
+    rows with |r_i - |s - center|| < r0, widened by 1e-12 (|center| + radius + |s|), far above
+    the few ulps of that scale by which z and |z - s| round; t is formed on those rows only."""
+    z = model.full_grid(nr, nt)[0]
+    r = model.radius * (_leggauss(nr)[0] + 1.0) / 2.0
     for s in points:
-        t = np.abs(z - s) / r0
+        d, slack = abs(s - model.center), 1e-12 * (abs(model.center) + model.radius + abs(s))
+        lo, hi = np.searchsorted(r, (d - r0 - slack, d + r0 + slack)) * nt
+        t = np.abs(z[lo:hi] - s) / r0
         near = np.flatnonzero(t < 1.0)
-        cut[near] *= 1.0 - _bump(t[near])
-    return cut
+        yield lo + near, 1.0 - _bump(t[near])
 
 
 def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8) -> float:

@@ -49,25 +49,26 @@ def flat_lines(xs, ys):
     return xs.ravel(), np.repeat(ys, xs.shape[1] if xs.ndim == 2 else 1)
 
 
-def _stride_sums(arrs, part, x, y, ks):
-    """S[i, j] = sum z1^k q and size[i, j] = sum |z1^k| |q|, k = ks[i], over the samples a[part].
+def _stride_sums(arrs, part, x, y, ks, sized=True):
+    """S[i, j] = sum z1^k q, size[i, j] = sum |z1^k| |q| (None unless sized), k = ks[i], on a[part].
 
     q = (y dz1 + dz2) / ((x + y z1) + z2) on line (x[j], y[j]), checked against DENOM_EPS per tile
     of lines (TILE_ENTRIES); each sum is its line's own np.add.reduce row, one k at a time.
     """
     z1, z2, dz1, dz2 = (np.ascontiguousarray(a[part]) for a in arrs)
-    zk = [(z, np.abs(z)) for z in (z1 ** k for k in ks)]
+    zk = [(z, np.abs(z) if sized else None) for z in (z1 ** k for k in ks)]
     S, size = np.empty((len(ks), len(x)), dtype=complex), np.empty((len(ks), len(x)))
     for sl in tiles(len(x), len(z1)):
         den = (x[sl, None] + y[sl, None] * z1) + z2
         if np.min(np.abs(den)) <= DENOM_EPS:
             raise NearIncidence("line parameter too close to the boundary image")
         q = (y[sl, None] * dz1 + dz2) / den
-        aq = np.abs(q)
+        aq = np.abs(q) if sized else None
         for i, (z, az) in enumerate(zk):
             np.add.reduce(z * q, axis=-1, out=S[i, sl])
-            np.add.reduce(az * aq, axis=-1, out=size[i, sl])
-    return S, size
+            if sized:
+                np.add.reduce(az * aq, axis=-1, out=size[i, sl])
+    return S, size if sized else None
 
 
 def G_lines(b: BoundaryData, xs, ys, ks):
@@ -79,8 +80,8 @@ def G_lines(b: BoundaryData, xs, ys, ks):
     power of two dividing N with N/s >= STRIDE_MIN.  S_s = S_2s + U_s adds only U_s over
     the odd multiples of s, and T_s = s h S_s is accepted once |U_s - S_2s| <= STRIDE_TOL
     (size_2s + size_U) for every k, i.e. |T_s - T_2s| <= STRIDE_TOL s |h| sum |z1^k q|;
-    else s halves.  s = 1 is one fresh pass over all N samples with no test, the full
-    sum's bits.  Each line decides and sums alone, so an entry is its one-line call's bits.
+    else s halves.  s = 1 is one fresh pass over all N samples with no test (so no size sum),
+    the full sum's bits.  Each line decides and sums alone, so an entry is its one-line call's bits.
     """
     ks = [int(k) for k in np.atleast_1d(ks)]
     x, y = flat_lines(xs, ys)
@@ -97,7 +98,8 @@ def G_lines(b: BoundaryData, xs, ys, ks):
             acc[:, todo[done]] += sign * (s * h) * S[:, done]
             todo, S, size, s = todo[~done], S[:, ~done], size[:, ~done], s // 2
         if len(todo):
-            acc[:, todo] += sign * h * _stride_sums(arrs, slice(None), x[todo], y[todo], ks)[0]
+            acc[:, todo] += sign * h * _stride_sums(arrs, slice(None), x[todo], y[todo], ks,
+                                                    sized=False)[0]
     return (acc / (2.0j * np.pi)).reshape((len(ks),) + np.shape(xs))
 
 

@@ -60,7 +60,8 @@ paper that the tests check:
 - Green values term by term: Psi summed over its nonzero (z1', z2', z1, z2)
   monomials, the q*-side kernel on every node of every target's grids, the
   cut by the bump on the whole full grid, and sub-patch z2 by the Newton
-  continuation from the patch center;
+  continuation from the patch center; the polar mesh from a meshgrid of
+  (r, theta), which the cached-phase nodes must equal bit for bit;
 - the principal Green function of the unit disc from a non-principal one:
   the harmonic extension T on a boundary grid, the Nystrom matrix of the
   smooth part, and the Fredholm solve of v = w + Sw.
@@ -75,6 +76,7 @@ from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from numpy.polynomial.legendre import leggauss
 
 from cfr import indicators, reconstruct, shock, symmetric
 from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
@@ -1239,11 +1241,24 @@ def kernel_k_terms(zp, z, psi):
     return v1 * p2 - v2 * p1
 
 
+def polar_nodes_meshgrid(center, radius, nr, nt):
+    """green._polar_nodes_gl from a meshgrid (R, T) of Gauss-Legendre radii and midpoint angles:
+    nodes center + R e^(i T), weights w_r R 2 pi / nt, raveled row by row."""
+    xr, wr = leggauss(nr)
+    r = radius * (xr + 1.0) / 2.0
+    wr = wr * radius / 2.0
+    th = 2.0 * np.pi * (np.arange(nt) + 0.5) / nt
+    R, T = np.meshgrid(r, th, indexing="ij")
+    z = center + R * np.exp(1j * T)
+    w = wr[:, None] * R * (2.0 * np.pi / nt)
+    return z.ravel(), w.ravel()
+
+
 def green_values_per_target(q_star, targets, model, nr=256, nt=256, sub_nr=128, sub_nt=64,
                             sub_radius=None):
     """green._green_values without the refinement check, every grid term built per target."""
     qs = complex(q_star)
-    pqs = model.point(qs)
+    pqs = (qs, model.z2_of(qs))
 
     def q_star_kernel(z1, z2):
         return kernel_k_terms((np.full_like(z1, pqs[0]), np.full_like(z1, pqs[1])), (z1, z2),
@@ -1254,7 +1269,7 @@ def green_values_per_target(q_star, targets, model, nr=256, nt=256, sub_nr=128, 
     vals = []
     for qq in (complex(q) for q in targets):
         r0 = min(sub_radius or 0.1 * model.radius, 0.4 * abs(qs - qq))
-        pq = model.point(qq)
+        pq = (qq, model.z2_of(qq))
         total = 0.0 + 0.0j
         # singular sub-patches with the smooth bump
         for s in (qq, qs):

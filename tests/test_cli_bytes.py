@@ -2,8 +2,15 @@
 
 The digests pin the byte-for-byte output of the commands on the four oracles (and of `pipeline`
 and `reconstruct` on two-line and conic at N = 1001 and 4096), of `green`
-on a flat and a graph patch and of `genus` on the disc and the annulus.  A change that
+on a flat, a graph and an implicit patch (a z2^2 term, so the sub-patches take Newton), the
+implicit one also off-centre, and of `genus` on the disc and the annulus.  A change that
 means to alter an output records the new digest and says why in CHANGES.md.
+
+`green-flat` and `green-graph` share one digest.  For Phi = z2 + c z1^2 the kernel reduces
+to 1/(z1' - z1) in exact arithmetic and the form density is 1, so the graph values are the
+flat ones up to rounding.  At the pinned targets they agree bit for bit for the pinned c and
+for 9 of 12 values of c tried (the other 3 differ by one ulp), so the graph case pins no
+bytes beyond the flat one; the implicit cases carry the curved kernel.
 
 Regenerate the table with `PYTHONPATH=src python tests/test_cli_bytes.py DIR`, which runs
 every case in the empty directory DIR and prints the digests.  With `--compare OLD_SRC` it
@@ -34,6 +41,9 @@ SIZED = {(name, n): f"{f[:-5]}-{n}.json" for name, f in ORACLES.items()
 INPUTS = {"phi-flat.json": [[[0.0, 0.0], [1.0, 0.0]]],
           "phi-graph.json": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
                              [[-0.5, 0.2], [0.0, 0.0]]],
+          "phi-implicit.json": [[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]],
+                                [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                [[-0.35, 0.05], [0.0, 0.0], [0.0, 0.0]]],
           "targets.json": {"q_star": [0.2, 0.1], "points": [[0.5, 0.0], [-0.3, 0.2]]}}
 
 
@@ -55,8 +65,10 @@ def _cases():
         yield (f"pipeline-{stem}", ["pipeline", "--boundary", f, "--out", f"{stem}.pipe.json"],
                [f"{stem}.pipe.json", f"{stem}.pipe.cloud.json"])
         yield f"reconstruct-{stem}", ["reconstruct", "--boundary", f, "--angles", "4"], []
-    for phi in ("flat", "graph"):
+    for phi in ("flat", "graph", "implicit"):
         yield f"green-{phi}", ["green", "--phi", f"phi-{phi}.json", "--targets", "targets.json"], []
+    yield ("green-implicit-off-centre", ["green", "--phi", "phi-implicit.json", "--targets",
+                                         "targets.json", "--patch", "0.3-0.2j,1.3"], [])
     for model in ("disc", "annulus"):
         yield f"genus-{model}", ["genus", "--model", model, "--omega", "zdz"], []
 
@@ -102,6 +114,8 @@ DIGESTS = {
     "reconstruct-conic-4096": "cd62e2d779aea6783ba78f8b50da950f5ade91f86f30cfdaac1933097df6b484",
     "green-flat": "1d7fd73aa6e1dc30515aef2bedb0aeb2157f271cf0f04445f8887dc591242d57",
     "green-graph": "1d7fd73aa6e1dc30515aef2bedb0aeb2157f271cf0f04445f8887dc591242d57",
+    "green-implicit": "ce3b53979337d859ae1876c5b2656cdc515038ad6b05dbce0afc25e06674c2e2",
+    "green-implicit-off-centre": "cdb03ce1f24fb66273a37cb974c8112418175dc542a6b166ecf0bca84981cb7e",
     "genus-disc": "1c7af7a2c648d93ad720198612d4cd49438d6d8e42fa8dde8ff1d1c6d79d0244",
     "genus-annulus": "9e6ec3b09b589e77478967788aaf708f67b95a17146808521db6d59f1c912b5c",
 }

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from cfr import green
-from cfr.green import (Coincident, CurveModel, MeshTooCoarse, _bump, _cut, _leggauss,
-                       _polar_nodes_gl, fit_log_coefficient, flat_disc_model, green_value,
-                       kernel_k, psi_of)
+from cfr.green import (Coincident, CurveModel, MeshTooCoarse, _bump, _cut, _leggauss, _phases,
+                       _polar_nodes_gl, _star_weight, fit_log_coefficient, flat_disc_model,
+                       green_value, kernel_k, psi_of)
 from reference import (BoundaryGrid, SingularFredholm, _eval4, disc_principal_dbar,
                        disc_principal_green, fredholm_solve_R, green_values_per_target,
-                       harmonic_extension_T, kernel_k_terms, principal_green, psi_terms)
+                       harmonic_extension_T, kernel_k_terms, polar_nodes_meshgrid, principal_green,
+                       psi_terms)
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 
@@ -83,6 +86,24 @@ def test_psi_and_kernel_match_term_sum():
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
         new, ref = kernel_k(*args, psi), kernel_k_terms(*args, psi)
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kernel_k_one_reciprocal_equals_division():
+    """kernel_k, which scales by 1 / n2, equals the numerator divided by n2 bit for bit, on
+    points whose moduli run from 1e-10 to 1e60."""
+    rng = np.random.default_rng(3844)
+    phi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))    # Psi of degree <= 2
+
+    def points(lo, hi, shape):
+        return 10.0 ** rng.uniform(lo, hi, shape) * np.exp(2j * np.pi * rng.random(shape))
+
+    psi = psi_of(phi)
+    for lo, hi in ((-10, -5), (-10, 0), (-3, 3), (0, 30), (20, 60)):
+        zp, z = tuple(points(lo, hi, (2, 4000))), tuple(points(lo, hi, 2))
+        d1, d2 = zp[0] - z[0], zp[1] - z[1]
+        p1, p2 = psi(zp, z)
+        ref = (np.conj(d1) * p2 - np.conj(d2) * p1) / (np.abs(d1) ** 2 + np.abs(d2) ** 2)
+        assert np.all(np.isfinite(ref)) and np.array_equal(kernel_k(zp, z, psi), ref)
 
 
 def test_kernel_flat_reduction(disc):
@@ -230,14 +251,94 @@ def test_values_match_per_target_reference(name):
         assert max(abs(v - r) for v, r in zip(vals, refs)) <= 1e-13
 
 
+def _full_cut(z, points, r0):
+    """prod over s in points of 1 - bump(|z - s| / r0), formed on every node."""
+    full = np.ones(len(z))
+    for s in points:
+        full = full * (1.0 - _bump(np.abs(z - s) / r0))
+    return full
+
+
+def _cut_applied(v, model, nr, nt, points, r0):
+    """v times the factors _cut lists, node by node, as green._green_values applies them;
+    each s lists exactly the nodes with |z - s| < r0."""
+    v, z = v.copy(), model.full_grid(nr, nt)[0]
+    for s, (near, factor) in zip(points, _cut(model, nr, nt, points, r0)):
+        assert np.array_equal(near, np.flatnonzero(np.abs(z - s) / r0 < 1.0))
+        v[near] *= factor
+    return v
+
+
 def test_cut_near_nodes_equals_full_product():
-    z, _, _, _ = flat_disc_model().full_grid(64, 64)
-    for pts, r0 in (((0.3 + 0.1j, -0.2 + 0.25j), 0.1), ((0.5j, 0.52j), 0.008),
-                    ((0.95, -0.9j), 0.1)):
-        full = np.ones(len(z))
-        for s in pts:
-            full = full * (1.0 - _bump(np.abs(z - s) / r0))
-        assert np.array_equal(_cut(z, pts, r0), full)
+    """The factors on the nodes _cut lists, 1.0 elsewhere, are the every-node product, on a
+    patch centred at 0 and off it."""
+    for center in (0.0, 0.3 - 0.2j):
+        model = CurveModel(np.array([[0.0, 1.0]]), center=center)
+        z = model.full_grid(64, 64)[0]
+        for pts, r0 in (((0.3 + 0.1j, -0.2 + 0.25j), 0.1), ((0.5j, 0.52j), 0.008),
+                        ((0.95, -0.9j), 0.1)):
+            pts = tuple(center + s for s in pts)
+            assert np.array_equal(_cut_applied(np.ones(len(z)), model, 64, 64, pts, r0),
+                                  _full_cut(z, pts, r0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(center=st.complex_numbers(min_magnitude=1e-3, max_magnitude=20.0),
+       radius=st.floats(0.01, 4.0), nr=st.integers(8, 64), nt=st.integers(8, 64),
+       graph=st.booleans(), u=st.floats(0.05, 1.0),
+       at=st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 1.0)),
+       to=st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0)))
+def test_cut_remainder_equals_full_product(center, radius, nr, nt, graph, u, at, to):
+    """The smooth remainder with the cut on the listed nodes equals sum(k w cut) with the cut
+    on every node, bit for bit: non-zero centres, any mesh, points inside and outside the
+    patch, r0 up to the program's cap min(radius / 10, 0.4 |q* - q|)."""
+    qq = complex(center + radius * at[0] * np.exp(2j * np.pi * at[1]))
+    qs = complex(qq + radius * to[0] * np.exp(2j * np.pi * to[1]))
+    r0 = u * min(0.1 * radius, 0.4 * abs(qq - qs))
+    phi = np.array([[0.0, 1.0], [0.0, 0.0], [-0.5 + 0.2j, 0.0]] if graph else [[0.0, 1.0]])
+    model = CurveModel(phi, center=center, radius=radius)
+    z, w, z2, dens = model.full_grid(nr, nt)
+    pq = (qq, model.z2_of(qq))
+    assume(np.min(np.abs(z - qq)) > 1e-9)
+    kw = kernel_k((z, z2), pq, model.psi) * _star_weight(model, (qs, model.z2_of(qs)), z, z2,
+                                                         dens * w)
+    full = _full_cut(z, (qq, qs), r0)
+    assert np.sum(_cut_applied(kw, model, nr, nt, (qq, qs), r0)) == np.sum(kw * full)
+
+
+@pytest.mark.parametrize("outward", [True, False])
+def test_cut_tight_edge_node(outward):
+    """A node a few ulps inside |z - s| = r0 on the first row of the band (s radially outward
+    of it) or the last (s inward) is cut, where a band of exactly |r_i - |s - center|| < r0,
+    with no slack for rounding, leaves its row out."""
+    eps = np.finfo(float).eps
+    center, nr, nt = 3.0 + 2.0j, 64, 64
+    model = CurveModel(np.array([[0.0, 1.0]]), center=center)
+    z = model.full_grid(nr, nt)[0]
+    r = (_leggauss(nr)[0] + 1.0) / 2.0
+    for k in range(8 * nt, 56 * nt):
+        i, e = k // nt, (z[k] - center) / abs(z[k] - center)
+        s = complex(center + (r[i] + 0.05 if outward else r[i] - 0.05) * e)
+        r0 = float(np.abs(z[k:k + 1] - s)[0] * (1 + 4 * eps))
+        d = abs(s - center)
+        if np.abs(z[k:k + 1] - s)[0] / r0 < 1.0 and not d - r0 <= r[i] < d + r0:
+            break
+    else:
+        pytest.fail("no node that a slack-free band misses")
+    [(near, factor)] = _cut(model, nr, nt, [s], r0)
+    assert k in near
+    assert np.array_equal(_cut_applied(np.ones(len(z)), model, nr, nt, [s], r0),
+                          _full_cut(z, [s], r0))
+
+
+@pytest.mark.parametrize("center, radius, nr, nt", [(0.0, 1.0, 256, 256),
+                                                    (0.3 - 0.2j, 1.3, 128, 64),
+                                                    (-2.5 + 4.0j, 0.04, 17, 33), (1.0, 2.0, 1, 1)])
+def test_polar_nodes_equal_meshgrid_route(center, radius, nr, nt):
+    """Nodes from the cached phases and weights by np.repeat equal the meshgrid route."""
+    for new, ref in zip(_polar_nodes_gl(center, radius, nr, nt),
+                        polar_nodes_meshgrid(center, radius, nr, nt)):
+        assert np.array_equal(new, ref)
 
 
 def test_log_coefficient_builds_one_q_star_sub_patch_per_radius(monkeypatch):
@@ -284,7 +385,7 @@ def test_grid_failure_leaves_no_entry(monkeypatch):
 
 
 def test_cached_arrays_read_only():
-    for a in _leggauss(12):
+    for a in _leggauss(12) + (_phases(12),):
         with pytest.raises(ValueError):
             a[0] = 0.0
     model = flat_disc_model()

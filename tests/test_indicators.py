@@ -148,26 +148,28 @@ def test_G_lines_near_incidence(interior):
 
 @pytest.fixture
 def strides(monkeypatch):
-    """The (samples per loop, offset, stride) of every pass G_lines makes, in call order:
-    the pass sums the samples offset, offset + stride, ..."""
+    """The (samples per loop, offset, stride, size sums formed) of every pass G_lines makes,
+    in call order: the pass sums the samples offset, offset + stride, ..."""
     seen = []
     inner = indicators._stride_sums
 
-    def spy(arrs, part, x, y, ks):
-        seen.append((len(arrs[0]),) + part.indices(len(arrs[0]))[::2])
-        return inner(arrs, part, x, y, ks)
+    def spy(arrs, part, *args, **kw):
+        S, size = inner(arrs, part, *args, **kw)
+        seen.append((len(arrs[0]),) + part.indices(len(arrs[0]))[::2] + (size is not None,))
+        return S, size
 
     monkeypatch.setattr(indicators, "_stride_sums", spy)
     return seen
 
 
 def test_G_lines_odd_n_sums_every_sample(strides):
-    """N = 1001 has no power-of-two stride: one pass over every sample, the full sum's bits."""
+    """N = 1001 has no power-of-two stride: one pass over every sample, which takes no test and
+    so forms no size sum, with the full sum's bits."""
     b = oracles.two_line(n=1001)
     ys = rho(b) * np.array([2.0, 2.5j, -3.0])
     xs = 0.2 * m_of_y(b, ys)
     got = G_lines(b, xs, ys, [0, 1, 2])
-    assert strides == [(1001, 0, 1)] * 2                # one pass per loop
+    assert strides == [(1001, 0, 1, False)] * 2         # one pass per loop, no size sum
     for j in range(3):
         assert np.array_equal(got[:, j], _G_per_line(b, xs[j], ys[j], [0, 1, 2]))
 
@@ -182,7 +184,8 @@ def test_G_lines_certified_passes_are_disjoint(strides, n):
         G_lines(b, [0.2 * m_of_y(b, y)], [y], [0, 1, 2])
         s = strides[-1][1]
         assert strides[-1][2] == 2 * s > 2                  # certified: U_s was the last pass
-        seen = np.concatenate([np.arange(n)[off::step] for _, off, step in strides])
+        assert all(sized for *_, sized in strides)          # every tested pass has its sizes
+        seen = np.concatenate([np.arange(n)[off::step] for _, off, step, _ in strides])
         assert np.array_equal(np.sort(seen), np.arange(0, n, s))
 
 
@@ -205,14 +208,15 @@ def test_G_lines_near_incidence_at_odd_sample(interior, j, off):
 
 def test_G_lines_uncertified_line_takes_every_sample(interior, strides):
     """A line 1e-4 off the boundary image certifies at no stride: after stride 64 the odd
-    multiples of 32, 16, .., 2 are added, then one fresh pass over every sample gives the
-    full sum's bits; a line in Z stops at 128 samples (stride 8)."""
+    multiples of 32, 16, .., 2 are added, each with its size sums, then one fresh pass over
+    every sample, with none, gives the full sum's bits; a line in Z stops at 128 samples
+    (stride 8)."""
     lp = interior.loops[0]
     y = 3.0 * np.exp(0.4j)
     x = -(y * lp.z1[5] + lp.z2[5]) + 1e-4
     got = G_lines(interior, [x], [y], [1, 2])[:, 0]
-    assert strides == ([(1024, 0, 64)] + [(1024, s, 2 * s) for s in (32, 16, 8, 4, 2)]
-                       + [(1024, 0, 1)])
+    assert strides == ([(1024, 0, 64, True)] + [(1024, s, 2 * s, True) for s in (32, 16, 8, 4, 2)]
+                       + [(1024, 0, 1, False)])
     assert np.array_equal(got, _G_per_line(interior, x, y, [1, 2]))
     strides.clear()
     G_lines(interior, [0.2 * m_of_y(interior, y)], [y], [1, 2])
