@@ -26,8 +26,10 @@ pass k(z, q) against it.  The cut 1 - bump(|z - s| / r0) is exactly 1 at
 distance r0 or more from s, so it is evaluated only on the band of grid rows
 that can reach the disc around s, and it scales only the nodes inside.  The
 angular phases of a polar mesh are built once per angle count.  The q*-side
-sub-patch is built once per sub-patch radius within a call, and sub-patch z2
-comes from Newton started at the known z2(s).
+sub-patch and cut are built once per sub-patch radius within a call.  z2 has
+one route, CurveModel.z2_of.  The full-grid passes (q* weight, target kernel)
+run over TILE_ENTRIES-node tiles into one array each, so their temporaries are
+small and their cost does not hang on what earlier work left to the allocator.
 """
 
 from __future__ import annotations
@@ -39,17 +41,20 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
+from .geometry import tiles
+
 
 class Coincident(ValueError):
     """Kernel evaluated on the diagonal."""
 
 
-class MeshTooCoarse(RuntimeError):
-    """dPhi/dz2 vanished (or is NaN) on a quadrature node."""
+class BranchPoint(RuntimeError):
+    """dPhi/dz2 vanished (or is NaN) at a point of the patch: z1 is not a local coordinate of
+    the curve there, so no finer mesh helps."""
 
 
 COINCIDENT_EPS = 1e-12
-DPHI_EPS = 1e-9         # |dPhi/dz2| below this (or NaN) on a node: MeshTooCoarse
+DPHI_EPS = 1e-9         # |dPhi/dz2| below this (or NaN) at a point: BranchPoint
 
 
 # -- divided differences --------------------------------------------------------
@@ -169,56 +174,44 @@ class CurveModel:
         self.psi = psi_of(self.phi)
         self._phi_z2 = P.polyder(self.phi, axis=1)
 
-    def z2_of(self, z1):
-        """Track the branch through (center, 0) by Newton continuation."""
+    def z2_of(self, z1, start=None):
+        """z2 on the branch at z1: closed form when Phi = c z2 + p(z1); else Newton from z2(s)
+        when start = (s, z2(s)) lies within r0 <= radius / 10 of every z1 (a sub-patch); else
+        continued from (center, 0) along straight segments that keep Newton in the basin."""
         z1 = np.asarray(z1, dtype=complex)
         scalar = z1.ndim == 0
         flat = np.atleast_1d(z1).ravel()
-        out = self._graph_z2(flat)
-        if out is None:
+        if self.phi.shape[1] == 2 and not np.any(self.phi[1:, 1]):
+            if not abs(self.phi[0, 1]) >= DPHI_EPS:
+                raise BranchPoint("dPhi/dz2 vanished on the patch")
+            out = -P.polyval(flat, self.phi[:, 0]) / self.phi[0, 1]
+        elif start is not None:
+            out = self._newton(flat, np.full(flat.shape, start[1], dtype=complex))
+        else:
             out = np.zeros(flat.shape, dtype=complex)
-            # continuation along straight segments keeps Newton in the branch basin
             for s in np.linspace(0.15, 1.0, 7):
                 out = self._newton(self.center + s * (flat - self.center), out)
         return complex(out[0]) if scalar else out.reshape(z1.shape)
 
-    def _z2_near(self, z1, z2_s):
-        """z2 on sub-patch nodes z1 around a point s of the branch, z2(s) = z2_s.
-
-        Newton starts at z2_s: the nodes lie within r0 <= radius / 10 of s
-        (default sub-patch radius), a shorter jump than the first 0.15 |z1 -
-        center| segment of the continuation in z2_of.
-        """
-        out = self._graph_z2(z1)
-        return self._newton(z1, np.full(z1.shape, z2_s, dtype=complex)) if out is None else out
-
-    def _graph_z2(self, z1):
-        """z2 of Phi = c * z2 + p(z1) in closed form; None when Phi is not of that form."""
-        if self.phi.shape[1] != 2 or np.any(self.phi[1:, 1]):
-            return None
-        if not abs(self.phi[0, 1]) >= DPHI_EPS:
-            raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
-        return -P.polyval(z1, self.phi[:, 0]) / self.phi[0, 1]
-
     def _newton(self, z1, z2):
         """Newton on Phi(z1, .) = 0 from z2, at most 30 steps, stopping below 1e-14."""
         for _ in range(30):
-            f = P.polyval2d(z1, z2, self.phi)
-            fw = P.polyval2d(z1, z2, self._phi_z2)
-            if not np.min(np.abs(fw)) >= DPHI_EPS:
-                raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
-            step = f / fw
+            step = P.polyval2d(z1, z2, self.phi) / self._dphi(z1, z2)
             z2 = z2 - step
             if np.max(np.abs(step)) < 1e-14:
                 break
         return z2
 
-    def form_density(self, z1, z2):
-        """|1/ (dPhi/dz2)|^2, the density of (i/2) w ^ conj(w) against dA(z1)."""
+    def _dphi(self, z1, z2):
+        """dPhi/dz2 at the points (z1, z2); BranchPoint where it vanishes (or is NaN)."""
         fz2 = P.polyval2d(z1, z2, self._phi_z2)
         if not np.min(np.abs(fz2)) >= DPHI_EPS:
-            raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
-        return 1.0 / np.abs(fz2) ** 2
+            raise BranchPoint("dPhi/dz2 vanished on the patch")
+        return fz2
+
+    def form_density(self, z1, z2):
+        """|1/ (dPhi/dz2)|^2, the density of (i/2) w ^ conj(w) against dA(z1)."""
+        return 1.0 / np.abs(self._dphi(z1, z2)) ** 2
 
     def full_grid(self, nr, nt):
         """Read-only nodes (z1, weights, z2, form density) of the nr x nt full-patch mesh.
@@ -301,22 +294,27 @@ def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128
         raise Coincident("green_value on the diagonal")
     pqs = (qs, model.z2_of(qs))
     z, w, z2, dens = model.full_grid(nr, nt)
-    weight = _star_weight(model, pqs, z, z2, dens * w)
-    star = {}               # sub-patch radius -> q*-side sub-patch
+    # elementwise passes: tiles give the same bits with temporaries TILE_ENTRIES nodes long
+    weight = np.empty(len(z), dtype=complex)
+    for t in tiles(len(z), 1):
+        weight[t] = _star_weight(model, pqs, z[t], z2[t], dens[t] * w[t])
+    star = {}               # sub-patch radius -> q*-side sub-patch and cut
     vals = []
     for qq in targets:
-        # to 12 digits, so targets on one circle around q* share the q*-side sub-patch
+        # to 12 digits, so targets on one circle around q* share the q*-side sub-patch and cut
         r0 = float(f"{min(0.1 * model.radius, 0.4 * abs(qs - qq)):.12g}")
         pq = (qq, model.z2_of(qq))
         if r0 not in star:
-            star[r0] = _sub_patch(model, pqs, pqs, r0, sub_nr, sub_nt)
+            star[r0] = _sub_patch(model, pqs, pqs, r0, sub_nr, sub_nt), _cut(model, nr, nt, qs, r0)
         total = 0.0 + 0.0j
         # singular sub-patches with the smooth bump
-        for zs, zs2, ws in (_sub_patch(model, pqs, pq, r0, sub_nr, sub_nt), star[r0]):
+        for zs, zs2, ws in (_sub_patch(model, pqs, pq, r0, sub_nr, sub_nt), star[r0][0]):
             total += np.sum(kernel_k((zs, zs2), pq, model.psi) * ws)
-        # smooth remainder over the full patch, the cut applied where it differs from 1
-        v = kernel_k((z, z2), pq, model.psi) * weight
-        for near, factor in _cut(model, nr, nt, (qq, qs), r0):
+        # smooth remainder, cut where it differs from 1 (disjoint discs: r0 <= 0.4 |q* - q|)
+        v = np.empty(len(z), dtype=complex)
+        for t in tiles(len(z), 1):
+            v[t] = kernel_k((z[t], z2[t]), pq, model.psi) * weight[t]
+        for near, factor in (_cut(model, nr, nt, qq, r0), star[r0][1]):
             v[near] *= factor
         total += np.sum(v)
         vals.append(float(np.real(total)) / (4.0 * np.pi ** 2))
@@ -332,24 +330,23 @@ def _star_weight(model, pqs, z1, z2, w):
 def _sub_patch(model, pqs, ps, r0, sub_nr, sub_nt):
     """Nodes, z2 and q*-side weight of the polar sub-patch of radius r0 around ps."""
     zs, ws = _polar_nodes_gl(ps[0], r0, sub_nr, sub_nt)
-    zs2 = model._z2_near(zs, ps[1])
+    zs2 = model.z2_of(zs, ps)
     w = model.form_density(zs, zs2) * _bump(np.abs(zs - ps[0]) / r0) * ws
     return zs, zs2, _star_weight(model, pqs, zs, zs2, w)
 
 
-def _cut(model, nr, nt, points, r0):
-    """Per s in points, the full-grid nodes with |z - s| < r0 and 1 - bump(|z - s| / r0) on them
-    (elsewhere the factor is exactly 1.0).  Row i lies on |z - center| = r_i, so they sit in the
-    rows with |r_i - |s - center|| < r0, widened by 1e-12 (|center| + radius + |s|), far above
-    the few ulps of that scale by which z and |z - s| round; t is formed on those rows only."""
+def _cut(model, nr, nt, s, r0):
+    """The full-grid nodes with |z - s| < r0 and 1 - bump(|z - s| / r0) on them (elsewhere the
+    factor is exactly 1.0).  Row i lies on |z - center| = r_i, so they sit in the rows with
+    |r_i - |s - center|| < r0, widened by 1e-12 (|center| + radius + |s|), far above the few
+    ulps of that scale by which z and |z - s| round; t is formed on those rows only."""
     z = model.full_grid(nr, nt)[0]
     r = model.radius * (_leggauss(nr)[0] + 1.0) / 2.0
-    for s in points:
-        d, slack = abs(s - model.center), 1e-12 * (abs(model.center) + model.radius + abs(s))
-        lo, hi = np.searchsorted(r, (d - r0 - slack, d + r0 + slack)) * nt
-        t = np.abs(z[lo:hi] - s) / r0
-        near = np.flatnonzero(t < 1.0)
-        yield lo + near, 1.0 - _bump(t[near])
+    d, slack = abs(s - model.center), 1e-12 * (abs(model.center) + model.radius + abs(s))
+    lo, hi = np.searchsorted(r, (d - r0 - slack, d + r0 + slack)) * nt
+    t = np.abs(z[lo:hi] - s) / r0
+    near = np.flatnonzero(t < 1.0)
+    return lo + near, 1.0 - _bump(t[near])
 
 
 def fit_log_coefficient(model: CurveModel, q_star, radii=(0.1, 0.2), n_dir=8) -> float:

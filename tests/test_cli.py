@@ -607,6 +607,19 @@ def test_green_cli_phi_without_z2_is_a_validation_error(workdir):
     assert json.loads(err)["error"] == "E_VALIDATION"
 
 
+def test_green_cli_branch_point_is_a_numeric_error(workdir):
+    """Phi = 1e-12 z2: dPhi/dz2 vanishes, so z1 is no local coordinate of the curve and no
+    finer mesh helps: exit 2 as BranchPoint."""
+    (workdir / "phi-tiny.json").write_text(json.dumps([[[0, 0], [1e-12, 0]]]))
+    (workdir / "targets-tiny.json").write_text(
+        json.dumps({"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]}))
+    code, out, err = run_cli(["green", "--phi", "phi-tiny.json",
+                              "--targets", "targets-tiny.json"], workdir)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "E_NUMERIC", "type": "BranchPoint",
+                               "detail": "dPhi/dz2 vanished on the patch"}
+
+
 def test_genus_cli(workdir):
     code, out, _ = run_cli(["genus", "--model", "annulus", "--lambda", "flat",
                             "--omega", "zdz"], workdir)

@@ -3,7 +3,8 @@
 The digests pin the byte-for-byte output of the commands on the four oracles (and of `pipeline`
 and `reconstruct` on two-line and conic at N = 1001 and 4096), of `green`
 on a flat, a graph and an implicit patch (a z2^2 term, so the sub-patches take Newton), the
-implicit one also off-centre, and of `genus` on the disc and the annulus.  A change that
+implicit one also off-centre, on a denser implicit Phi (z1 z2, z1^2 z2 and z1^3 terms) off-centre,
+and of `genus` on the disc and the annulus.  A change that
 means to alter an output records the new digest and says why in CHANGES.md.
 
 `green-flat` and `green-graph` share one digest.  For Phi = z2 + c z1^2 the kernel reduces
@@ -44,6 +45,10 @@ INPUTS = {"phi-flat.json": [[[0.0, 0.0], [1.0, 0.0]]],
           "phi-implicit.json": [[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]],
                                 [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                                 [[-0.35, 0.05], [0.0, 0.0], [0.0, 0.0]]],
+          "phi-implicit-dense.json": [[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]],
+                                      [[0.0, 0.0], [0.2, 0.0], [0.0, 0.0]],
+                                      [[-0.35, 0.05], [0.1, 0.0], [0.0, 0.0]],
+                                      [[0.05, 0.0], [0.0, 0.0], [0.0, 0.0]]],
           "targets.json": {"q_star": [0.2, 0.1], "points": [[0.5, 0.0], [-0.3, 0.2]]}}
 
 
@@ -69,6 +74,8 @@ def _cases():
         yield f"green-{phi}", ["green", "--phi", f"phi-{phi}.json", "--targets", "targets.json"], []
     yield ("green-implicit-off-centre", ["green", "--phi", "phi-implicit.json", "--targets",
                                          "targets.json", "--patch", "0.3-0.2j,1.3"], [])
+    yield ("green-implicit-dense", ["green", "--phi", "phi-implicit-dense.json", "--targets",
+                                    "targets.json", "--patch", "0.1-0.05j,0.8"], [])
     for model in ("disc", "annulus"):
         yield f"genus-{model}", ["genus", "--model", model, "--omega", "zdz"], []
 
@@ -116,6 +123,7 @@ DIGESTS = {
     "green-graph": "1d7fd73aa6e1dc30515aef2bedb0aeb2157f271cf0f04445f8887dc591242d57",
     "green-implicit": "ce3b53979337d859ae1876c5b2656cdc515038ad6b05dbce0afc25e06674c2e2",
     "green-implicit-off-centre": "cdb03ce1f24fb66273a37cb974c8112418175dc542a6b166ecf0bca84981cb7e",
+    "green-implicit-dense": "b22b5f38f095ca3d619375101960948070e3c5b5592efeef784e8abc3d45e3e2",
     "genus-disc": "1c7af7a2c648d93ad720198612d4cd49438d6d8e42fa8dde8ff1d1c6d79d0244",
     "genus-annulus": "9e6ec3b09b589e77478967788aaf708f67b95a17146808521db6d59f1c912b5c",
 }

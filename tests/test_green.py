@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from cfr import green
-from cfr.green import (Coincident, CurveModel, MeshTooCoarse, _bump, _cut, _leggauss, _phases,
+from cfr.green import (BranchPoint, Coincident, CurveModel, _bump, _cut, _leggauss, _phases,
                        _polar_nodes_gl, _star_weight, fit_log_coefficient, flat_disc_model,
                        green_value, kernel_k, psi_of)
 from reference import (BoundaryGrid, SingularFredholm, _eval4, disc_principal_dbar,
@@ -201,10 +203,10 @@ def test_log_coefficient_needs_two_distinct_positive_radii(disc):
             fit_log_coefficient(disc, 0.2 + 0.1j, radii=radii)
 
 
-def test_mesh_too_coarse():
-    """dPhi/dz2 below DPHI_EPS on the patch raises MeshTooCoarse, in closed form and in Newton."""
+def test_branch_point():
+    """dPhi/dz2 below DPHI_EPS on the patch raises BranchPoint, in closed form and in Newton."""
     for phi in ([[0.0, 1e-12]], [[0.0, 0.0, 1.0]]):     # Phi = 1e-12 z2, and z2^2 from z2 = 0
-        with pytest.raises(MeshTooCoarse, match="dPhi/dz2 vanished"):
+        with pytest.raises(BranchPoint, match="dPhi/dz2 vanished"):
             green_value(0.25 + 0.1j, -0.3 + 0.35j, CurveModel(np.array(phi)))
 
 
@@ -260,10 +262,11 @@ def _full_cut(z, points, r0):
 
 
 def _cut_applied(v, model, nr, nt, points, r0):
-    """v times the factors _cut lists, node by node, as green._green_values applies them;
-    each s lists exactly the nodes with |z - s| < r0."""
+    """v times the factors _cut lists for each s in points, node by node, as
+    green._green_values applies them; each s lists exactly the nodes with |z - s| < r0."""
     v, z = v.copy(), model.full_grid(nr, nt)[0]
-    for s, (near, factor) in zip(points, _cut(model, nr, nt, points, r0)):
+    for s in points:
+        near, factor = _cut(model, nr, nt, s, r0)
         assert np.array_equal(near, np.flatnonzero(np.abs(z - s) / r0 < 1.0))
         v[near] *= factor
     return v
@@ -325,8 +328,7 @@ def test_cut_tight_edge_node(outward):
             break
     else:
         pytest.fail("no node that a slack-free band misses")
-    [(near, factor)] = _cut(model, nr, nt, [s], r0)
-    assert k in near
+    assert k in _cut(model, nr, nt, s, r0)[0]
     assert np.array_equal(_cut_applied(np.ones(len(z)), model, nr, nt, [s], r0),
                           _full_cut(z, [s], r0))
 
@@ -357,12 +359,43 @@ def test_log_coefficient_builds_one_q_star_sub_patch_per_radius(monkeypatch):
     assert sum(complex(c[0]) == 0.2 + 0.1j for c in calls) == 2
 
 
+def test_log_coefficient_cuts_q_star_once_per_radius(monkeypatch):
+    """16 targets at 2 radii: 16 target-side cuts of the full grid and 2 on the q* side."""
+    model = flat_disc_model()
+    calls = []
+
+    def counted(model, nr, nt, s, r0):
+        calls.append(s)
+        return _cut(model, nr, nt, s, r0)
+
+    monkeypatch.setattr(green, "_cut", counted)
+    fit_log_coefficient(model, 0.2 + 0.1j, radii=(0.1, 0.2), n_dir=8)
+    assert len(calls) == 18
+    assert calls.count(0.2 + 0.1j) == 2
+
+
+@pytest.mark.parametrize("name", ["flat", "implicit"])
+def test_warm_value_peak_memory(name):
+    """A warm Green value on the default mesh peaks under 4 MiB of traced memory: beside the
+    q* weight and the remainder, the full-grid passes hold temporaries of TILE_ENTRIES nodes,
+    not of all 65 536."""
+    model = PATCHES[name]()
+    green_value(0.1 + 0.05j, -0.2 + 0.1j, model)
+    tracemalloc.start()
+    try:
+        green_value(0.1 + 0.05j, -0.2 + 0.1j, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_seeded_sub_patch_z2():
     """Sub-patch z2 by Newton from z2(s) agrees with the continuation from the center."""
     model = PATCHES["implicit"]()
     for s in (0.1 + 0.05j, -0.35 + 0.2j, 0.45j):
         zs, _ = _polar_nodes_gl(s, 0.06, 24, 16)
-        assert np.max(np.abs(model._z2_near(zs, model.z2_of(s)) - model.z2_of(zs))) <= 1e-15
+        assert np.max(np.abs(model.z2_of(zs, (s, model.z2_of(s))) - model.z2_of(zs))) <= 1e-15
 
 
 def test_grid_failure_leaves_no_entry(monkeypatch):
@@ -370,15 +403,15 @@ def test_grid_failure_leaves_no_entry(monkeypatch):
     model = PATCHES["implicit"]()
     sizes = []
 
-    def z2_of(z1):
+    def z2_of(z1, start=None):
         sizes.append(np.size(z1))
         if np.size(z1) == 16 * 16:
-            raise MeshTooCoarse("dPhi/dz2 vanished on the patch")
-        return CurveModel.z2_of(model, z1)
+            raise BranchPoint("dPhi/dz2 vanished on the patch")
+        return CurveModel.z2_of(model, z1, start)
 
     monkeypatch.setattr(model, "z2_of", z2_of)
     for _ in range(2):
-        with pytest.raises(MeshTooCoarse):
+        with pytest.raises(BranchPoint):
             green._green_values(0.1, [-0.2j], model, nr=16, nt=16, sub_nr=8, sub_nt=4)
         assert model._grids == {}
     assert sizes.count(16 * 16) == 2
