@@ -253,6 +253,7 @@ def _sheets_and_family(b, args, fit=None, h=None):
     germs = []
     if args.germs:
         germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
+        _finite("germs file", [c for g in germs for c in (g.b, *g.taylor)])
     fam = infinity.Pk_family(germs, max(p, 1))
     if accepted and fit.r > 0 and p >= 1 and not germs:
         if p >= 2:
@@ -329,7 +330,7 @@ def _phi(rows):
     phi = np.array([[_pair(p) for p in row] for row in rows])
     if phi.ndim != 2 or 0 in phi.shape or not phi[:, 1:].any():
         raise ValueError("not a graph over the z1 chart: need a 2-D table with a z2 term")
-    return phi
+    return _finite("phi file", phi)
 
 
 def _targets(spec):
@@ -340,6 +341,8 @@ def cmd_green(args):
     phi = _parse("phi file", _phi, _load(args.phi))
     center, radius = _parse("--patch", _patch, args.patch)
     qs, pts = _parse("targets file", _targets, _load(args.targets))
+    if not all(abs(q - center) < radius for q in _finite("targets file", [qs, *pts])):
+        raise ValidationError(f"q_star and every point need |q - center| < radius = {radius:g}")
     model = green.CurveModel(phi, center=center, radius=radius)
     vals = green._green_values(qs, pts, model)
     _write(dumps({"q_star": qs, "values": vals}), args.out)
@@ -358,8 +361,8 @@ def _omega_from_spec(spec):
 
 
 def _density(spec):
-    return (np.asarray(spec["num"], dtype=float),
-            np.asarray(spec.get("den", [1.0]), dtype=float))
+    num, den = (np.asarray(c, dtype=float) for c in (spec["num"], spec.get("den", [1.0])))
+    return _finite("lambda file", num), _finite("lambda file", den)
 
 
 def _lambda_from_file(path):

@@ -27,9 +27,11 @@ distance r0 or more from s, so it is evaluated only on the band of grid rows
 that can reach the disc around s, and it scales only the nodes inside.  The
 angular phases of a polar mesh are built once per angle count.  The q*-side
 sub-patch and cut are built once per sub-patch radius within a call.  z2 has
-one route, CurveModel.z2_of.  The full-grid passes (q* weight, target kernel)
-run over TILE_ENTRIES-node tiles into one array each, so their temporaries are
-small and their cost does not hang on what earlier work left to the allocator.
+one route, CurveModel.z2_of; polynomials have one evaluator, Horner's rule;
+a model has one full-patch grid, on MESH.  The full-grid passes (q*
+weight, target kernel) run over TILE_ENTRIES-node tiles into one array each, so
+their temporaries are small and their cost does not hang on what earlier work
+left to the allocator.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import tiles
@@ -55,6 +56,8 @@ class BranchPoint(RuntimeError):
 
 COINCIDENT_EPS = 1e-12
 DPHI_EPS = 1e-9         # |dPhi/dz2| below this (or NaN) at a point: BranchPoint
+MESH = (256, 256)       # nr x nt Gauss-Legendre radii x angles of the full-patch polar mesh
+SUB_MESH = (128, 64)    # the same for the polar sub-patch around each singular point
 
 
 # -- divided differences --------------------------------------------------------
@@ -160,19 +163,19 @@ def kernel_k(zp, z, psi: Psi):
 class CurveModel:
     """Graph patch of {Phi = 0} over the disc |z1 - center| < radius.
 
-    The model keeps the full-patch quadrature grid of every mesh it has been
-    integrated on, so its fields must not change after the first Green value.
+    The model keeps its full-patch quadrature grid once built, so its fields
+    must not change after the first Green value.
     """
 
     phi: np.ndarray
     center: complex = 0.0 + 0.0j
     radius: float = 1.0
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grid: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=complex)
         self.psi = psi_of(self.phi)
-        self._phi_z2 = P.polyder(self.phi, axis=1)
+        self._phi_z2 = self.phi[:, 1:] * np.arange(1, self.phi.shape[1])
 
     def z2_of(self, z1, start=None):
         """z2 on the branch at z1: closed form when Phi = c z2 + p(z1); else Newton from z2(s)
@@ -184,7 +187,7 @@ class CurveModel:
         if self.phi.shape[1] == 2 and not np.any(self.phi[1:, 1]):
             if not abs(self.phi[0, 1]) >= DPHI_EPS:
                 raise BranchPoint("dPhi/dz2 vanished on the patch")
-            out = -P.polyval(flat, self.phi[:, 0]) / self.phi[0, 1]
+            out = np.broadcast_to(-_horner(self.phi[:, 0], flat) / self.phi[0, 1], flat.shape)
         elif start is not None:
             out = self._newton(flat, np.full(flat.shape, start[1], dtype=complex))
         else:
@@ -196,15 +199,16 @@ class CurveModel:
     def _newton(self, z1, z2):
         """Newton on Phi(z1, .) = 0 from z2, at most 30 steps, stopping below 1e-14."""
         for _ in range(30):
-            step = P.polyval2d(z1, z2, self.phi) / self._dphi(z1, z2)
+            step = _horner2(self.phi.T, z2, z1) / self._dphi(z1, z2)
             z2 = z2 - step
             if np.max(np.abs(step)) < 1e-14:
                 break
         return z2
 
     def _dphi(self, z1, z2):
-        """dPhi/dz2 at the points (z1, z2); BranchPoint where it vanishes (or is NaN)."""
-        fz2 = P.polyval2d(z1, z2, self._phi_z2)
+        """dPhi/dz2 at the points (z1, z2), of their shape; BranchPoint where it vanishes (or is
+        NaN).  Horner runs in z1 inside, z2 outside: the order, and so the bits, of polyval2d."""
+        fz2 = np.broadcast_to(_horner2(self._phi_z2.T, z2, z1), np.shape(z1))
         if not np.min(np.abs(fz2)) >= DPHI_EPS:
             raise BranchPoint("dPhi/dz2 vanished on the patch")
         return fz2
@@ -213,20 +217,20 @@ class CurveModel:
         """|1/ (dPhi/dz2)|^2, the density of (i/2) w ^ conj(w) against dA(z1)."""
         return 1.0 / np.abs(self._dphi(z1, z2)) ** 2
 
-    def full_grid(self, nr, nt):
-        """Read-only nodes (z1, weights, z2, form density) of the nr x nt full-patch mesh.
+    def grid(self):
+        """Read-only nodes (z1, weights, z2, form density) of the MESH full-patch mesh.
 
-        Built on the first call for a mesh and kept; a mesh whose build raises
-        leaves no entry, so it raises again on the next call.
+        Built on the first call and kept; a build that raises keeps nothing, so it
+        raises again on the next call.
         """
-        if (nr, nt) not in self._grids:
-            z, w = _polar_nodes_gl(self.center, self.radius, nr, nt)
+        if self._grid is None:
+            z, w = _polar_nodes_gl(self.center, self.radius, *MESH)
             z2 = self.z2_of(z)
             nodes = (z, w, z2, self.form_density(z, z2))
             for a in nodes:
                 a.flags.writeable = False
-            self._grids[nr, nt] = nodes
-        return self._grids[nr, nt]
+            self._grid = nodes
+        return self._grid
 
 
 def flat_disc_model(radius=1.0):
@@ -280,20 +284,19 @@ def green_value(q_star, q, model: CurveModel) -> float:
     return _green_values(q_star, [q], model)[0]
 
 
-def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128,
-                  sub_nt=64) -> list:
+def _green_values(q_star, targets, model: CurveModel) -> list:
     """Green values g_{q*}(q) for every q in targets, in order.
 
-    nr x nt is the full-patch mesh and sub_nr x sub_nt the polar mesh of the
-    sub-patch around each singular point, of radius model.radius / 10 capped
-    at 0.4 |q* - q| and taken to 12 significant digits.
+    MESH is the full-patch mesh and SUB_MESH the polar mesh of the sub-patch
+    around each singular point, of radius model.radius / 10 capped at
+    0.4 |q* - q| and taken to 12 significant digits.
     """
     qs = complex(q_star)
     targets = [complex(q) for q in targets]
     if any(abs(qs - qq) < COINCIDENT_EPS for qq in targets):
         raise Coincident("green_value on the diagonal")
     pqs = (qs, model.z2_of(qs))
-    z, w, z2, dens = model.full_grid(nr, nt)
+    z, w, z2, dens = model.grid()
     # elementwise passes: tiles give the same bits with temporaries TILE_ENTRIES nodes long
     weight = np.empty(len(z), dtype=complex)
     for t in tiles(len(z), 1):
@@ -305,16 +308,16 @@ def _green_values(q_star, targets, model: CurveModel, nr=256, nt=256, sub_nr=128
         r0 = float(f"{min(0.1 * model.radius, 0.4 * abs(qs - qq)):.12g}")
         pq = (qq, model.z2_of(qq))
         if r0 not in star:
-            star[r0] = _sub_patch(model, pqs, pqs, r0, sub_nr, sub_nt), _cut(model, nr, nt, qs, r0)
+            star[r0] = _sub_patch(model, pqs, pqs, r0), _cut(model, qs, r0)
         total = 0.0 + 0.0j
         # singular sub-patches with the smooth bump
-        for zs, zs2, ws in (_sub_patch(model, pqs, pq, r0, sub_nr, sub_nt), star[r0][0]):
+        for zs, zs2, ws in (_sub_patch(model, pqs, pq, r0), star[r0][0]):
             total += np.sum(kernel_k((zs, zs2), pq, model.psi) * ws)
         # smooth remainder, cut where it differs from 1 (disjoint discs: r0 <= 0.4 |q* - q|)
         v = np.empty(len(z), dtype=complex)
         for t in tiles(len(z), 1):
             v[t] = kernel_k((z[t], z2[t]), pq, model.psi) * weight[t]
-        for near, factor in (_cut(model, nr, nt, qq, r0), star[r0][1]):
+        for near, factor in (_cut(model, qq, r0), star[r0][1]):
             v[near] *= factor
         total += np.sum(v)
         vals.append(float(np.real(total)) / (4.0 * np.pi ** 2))
@@ -327,23 +330,23 @@ def _star_weight(model, pqs, z1, z2, w):
     return -np.conj(kernel_k((z1, z2), pqs, model.psi)) * w
 
 
-def _sub_patch(model, pqs, ps, r0, sub_nr, sub_nt):
-    """Nodes, z2 and q*-side weight of the polar sub-patch of radius r0 around ps."""
-    zs, ws = _polar_nodes_gl(ps[0], r0, sub_nr, sub_nt)
+def _sub_patch(model, pqs, ps, r0):
+    """Nodes, z2 and q*-side weight of the SUB_MESH polar sub-patch of radius r0 around ps."""
+    zs, ws = _polar_nodes_gl(ps[0], r0, *SUB_MESH)
     zs2 = model.z2_of(zs, ps)
     w = model.form_density(zs, zs2) * _bump(np.abs(zs - ps[0]) / r0) * ws
     return zs, zs2, _star_weight(model, pqs, zs, zs2, w)
 
 
-def _cut(model, nr, nt, s, r0):
+def _cut(model, s, r0):
     """The full-grid nodes with |z - s| < r0 and 1 - bump(|z - s| / r0) on them (elsewhere the
     factor is exactly 1.0).  Row i lies on |z - center| = r_i, so they sit in the rows with
     |r_i - |s - center|| < r0, widened by 1e-12 (|center| + radius + |s|), far above the few
     ulps of that scale by which z and |z - s| round; t is formed on those rows only."""
-    z = model.full_grid(nr, nt)[0]
-    r = model.radius * (_leggauss(nr)[0] + 1.0) / 2.0
+    z = model.grid()[0]
+    r = model.radius * (_leggauss(MESH[0])[0] + 1.0) / 2.0
     d, slack = abs(s - model.center), 1e-12 * (abs(model.center) + model.radius + abs(s))
-    lo, hi = np.searchsorted(r, (d - r0 - slack, d + r0 + slack)) * nt
+    lo, hi = np.searchsorted(r, (d - r0 - slack, d + r0 + slack)) * MESH[1]
     t = np.abs(z[lo:hi] - s) / r0
     near = np.flatnonzero(t < 1.0)
     return lo + near, 1.0 - _bump(t[near])

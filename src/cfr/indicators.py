@@ -41,14 +41,6 @@ class TruncationMismatch(ValueError):
     """The moment table and the per-sample 1/y expansion of G_k disagree."""
 
 
-def flat_lines(xs, ys):
-    """Per-line arrays (x, y) of a (y, x) grid of lines or of a flat list (1-D xs), row-major."""
-    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
-    if len(xs) != len(ys):
-        raise ValueError(f"{len(xs)} rows of x for {len(ys)} values of y")
-    return xs.ravel(), np.repeat(ys, xs.shape[1] if xs.ndim == 2 else 1)
-
-
 def _stride_sums(arrs, part, x, y, ks, sized=True):
     """S[i, j] = sum z1^k q, size[i, j] = sum |z1^k| |q| (None unless sized), k = ks[i], on a[part].
 
@@ -72,10 +64,8 @@ def _stride_sums(arrs, part, x, y, ks, sized=True):
 
 
 def G_lines(b: BoundaryData, xs, ys, ks):
-    """Indicators G_k on a (y, x) grid of lines, shape (len(ks),) + xs.shape.
+    """G_{ks[i]} on the line (xs[j], ys[j]) at [i, j] of a (len(ks), len(xs)) array.
 
-    Entry [i, a, c] is G_{ks[i]} on the line (xs[a, c], ys[a]) for xs of shape
-    (n_y, n_x) and ys of shape (n_y,); a 1-D xs pairs xs[j] with ys[j] (n_x = 1).
     Per loop and line, the sum S_2s over every 2s-th sample comes first, s the coarsest
     power of two dividing N with N/s >= STRIDE_MIN.  S_s = S_2s + U_s adds only U_s over
     the odd multiples of s, and T_s = s h S_s is accepted once |U_s - S_2s| <= STRIDE_TOL
@@ -84,7 +74,9 @@ def G_lines(b: BoundaryData, xs, ys, ks):
     the full sum's bits.  Each line decides and sums alone, so an entry is its one-line call's bits.
     """
     ks = [int(k) for k in np.atleast_1d(ks)]
-    x, y = flat_lines(xs, ys)
+    x, y = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} values of x for {len(y)} values of y")
     acc = np.zeros((len(ks), len(x)), dtype=complex)
     for sign, lp in b.signed_loops():
         arrs, n, h = (lp.z1, lp.z2, lp.dz1, lp.dz2), len(lp), lp.t[1] - lp.t[0]
@@ -100,7 +92,7 @@ def G_lines(b: BoundaryData, xs, ys, ks):
         if len(todo):
             acc[:, todo] += sign * h * _stride_sums(arrs, slice(None), x[todo], y[todo], ks,
                                                     sized=False)[0]
-    return (acc / (2.0j * np.pi)).reshape((len(ks),) + np.shape(xs))
+    return acc / (2.0j * np.pi)
 
 
 def delta(b: BoundaryData) -> int:

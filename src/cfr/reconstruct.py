@@ -25,15 +25,15 @@ ANGLE_OFFSET = 0.31           # the sweep's y angles are (j + ANGLE_OFFSET) / an
 def N_Qk(b: BoundaryData, xs, ys, p: int, pk_family):
     """Holomorphic extensions N_{Q,k}(z) = G_k(z) - P_k(x, y), k = 1..p, on the lines (xs, ys).
 
-    Returns a (p, lines) array, lines in indicators.flat_lines order, from one G_lines
-    call (each line at its certified stride) and one call of each P_k on the flat
-    lines.  A false P_k (a Correction without germs) is exactly 0 and is skipped.
+    Returns a (p, lines) array from one G_lines call (each line at its certified stride)
+    and one call of each P_k on the lines, taken as complex arrays.  A false P_k (a
+    Correction without germs) is exactly 0 and is skipped.
     """
-    out = indicators.G_lines(b, xs, ys, range(1, p + 1)).reshape(p, -1)
-    xf, yf = indicators.flat_lines(xs, ys)
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    out = indicators.G_lines(b, xs, ys, range(1, p + 1))
     for k in range(1, min(p + 1, len(pk_family))):
         if pk_family[k]:
-            out[k - 1] -= pk_family[k](xf, yf)
+            out[k - 1] -= pk_family[k](xs, ys)
     return out
 
 
@@ -49,7 +49,7 @@ class PointCloud:
 
 
 def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
-    """Fibers over the lines (xs, ys), a grid or a flat list, as one batch: (keep, roots, skipped).
+    """Fibers over the lines (xs[j], ys[j]) as one batch: (keep, roots, skipped).
 
     One G_lines call gives the power sums N_{Q,1..p} of every line, and
     Newton's identities, the monic assembly and the companion-eigenvalue solve
@@ -62,8 +62,8 @@ def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
     """
     if p < 1:
         raise ValueError("fiber needs p >= 1")
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
     N = N_Qk(b, xs, ys, p, pk_family)
-    xs, ys = indicators.flat_lines(xs, ys)
     C = symmetric.monic_from_elementary(symmetric.power_to_elementary(N)).T
     h = symmetric.roots(C)
     i, j = np.triu_indices(p, 1)
@@ -76,14 +76,14 @@ def fibers(b: BoundaryData, xs, ys, p: int, pk_family):
 
 
 def _default_grid(b: BoundaryData, radii, angles, xfracs):
-    """The sweep's lines as a (y, x) grid: ys of shape (n_y,) and xs[a, c] = xfracs[c] m(ys[a])."""
+    """The sweep's lines (xs[j], ys[j]), y-major: ys by radius then angle, xs = xfracs m(y)."""
     if np.any(np.abs(xfracs) >= 1):     # |x| < m(y) in Z
         raise OutsideDomain(f"|x| / m(y) = {np.max(np.abs(xfracs)):g} >= 1")
     r = rho(b)
     ys = np.array([rad_mult * r * np.exp(2j * np.pi * (j + ANGLE_OFFSET) / angles)
                    for rad_mult in radii for j in range(angles)], dtype=complex)
-    xs = np.array([[f * m for f in xfracs] for m in m_of_y(b, ys).tolist()], dtype=complex)
-    return xs.reshape(len(ys), len(xfracs)), ys
+    xs = np.array([f * m for m in m_of_y(b, ys).tolist() for f in xfracs], dtype=complex)
+    return xs, np.repeat(ys, len(xfracs))
 
 
 def close_pairs(A):
@@ -133,7 +133,6 @@ def sweep(b: BoundaryData, p: int, pk_family, radii=(2.0, 2.5, 3.0),
         return cloud
     xs, ys = _default_grid(b, radii, angles, xfracs)
     keep, rts, cloud.skipped = fibers(b, xs, ys, p, pk_family)
-    xs, ys = indicators.flat_lines(xs, ys)
     # row i is the point (1 : h : -x - y h) of root i % p over accepted line i // p,
     # scaled to max modulus 1 unless within 1e-9 of it
     x, y = xs[keep, None], ys[keep, None]

@@ -78,7 +78,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
-from cfr import indicators, reconstruct, shock, symmetric
+from cfr import green, indicators, reconstruct, shock, symmetric
 from cfr.green import COINCIDENT_EPS, Coincident, _bump, _polar_nodes_gl
 from cfr.geometry import (CHART_EPS, BoundaryData, BoundaryLoop, LineParam, OutsideDomain,
                           ProjPoint, m_of_y, rho, tiles)
@@ -1254,9 +1254,9 @@ def polar_nodes_meshgrid(center, radius, nr, nt):
     return z.ravel(), w.ravel()
 
 
-def green_values_per_target(q_star, targets, model, nr=256, nt=256, sub_nr=128, sub_nt=64,
-                            sub_radius=None):
-    """green._green_values without the refinement check, every grid term built per target."""
+def green_values_per_target(q_star, targets, model):
+    """green._green_values with every grid term built per target, on green.MESH and
+    green.SUB_MESH as they stand at the call."""
     qs = complex(q_star)
     pqs = (qs, model.z2_of(qs))
 
@@ -1264,16 +1264,16 @@ def green_values_per_target(q_star, targets, model, nr=256, nt=256, sub_nr=128, 
         return kernel_k_terms((np.full_like(z1, pqs[0]), np.full_like(z1, pqs[1])), (z1, z2),
                               model.psi)
 
-    z, w, z2, dens = model.full_grid(nr, nt)
+    z, w, z2, dens = model.grid()
     ck2 = np.conj(q_star_kernel(z, z2))     # the same for every target
     vals = []
     for qq in (complex(q) for q in targets):
-        r0 = min(sub_radius or 0.1 * model.radius, 0.4 * abs(qs - qq))
+        r0 = min(0.1 * model.radius, 0.4 * abs(qs - qq))
         pq = (qq, model.z2_of(qq))
         total = 0.0 + 0.0j
         # singular sub-patches with the smooth bump
         for s in (qq, qs):
-            zs, ws = _polar_nodes_gl(s, r0, sub_nr, sub_nt)
+            zs, ws = _polar_nodes_gl(s, r0, *green.SUB_MESH)
             zs2 = model.z2_of(zs)
             f = (kernel_k_terms((zs, zs2), pq, model.psi) * np.conj(q_star_kernel(zs, zs2))
                  * model.form_density(zs, zs2))

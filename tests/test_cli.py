@@ -134,6 +134,32 @@ MALFORMED = {
     "phi-z1-only": (["green", "--phi", "bad-phi.json", "--targets", "ok-targets.json"],
                     {"bad-phi.json": "[[[0, 0]], [[1, 0]]]"}),
 }
+# Non-finite numbers in an input file, and Green targets off the patch |q - center| < radius:
+# name -> (argv, the file's name, its text).
+_NON_FINITE = {
+    "phi-nan": (["green", "--phi", "f.json", "--targets", "ok-targets.json"], "f.json",
+                "[[[NaN, 0.0], [1.0, 0.0]]]"),
+    "phi-infinity": (["green", "--phi", "f.json", "--targets", "ok-targets.json"], "f.json",
+                     "[[[0.0, 0.0], [Infinity, 0.0]]]"),
+    "q-star-nan": (["green", "--phi", "ok-phi.json", "--targets", "f.json"], "f.json",
+                   '{"q_star": [NaN, 0.1], "points": [[0.5, 0.0]]}'),
+    "target-infinity": (["green", "--phi", "ok-phi.json", "--targets", "f.json"], "f.json",
+                        '{"q_star": [0.2, 0.1], "points": [[0.5, -Infinity]]}'),
+    "target-outside-patch": (["green", "--phi", "ok-phi.json", "--targets", "f.json"], "f.json",
+                             '{"q_star": [0.2, 0.1], "points": [[5.0, 0.0]]}'),
+    "q-star-on-patch-edge": (["green", "--phi", "ok-phi.json", "--patch", "0.5,0.5",
+                              "--targets", "f.json"], "f.json",
+                             '{"q_star": [1.0, 0.0], "points": [[0.5, 0.0]]}'),
+    "germs-nan": (["reconstruct", "--boundary", "line.json", "--p", "1", "--germs", "f.json"],
+                  "f.json", '{"germs": [{"b": [NaN, 0.0], "taylor": [[1.0, 0.0]]}]}'),
+    "germs-infinity": (["shock-verify", "--boundary", "conic.json", "--p", "1",
+                        "--germs", "f.json"], "f.json",
+                       '{"germs": [{"b": [0.1, 0.0], "taylor": [[Infinity, 0.0]]}]}'),
+    "lambda-nan": (["genus", "--lambda", "f.json"], "f.json", '{"num": [NaN]}'),
+    "lambda-infinity": (["genus", "--lambda", "f.json"], "f.json",
+                        '{"num": [1.0], "den": [1.0, Infinity]}'),
+}
+MALFORMED.update((name, (argv, {f: text})) for name, (argv, f, text) in _NON_FINITE.items())
 # Boundary files whose loops, samples or number pairs have the wrong JSON type.
 _BAD_BOUNDARIES = {
     "loops-a-number": '{"loops": 5}',
@@ -180,7 +206,8 @@ for _name, _text in _BAD_BOUNDARIES.items():
 
 @pytest.mark.parametrize("argv,files", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_a_validation_error(workdir, argv, files):
-    """Bad arguments and input files exit 1 with one JSON error object on stderr."""
+    """Bad arguments and input files exit 1 with one JSON error object on stderr and nothing on
+    stdout, under the suite's warnings-as-errors filter: no numpy warning comes first."""
     files = {"ok-phi.json": "[[[0.0, 0.0], [1.0, 0.0]]]",
              "ok-targets.json": '{"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]}', **files}
     for name, text in files.items():

@@ -59,6 +59,38 @@ def test_psi_identity_random_cubic(rng):
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
+def _bits(a, shape):
+    """The bit patterns of a, broadcast to shape: equal bits, not only equal values."""
+    return np.ascontiguousarray(np.broadcast_to(a, shape), dtype=complex).view(np.int64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), na=st.integers(1, 5), nb=st.integers(2, 5),
+       graph=st.booleans())
+def test_horner_equals_numpy_polynomial(seed, na, nb, graph):
+    """Phi and dPhi/dz2 by Horner in z1 inside and z2 outside, the dPhi/dz2 table and the graph
+    closed form equal numpy.polynomial's polyval2d, polyder and polyval bit for bit, each of the
+    nodes' shape (the flat model's dPhi/dz2 is the constant 1)."""
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((na, nb)) + 1j * rng.standard_normal((na, nb))
+    if graph:                       # Phi = c z2 + p(z1): z2_of's closed form
+        phi = phi[:, :2]
+        phi[1:, 1] = 0.0
+    z1, z2 = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+    model = CurveModel(phi)
+    assert np.array_equal(_bits(green._horner2(phi.T, z2, z1), z1.shape),
+                          _bits(P.polyval2d(z1, z2, phi), z1.shape))
+    assert np.array_equal(_bits(model._phi_z2, model._phi_z2.shape),
+                          _bits(P.polyder(phi, axis=1), model._phi_z2.shape))
+    assert np.array_equal(_bits(model._dphi(z1, z2), z1.shape),
+                          _bits(P.polyval2d(z1, z2, P.polyder(phi, axis=1)), z1.shape))
+    if graph:
+        assert np.array_equal(_bits(model.z2_of(z1), z1.shape),
+                              _bits(-P.polyval(z1, phi[:, 0]) / phi[0, 1], z1.shape))
+    flat = flat_disc_model()
+    assert np.array_equal(flat.form_density(z1, flat.z2_of(z1)), np.ones(z1.shape))
+
+
 def test_eval4_matches_quadruple_loop(rng):
     """The sum over nonzero coefficients runs in the old nested-loop order, bit for bit."""
     c = rng.standard_normal((3, 2, 3, 2)) + 1j * rng.standard_normal((3, 2, 3, 2))
@@ -183,18 +215,21 @@ def test_green_kernel_form(disc):
     assert abs(acc * 4.0 * np.pi - 1.0) < 1e-3
 
 
-def test_green_curved_model_smoke():
-    """Graph patch of z2 = z1^2/4: symmetric, log coefficient preserved."""
+def test_green_curved_model_smoke(monkeypatch):
+    """Graph patch of z2 = z1^2/4: symmetric on a 128 x 128 mesh, log coefficient preserved on
+    the default one."""
     phi = np.zeros((3, 2), dtype=complex)
     phi[0, 1] = 1.0
     phi[2, 0] = -0.25
+    coef = fit_log_coefficient(CurveModel(phi, center=0.0, radius=0.8), 0.1 + 0.05j,
+                               radii=(0.06, 0.12))
+    assert abs(coef - TWO_PI_INV) < 5e-3
+    _mesh(monkeypatch, (128, 128), (64, 32))
     model = CurveModel(phi, center=0.0, radius=0.8)
     q1, q2 = 0.2 + 0.05j, -0.25 + 0.2j
-    [g12] = green._green_values(q1, [q2], model, nr=128, nt=128, sub_nr=64, sub_nt=32)
-    [g21] = green._green_values(q2, [q1], model, nr=128, nt=128, sub_nr=64, sub_nt=32)
+    [g12] = green._green_values(q1, [q2], model)
+    [g21] = green._green_values(q2, [q1], model)
     assert abs(g12 - g21) < 1e-6
-    coef = fit_log_coefficient(model, 0.1 + 0.05j, radii=(0.06, 0.12))
-    assert abs(coef - TWO_PI_INV) < 5e-3
 
 
 def test_log_coefficient_needs_two_distinct_positive_radii(disc):
@@ -212,7 +247,13 @@ def test_branch_point():
 
 # -- cached quadrature grids -------------------------------------------------------
 
-SMALL_MESH = dict(nr=48, nt=48, sub_nr=24, sub_nt=16)
+SMALL_MESH = ((48, 48), (24, 16))      # green.MESH and green.SUB_MESH of the small-mesh tests
+
+
+def _mesh(mp, mesh, sub_mesh=SMALL_MESH[1]):
+    """Set green.MESH and green.SUB_MESH on the MonkeyPatch mp; models built after it use them."""
+    mp.setattr(green, "MESH", mesh)
+    mp.setattr(green, "SUB_MESH", sub_mesh)
 
 
 def _patch(e, c, radius):
@@ -232,24 +273,28 @@ PATCHES = {
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
-def test_warm_values_equal_cold(name):
-    """Values on a model with a filled grid cache equal those on a fresh model."""
-    warm = PATCHES[name]()
+def test_warm_values_equal_cold(name, monkeypatch):
+    """Values on a model whose grid is built equal those on a fresh model, on two meshes, and
+    the model builds its one grid once."""
     pairs = [(0.1 + 0.05j, -0.2 + 0.1j), (-0.15j, 0.2), (0.1 + 0.05j, 0.25j)]
-    for kw in (SMALL_MESH, dict(SMALL_MESH, nr=32)):
+    for nr in (48, 32):
+        _mesh(monkeypatch, (nr, 48))
+        warm = PATCHES[name]()
+        grid = warm.grid()
         for qs, q in pairs:
-            assert (green._green_values(qs, [q], warm, **kw)
-                    == green._green_values(qs, [q], PATCHES[name](), **kw))
-    assert set(warm._grids) == {(48, 48), (32, 48)}
+            assert (green._green_values(qs, [q], warm)
+                    == green._green_values(qs, [q], PATCHES[name]()))
+        assert warm.grid() is grid and len(grid[0]) == nr * 48
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
-def test_values_match_per_target_reference(name):
+def test_values_match_per_target_reference(name, monkeypatch):
     """Values within 1e-13 of the route that builds every grid term per target."""
+    _mesh(monkeypatch, *SMALL_MESH)
     model = PATCHES[name]()
     for qs, targets in ((0.1 + 0.05j, [-0.2 + 0.1j, 0.25j, 0.3 - 0.1j]), (-0.15j, [0.2])):
-        vals = green._green_values(qs, targets, model, **SMALL_MESH)
-        refs = green_values_per_target(qs, targets, model, **SMALL_MESH)
+        vals = green._green_values(qs, targets, model)
+        refs = green_values_per_target(qs, targets, model)
         assert max(abs(v - r) for v, r in zip(vals, refs)) <= 1e-13
 
 
@@ -261,27 +306,28 @@ def _full_cut(z, points, r0):
     return full
 
 
-def _cut_applied(v, model, nr, nt, points, r0):
+def _cut_applied(v, model, points, r0):
     """v times the factors _cut lists for each s in points, node by node, as
     green._green_values applies them; each s lists exactly the nodes with |z - s| < r0."""
-    v, z = v.copy(), model.full_grid(nr, nt)[0]
+    v, z = v.copy(), model.grid()[0]
     for s in points:
-        near, factor = _cut(model, nr, nt, s, r0)
+        near, factor = _cut(model, s, r0)
         assert np.array_equal(near, np.flatnonzero(np.abs(z - s) / r0 < 1.0))
         v[near] *= factor
     return v
 
 
-def test_cut_near_nodes_equals_full_product():
+def test_cut_near_nodes_equals_full_product(monkeypatch):
     """The factors on the nodes _cut lists, 1.0 elsewhere, are the every-node product, on a
     patch centred at 0 and off it."""
+    _mesh(monkeypatch, (64, 64))
     for center in (0.0, 0.3 - 0.2j):
         model = CurveModel(np.array([[0.0, 1.0]]), center=center)
-        z = model.full_grid(64, 64)[0]
+        z = model.grid()[0]
         for pts, r0 in (((0.3 + 0.1j, -0.2 + 0.25j), 0.1), ((0.5j, 0.52j), 0.008),
                         ((0.95, -0.9j), 0.1)):
             pts = tuple(center + s for s in pts)
-            assert np.array_equal(_cut_applied(np.ones(len(z)), model, 64, 64, pts, r0),
+            assert np.array_equal(_cut_applied(np.ones(len(z)), model, pts, r0),
                                   _full_cut(z, pts, r0))
 
 
@@ -299,25 +345,28 @@ def test_cut_remainder_equals_full_product(center, radius, nr, nt, graph, u, at,
     qs = complex(qq + radius * to[0] * np.exp(2j * np.pi * to[1]))
     r0 = u * min(0.1 * radius, 0.4 * abs(qq - qs))
     phi = np.array([[0.0, 1.0], [0.0, 0.0], [-0.5 + 0.2j, 0.0]] if graph else [[0.0, 1.0]])
-    model = CurveModel(phi, center=center, radius=radius)
-    z, w, z2, dens = model.full_grid(nr, nt)
-    pq = (qq, model.z2_of(qq))
-    assume(np.min(np.abs(z - qq)) > 1e-9)
-    kw = kernel_k((z, z2), pq, model.psi) * _star_weight(model, (qs, model.z2_of(qs)), z, z2,
-                                                         dens * w)
-    full = _full_cut(z, (qq, qs), r0)
-    assert np.sum(_cut_applied(kw, model, nr, nt, (qq, qs), r0)) == np.sum(kw * full)
+    with pytest.MonkeyPatch.context() as mp:
+        _mesh(mp, (nr, nt))
+        model = CurveModel(phi, center=center, radius=radius)
+        z, w, z2, dens = model.grid()
+        pq = (qq, model.z2_of(qq))
+        assume(np.min(np.abs(z - qq)) > 1e-9)
+        kw = kernel_k((z, z2), pq, model.psi) * _star_weight(model, (qs, model.z2_of(qs)), z, z2,
+                                                             dens * w)
+        full = _full_cut(z, (qq, qs), r0)
+        assert np.sum(_cut_applied(kw, model, (qq, qs), r0)) == np.sum(kw * full)
 
 
 @pytest.mark.parametrize("outward", [True, False])
-def test_cut_tight_edge_node(outward):
+def test_cut_tight_edge_node(outward, monkeypatch):
     """A node a few ulps inside |z - s| = r0 on the first row of the band (s radially outward
     of it) or the last (s inward) is cut, where a band of exactly |r_i - |s - center|| < r0,
     with no slack for rounding, leaves its row out."""
     eps = np.finfo(float).eps
     center, nr, nt = 3.0 + 2.0j, 64, 64
+    _mesh(monkeypatch, (nr, nt))
     model = CurveModel(np.array([[0.0, 1.0]]), center=center)
-    z = model.full_grid(nr, nt)[0]
+    z = model.grid()[0]
     r = (_leggauss(nr)[0] + 1.0) / 2.0
     for k in range(8 * nt, 56 * nt):
         i, e = k // nt, (z[k] - center) / abs(z[k] - center)
@@ -328,8 +377,8 @@ def test_cut_tight_edge_node(outward):
             break
     else:
         pytest.fail("no node that a slack-free band misses")
-    assert k in _cut(model, nr, nt, s, r0)[0]
-    assert np.array_equal(_cut_applied(np.ones(len(z)), model, nr, nt, [s], r0),
+    assert k in _cut(model, s, r0)[0]
+    assert np.array_equal(_cut_applied(np.ones(len(z)), model, [s], r0),
                           _full_cut(z, [s], r0))
 
 
@@ -346,7 +395,7 @@ def test_polar_nodes_equal_meshgrid_route(center, radius, nr, nt):
 def test_log_coefficient_builds_one_q_star_sub_patch_per_radius(monkeypatch):
     """16 targets at 2 radii: 16 target-side sub-patches and 2 on the q* side."""
     model = flat_disc_model()
-    model.full_grid(256, 256)                   # the default mesh, built before counting
+    model.grid()                                # built before counting
     calls = []
 
     def counted(*args):
@@ -364,9 +413,9 @@ def test_log_coefficient_cuts_q_star_once_per_radius(monkeypatch):
     model = flat_disc_model()
     calls = []
 
-    def counted(model, nr, nt, s, r0):
+    def counted(model, s, r0):
         calls.append(s)
-        return _cut(model, nr, nt, s, r0)
+        return _cut(model, s, r0)
 
     monkeypatch.setattr(green, "_cut", counted)
     fit_log_coefficient(model, 0.2 + 0.1j, radii=(0.1, 0.2), n_dir=8)
@@ -399,7 +448,9 @@ def test_seeded_sub_patch_z2():
 
 
 def test_grid_failure_leaves_no_entry(monkeypatch):
-    """A full-patch mesh whose build raises is rebuilt, and raises, on every call."""
+    """A full-patch grid whose build raises is not kept, so it is rebuilt, and raises, on every
+    call."""
+    _mesh(monkeypatch, (16, 16), (8, 4))
     model = PATCHES["implicit"]()
     sizes = []
 
@@ -412,17 +463,18 @@ def test_grid_failure_leaves_no_entry(monkeypatch):
     monkeypatch.setattr(model, "z2_of", z2_of)
     for _ in range(2):
         with pytest.raises(BranchPoint):
-            green._green_values(0.1, [-0.2j], model, nr=16, nt=16, sub_nr=8, sub_nt=4)
-        assert model._grids == {}
+            green._green_values(0.1, [-0.2j], model)
+        assert model._grid is None
     assert sizes.count(16 * 16) == 2
 
 
-def test_cached_arrays_read_only():
+def test_cached_arrays_read_only(monkeypatch):
     for a in _leggauss(12) + (_phases(12),):
         with pytest.raises(ValueError):
             a[0] = 0.0
+    _mesh(monkeypatch, (8, 8))
     model = flat_disc_model()
-    for a in model.full_grid(8, 8):
+    for a in model.grid():
         with pytest.raises(ValueError):
             a[0] = 0.0
 

@@ -70,19 +70,19 @@ FULL_SUM_TOL = 1e-13        # |G_lines - _G_per_line|: a certified stride agains
 
 @pytest.mark.parametrize("name", ["interior", "twoline", "conic"])
 def test_G_grid_matches_per_line_sums(name, request, rng):
-    """G_lines on the (y, x) grid of lines equals its one-line calls bit for bit, and the
+    """G_lines on 35 values of y times 3 of x equals its one-line calls bit for bit, and the
     per-line full sums within FULL_SUM_TOL."""
     b = request.getfixturevalue(name)
     ks = [0, 1, 2, 3]
     ys = 3.0 * rho(b) * np.exp(2j * np.pi * rng.random(35))
     xs = [f * m_of_y(b, ys[0]) for f in (0.3 * rng.random(3) - 0.15)]
-    X = np.tile(np.array(xs), (35, 1))                  # 105 lines: tiles of 128 at 64 samples
-    grid = G_lines(b, X, ys, ks)
-    assert grid.shape == (4, 35, 3)
+    # 105 lines, y-major as the sweep lists them: tiles of 128 at 64 samples
+    got = G_lines(b, np.tile(xs, 35), np.repeat(ys, 3), ks)
+    assert got.shape == (4, 105)
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
             one = G_lines(b, [x], [y], ks)[:, 0]
-            assert np.array_equal(grid[:, iy, ix], one)
+            assert np.array_equal(got[:, 3 * iy + ix], one)
             assert np.max(np.abs(one - _G_per_line(b, x, y, ks))) <= FULL_SUM_TOL
 
 
@@ -90,15 +90,15 @@ def test_G_grid_matches_per_line_sums(name, request, rng):
 @pytest.mark.parametrize("n_x", [1, 3, 16])
 @pytest.mark.parametrize("n_y", [2, 9])
 def test_G_lines_grid_equals_per_line(n, n_x, n_y, rng):
-    """An (n_y, n_x) grid equals its flat list bit for bit, and each entry the per-line
-    full sum within FULL_SUM_TOL."""
+    """n_y values of y times n_x of x listed y-major equal the same lines listed x-major bit
+    for bit, and each entry the per-line full sum within FULL_SUM_TOL."""
     b = oracles.two_line(n=n)
     ks = [0, 1, 2]
     ys = rho(b) * (2.0 + rng.random(n_y)) * np.exp(2j * np.pi * rng.random(n_y))
     xs = (0.6 * rng.random((n_y, n_x)) - 0.3) * m_of_y(b, ys)[:, None]
-    got = G_lines(b, xs, ys, ks)
-    assert got.shape == (3, n_y, n_x)
-    assert np.array_equal(G_lines(b, xs.ravel(), np.repeat(ys, n_x), ks), got.reshape(3, -1))
+    got = G_lines(b, xs.ravel(), np.repeat(ys, n_x), ks).reshape(3, n_y, n_x)
+    x_major = G_lines(b, xs.T.ravel(), np.tile(ys, n_x), ks).reshape(3, n_x, n_y)
+    assert np.array_equal(x_major, got.transpose(0, 2, 1))
     for a in range(n_y):
         for c in range(n_x):
             assert np.max(np.abs(got[:, a, c] - _G_per_line(b, xs[a, c], ys[a], ks))) <= FULL_SUM_TOL
@@ -106,21 +106,22 @@ def test_G_lines_grid_equals_per_line(n, n_x, n_y, rng):
 
 @pytest.mark.parametrize("row, col", [(0, 0), (3, 1), (6, 2)])
 def test_G_lines_grid_near_incidence(interior, row, col, monkeypatch):
-    """One incident line anywhere in a (7, 3) grid, in 2^8-entry tiles, raises NearIncidence."""
+    """One incident line anywhere among 7 x 3 lines, in 2^8-entry tiles, raises NearIncidence."""
     from cfr import geometry
     monkeypatch.setattr(geometry, "TILE_ENTRIES", 2 ** 8)
-    ys = np.full(7, 5.0, dtype=complex)
-    xs = np.full((7, 3), 0.1, dtype=complex)
-    ys[row], xs[row, col] = 3.0, -(3.0 * 1.0 + 1.5)    # through the boundary point z1 = 1
+    ys = np.full(21, 5.0, dtype=complex)
+    xs = np.full(21, 0.1, dtype=complex)
+    j = 3 * row + col
+    ys[j], xs[j] = 3.0, -(3.0 * 1.0 + 1.5)             # through the boundary point z1 = 1
     with pytest.raises(NearIncidence):
         G_lines(interior, xs, ys, [1])
 
 
 @pytest.mark.parametrize("xs, ys", [([0.1, 0.2, 0.3], [5.0]), ([0.1], [5.0, 6.0]),
-                                    ([[0.1, 0.2]], [5.0, 6.0])])
+                                    ([0.1, 0.2], [5.0, 6.0, 7.0])])
 def test_G_lines_rows_must_match_ys(interior, xs, ys):
-    """Each row of xs needs its own y: a length mismatch is an error, not a broadcast."""
-    with pytest.raises(ValueError, match="rows of x for"):
+    """Each line needs its own x and y: a length mismatch is an error, not a broadcast."""
+    with pytest.raises(ValueError, match="values of x for"):
         G_lines(interior, xs, ys, [1])
 
 
@@ -233,8 +234,8 @@ def _line_loop(a, c, n):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.sampled_from([64, 96, 512, 1000, 1024]))
 def test_G_lines_certified_on_line_unions(seed, count, n):
-    """On unions of generic lines and random lines of Z, grid, flat and one-line results agree
-    bit for bit, and each lies within FULL_SUM_TOL of the full sum."""
+    """On unions of generic lines and random lines of Z, batch and one-line results agree bit
+    for bit, and each lies within FULL_SUM_TOL of the full sum."""
     r = np.random.default_rng(seed)
     polar = lambda lo, hi, k: (lo + (hi - lo) * r.random(k)) * np.exp(2j * np.pi * r.random(k))
     b = BoundaryData([_line_loop(a, c, n) for a, c in zip(polar(0.1, 1.5, count),
@@ -243,12 +244,11 @@ def test_G_lines_certified_on_line_unions(seed, count, n):
     ks = [0, 1, 2, 3]
     ys = rho(b) * polar(1.5, 4.0, 3)
     xs = (0.9 * r.random((3, 2)) - 0.45) * m_of_y(b, ys)[:, None]
-    grid = G_lines(b, xs, ys, ks)
-    assert np.array_equal(G_lines(b, xs.ravel(), np.repeat(ys, 2), ks), grid.reshape(4, -1))
+    got = G_lines(b, xs.ravel(), np.repeat(ys, 2), ks).reshape(4, 3, 2)
     for a in range(3):
         for c in range(2):
             one = G_lines(b, [xs[a, c]], [ys[a]], ks)[:, 0]
-            assert np.array_equal(grid[:, a, c], one)
+            assert np.array_equal(got[:, a, c], one)
             assert np.max(np.abs(one - _G_per_line(b, xs[a, c], ys[a], ks))) <= FULL_SUM_TOL
 
 

@@ -127,7 +127,7 @@ def test_exterior_line_power_sums_vanish_on_sweep_grid(a):
     xs, ys = reconstruct._default_grid(b, *(params[k].default for k in
                                             ("radii", "angles", "xfracs")))
     G = indicators.G_lines(b, xs, ys, range(1, 6))
-    worst = max(np.max(np.abs(G[k - 1] - fam[k](xs, ys[:, None]))) for k in range(1, 6))
+    worst = max(np.max(np.abs(G[k - 1] - fam[k](xs, ys))) for k in range(1, 6))
     assert worst <= 1e-12
 
 

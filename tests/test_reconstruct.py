@@ -50,7 +50,7 @@ def test_NQk_with_germs_equals_per_line_route(twoline):
     xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35))
     N = N_Qk(twoline, xs, ys, 3, infinity.Pk_family(germs, 3))
     rational = Pk_family_rational(germs, 3)
-    for i, z in enumerate(map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1]))):
+    for i, z in enumerate(map(LineParam, xs, ys)):
         for k in (1, 2, 3):
             want = G_k(twoline, z, k) - rational[k](z.x, z.y)
             assert abs(N[k - 1, i] - want) <= 1e-12 * (1 + abs(want))
@@ -154,7 +154,7 @@ def test_sweep_dedup_first_match(twoline, no_germs, eps, monkeypatch):
     cloud = sweep(twoline, 2, no_germs, angles=8)
     points, mult, source = [], [], []
     xs, ys = reconstruct._default_grid(twoline, (2.0, 2.5, 3.0), 8, (0.0, 0.2, -0.35))
-    for z in map(LineParam, xs.ravel(), np.repeat(ys, xs.shape[1])):
+    for z in map(LineParam, xs, ys):
         keep, rts, _ = fibers(twoline, [z.x], [z.y], 2, no_germs)
         if not keep[0]:
             continue
@@ -206,7 +206,7 @@ def test_dedup_radius_respected(interior, no_germs):
 def test_G0_consistency_on_sweep(twoline, no_germs):
     """Rounded G_0 equals p - q_inf at every swept line."""
     xs, ys = reconstruct._default_grid(twoline, (2.0, 3.0), 6, (0.0, 0.2))
-    for g0 in indicators.G_lines(twoline, xs, ys, [0])[0].ravel():
+    for g0 in indicators.G_lines(twoline, xs, ys, [0])[0]:
         assert round(g0.real) == 2 and abs(g0 - 2.0) < 1e-8
 
 
@@ -242,7 +242,6 @@ def test_fibers_match_closed_form_roots(name, slopes, no_germs, request):
     keep, rts, _ = reconstruct.fibers(b, xs, ys, len(slopes), no_germs)
     assert keep.any()
     assert rts.shape == (keep.sum(), len(slopes))
-    xs, ys = xs.ravel(), np.repeat(ys, xs.shape[1])
     for x, y, h in zip(xs[keep], ys[keep], rts):
         exact = np.array([-(x + 1.0) / (y + a) for a in slopes])
         assert np.array_equal(h, np.sort_complex(h))
@@ -296,7 +295,7 @@ def _fit_and_fiber_error(b, lines):
     xs, ys = reconstruct._default_grid(b, (2.0, 2.5, 3.0), 16, (0.0, 0.2, -0.35))
     keep, rts, _ = fibers(b, xs, ys, p, infinity.Pk_family([], p))
     assert keep.any()
-    x, y = xs.ravel()[keep, None], np.repeat(ys, xs.shape[1])[keep, None]
+    x, y = xs[keep, None], ys[keep, None]
     if lines is None:
         exact = conic_small_root(x, y)
     else:
