@@ -14,7 +14,7 @@ import numpy as np
 from cfr import indicators, oracles, shock
 
 b = oracles.interior_line()
-lt = indicators.laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+lt = indicators.laurent_extract(b, kmax=2, mmax=12)
 omega = -4.5
 h = shock.H_from_laurent(lt, omega)
 

@@ -22,12 +22,6 @@ LAURENT_XCHECK_TOL = 1e-6
 STRIDE_MIN = 32                     # fewest samples a certified G_lines sum may take
 STRIDE_TOL = 4 * np.finfo(float).eps    # its largest gap to half as many, over sum |terms|
 
-# x-points of the Laurent cross-check.  Per sample, the y^-m coefficient of
-# G_k is a polynomial of degree m in x (see _circle_coeffs).  A DFT of n_x
-# points on |x| = r folds the order n + n_x onto n, and m <= mmax <= 12 < 16,
-# so 16 points recover every coefficient of the table with no aliasing.
-XCHECK_NX = 16
-
 
 class NearIncidence(ValueError):
     """The line passes too close to a boundary sample for stable quadrature."""
@@ -38,7 +32,7 @@ class RoundingGuard(ValueError):
 
 
 class TruncationMismatch(ValueError):
-    """The moment table and the per-sample 1/y expansion of G_k disagree."""
+    """The moments' exactness residual |a I1(a-1, b) + b I2(a, b-1)| passes LAURENT_XCHECK_TOL."""
 
 
 def _stride_sums(arrs, part, x, y, ks, sized=True):
@@ -148,8 +142,8 @@ def _moment_integrals(b: BoundaryData, kmax: int, mmax: int):
     return I1, I2
 
 
-def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> LaurentTable:
-    """Laurent table of G_0..G_kmax up to order y^-mmax.
+def laurent_extract(b: BoundaryData, kmax: int, mmax: int) -> LaurentTable:
+    """Laurent table of G_0..G_kmax up to order y^-mmax, certified by its exactness residual.
 
     The coefficients come from the closed-form boundary moment integrals
 
@@ -159,15 +153,26 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
     entries zero.  Both reads have a + b = k - n - 1 <= kmax - 1 (as n >= 0)
     and b <= m <= mmax: the set _moment_integrals forms.  All entries are taken
     in one array pass; the multipliers are real integers, so each rounds as its
-    scalar formula does.  When cross_check is set the table is validated against
-    the exact 1/y expansion of G_k per sample and a DFT in x (_circle_coeffs).
-    `cfr pipeline` builds one checked table per run and hands it to
-    linsys.fit_infinity.
+    scalar formula does.
+
+    On closed loops the contour integral of d(z1^a z2^b) is 0, so
+    a I1(a-1, b) + b I2(a, b-1) = 0; its trapezoid sum is the quadrature's own
+    error.  I1(a-1, b) and I2(a, b-1) are formed for the same (a, b), so the
+    residual is taken over all rows at once, the zeros outside the set pairing
+    with zeros (I1(-1, b) is multiplied by a = 0 and goes unseen).  Above
+    LAURENT_XCHECK_TOL, or NaN, it raises TruncationMismatch: too few samples
+    for the caps (aliasing), moments too large to round to the tolerance, or
+    velocities that are not the loops' derivatives.  `cfr pipeline` builds one
+    table per run and hands it to linsys.fit_infinity.
     """
     if not (0 <= kmax <= 12 and 0 <= mmax <= 12):
         raise ValueError(f"truncation caps are 0 <= kmax, mmax <= 12 (got {kmax}, {mmax})")
     dlt = delta(b)
     I1, I2 = _moment_integrals(b, kmax, mmax)
+    a, bb = np.arange(-mmax, kmax)[:, None], np.arange(1, mmax + 1)
+    bad = float(np.max(np.abs(a * I1[:-1, 1:] + bb * I2[1:, :-1]), initial=0.0))
+    if not bad <= LAURENT_XCHECK_TOL:
+        raise TruncationMismatch(f"laurent moments miss exactness by {bad:.3e}")
     comb = np.array([[_comb(m, n) for n in range(mmax + 1)] for m in range(mmax + 1)], dtype=float)
     coeffs = np.zeros((kmax + 1, mmax + 1, mmax + 1), dtype=complex)
     d = np.arange(min(kmax, mmax) + 1)
@@ -176,48 +181,4 @@ def laurent_extract(b: BoundaryData, kmax: int, mmax: int, cross_check=True) -> 
     k = np.arange(kmax + 1)[:, None]
     coeffs[k, m, n] = (-1) ** m * (comb[m, n] * I1[k - m + mmax, m - n]
                                    - comb[m - 1, n] * I2[k - m + mmax + 1, m - n - 1])
-    table = LaurentTable(kmax=kmax, mmax=mmax, delta=dlt, coeffs=coeffs)
-    if cross_check:
-        _circle_cross_check(b, table)
-    return table
-
-
-def _circle_coeffs(b: BoundaryData, kmax: int, mmax: int):
-    """Laurent coefficients [k, m, n <= mmax] from the exact 1/y expansion per sample.
-
-    With t = -(x + z2)/z1, 1/(x + y z1 + z2) = sum_j t^j / (y z1 y^j), so
-
-        G_{k,m}(x) = (1/2 pi i) sum sign h z1^(k-1) [t^m dz1 + t^(m-1) dz2]
-
-    (the second term for m >= 1), a polynomial of degree m in x, taken at
-    x_l = r e^(2 pi i l / n_x), r = max |z2| (> 0 as |w2| > CHART_EPS), by one
-    (x rows, N) @ (N, 2 (kmax + 1)) product per power t^m; an FFT over l divided
-    by n_x r^n gives x^n.  Only z1 is divided by; no moment or C(m, n) is read.
-    """
-    r = max(float(np.max(np.abs(lp.z2))) for lp in b.loops)
-    xs = r * np.exp(2j * np.pi * np.arange(XCHECK_NX) / XCHECK_NX)
-    kk = np.arange(kmax + 1) - 1.0
-    s = np.zeros((mmax + 1, XCHECK_NX, 2 * (kmax + 1)), dtype=complex)   # [m, l, dz1 | dz2 by k]
-    for sign, lp in b.signed_loops():
-        z1, z2 = lp.z1, lp.z2
-        hz = sign * (lp.t[1] - lp.t[0]) * z1[:, None] ** kk
-        W = np.concatenate([hz * lp.dz1[:, None], hz * lp.dz2[:, None]], axis=1)
-        for sl in tiles(XCHECK_NX, len(z1)):
-            t = -(xs[sl, None] + z2) / z1
-            tm = np.ones_like(t)
-            for m in range(mmax + 1):
-                s[m, sl] += tm @ W
-                tm *= t
-    g = s[:, :, : kmax + 1]
-    g[1:] += s[:-1, :, kmax + 1 :]
-    c = np.fft.fft(g, axis=1) / (2.0j * np.pi * XCHECK_NX * r ** np.arange(XCHECK_NX)[:, None])
-    return c[:, : mmax + 1].transpose(2, 0, 1)
-
-
-def _circle_cross_check(b: BoundaryData, table: LaurentTable):
-    """Largest gap to _circle_coeffs; TruncationMismatch above LAURENT_XCHECK_TOL."""
-    n_le_m = np.tri(table.mmax + 1, dtype=bool)
-    bad = float(np.max(np.abs(_circle_coeffs(b, table.kmax, table.mmax) - table.coeffs)[:, n_le_m]))
-    if bad > LAURENT_XCHECK_TOL:
-        raise TruncationMismatch(f"laurent extraction routes disagree by {bad:.3e}")
-    return bad
+    return LaurentTable(kmax=kmax, mmax=mmax, delta=dlt, coeffs=coeffs)

@@ -189,12 +189,13 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     reason is raised, and when there is no r, ValueError.
 
     table is a Laurent table of b with kmax = 2 that the caller already has
-    (its mmax then stands for mmax); without one, a table is built here with
-    no circle cross-check.
+    (its mmax then stands for mmax); without one, a table is built here.  Either
+    way it passed laurent_extract's exactness residual, or TruncationMismatch
+    was raised.
     """
     lt = table
     if lt is None:
-        lt = indicators.laurent_extract(b, kmax=2, mmax=mmax, cross_check=False)
+        lt = indicators.laurent_extract(b, kmax=2, mmax=mmax)
     rh = rho(b)
     omega = -2.0 * rh
     h = shock.H_from_laurent(lt, omega)

@@ -26,7 +26,7 @@ def conic():
 
 @pytest.fixture(scope="session")
 def interior_lt(interior):
-    return indicators.laurent_extract(interior, kmax=4, mmax=12, cross_check=False)
+    return indicators.laurent_extract(interior, kmax=4, mmax=12)
 
 
 @pytest.fixture(scope="session")

@@ -45,10 +45,11 @@ paper that the tests check:
   off them through per-row lists of earlier close rows;
 - the Laurent table from the whole moment rectangle, one entry at a time,
   which the read-set moments and array assembly must equal bit for bit;
-- the Laurent cross-check on a circle grid in (x, y), |y| = 2 rho: with the
+- the Laurent table by three routes that read neither the moments nor
+  C(m, n): the exact 1/y expansion of G_k per sample with a DFT on a circle
+  in x (circle_coeffs), and a circle grid in (x, y), |y| = 2 rho, with the
   x-DFT of each sample's Cauchy kernel in closed form, or by sampling G_lines
-  with an FFT along x and an inverse FFT along y; both against the program's
-  exact 1/y expansion per sample;
+  with an FFT along x and an inverse FFT along y;
 - the boundary JSON parse one number pair at a time, and the generic
   recursive JSON writer, which the array parse and the writer's exact-type
   paths must equal;
@@ -764,6 +765,45 @@ def laurent_coeffs_by_loops(b: BoundaryData, kmax: int, mmax: int):
     return coeffs
 
 
+# x-points of circle_coeffs.  Per sample, the y^-m coefficient of G_k is a
+# polynomial of degree m in x.  A DFT of n_x points on |x| = r folds the order
+# n + n_x onto n, and m <= mmax <= 12 < 16, so 16 points recover every
+# coefficient of the table with no aliasing.
+XCHECK_NX = 16
+
+
+def circle_coeffs(b: BoundaryData, kmax: int, mmax: int):
+    """Laurent coefficients [k, m, n <= mmax] from the exact 1/y expansion per sample.
+
+    With t = -(x + z2)/z1, 1/(x + y z1 + z2) = sum_j t^j / (y z1 y^j), so
+
+        G_{k,m}(x) = (1/2 pi i) sum sign h z1^(k-1) [t^m dz1 + t^(m-1) dz2]
+
+    (the second term for m >= 1), a polynomial of degree m in x, taken at
+    x_l = r e^(2 pi i l / n_x), r = max |z2| (> 0 as |w2| > CHART_EPS), by one
+    (x rows, N) @ (N, 2 (kmax + 1)) product per power t^m; an FFT over l divided
+    by n_x r^n gives x^n.  Only z1 is divided by; no moment or C(m, n) is read.
+    """
+    r = max(float(np.max(np.abs(lp.z2))) for lp in b.loops)
+    xs = r * np.exp(2j * np.pi * np.arange(XCHECK_NX) / XCHECK_NX)
+    kk = np.arange(kmax + 1) - 1.0
+    s = np.zeros((mmax + 1, XCHECK_NX, 2 * (kmax + 1)), dtype=complex)   # [m, l, dz1 | dz2 by k]
+    for sign, lp in b.signed_loops():
+        z1, z2 = lp.z1, lp.z2
+        hz = sign * (lp.t[1] - lp.t[0]) * z1[:, None] ** kk
+        W = np.concatenate([hz * lp.dz1[:, None], hz * lp.dz2[:, None]], axis=1)
+        for sl in tiles(XCHECK_NX, len(z1)):
+            t = -(xs[sl, None] + z2) / z1
+            tm = np.ones_like(t)
+            for m in range(mmax + 1):
+                s[m, sl] += tm @ W
+                tm *= t
+    g = s[:, :, : kmax + 1]
+    g[1:] += s[:-1, :, kmax + 1 :]
+    c = np.fft.fft(g, axis=1) / (2.0j * np.pi * XCHECK_NX * r ** np.arange(XCHECK_NX)[:, None])
+    return c[:, : mmax + 1].transpose(2, 0, 1)
+
+
 def circle_coeffs_y_dft(b: BoundaryData, kmax: int, mmax: int, n_y: int = 64, n_x: int = 16):
     """Laurent coefficients [k, m, n <= min(mmax, n_x - 1)] read off two circles.
 
@@ -815,13 +855,13 @@ def sampled_cross_check(b: BoundaryData, table, n_y: int = 64):
     G_lines gives G_k on the XCHECK_NX x n_y points of |x| = r_x,
     |y| = 2 rho; an FFT along x (divided by r_x^n) and an inverse FFT along
     y (times R^m) give the coefficients.  Returns (gap, coefficients[k, m, n])
-    in the layout of indicators._circle_coeffs; raises TruncationMismatch
+    in the layout of circle_coeffs; raises TruncationMismatch
     when the gap exceeds LAURENT_XCHECK_TOL.
     """
     R = 2.0 * rho(b)
     th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     r_x = 0.3 * float(np.min(m_of_y(b, R * np.exp(1j * th))))
-    n_x = indicators.XCHECK_NX
+    n_x = XCHECK_NX
     ys = R * np.exp(2j * np.pi * np.arange(n_y) / n_y)
     xs = r_x * np.exp(2j * np.pi * np.arange(n_x) / n_x)
     ks = list(range(table.kmax + 1))

@@ -221,8 +221,8 @@ def test_criterion_10_convergence_and_determinism(tmp_path, monkeypatch):
     z = LineParam(0.2, 4.0 + 1.0j)
     for k in (0, 1, 2):
         deltas.append(abs(G_k(b512, z, k) - G_k(b1024, z, k)))
-    t1 = indicators.laurent_extract(b512, 2, 8, cross_check=False)
-    t2 = indicators.laurent_extract(b1024, 2, 8, cross_check=False)
+    t1 = indicators.laurent_extract(b512, 2, 8)
+    t2 = indicators.laurent_extract(b1024, 2, 8)
     deltas.append(float(np.max(np.abs(t1.coeffs - t2.coeffs))))
     e512, _, _ = linsys.fit_infinity(oracles.exterior_line(n=512))
     e1024, _, _ = linsys.fit_infinity(oracles.exterior_line(n=1024))

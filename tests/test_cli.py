@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfr import cli, oracles
-from cfr.geometry import LineParam, ProjPoint, boundary_to_json
+from cfr import cli, indicators, oracles
+from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, ProjPoint, boundary_to_json
 from cfr.reconstruct import PointCloud
 from reference import fmt_generic
 
@@ -378,6 +378,71 @@ def test_fit_infinity_cli(workdir):
     assert abs(obj["B"][1][0] - 2.0) < 1e-3
 
 
+def test_aliased_laurent_table_is_refused(tmp_path):
+    """The conic at N = 16 cannot carry kmax = 12: its moments alias (the table is up to 165
+    off the N = 4096 one) and the exactness residual reads 16, so laurent_extract raises
+    and `cfr indicators --kmax 12` exits 2."""
+    with pytest.raises(indicators.TruncationMismatch):
+        indicators.laurent_extract(oracles.conic(n=16), kmax=12, mmax=12)
+    assert run_cli(["make-oracle", "--name", "conic", "--samples", "16", "--out", "c16.json"],
+                   tmp_path)[0] == 0
+    code, out, err = run_cli(["indicators", "--boundary", "c16.json", "--kmax", "12"], tmp_path)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["type"] == "TruncationMismatch"
+
+
+def _w2_scaled(tmp_path, name, s2):
+    """The oracle `name` with w2 and dw2 multiplied by s2, written to a file in tmp_path."""
+    b = oracles.ORACLES[name]()
+    loops = []
+    for lp in b.loops:
+        w, dw = lp.w.copy(), lp.dw.copy()
+        w[:, 2] *= s2
+        dw[:, 2] *= s2
+        loops.append(BoundaryLoop(lp.t, w, dw))
+    path = tmp_path / f"{name}-w2x{s2:g}.json"
+    path.write_text(json.dumps(boundary_to_json(BoundaryData(loops, b.orientation))))
+    return path.name
+
+
+def _chordal_nearest(A, B):
+    """Largest chordal distance from a row of A to its nearest row of B."""
+    a, b = (X / np.linalg.norm(X, axis=1)[:, None] for X in (A, B))
+    return float(np.max(np.min(np.linalg.norm(np.cross(a[:, None], b[None]), axis=2), axis=1)))
+
+
+@pytest.mark.parametrize("name", ["two-line", "conic", "interior-line"])
+def test_pipeline_takes_w2_times_4(tmp_path, name):
+    """w2 and dw2 x 4 is the same curve in other coordinates; its moments are exact to
+    4e-7, so the pipeline runs and gives the unscaled delta, r, p and points, each within
+    1e-12 chordal once w2 is divided back.  At w2 x 16 the residual reaches 0.2 to 6 and
+    the run exits 2."""
+    runs = []
+    for s2 in (1, 4):
+        f = _w2_scaled(tmp_path, name, s2)
+        code, _, err = run_cli(["pipeline", "--boundary", f, "--out", f"p{s2}.json"], tmp_path)
+        assert code == 0, err
+        report = json.loads((tmp_path / f"p{s2}.json").read_text())
+        cloud = json.loads((tmp_path / f"p{s2}.cloud.json").read_text())
+        W = np.array([[complex(*c) for c in pt["w"]] for pt in cloud["points"]]) / [1, 1, s2]
+        runs.append(((report["delta"], report["fit"]["r"], report["p"], report["points"]), W))
+    (key1, W1), (key4, W4) = runs
+    assert key4 == key1 and len(W1) == key1[3] > 0
+    assert max(_chordal_nearest(W4, W1), _chordal_nearest(W1, W4)) <= 1e-12
+    code, _, err = run_cli(["pipeline", "--boundary", _w2_scaled(tmp_path, name, 16)], tmp_path)
+    assert code == 2 and json.loads(err)["type"] == "TruncationMismatch"
+
+
+def test_fit_infinity_refuses_inexact_moments(tmp_path):
+    """Interior line with w2 x 1e4: the moments round far past the tolerance, and the fit's
+    own table refuses them (unchecked, that table gives r = 1, confined, with residual
+    4.9e-8, where r is 0)."""
+    f = _w2_scaled(tmp_path, "interior-line", 1e4)
+    code, out, err = run_cli(["fit-infinity", "--boundary", f], tmp_path)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["type"] == "TruncationMismatch"
+
+
 @pytest.mark.parametrize("mmax", [0, 1, 2])
 def test_fit_that_E0_does_not_determine_is_typed(workdir, mmax):
     """At --mmax 0..2 the exterior line's (E0) leaves A and B below rank 2r at every r: the
@@ -719,14 +784,14 @@ def test_genus_lambda_from_file(workdir):
 
 
 def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
-    """One pipeline run: one moment table, one line-kernel pass, one cross-check.
+    """One pipeline run: one moment table, one line-kernel pass.
 
     The counts pin the batched sweep: a per-line route would call the line
     kernel and the root solver once per line.  Without germs every P_k is
     zero and is never evaluated.
     """
     from cfr import indicators, infinity, symmetric
-    calls = {"moments": 0, "line kernel": 0, "cross-check": 0, "batched roots": 0, "P_k": 0}
+    calls = {"moments": 0, "line kernel": 0, "batched roots": 0, "P_k": 0}
 
     def counted(key, fn, when=lambda *a: True):
         def wrapper(*args, **kwargs):
@@ -737,8 +802,6 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
     monkeypatch.setattr(indicators, "_moment_integrals",
                         counted("moments", indicators._moment_integrals))
     monkeypatch.setattr(indicators, "G_lines", counted("line kernel", indicators.G_lines))
-    monkeypatch.setattr(indicators, "_circle_cross_check",
-                        counted("cross-check", indicators._circle_cross_check))
     monkeypatch.setattr(infinity.Correction, "__call__",
                         counted("P_k", infinity.Correction.__call__))
     monkeypatch.setattr(symmetric, "roots", counted("batched roots", symmetric.roots,
@@ -746,8 +809,7 @@ def test_pipeline_runs_each_stage_once(workdir, monkeypatch):
     code, _, _ = run_cli(["pipeline", "--boundary", "twoline.json", "--out", "once.json"],
                          workdir)
     assert code == 0
-    assert calls == {"moments": 1, "line kernel": 1, "cross-check": 1, "batched roots": 1,
-                     "P_k": 0}
+    assert calls == {"moments": 1, "line kernel": 1, "batched roots": 1, "P_k": 0}
 
 
 def test_germs_run_evaluates_each_Pk_once(workdir, monkeypatch):

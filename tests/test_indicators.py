@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import pathlib
 import sys
 
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 
 from cfr import cli, indicators, oracles
 from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, boundary_to_json, m_of_y, rho
-from cfr.indicators import (DENOM_EPS, G_lines, NearIncidence, TruncationMismatch, delta,
-                            laurent_extract)
-from reference import (G110_check, G_k, circle_coeffs_y_dft, cross_check_gap,
-                       laurent_coeffs_by_loops, laurent_evaluate, sampled_cross_check)
+from cfr.indicators import (DENOM_EPS, LAURENT_XCHECK_TOL, G_lines, NearIncidence,
+                            TruncationMismatch, delta, laurent_extract)
+from reference import (XCHECK_NX, G110_check, G_k, circle_coeffs, circle_coeffs_y_dft,
+                       cross_check_gap, laurent_coeffs_by_loops, laurent_evaluate,
+                       moment_integrals_full, sampled_cross_check)
 
 
 def test_G1_interior_residue_oracle(interior):
@@ -287,39 +289,78 @@ def test_laurent_examples(interior, exterior, twoline, interior_lt):
     assert np.max(np.abs(t.coeffs[0, 1:, :])) < 1e-10    # G_{0,m} = 0
     for k, sign in ((1, -1), (2, 1), (3, -1)):           # (-1)^k delta
         assert abs(t.coeffs[k, k, k] - sign) < 1e-10
-    tx = laurent_extract(exterior, 2, 8, cross_check=False)
+    tx = laurent_extract(exterior, 2, 8)
     assert np.max(np.abs(tx.coeffs[0, 1:, :])) < 1e-10
-    t2 = laurent_extract(twoline, 2, 8, cross_check=False)
+    t2 = laurent_extract(twoline, 2, 8)
     assert np.max(np.abs(t2.coeffs[0, 1:, :])) < 1e-10
 
 
 def test_laurent_cross_check_runs(interior):
-    laurent_extract(interior, kmax=2, mmax=6, cross_check=True)
+    """A certified table at mmax = 6 agrees with the closed-form circle route to 1e-9."""
+    t = laurent_extract(interior, kmax=2, mmax=6)
+    assert cross_check_gap(t, circle_coeffs(interior, 2, 6)) <= 1e-9
+
+
+def _moved_moments(monkeypatch, which, ia, ib, eps):
+    """Make indicators._moment_integrals add eps to I1 (which = 0) or I2 (which = 1) at [ia, ib]."""
+    moments = indicators._moment_integrals
+
+    def moved(b, kmax, mmax):
+        I = moments(b, kmax, mmax)
+        I[which][ia, ib] += eps
+        return I
+    monkeypatch.setattr(indicators, "_moment_integrals", moved)
+
+
+def _formed(kmax, mmax):
+    """(which, ia, ib) of every formed moment with a nonzero residual multiplier.
+
+    I1 at a = ia - mmax - 1 >= -mmax - 1, 1 <= b <= mmax and I2 at a >= -mmax,
+    b <= mmax - 1, both with a + b <= kmax - 1; I1 at a = -1 has the multiplier 0.
+    """
+    for ia in range(kmax + mmax + 1):
+        a = ia - mmax - 1
+        for ib in range(mmax + 1):
+            if a + ib <= kmax - 1:
+                if ib >= 1 and a != -1:
+                    yield 0, ia, ib
+                if a >= -mmax and ib <= mmax - 1:
+                    yield 1, ia, ib
 
 
 @pytest.mark.parametrize("name", ["interior", "twoline", "conic"])
-def test_laurent_cross_check_fires(name, request):
+def test_laurent_cross_check_fires(name, request, monkeypatch):
+    """The circle route sees a 1e-5 change to a table entry, the residual a 2e-6 change to a moment.
+
+    The moment is I1(-2, 2), read by G_{1,2}^0 = C(2,0) I1(-2, 2) - C(1,0) I2(-1, 1), and
+    the residual multiplies it by a = -1.
+    """
     b = request.getfixturevalue(name)
-    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    indicators._circle_cross_check(b, t)
+    t = laurent_extract(b, kmax=2, mmax=12)
     t.coeffs[1, 2, 0] += 1e-5
-    with pytest.raises(TruncationMismatch):
-        indicators._circle_cross_check(b, t)
+    assert cross_check_gap(t, circle_coeffs(b, 2, 12)) > LAURENT_XCHECK_TOL
+    _moved_moments(monkeypatch, 0, -2 + 13, 2, 2e-6)
+    with pytest.raises(TruncationMismatch, match="exactness"):
+        laurent_extract(b, kmax=2, mmax=12)
 
 
 @pytest.mark.parametrize("name", ["interior", "exterior", "twoline", "conic"])
-def test_laurent_cross_check_gap(name, request):
-    """The 16-point x-DFT of the 1/y expansion agrees with the moment table to 1e-9.
+def test_laurent_cross_check_gap(name, request, monkeypatch):
+    """The 16-point x-DFT of the 1/y expansion agrees with the certified table to 1e-9.
 
-    A 2e-6 change to one coefficient, twice LAURENT_XCHECK_TOL, is caught.
+    A 2e-6 change to one coefficient, twice LAURENT_XCHECK_TOL, is seen by the
+    circle route, and a 2e-6 change to one moment, I2(-4, 3) (multiplier b = 4),
+    makes laurent_extract raise.
     """
     b = request.getfixturevalue(name)
-    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    assert indicators.XCHECK_NX == 16
-    assert indicators._circle_cross_check(b, t) <= 1e-9
+    t = laurent_extract(b, kmax=2, mmax=12)
+    assert XCHECK_NX == 16
+    assert cross_check_gap(t, circle_coeffs(b, 2, 12)) <= 1e-9
     t.coeffs[2, 5, 3] += 2e-6
+    assert cross_check_gap(t, circle_coeffs(b, 2, 12)) > LAURENT_XCHECK_TOL
+    _moved_moments(monkeypatch, 1, -4 + 13, 3, 2e-6)
     with pytest.raises(TruncationMismatch):
-        indicators._circle_cross_check(b, t)
+        laurent_extract(b, kmax=2, mmax=12)
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -331,15 +372,14 @@ def test_closed_form_cross_check_equals_sampled_route(name, n):
     coefficient.
     """
     b = getattr(oracles, name)(n=n)
-    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    got = indicators._circle_coeffs(b, t.kmax, t.mmax)
+    t = laurent_extract(b, kmax=2, mmax=12)
+    got = circle_coeffs(b, t.kmax, t.mmax)
     _, ref = sampled_cross_check(b, t)
     assert got.shape == ref.shape == (3, 13, 13)
     n_le_m = np.arange(13) <= np.arange(13)[:, None]
     assert np.max(np.abs(got - ref)[:, n_le_m]) <= 1e-7
     t.coeffs[1, 4, 2] += 2e-6
-    with pytest.raises(TruncationMismatch):
-        indicators._circle_cross_check(b, t)
+    assert cross_check_gap(t, got) > LAURENT_XCHECK_TOL
     with pytest.raises(TruncationMismatch):
         sampled_cross_check(b, t)
 
@@ -356,16 +396,17 @@ def _small_interior_line(s, n=256):
 def test_closed_form_cross_check_near_incidence(tmp_path):
     """A loop with every m(y) under DENOM_EPS on |y| = 2 rho: only the y circle is near incidence.
 
-    The sampled route raises NearIncidence there.  The program's check divides
-    only by z1 and agrees with the table; `cfr pipeline` still exits 2 with
-    NearIncidence, raised by the sweep's line kernel.
+    The sampled route raises NearIncidence there.  The table passes its
+    exactness residual, and the closed-form circle route, which divides only by
+    z1, agrees with it; `cfr pipeline` still exits 2 with NearIncidence, raised
+    by the sweep's line kernel.
     """
     b = _small_interior_line(1e-10)                # m(y) <= 4.5e-10 on |y| = 2 rho
-    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    t = laurent_extract(b, kmax=2, mmax=12)
     assert np.max(m_of_y(b, 2 * rho(b) * np.exp(1j * np.arange(8)))) < DENOM_EPS
     with pytest.raises(NearIncidence):
         sampled_cross_check(b, t)
-    assert indicators._circle_cross_check(b, t) <= 1e-12
+    assert cross_check_gap(t, circle_coeffs(b, 2, 12)) <= 1e-12
     path = tmp_path / "small.json"
     path.write_text(json.dumps(boundary_to_json(b)))
     err = io.StringIO()
@@ -391,30 +432,93 @@ GAP_RATIO_FLOOR = 5e-13
 
 
 @pytest.mark.parametrize("n", [128, 1024, 4096])
-def test_cross_check_gap_on_perfbench_families(n, perfbench_families):
-    """On every perfbench family the gap is <= 1e-10 and <= 1.1 x the y-circle route's."""
+def test_cross_check_gap_on_perfbench_families(n, perfbench_families, monkeypatch):
+    """On every perfbench family the exactness residual is <= 2e-13, and the closed-form
+    circle route's gap is <= 1e-10 and <= 1.1 x the y-circle route's."""
+    monkeypatch.setattr(indicators, "LAURENT_XCHECK_TOL", 2e-13)
     for name in perfbench_families.FAMILIES:
         for seed in range(1 if name == "conic" else 3):
             b = perfbench_families.draw(np.random.default_rng(seed), name, n).boundary()
-            t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-            gap = indicators._circle_cross_check(b, t)
+            t = laurent_extract(b, kmax=2, mmax=12)
+            gap = cross_check_gap(t, circle_coeffs(b, 2, 12))
             ref = cross_check_gap(t, circle_coeffs_y_dft(b, 2, 12))
             assert gap <= 1e-10, (name, seed, gap)
             assert gap <= 1.1 * max(ref, GAP_RATIO_FLOOR), (name, seed, gap, ref)
 
 
 @pytest.mark.parametrize("name", ["two_line", "conic"])
-def test_cross_check_catches_any_entry(name):
-    """A 2e-6 change to any single entry k <= 2, n <= m <= 12 raises TruncationMismatch."""
+def test_cross_check_catches_any_entry(name, monkeypatch):
+    """A 2e-6 change to any table entry k <= 2, n <= m <= 12 moves the circle route's gap
+    past LAURENT_XCHECK_TOL; one to any formed moment the residual multiplies by a
+    nonzero integer makes laurent_extract raise TruncationMismatch."""
     b = getattr(oracles, name)(n=256)
-    t = laurent_extract(b, kmax=2, mmax=12, cross_check=False)
-    indicators._circle_cross_check(b, t)
+    t = laurent_extract(b, kmax=2, mmax=12)
+    ref = circle_coeffs(b, 2, 12)
     for k, m, n in np.ndindex(t.coeffs.shape):
         if n <= m:
             t.coeffs[k, m, n] += 2e-6
-            with pytest.raises(TruncationMismatch):
-                indicators._circle_cross_check(b, t)
+            assert cross_check_gap(t, ref) > LAURENT_XCHECK_TOL, (k, m, n)
             t.coeffs[k, m, n] -= 2e-6
+    for which, ia, ib in _formed(2, 12):
+        with monkeypatch.context() as mp:
+            _moved_moments(mp, which, ia, ib, 2e-6)
+            with pytest.raises(TruncationMismatch):
+                laurent_extract(b, kmax=2, mmax=12)
+
+
+def _scaled_conic(a, s, n):
+    """The conic z2 = (s / a^2) z1^2 over |z1| = a."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    e = np.exp(1j * t)
+    w = np.stack([np.ones_like(e), a * e, s * e * e], axis=1)
+    dw = np.stack([np.zeros_like(e), 1j * a * e, 2j * s * e * e], axis=1)
+    return BoundaryData([BoundaryLoop(t, w, dw)], [1])
+
+
+def _scaled_conic_table(a, s, kmax, mmax):
+    """The exact table: I1(p, q) = c^q if p + 2q = -1, else 0, and I2(p, q) = 2c I1(p+1, q)."""
+    c = s / a ** 2
+
+    def I1(p, q):
+        return c ** q if p + 2 * q == -1 else 0.0
+
+    coeffs = np.zeros((kmax + 1, mmax + 1, mmax + 1), dtype=complex)
+    for k in range(kmax + 1):
+        if k <= mmax:
+            coeffs[k, k, k] = (-1) ** k
+        for m in range(1, mmax + 1):
+            for n in range(m):
+                i1, i2 = I1(k - m - 1, m - n), 2 * c * I1(k - m + 1, m - n - 1)
+                coeffs[k, m, n] = (-1) ** m * (math.comb(m, n) * i1 - math.comb(m - 1, n) * i2)
+    return coeffs
+
+
+def _exactness_residual(b, kmax, mmax):
+    """max |a I1(a-1, b) + b I2(a, b-1)| over a + b <= kmax, 1 <= b <= mmax, one at a time."""
+    I1, I2 = moment_integrals_full(b, (-mmax - 1, kmax), mmax)
+    return max((abs(a * I1[a - 1 + mmax + 1, bb] + bb * I2[a + mmax + 1, bb - 1])
+                for a in range(-mmax, kmax) for bb in range(1, mmax + 1) if a + bb <= kmax),
+               default=0.0)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("a, s", [(1.0, 1.0), (1.0, 4.0), (1.0, 16.0), (1e-4, 1.0), (1e6, 1.0)])
+def test_exactness_residual_tracks_the_true_error(a, s, n):
+    """On the conic z2 = (s/a^2) z1^2, where the moments have a closed form, the residual is at
+    least 1/100 of the table's true error whenever that error passes 1e-12, and
+    laurent_extract raises exactly when the residual passes LAURENT_XCHECK_TOL."""
+    b = _scaled_conic(a, s, n)
+    res = _exactness_residual(b, 3, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indicators, "LAURENT_XCHECK_TOL", np.inf)
+        err = np.max(np.abs(laurent_extract(b, 3, 12).coeffs - _scaled_conic_table(a, s, 3, 12)))
+    if err > 1e-12:
+        assert res >= err / 100, (err, res)
+    if res > LAURENT_XCHECK_TOL:
+        with pytest.raises(TruncationMismatch):
+            laurent_extract(b, 3, 12)
+    else:
+        laurent_extract(b, 3, 12)
 
 
 def test_laurent_reconstructs_Gk(interior, interior_lt):
@@ -430,12 +534,11 @@ def test_laurent_reconstructs_Gk(interior, interior_lt):
 
 
 def test_laurent_caps():
-    """Caps outside 0..12 are a ValueError before any work, checked or not."""
+    """Caps outside 0..12 are a ValueError before any work."""
     b = oracles.interior_line(n=64)
     for kmax, mmax in [(13, 4), (4, 13), (-1, 4), (4, -1), (-3, -2)]:
-        for cross_check in (True, False):
-            with pytest.raises(ValueError, match=r"0 <= kmax, mmax <= 12"):
-                laurent_extract(b, kmax=kmax, mmax=mmax, cross_check=cross_check)
+        with pytest.raises(ValueError, match=r"0 <= kmax, mmax <= 12"):
+            laurent_extract(b, kmax=kmax, mmax=mmax)
 
 
 LAURENT_CAPS = [(0, 0), (0, 5), (2, 0), (2, 12), (3, 12), (12, 12)]
@@ -452,7 +555,7 @@ def _same_bits(x, y):
 def test_laurent_table_equals_loop_reference(name, caps, request):
     """The read-set moments and array assembly give the full-rectangle loop's bits."""
     b = request.getfixturevalue(name)
-    assert _same_bits(laurent_extract(b, *caps, cross_check=False).coeffs,
+    assert _same_bits(laurent_extract(b, *caps).coeffs,
                       laurent_coeffs_by_loops(b, *caps))
 
 
@@ -460,7 +563,11 @@ def test_laurent_table_equals_loop_reference(name, caps, request):
 @given(st.sampled_from(["interior_line", "exterior_line", "two_line", "conic"]),
        st.sampled_from(LAURENT_CAPS), st.integers(0, 2 ** 32 - 1), st.floats(1e-12, 1e-3))
 def test_laurent_table_equals_loop_reference_perturbed(name, caps, seed, eps):
-    """Same bits on an oracle whose w2 samples carry a relative perturbation eps."""
+    """Same bits on an oracle whose w2 samples carry a relative perturbation eps.
+
+    The perturbed w and dw are no longer a loop and its derivative, so the exactness
+    residual reaches 7e-3 at eps = 1e-3; it is lifted here, where only the bits count.
+    """
     rng = np.random.default_rng(seed)
     b = getattr(oracles, name)(n=256)
     loops = []
@@ -471,8 +578,10 @@ def test_laurent_table_equals_loop_reference_perturbed(name, caps, seed, eps):
         dw[:, 2] *= f
         loops.append(BoundaryLoop(lp.t, w, dw))
     b = BoundaryData(loops, b.orientation)
-    assert _same_bits(laurent_extract(b, *caps, cross_check=False).coeffs,
-                      laurent_coeffs_by_loops(b, *caps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indicators, "LAURENT_XCHECK_TOL", np.inf)
+        table = laurent_extract(b, *caps)
+    assert _same_bits(table.coeffs, laurent_coeffs_by_loops(b, *caps))
 
 
 def test_G110_first_order_display(interior, interior_lt):

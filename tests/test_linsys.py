@@ -88,7 +88,7 @@ def e0_blocks(h, g1, etab, layout):
 def test_assemble_E0_equals_order_by_order_route(name):
     """The one-read assembly equals the per-order route bit for bit, dmu < m included."""
     b = getattr(oracles, name)(n=256)
-    lt = indicators.laurent_extract(b, kmax=2, mmax=12, cross_check=False)
+    lt = indicators.laurent_extract(b, kmax=2, mmax=12)
     h = shock.H_from_laurent(lt, -2.0 * rho(b))
     g1 = shock.g1_biseries(lt, h.Htilde.nx)
     etab = e_rows(h, 3)
