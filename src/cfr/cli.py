@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import genus, green, indicators, infinity, linsys, oracles, reconstruct, shock, symmetric
-from .geometry import boundary_to_json, load_boundary, m_of_y, read_json, rho
+from .geometry import boundary_from_json, boundary_to_json, m_of_y, numbers, read_json, rho
 
 
 class ValidationError(Exception):
@@ -83,27 +83,27 @@ def dumps(obj) -> str:
 def _write(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise IOValidationError(f"cannot write {path}: {e.strerror}") from e
 
 
-def _load(path):
-    if not os.path.exists(path):
-        raise IOValidationError(f"input file not found: {path}")
+def _read(path, what, decode):
+    """decode(the JSON value in the file at path), for every input file.
+
+    A file that cannot be read (missing, a directory, no permission) is E_IO; text that is not
+    JSON, or a value decode refuses (geometry.numbers decides what a number is), E_VALIDATION.
+    """
     try:
-        return read_json(path)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ValidationError(f"malformed JSON in {path}: {e}") from e
-
-
-def _boundary(path):
-    if not os.path.exists(path):
-        raise IOValidationError(f"boundary file not found: {path}")
-    try:
-        return load_boundary(path)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
-        raise ValidationError(f"malformed boundary file: {e}") from e
+        obj = read_json(path)
+    except OSError as e:
+        raise IOValidationError(f"cannot read {what} file {path}: {e.strerror}") from e
+    except ValueError as e:         # json.JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"malformed JSON in {what} file {path}: {e}") from e
+    return _parse(f"{what} file {path}", decode, obj)
 
 
 def _parse(what, fn, value):
@@ -123,10 +123,6 @@ def _finite(what, vals):
     if not np.all(np.isfinite(vals)):
         raise ValidationError(f"{what} must be finite, got {vals}")
     return vals
-
-
-def _pair(p):
-    return complex(p[0], p[1])
 
 
 def _check_options(args):
@@ -178,7 +174,7 @@ def cmd_make_oracle(args):
 
 
 def cmd_indicators(args):
-    b = _boundary(args.boundary)
+    b = _read(args.boundary, "boundary", boundary_from_json)
     lt = indicators.laurent_extract(b, kmax=args.kmax, mmax=args.mmax)
     g0 = indicators.G_lines(b, [0.0], [2.5 * rho(b)], [0])[0, 0]
     laurent = {f"{k},{m},{n}": complex(lt.coeffs[k, m, n])
@@ -189,9 +185,9 @@ def cmd_indicators(args):
     return 0
 
 
-def _fit(b, args, table=None):
+def _fit(b, args):
     return linsys.fit_infinity(b, dmu=args.dmu, r_max=args.rmax, accept_tol=args.tol,
-                               mmax=args.mmax, table=table)
+                               mmax=args.mmax)
 
 
 def _fit_report(fit, h):
@@ -207,7 +203,7 @@ def _fit_report(fit, h):
 
 
 def cmd_fit_infinity(args):
-    b = _boundary(args.boundary)
+    b = _read(args.boundary, "boundary", boundary_from_json)
     fit, h, _ = _fit(b, args)
     _write(dumps(_fit_report(fit, h)), args.out)
     return 0
@@ -252,8 +248,7 @@ def _sheets_and_family(b, args, fit=None, h=None):
         p = h.delta + fit.r         # >= 0: fit_infinity scans r >= max(0, -delta)
     germs = []
     if args.germs:
-        germs = _parse("germs file", infinity.germs_from_json, _load(args.germs))
-        _finite("germs file", [c for g in germs for c in (g.b, *g.taylor)])
+        germs = _read(args.germs, "germs", infinity.germs_from_json)
     fam = infinity.Pk_family(germs, max(p, 1))
     if accepted and fit.r > 0 and p >= 1 and not germs:
         if p >= 2:
@@ -275,19 +270,18 @@ def _do_reconstruct(b, args, fit=None, h=None):
 
 
 def cmd_reconstruct(args):
-    b = _boundary(args.boundary)
+    b = _read(args.boundary, "boundary", boundary_from_json)
     cloud, _ = _do_reconstruct(b, args)
     _write_cloud(cloud, args.out)
     return 0
 
 
 def cmd_pipeline(args):
-    b = _boundary(args.boundary)
-    lt = indicators.laurent_extract(b, kmax=2, mmax=args.mmax)
-    fit, h, _ = _fit(b, args, table=lt)
+    b = _read(args.boundary, "boundary", boundary_from_json)
+    fit, h, _ = _fit(b, args)
     cloud, p = _do_reconstruct(b, args, fit, h)
     report = {
-        "delta": lt.delta,
+        "delta": h.delta,
         "fit": _fit_report(fit, h),
         "p": p,
         "points": len(cloud.points),
@@ -301,7 +295,7 @@ def cmd_pipeline(args):
 
 
 def cmd_shock_verify(args):
-    b = _boundary(args.boundary)
+    b = _read(args.boundary, "boundary", boundary_from_json)
     y0 = _finite("--y0", _parse("--y0", complex, args.y0)) if args.y0 else 2.5 * rho(b)
     n, step = args.gridn, args.step
     xs = (np.arange(n) - n // 2) * step
@@ -327,22 +321,24 @@ def _patch(text):
 
 
 def _phi(rows):
-    phi = np.array([[_pair(p) for p in row] for row in rows])
-    if phi.ndim != 2 or 0 in phi.shape or not phi[:, 1:].any():
+    phi = numbers(rows, "phi", (None, None, 2)).view(complex)[..., 0]
+    if 0 in phi.shape or not phi[:, 1:].any():
         raise ValueError("not a graph over the z1 chart: need a 2-D table with a z2 term")
-    return _finite("phi file", phi)
+    return phi
 
 
 def _targets(spec):
-    return _pair(spec["q_star"]), [_pair(p) for p in spec["points"]]
+    return (numbers(spec["q_star"], "q_star", (2,)).view(complex).item(),
+            numbers(spec["points"], "points", (None, 2)).view(complex)[:, 0].tolist())
 
 
 def cmd_green(args):
-    phi = _parse("phi file", _phi, _load(args.phi))
+    phi = _read(args.phi, "phi", _phi)
     center, radius = _parse("--patch", _patch, args.patch)
-    qs, pts = _parse("targets file", _targets, _load(args.targets))
-    if not all(abs(q - center) < radius for q in _finite("targets file", [qs, *pts])):
-        raise ValidationError(f"q_star and every point need |q - center| < radius = {radius:g}")
+    qs, pts = _read(args.targets, "targets", _targets)
+    if not all(abs(q - center) < radius for q in [qs, *pts]):
+        raise ValidationError(f"q_star and every point of {args.targets} need "
+                              f"|q - center| < radius = {radius:g}")
     model = green.CurveModel(phi, center=center, radius=radius)
     vals = green._green_values(qs, pts, model)
     _write(dumps({"q_star": qs, "values": vals}), args.out)
@@ -361,13 +357,16 @@ def _omega_from_spec(spec):
 
 
 def _density(spec):
-    num, den = (np.asarray(c, dtype=float) for c in (spec["num"], spec.get("den", [1.0])))
-    return _finite("lambda file", num), _finite("lambda file", den)
+    num, den = (numbers(c, key, (None,)) for key, c in (("num", spec["num"]),
+                                                         ("den", spec.get("den", [1.0]))))
+    if not (len(num) and len(den)):
+        raise ValueError("'num' and 'den' need at least one coefficient")
+    return num, den
 
 
 def _lambda_from_file(path):
     """Radial rational density: {"num": [...], "den": [...]} in powers of |z|^2."""
-    num, den = _parse("lambda file", _density, _load(path))
+    num, den = _read(path, "lambda", _density)
     return lambda z: P.polyval(np.abs(z) ** 2, num) / P.polyval(np.abs(z) ** 2, den)
 
 
@@ -479,16 +478,15 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        with warnings.catch_warnings():
-            # stderr carries only error objects; the report's cond covers a rank-deficient fit
+    try:    # stderr carries only error objects: no numpy warning, and cond covers RankDeficient
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
             warnings.simplefilter("ignore", linsys.RankDeficient)
             _check_options(args)
             return args.fn(args)
     except ValidationError as e:
         sys.stderr.write(dumps({"error": e.code, "detail": str(e)}))
         return 1
-    except (ValueError, RuntimeError, ZeroDivisionError, np.linalg.LinAlgError) as e:
+    except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as e:
         sys.stderr.write(dumps({"error": "E_NUMERIC",
                                 "type": type(e).__name__, "detail": str(e)}))
         return 2

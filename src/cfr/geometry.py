@@ -199,9 +199,36 @@ def m_of_y(b: BoundaryData, y):
     return float(m[0]) if np.ndim(y) == 0 else m
 
 
-# -- boundary JSON i/o --------------------------------------------------------
+# -- JSON i/o -----------------------------------------------------------------
 
-_NUMBER = {int, float}          # JSON numbers as decoded; bool, str and None are not
+
+def numbers(value, key: str, shape: tuple) -> np.ndarray:
+    """value, JSON lists nested as shape around numbers, as a float array of that shape.
+
+    shape gives each level's length, None for any length that every list of the level shares;
+    a trailing 2 holds [re, im] pairs, which .view(complex)[..., 0] reads as complex.  A
+    ValueError naming key is raised unless every leaf is an int or a float (not a bool, str
+    or None) that is finite as a float.
+    """
+    flat, dims = [value], []
+    try:                                # TypeError: len() of a number, a bool or None
+        for n in shape:
+            lens = set(map(len, flat))
+            if n is None:               # "" and {} have a length too, so only lists here
+                n = max(lens, default=0) if set(map(type, flat)) <= {list} else -1
+            if lens - {n}:
+                break
+            dims.append(n)
+            flat = list(chain.from_iterable(flat))
+        else:
+            if set(map(type, flat)) <= {int, float}:    # JSON numbers as decoded
+                a = np.array(flat, dtype=float)         # OverflowError: past the float range
+                if np.isfinite(a).all():
+                    return a.reshape(dims)
+    except (TypeError, OverflowError):
+        pass
+    spec = ", ".join("n" if n is None else str(n) for n in shape)
+    raise ValueError(f"'{key}' must hold finite numbers in shape ({spec})")
 
 
 def boundary_to_json(b: BoundaryData) -> dict:
@@ -213,40 +240,18 @@ def boundary_to_json(b: BoundaryData) -> dict:
     return {"loops": loops}
 
 
-def _pairs(samples, key):
-    """samples[i][key], three [re, im] number pairs per sample, as one (N, 3) complex array."""
-    rows = [s[key] for s in samples]
-    try:                                # TypeError: a row or a pair that is not a list
-        pairs = list(chain.from_iterable(rows))
-        flat = list(chain.from_iterable(pairs))
-        ok = set(map(len, rows)) == {3} and set(map(len, pairs)) == {2}
-        a = np.array(flat, dtype=float) if ok and set(map(type, flat)) <= _NUMBER else None
-    except (TypeError, OverflowError):  # OverflowError: an integer past the float range
-        a = None
-    if a is None or not np.isfinite(a).all():
-        raise ValueError(f"'{key}' must hold three finite [re, im] number pairs per sample")
-    return a.view(complex).reshape(-1, 3)
-
-
 def boundary_from_json(obj: dict) -> BoundaryData:
     loops, signs = [], []
     for entry in obj["loops"]:
-        sign = entry["orientation"]
-        if type(sign) not in _NUMBER or sign % 1 != 0:         # nan and inf give nan % 1
-            raise ValueError(f"'orientation' must be the number 1 or -1, got {sign!r}")
+        sign = numbers(entry["orientation"], "orientation", ())
+        if sign % 1:
+            raise ValueError(f"'orientation' must be the number 1 or -1, got {sign}")
         signs.append(int(sign))
         samples = entry["samples"]
-        ts = [s["t"] for s in samples]
-        if not set(map(type, ts)) <= _NUMBER:
-            raise ValueError("'t' must be a number in every sample")
-        try:
-            ts = np.array(ts, dtype=float)
-        except OverflowError:           # an integer past the float range
-            ts = None
-        if ts is None or not np.isfinite(ts).all():
-            raise ValueError("'t' must be finite in every sample")
-        ws = _pairs(samples, "w")
-        dws = _pairs(samples, "dw") if all("dw" in s for s in samples) else None
+        ts = numbers([s["t"] for s in samples], "t", (None,))
+        ws = numbers([s["w"] for s in samples], "w", (None, 3, 2)).view(complex)[..., 0]
+        dws = (numbers([s["dw"] for s in samples], "dw", (None, 3, 2)).view(complex)[..., 0]
+               if all("dw" in s for s in samples) else None)
         loops.append(BoundaryLoop(ts, ws, dws))
     return BoundaryData(loops, signs)
 
@@ -267,7 +272,3 @@ def read_json(path):
         pass
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def load_boundary(path) -> BoundaryData:
-    return boundary_from_json(read_json(path))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmetric
+from .geometry import numbers
 
 RESONANT_EPS = 1e-9
 
@@ -110,6 +111,9 @@ def check_confinement(Binf, rho: float) -> bool:
 
 
 def germs_from_json(obj) -> list:
-    return [GermAtInfinity(complex(g["b"][0], g["b"][1]),
-                           [complex(p[0], p[1]) for p in g.get("taylor", [])])
-            for g in obj["germs"]]
+    germs = []
+    for g in obj["germs"]:
+        b = numbers(g["b"], "b", (2,)).view(complex).item()
+        taylor = numbers(g.get("taylor", []), "taylor", (None, 2)).view(complex)[:, 0]
+        germs.append(GermAtInfinity(b, taylor.tolist()))
+    return germs

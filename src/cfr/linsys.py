@@ -172,8 +172,7 @@ class FitResult:
 # -- the outer (A, B) discovery loop -------------------------------------------
 
 
-def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
-                 mmax: int = 12, table=None):
+def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6, mmax: int = 12):
     """Recover (r, A, B, mu) from boundary data alone.
 
     Scans r upward (starting at the smallest r with d = r + delta >= 0) and
@@ -188,14 +187,10 @@ def fit_infinity(b, dmu: int = 10, r_max: int = 6, accept_tol: float = 1e-6,
     with the smallest residual is returned; when every r is skipped the last
     reason is raised, and when there is no r, ValueError.
 
-    table is a Laurent table of b with kmax = 2 that the caller already has
-    (its mmax then stands for mmax); without one, a table is built here.  Either
-    way it passed laurent_extract's exactness residual, or TruncationMismatch
-    was raised.
+    The fit builds the one Laurent table it reads, kmax = 2 at mmax, and it
+    passed laurent_extract's exactness residual, or TruncationMismatch was raised.
     """
-    lt = table
-    if lt is None:
-        lt = indicators.laurent_extract(b, kmax=2, mmax=mmax)
+    lt = indicators.laurent_extract(b, kmax=2, mmax=mmax)
     rh = rho(b)
     omega = -2.0 * rh
     h = shock.H_from_laurent(lt, omega)

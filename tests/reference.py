@@ -917,12 +917,13 @@ def _pairs_nested(samples, key):
     """samples[i][key] as an (N, 3) complex array by np.array on the nested lists."""
     a = np.array([s[key] for s in samples])
     if a.dtype.kind not in "biuf" or a.shape != (len(samples), 3, 2) or not np.isfinite(a).all():
-        raise ValueError(f"'{key}' must hold three finite [re, im] number pairs per sample")
+        raise ValueError(f"'{key}' must hold finite numbers in shape (n, 3, 2)")
     return a.astype(float).view(complex)[..., 0]
 
 
 def load_boundary_json(path) -> BoundaryData:
-    """geometry.load_boundary by json.load, float() per t and np.array on the nested pairs."""
+    """boundary_from_json(read_json(path)) by json.load, float() per t and np.array on the
+    nested pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     loops, signs = [], []
@@ -931,7 +932,7 @@ def load_boundary_json(path) -> BoundaryData:
         samples = entry["samples"]
         ts = np.array([float(s["t"]) for s in samples])
         if not np.isfinite(ts).all():
-            raise ValueError("'t' must be finite in every sample")
+            raise ValueError("'t' must hold finite numbers in shape (n)")
         ws = _pairs_nested(samples, "w")
         dws = _pairs_nested(samples, "dw") if all("dw" in s for s in samples) else None
         loops.append(BoundaryLoop(ts, ws, dws))

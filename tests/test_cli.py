@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfr import cli, indicators, oracles
-from cfr.geometry import BoundaryData, BoundaryLoop, LineParam, ProjPoint, boundary_to_json
+from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, ProjPoint, boundary_from_json,
+                          boundary_to_json)
 from cfr.reconstruct import PointCloud
 from reference import fmt_generic
 
@@ -48,8 +49,8 @@ def test_make_oracle_validates(workdir):
 
 
 def test_oracle_files_valid(workdir):
-    from cfr.geometry import load_boundary, rho
-    b = load_boundary(workdir / "line.json")
+    from cfr.geometry import rho
+    b = cli._read(workdir / "line.json", "boundary", boundary_from_json)
     assert abs(rho(b) - 1.5) < 1e-12
     obj = json.loads((workdir / "conic.json").read_text())
     for s in obj["loops"][0]["samples"]:
@@ -101,6 +102,8 @@ MALFORMED = {
                                {"bad-targets.json": '{"points": [[0.5, 0.0]]}'}),
     "lambda-without-num": (["genus", "--lambda", "bad-lambda.json"],
                            {"bad-lambda.json": '{"den": [1.0]}'}),
+    "lambda-num-empty": (["genus", "--lambda", "bad-lambda.json"],
+                         {"bad-lambda.json": '{"num": []}'}),
     "angles-zero": (["reconstruct", "--boundary", "line.json", "--p", "1", "--angles", "0"], {}),
     "angles-negative": (["reconstruct", "--boundary", "line.json", "--p", "1",
                          "--angles", "-3"], {}),
@@ -184,7 +187,7 @@ def _interior_with(path, value):
 
 # Entries that are not JSON numbers, or not finite ones, in an otherwise valid file, each read
 # as a number before: name -> (the key the error names, text).
-_NOT_NUMBERS = {
+_BOUNDARY_NOT_NUMBERS = {
     "t-string": ("t", _interior_with(("samples", 1, "t"), repr(2 * np.pi / 32))),
     "t-false": ("t", _interior_with(("samples", 0, "t"), False)),
     "t-400-digits": ("t", _interior_with(("samples", 2, "t"), 10 ** 400)),
@@ -198,35 +201,140 @@ _NOT_NUMBERS = {
     "orientation-infinity": ("orientation", _interior_with(("orientation",), float("inf"))),
     "orientation-minus-infinity": ("orientation", _interior_with(("orientation",), -float("inf"))),
 }
-_BAD_BOUNDARIES.update((name, text) for name, (_, text) in _NOT_NUMBERS.items())
+_BAD_BOUNDARIES.update((name, text) for name, (_, text) in _BOUNDARY_NOT_NUMBERS.items())
 for _name, _text in _BAD_BOUNDARIES.items():
     MALFORMED["boundary-" + _name] = (["indicators", "--boundary", "bad.json"],
                                       {"bad.json": _text})
+# The same rule for every input file: name -> (argv reading f.json, the key, f.json's text); in
+# the files other than boundaries, one leaf (@) of a valid file is replaced by each entry of
+# _NOT_A_NUMBER.
+_NOT_NUMBERS = {name: (["indicators", "--boundary", "f.json"], key, text)
+                for name, (key, text) in _BOUNDARY_NOT_NUMBERS.items()}
+_GREEN_PHI = ["green", "--phi", "f.json", "--targets", "ok-targets.json"]
+_GREEN_TARGETS = ["green", "--phi", "ok-phi.json", "--targets", "f.json"]
+_GERMS = ["reconstruct", "--boundary", "line.json", "--p", "1", "--germs", "f.json"]
+_LEAF_FILES = {
+    "phi": (_GREEN_PHI, "phi", "[[[0, 0], [1, 0]], [[@, 0], [0, 0]]]"),
+    "q-star": (_GREEN_TARGETS, "q_star", '{"q_star": [0.2, @], "points": [[0.5, 0.0]]}'),
+    "points": (_GREEN_TARGETS, "points", '{"q_star": [0.2, 0.1], "points": [[0.5, @]]}'),
+    "germ-b": (_GERMS, "b", '{"germs": [{"b": [@, 0.0], "taylor": [[1.0, 0.0]]}]}'),
+    "germ-taylor": (_GERMS, "taylor", '{"germs": [{"b": [0.1, 0.0], "taylor": [[@, 0.0]]}]}'),
+    "lambda-num": (["genus", "--lambda", "f.json"], "num", '{"num": [@]}'),
+    "lambda-den": (["genus", "--lambda", "f.json"], "den", '{"num": [1.0], "den": [1.0, @]}'),
+}
+_NOT_A_NUMBER = {"true": "true", "false": "false", "string": '"0.5"', "null": "null",
+                 "401-digits": "1" + "0" * 400, "nan": "NaN", "third-entry": "0.5, 0, 7"}
+for _kind, (_argv, _key, _text) in _LEAF_FILES.items():
+    for _name, _leaf in _NOT_A_NUMBER.items():
+        if _kind.startswith("lambda") and _name == "third-entry":     # no pairs: nest instead
+            _name, _leaf = "nested", "[0.5]"
+        _NOT_NUMBERS[f"{_kind}-leaf-{_name}"] = (_argv, _key, _text.replace("@", _leaf))
+        MALFORMED[f"{_kind}-leaf-{_name}"] = (_argv, {"f.json": _text.replace("@", _leaf)})
+# An input path that is a directory, and outputs whose directory does not exist: E_IO.
+MALFORMED.update({
+    "boundary-directory": (["indicators", "--boundary", "."], {}),
+    "make-oracle-out-no-dir": (["make-oracle", "--name", "conic", "--out", "nodir/x.json"], {}),
+    "pipeline-out-no-dir": (["pipeline", "--boundary", "line.json", "--out", "nodir/p.json"], {}),
+})
 
 
 @pytest.mark.parametrize("argv,files", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_a_validation_error(workdir, argv, files):
     """Bad arguments and input files exit 1 with one JSON error object on stderr and nothing on
-    stdout, under the suite's warnings-as-errors filter: no numpy warning comes first."""
-    files = {"ok-phi.json": "[[[0.0, 0.0], [1.0, 0.0]]]",
-             "ok-targets.json": '{"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]}', **files}
-    for name, text in files.items():
+    stdout, under the suite's warnings-as-errors filter: no numpy warning comes first.  The
+    error names the case's own input file."""
+    ok = {"ok-phi.json": "[[[0.0, 0.0], [1.0, 0.0]]]",
+          "ok-targets.json": '{"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]}'}
+    for name, text in {**ok, **files}.items():
         (workdir / name).write_text(text)
     code, out, err = run_cli(argv, workdir)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert json.loads(err)["error"] in ("E_VALIDATION", "E_IO")
+    assert all(f" {name}" in json.loads(err)["detail"] for name in files)
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["indicators", "--boundary", "."], "cannot read boundary file .: Is a directory"),
+    (["genus", "--lambda", "."], "cannot read lambda file .: Is a directory"),
+    (["make-oracle", "--name", "conic", "--out", "nodir/x.json"],
+     "cannot write nodir/x.json: No such file or directory"),
+    (["pipeline", "--boundary", "line.json", "--out", "nodir/p.json"],
+     "cannot write nodir/p.cloud.json: No such file or directory"),
+])
+def test_path_that_cannot_be_opened_is_an_io_error(workdir, argv, detail):
+    """Any OSError on opening an input or an output file is E_IO, naming the path."""
+    code, out, err = run_cli(argv, workdir)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "E_IO", "detail": detail}
 
 
 @pytest.mark.parametrize("name", _NOT_NUMBERS)
 def test_non_number_entry_names_its_key(workdir, name):
-    """A bool, a string, a fraction, null, NaN, +-Infinity or a number past the float range
-    where the file needs a number exits 1 naming the key."""
-    key, text = _NOT_NUMBERS[name]
-    (workdir / "not-number.json").write_text(text)
-    code, out, err = run_cli(["indicators", "--boundary", "not-number.json"], workdir)
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "E_VALIDATION" and f"'{key}'" in err
+    """A bool, a string, a fraction, null, NaN, +-Infinity, a number past the float range or a
+    third entry in a pair where a file needs a number exits 1 naming the file and the key."""
+    argv, key, text = _NOT_NUMBERS[name]
+    (workdir / "f.json").write_text(text)
+    code, out, err = run_cli(argv, workdir)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    detail = json.loads(err)["detail"]
+    assert json.loads(err)["error"] == "E_VALIDATION" and f"'{key}'" in detail
+    assert " f.json:" in detail
+
+
+# Small valid input files for the contract search below: name -> (argv reading h.json, its value).
+_SMALL_FILES = {
+    "phi": (["green", "--phi", "h.json", "--targets", "ok-targets.json"],
+            [[[0.0, 0.0], [1.0, 0.0]], [[0.1, 0.0], [0.0, 0.0]]]),
+    "targets": (["green", "--phi", "ok-phi.json", "--targets", "h.json"],
+                {"q_star": [0.2, 0.1], "points": [[0.5, 0.0], [-0.3, 0.2]]}),
+    "germs": (["reconstruct", "--boundary", "line.json", "--p", "1", "--angles", "1",
+               "--radii", "2", "--xfrac", "0", "--germs", "h.json"],
+              {"germs": [{"b": [0.1, 0.0], "taylor": [[0.2, 0.0], [0.0, 0.1]]}]}),
+    "lambda": (["genus", "--lambda", "h.json"], {"num": [1.0], "den": [1.0, 2.0, 1.0]}),
+}
+# Mostly numbers, small, of any size or at the edges of the float range, so that runs get past
+# the reader; then any JSON value.
+_JSON_VALUES = st.one_of(
+    st.floats(-2, 2), st.integers(-3, 3), st.floats(),
+    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64 + 1, 1e308, -1e-300, 5e-324, -0.0]),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=3) | st.floats(),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=6))
+
+
+def _leaf_paths(v, path=()):
+    """The index path of every number in the JSON value v."""
+    if isinstance(v, dict):
+        return [p for k, x in v.items() for p in _leaf_paths(x, path + (k,))]
+    if isinstance(v, list):
+        return [p for i, x in enumerate(v) for p in _leaf_paths(x, path + (i,))]
+    return [path]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_SMALL_FILES)), data=st.data(), value=_JSON_VALUES)
+def test_one_replaced_leaf_meets_the_exit_contract(workdir, name, data, value):
+    """One number of a small valid phi, targets, germs or lambda file replaced by any JSON value:
+    exit 0 with finite JSON on stdout and nothing on stderr, or exit 1 (E_VALIDATION) or 2
+    (E_NUMERIC) with one JSON error object on stderr and nothing on stdout; no exception and
+    no warning escapes main."""
+    argv, obj = _SMALL_FILES[name]
+    obj = json.loads(json.dumps(obj))
+    *path, last = data.draw(st.sampled_from(_leaf_paths(obj)))
+    node = obj
+    for k in path:
+        node = node[k]
+    node[last] = value
+    for f, text in {"h.json": json.dumps(obj), "ok-phi.json": "[[[0.0, 0.0], [1.0, 0.0]]]",
+                    "ok-targets.json": '{"q_star": [0.2, 0.1], "points": [[0.5, 0.0]]}'}.items():
+        (workdir / f).write_text(text)
+    code, out, err = run_cli(argv, workdir)
+    if code == 0:
+        assert err == "" and _strict_json(out) is not None
+        return
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == {1: "E_VALIDATION", 2: "E_NUMERIC"}[code]
 
 
 @pytest.mark.parametrize("key, where", [("t", ()), ("w", (1, 0)), ("dw", (2, 1))])
@@ -570,13 +678,14 @@ def test_shock_verify_through_a_node(workdir):
     h = -(x + 1) / (y + a), a = 1/2, -1/3.
     """
     from cfr import shock
-    from cfr.geometry import load_boundary, rho
+    from cfr.geometry import rho
     code, out, err = run_cli(["shock-verify", "--boundary", "twoline.json", "--p", "2",
                               "--step", "0.25"], workdir)
     assert code == 0, err
     n, step = 9, 0.25
     xs = (np.arange(n) - n // 2) * step
-    ys = 2.5 * rho(load_boundary(workdir / "twoline.json")) + (np.arange(n) - n // 2) * step
+    b = cli._read(workdir / "twoline.json", "boundary", boundary_from_json)
+    ys = 2.5 * rho(b) + (np.arange(n) - n // 2) * step
     assert xs[0] == -1.0
     ha, hb = (-(xs[:, None] + 1.0) / (ys[None, :] + a) for a in (0.5, -1.0 / 3.0))
     expect = shock.system_residual([ha + hb, ha * hb], step, step)

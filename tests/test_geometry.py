@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from cfr import cli, geometry, oracles
 from cfr.geometry import (BoundaryData, BoundaryLoop, LineParam, OutsideDomain, ProjPoint,
-                          boundary_from_json, boundary_to_json, load_boundary, m_of_y, read_json,
-                          rho)
+                          boundary_from_json, boundary_to_json, m_of_y, numbers, read_json, rho)
 from reference import (ChartUndefined, affine_chart, boundary_from_json_per_element,
                        boundary_to_json_per_element, in_Z, line_eval, load_boundary_json,
                        m_of_y_full)
@@ -364,6 +363,12 @@ EDGE_TEXTS = _edge_texts()
 ACCEPTED = {"minus-1e-400-w", "big-int-every-t", "duplicate-key", "lone-surrogate"}
 
 
+def _read_boundary(path):
+    """The boundary file at path as the command line reads it: read_json, then
+    boundary_from_json (cli._read adds only the error codes)."""
+    return boundary_from_json(read_json(path))
+
+
 def _outcome(load, path):
     """orientation and the bytes of t, w and dw per loop; or the exception's type and text."""
     try:
@@ -384,11 +389,11 @@ def _bits(v):
 
 @pytest.mark.parametrize("name", EDGE_TEXTS)
 def test_load_boundary_equals_json_module_route(tmp_path, name):
-    """load_boundary gives the arrays of json.load and np.array on the nested pairs bit for
+    """The read path gives the arrays of json.load and np.array on the nested pairs bit for
     bit, or raises the same exception with the same message."""
     path = tmp_path / "b.json"
     path.write_bytes(EDGE_TEXTS[name])
-    got = _outcome(load_boundary, path)
+    got = _outcome(_read_boundary, path)
     assert got == _outcome(load_boundary_json, path)
     assert isinstance(got[0], list) == (name in ACCEPTED or name.startswith("oracle"))
 
@@ -430,8 +435,8 @@ def test_integer_past_64_bits_in_w_reads_as_its_float(tmp_path):
         (tmp_path / "int.json").write_text(text)
         (tmp_path / "float.json").write_text(text.replace(str(sign * int(BIG)),
                                                           repr(sign * float(BIG))))
-        got = _outcome(load_boundary, tmp_path / "int.json")
-        assert got == _outcome(load_boundary, tmp_path / "float.json")
+        got = _outcome(_read_boundary, tmp_path / "int.json")
+        assert got == _outcome(_read_boundary, tmp_path / "float.json")
         assert isinstance(got[0], list)
         assert _outcome(load_boundary_json, tmp_path / "int.json")[0] is ValueError
 
@@ -450,9 +455,37 @@ def test_malformed_pairs_name_their_key(key, value):
     sample[key] = value
     with pytest.raises(ValueError) as info:
         boundary_from_json({"loops": [{"orientation": 1, "samples": [sample]}]})
-    assert str(info.value) == f"'{key}' must hold three finite [re, im] number pairs per sample"
+    assert str(info.value) == f"'{key}' must hold finite numbers in shape (n, 3, 2)"
 
 
-def test_no_samples_is_a_pairs_error():
-    with pytest.raises(ValueError, match="'w' must hold"):
+def test_no_samples_is_refused():
+    """A loop without samples has the shapes (0,) and (0, 3, 2): its sample count refuses it."""
+    with pytest.raises(ValueError, match="loop needs at least 16 samples"):
         boundary_from_json({"loops": [{"orientation": -1, "samples": []}]})
+
+
+@pytest.mark.parametrize("value, shape, dims", [
+    (1, (), ()), (-0.0, (), ()), ([[1, 2.5]], (None, 2), (1, 2)), ([], (None, 2), (0, 2)),
+    ([[], []], (None, None), (2, 0)), ([[0, 1, 2]], (1, 3), (1, 3)), (2 ** 64 + 1, (), ()),
+    ([1e308, -5e-324], (2,), (2,)),
+])
+def test_numbers_reads_json_numbers(value, shape, dims):
+    """numbers gives np.array(value, dtype=float) bit for bit, in the shape asked for; a None
+    length is the length the lists share."""
+    got = numbers(value, "k", shape)
+    want = np.array(value, dtype=float).reshape(dims)
+    assert got.shape == dims and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value, shape", [
+    (True, ()), ("1", ()), (None, ()), (float("nan"), ()), (float("inf"), ()), (10 ** 400, ()),
+    ([1.0], ()), (1.0, (1,)), ([[1, 2], [3]], (None, None)), ({}, (None,)), ("", (None,)),
+    ([{}], (None, None)), ([""], (None, None)), (["ab"], (None, 2)), ([{"a": 1, "b": 2}], (1, 2)),
+    ([1, 2, 3], (2,)), ([[1, 2]], (None, 3)), ([[True, 0]], (None, 2)), ([1.0, "0.5"], (None,)),
+    ([0.5, 0, 7], (2,)), ([[0.5, -float("inf")]], (None, 2)), ([None], (1,)),
+])
+def test_numbers_names_the_key(value, shape):
+    """Not a JSON number (bool, str, None), not finite, past the float range, or lists of the
+    wrong depth, length or kind: a ValueError that names the key."""
+    with pytest.raises(ValueError, match=r"^'k' must hold finite numbers in shape \("):
+        numbers(value, "k", shape)
